@@ -12,12 +12,22 @@ coupling to a quadratic matrix equation whose two symmetric roots are written
 explicitly in terms of the Phi blocks; only the smaller root yields flows
 free of finite escape on [0, 1]. Given Pi(0) the whole solution is a single
 forward integration, and the state covariance follows from the closed-loop
-Lyapunov equation with diffusion eps * B B'.
+Lyapunov equation with diffusion eps * B R^-1 B'.
+
+The noise enters through the control channel scaled by the input weight,
+
+    dx = (A x + B u) dt + sqrt(eps) B R^-1/2 dw,
+
+which is the model the coupling roots assume; R = I gives sqrt(eps) B dw.
+
+Phi(t, 0) and the controllability of (A, B) depend on the system alone, not
+on eps, so :func:`epsilon_sweep` propagates once and solves every eps on the
+same transitions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -142,17 +152,20 @@ class SteeringProblem:
         if s0.shape != (n, n) or s1.shape != (n, n):
             raise DomainError("boundary covariances must be n x n")
         for name, s in (("sigma0", s0), ("sigma1", s1)):
+            if not np.isfinite(s).all():
+                raise DomainError(f"{name} has non-finite entries")
             lam = float(np.linalg.eigvalsh(s).min())
             if lam <= 1e-12:
                 raise DefinitenessError(
                     f"{name} is not positive definite (min eigenvalue {lam:.3e})",
                     min_eigenvalue=lam,
                 )
-        if self.epsilon < 0:
-            raise DomainError("epsilon must be nonnegative")
+        eps = float(self.epsilon)
+        if not 0.0 <= eps < np.inf:
+            raise DomainError(f"epsilon must be finite and nonnegative, got {eps}")
         object.__setattr__(self, "sigma0", s0)
         object.__setattr__(self, "sigma1", s1)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "epsilon", eps)
 
 
 @dataclass(frozen=True)
@@ -224,6 +237,12 @@ def initial_conditions(
     this degenerates to H0 = -Pi0 and only Pi0 drives the control.
     """
     roots = coupling_roots(problem.sigma0, problem.sigma1, bt, problem.epsilon, cond_limit)
+    return _initial_values(problem, roots)
+
+
+def _initial_values(
+    problem: SteeringProblem, roots: CouplingRoots
+) -> tuple[np.ndarray, np.ndarray]:
     s0_inv = _inv_spd(problem.sigma0)
     pi0 = symmetrize(roots.z_minus + 0.5 * problem.epsilon * s0_inv)
     h0 = symmetrize(problem.epsilon * s0_inv - pi0)
@@ -278,22 +297,48 @@ def solve(
 ) -> BridgeSolution:
     """Solve the steering problem end-to-end on a uniform RK4 grid.
 
-    Propagates Phi(1, 0), forms the closed-form (Pi0, H0), then integrates
+    Propagates Phi(t, 0), forms the closed-form (Pi0, H0), then integrates
     Pi, H and the closed-loop covariance jointly (so the gain is evaluated at
-    the RK4 stage times exactly), and records boundary and sum-law residuals.
-    Raises BoundaryResidualError (solution attached) if the terminal
-    covariance misses sigma1 by more than residual_tol in relative Frobenius
-    norm.
+    the RK4 stage times exactly), and records boundary and sum-law residuals
+    and the escape scans of both roots. Raises BoundaryResidualError
+    (solution attached) if the terminal covariance misses sigma1 by more than
+    residual_tol in relative Frobenius norm.
     """
     if grid_size < 1:
         raise DomainError("grid_size must be positive")
+    transitions = _transitions(problem.sys, grid_size, controllability_tol)
+    return _solve_on(problem, transitions, grid_size, residual_tol, cond_limit)
+
+
+def _transitions(
+    sys: TimeVaryingLinearSystem,
+    grid_size: int,
+    controllability_tol: float = 1e-9,
+) -> list[BlockTransition]:
+    """Controllability check and Phi(t, 0) at about 100 grid nodes; the last is Phi(1, 0).
+
+    Neither depends on eps. The checkpoints are grid nodes, so the pass
+    still takes exactly grid_size RK4 steps.
+    """
+    require_controllable(sys, controllability_tol, grid_size)
+    grid = np.linspace(0.0, 1.0, grid_size + 1)
+    return propagate(sys, 0.0, 1.0, grid[:: max(1, grid_size // 100)], grid_size)
+
+
+def _solve_on(
+    problem: SteeringProblem,
+    transitions: Sequence[BlockTransition],
+    grid_size: int,
+    residual_tol: float = 1e-4,
+    cond_limit: float = COND_LIMIT,
+) -> BridgeSolution:
+    """The eps-dependent part of :func:`solve`, on transitions from :func:`_transitions`."""
     sys = problem.sys
     n = sys.dim_state
     eps = problem.epsilon
-    require_controllable(sys, controllability_tol, grid_size)
-
-    bt = propagate(sys, 0.0, 1.0, [1.0], grid_size)[-1]
-    pi0, h0 = initial_conditions(problem, bt, cond_limit)
+    bt = transitions[-1]
+    roots = coupling_roots(problem.sigma0, problem.sigma1, bt, eps, cond_limit)
+    pi0, h0 = _initial_values(problem, roots)
 
     def rhs(t, y):
         pi, h, sig = y
@@ -304,7 +349,7 @@ def solve(
         d_pi = -(a.T @ pi + pi @ a - pi @ quad @ pi + q)
         d_h = -(a.T @ h + h @ a + h @ quad @ h - q)
         a_cl = a - quad @ pi
-        d_sig = a_cl @ sig + sig @ a_cl.T + eps * (b @ b.T)
+        d_sig = a_cl @ sig + sig @ a_cl.T + eps * quad
         return np.stack(
             [symmetrize(d_pi), symmetrize(d_h), symmetrize(d_sig)]
         )
@@ -331,6 +376,8 @@ def solve(
     diagnostics = {
         "symplectic_residual": symplectic_residual(bt),
         "pi0_min_eigenvalue": float(np.linalg.eigvalsh(pi0).min()),
+        "escape_minus": spurious_root_escape(problem, transitions, roots.z_minus),
+        "escape_plus": spurious_root_escape(problem, transitions, roots.z_plus),
     }
     if eps > 0:
         sum_res = 0.0
@@ -356,7 +403,7 @@ def solve(
         epsilon=eps,
         diagnostics=diagnostics,
     )
-    if res1 > residual_tol:
+    if not (res1 <= residual_tol):
         raise BoundaryResidualError(
             f"terminal covariance residual {res1:.3e} exceeds {residual_tol:.3e}",
             solution=solution,
@@ -395,9 +442,9 @@ def spurious_root_escape(
     s0_inv = _inv_spd(problem.sigma0)
     y0 = 0.5 * problem.epsilon * s0_inv + root
     times = np.array([bt.t for bt in checkpoints])
-    dets = np.array(
-        [np.linalg.det(bt.phi11 + bt.phi12 @ y0) for bt in checkpoints]
-    )
+    phi11 = np.array([bt.phi11 for bt in checkpoints])
+    phi12 = np.array([bt.phi12 for bt in checkpoints])
+    dets = np.linalg.det(phi11 + phi12 @ y0)
     interior = dets[(times > 0.0) & (times < 1.0 + 1e-12)]
     sign_change = bool(np.any(interior[:-1] * interior[1:] < 0)) if len(interior) > 1 else False
     return EscapeReport(
@@ -454,6 +501,7 @@ class SweepRow:
     epsilon: float
     pi0: np.ndarray
     gap: float
+    boundary_residuals: tuple[float, float]
 
 
 def epsilon_sweep(
@@ -461,12 +509,13 @@ def epsilon_sweep(
     eps_list: Sequence[float],
     grid_size: int = 1000,
 ) -> list[SweepRow]:
-    """Initial values Pi0(eps) and their Frobenius gap to the zero-noise Pi0.
+    """Solve at each eps: Pi0(eps), its Frobenius gap to the zero-noise Pi0, residuals.
 
-    The Hamiltonian transition matrix does not depend on eps, so one
-    propagation serves the whole sweep. eps_list must be sorted descending
-    and nonnegative; the gap column is expected to decrease monotonically
-    and scale O(eps).
+    Each row equals a standalone :func:`solve` at that eps. The controllability
+    check and the Hamiltonian transition matrix do not depend on eps, so one
+    propagation serves every solve of the sweep. eps_list must be sorted
+    descending and nonnegative; the gap column is expected to decrease
+    monotonically and scale O(eps).
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) == 0:
@@ -476,15 +525,13 @@ def epsilon_sweep(
     if any(b > a for a, b in zip(eps_arr, eps_arr[1:])):
         raise DomainError("eps_list must be sorted descending")
 
-    bt = propagate(problem.sys, 0.0, 1.0, [1.0], grid_size)[-1]
-
-    def pi0_at(eps):
-        p = SteeringProblem(problem.sys, problem.sigma0, problem.sigma1, eps)
-        return initial_conditions(p, bt)[0]
-
-    pi0_limit = pi0_at(0.0)
+    transitions = _transitions(problem.sys, grid_size)
+    pi0_limit = initial_conditions(replace(problem, epsilon=0.0), transitions[-1])[0]
     rows = []
     for eps in eps_arr:
-        pi0 = pi0_at(eps)
-        rows.append(SweepRow(eps, pi0, float(np.linalg.norm(pi0 - pi0_limit))))
+        sol = _solve_on(replace(problem, epsilon=eps), transitions, grid_size)
+        pi0 = sol.pi[0].copy()
+        rows.append(
+            SweepRow(eps, pi0, float(np.linalg.norm(pi0 - pi0_limit)), sol.boundary_residuals)
+        )
     return rows

@@ -24,6 +24,7 @@ from .bridge import (
     SteeringProblem,
     corollary_q_zero,
     coupling_roots,
+    epsilon_sweep,
     initial_conditions,
     lemma1_residual,
     solve,
@@ -32,7 +33,12 @@ from .bridge import (
 from .errors import ConfigError, CovsteerError, DomainError
 from .hamiltonian import propagate, symplectic_residual
 from .monte_carlo import simulate, tolerance_tube
-from .systems import make_system, piecewise_constant_coefficient, sampled_coefficient
+from .systems import (
+    constant_coefficient,
+    make_system,
+    piecewise_constant_coefficient,
+    sampled_coefficient,
+)
 
 SCHEMA_VERSION = 1
 
@@ -78,19 +84,28 @@ class RunConfig:
             if key not in known:
                 raise ConfigError(f"unknown config field '{key}'")
         mc_raw = raw.get("monte_carlo", {})
+        if not isinstance(mc_raw, dict):
+            raise ConfigError("monte_carlo must be an object")
         mc_known = {"n_paths", "n_steps", "seed", "checkpoints", "tube_level", "tube_resolution"}
         for key in mc_raw:
             if key not in mc_known:
                 raise ConfigError(f"unknown config field 'monte_carlo.{key}'")
         mc = MonteCarloConfig(**mc_raw)
+        for key in ("n_paths", "n_steps", "tube_resolution"):
+            _integer(getattr(mc, key), f"monte_carlo.{key}")
+        if mc.seed is not None:
+            _integer(mc.seed, "monte_carlo.seed")
+        _number(mc.tube_level, "monte_carlo.tube_level")
+        _numbers(mc.checkpoints, "monte_carlo.checkpoints")
+        eps_list = raw.get("eps_list", [10.0, 1.0, 0.1, 0.01, 0.0])
         cfg = cls(
             name=str(raw["name"]),
             system=raw["system"],
             sigma0=raw["sigma0"],
             sigma1=raw["sigma1"],
-            epsilon=float(raw.get("epsilon", 1.0)),
-            grid_size=int(raw.get("grid_size", 2000)),
-            eps_list=[float(e) for e in raw.get("eps_list", [10.0, 1.0, 0.1, 0.01, 0.0])],
+            epsilon=_number(raw.get("epsilon", 1.0), "epsilon"),
+            grid_size=_integer(raw.get("grid_size", 2000), "grid_size"),
+            eps_list=_numbers(eps_list, "eps_list"),
             monte_carlo=mc,
         )
         cfg.validate()
@@ -102,42 +117,70 @@ class RunConfig:
     def validate(self) -> None:
         if self.grid_size < 1:
             raise ConfigError("grid_size must be positive")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be nonnegative")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ConfigError("epsilon must be finite and nonnegative")
+        if not all(0.0 <= e < np.inf for e in self.eps_list):
+            raise ConfigError("eps_list entries must be finite and nonnegative")
+        if any(b > a for a, b in zip(self.eps_list, self.eps_list[1:])):
+            raise ConfigError("eps_list must be sorted descending")
         if self.monte_carlo.n_paths < 2:
             raise ConfigError("monte_carlo.n_paths must be at least 2")
         if self.monte_carlo.n_steps < 1:
             raise ConfigError("monte_carlo.n_steps must be positive")
         try:
-            problem = build_problem(self)
+            build_problem(self)
+        except ConfigError:
+            raise
         except (CovsteerError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"invalid problem definition: {exc}") from exc
-        n = problem.sys.dim_state
-        s0 = np.asarray(self.sigma0, dtype=float)
-        if s0.shape != (n, n):
-            raise ConfigError(f"sigma0 must be {n}x{n}")
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, path: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{path} must be a list of numbers")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
 def _coefficient(spec, path: str):
     if isinstance(spec, list):
-        return np.array(spec, dtype=float)
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        try:
-            if kind == "constant":
-                return np.array(spec["value"], dtype=float)
-            if kind == "piecewise":
-                return piecewise_constant_coefficient(spec["breaks"], spec["values"])
-            if kind == "sampled":
-                return sampled_coefficient(spec["times"], spec["values"])
-        except KeyError as exc:
-            raise ConfigError(f"{path}: missing key {exc} for kind '{kind}'") from exc
-        except DomainError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        spec = {"kind": "constant", "value": spec}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: coefficient must be a nested array or an object")
+    kind = spec.get("kind")
+    if kind not in ("constant", "piecewise", "sampled"):
         raise ConfigError(f"{path}: unknown coefficient kind '{kind}'")
-    raise ConfigError(f"{path}: coefficient must be a nested array or an object")
+    try:
+        if kind == "constant":
+            coef = constant_coefficient(spec["value"])
+        elif kind == "piecewise":
+            coef = piecewise_constant_coefficient(spec["breaks"], spec["values"])
+        else:
+            coef = sampled_coefficient(spec["times"], spec["values"])
+        coef(0.0), coef(1.0)  # a table must cover the whole horizon
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc} for kind '{kind}'") from exc
+    except (DomainError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return coef
+
+
+def _matrix(value, path: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def build_problem(cfg: RunConfig) -> SteeringProblem:
@@ -152,8 +195,8 @@ def build_problem(cfg: RunConfig) -> SteeringProblem:
     )
     return SteeringProblem(
         sys_obj,
-        np.array(cfg.sigma0, dtype=float),
-        np.array(cfg.sigma1, dtype=float),
+        _matrix(cfg.sigma0, "sigma0"),
+        _matrix(cfg.sigma1, "sigma1"),
         cfg.epsilon,
     )
 
@@ -210,15 +253,13 @@ def load_config(args) -> RunConfig:
                 f"unknown preset '{args.preset}' (available: {', '.join(sorted(PRESETS))})"
             )
         raw = json.loads(json.dumps(PRESETS[args.preset]))
-    cfg = RunConfig.from_dict(raw)
-    if getattr(args, "seed", None) is not None:
-        cfg.monte_carlo.seed = args.seed
-    if getattr(args, "steps", None) is not None:
-        cfg.monte_carlo.n_steps = args.steps
-    if getattr(args, "paths", None) is not None:
-        cfg.monte_carlo.n_paths = args.paths
-    cfg.validate()
-    return cfg
+    mc_raw = raw.get("monte_carlo", {}) if isinstance(raw, dict) else None
+    if isinstance(mc_raw, dict):
+        for key, flag in (("seed", "seed"), ("n_steps", "steps"), ("n_paths", "paths")):
+            if getattr(args, flag, None) is not None:
+                mc_raw[key] = getattr(args, flag)
+        raw["monte_carlo"] = mc_raw
+    return RunConfig.from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +316,8 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> dict:
             cfg,
         )
 
-    bt_path = propagate(problem.sys, 0.0, 1.0, np.linspace(0.0, 1.0, 101), cfg.grid_size)
-    roots = coupling_roots(problem.sigma0, problem.sigma1, bt_path[-1], problem.epsilon)
-    escape_plus = spurious_root_escape(problem, bt_path, roots.z_plus)
-    escape_minus = spurious_root_escape(problem, bt_path, roots.z_minus)
+    escape_plus = solution.diagnostics["escape_plus"]
+    escape_minus = solution.diagnostics["escape_minus"]
     lines = [
         f"covsteer {__version__} solve report ({cfg.name})",
         f"config hash: {_config_hash(cfg)}",
@@ -353,22 +392,12 @@ def run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 def run_sweep(cfg: RunConfig, out_dir: Path) -> dict:
     if len(cfg.eps_list) == 0:
         raise ConfigError("eps_list must not be empty for sweep")
-    problem = build_problem(cfg)
-    bt = propagate(problem.sys, 0.0, 1.0, [1.0], cfg.grid_size)[-1]
-    pi0_limit = initial_conditions(
-        SteeringProblem(problem.sys, problem.sigma0, problem.sigma1, 0.0), bt
-    )[0]
-    rows = []
-    for eps in cfg.eps_list:
-        p_eps = SteeringProblem(problem.sys, problem.sigma0, problem.sigma1, eps)
-        sol = solve(p_eps, cfg.grid_size)
-        gap = float(np.linalg.norm(sol.pi[0] - pi0_limit))
-        rows.append([eps, gap, sol.boundary_residuals[0], sol.boundary_residuals[1]])
+    rows = epsilon_sweep(build_problem(cfg), cfg.eps_list, cfg.grid_size)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "sweep.csv",
         ["epsilon", "pi0_gap", "boundary_residual_0", "boundary_residual_1"],
-        rows,
+        ([row.epsilon, row.gap, *row.boundary_residuals] for row in rows),
         cfg,
     )
     return {"rows": rows}

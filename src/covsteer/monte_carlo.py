@@ -2,10 +2,11 @@
 
 Validates a solved bridge by integrating the controlled SDE
 
-    dx = (A(t) - B(t) K(t)) x dt + sqrt(eps) B(t) dw,   x(0) ~ N(0, Sigma0),
+    dx = (A(t) - B(t) K(t)) x dt + sqrt(eps) B(t) R(t)^-1/2 dw,   x(0) ~ N(0, Sigma0),
 
-over many paths, estimating empirical covariances at checkpoints and the
-expected quadratic cost. Randomness is counter-based: path i draws from a
+which is the noise model of :mod:`covsteer.bridge`, over many paths,
+estimating empirical covariances at checkpoints and the expected quadratic
+cost. Randomness is counter-based: path i draws from a
 Philox stream keyed by (seed, i), so results are bit-identical for a given
 (seed, n_paths, n_steps) regardless of how paths are chunked or threaded.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import BridgeSolution, SteeringProblem, sqrt_spd
+from .bridge import BridgeSolution, SteeringProblem, _sqrt_spd_pair, sqrt_spd
 from .errors import DomainError, UnsupportedDimensionError
 
 _PERTURBATION_STREAM = 0xC0575EE2  # fixed substream key for gain perturbations
@@ -94,6 +95,7 @@ def _simulate_gain(
     r_seq = np.stack([sys.R(t) for t in t_grid])
     k_seq = _interp_matrices(gain_t, gain_seq, t_grid)
     closed_seq = a_seq - np.matmul(b_seq, k_seq)
+    noise_seq = np.stack([b @ _sqrt_spd_pair(r)[1] for b, r in zip(b_seq, r_seq)])
 
     cp_idx = _checkpoint_indices(checkpoints, n_steps)
     cp_lookup = {int(k): i for i, k in enumerate(cp_idx)}
@@ -125,7 +127,7 @@ def _simulate_gain(
             if k < n_steps:
                 x = x + dt * (x @ closed_seq[k].T)
                 if eps > 0:
-                    x = x + noise_scale * (noise[:, k] @ b_seq[k].T)
+                    x = x + noise_scale * (noise[:, k] @ noise_seq[k].T)
         costs[lo:hi] = cost
 
     workers = _worker_count(n_threads)

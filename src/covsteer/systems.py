@@ -55,8 +55,10 @@ def piecewise_constant_coefficient(breaks: Sequence[float], values) -> MatrixMap
     vals = np.array(values, dtype=float)
     if vals.ndim != 3 or len(bk) != len(vals) + 1:
         raise DomainError("piecewise coefficient needs len(values)+1 breakpoints")
-    if np.any(np.diff(bk) <= 0):
+    if not np.all(np.diff(bk) > 0):
         raise DomainError("piecewise breakpoints must be strictly increasing")
+    if not np.isfinite(vals).all():
+        raise DomainError("piecewise coefficient values must be finite")
 
     def f(t: float) -> np.ndarray:
         if t < bk[0] - 1e-12 or t > bk[-1] + 1e-12:
@@ -76,8 +78,10 @@ def sampled_coefficient(times: Sequence[float], values) -> MatrixMap:
     vals = np.array(values, dtype=float)
     if vals.ndim != 3 or len(ts) != len(vals) or len(ts) < 2:
         raise DomainError("sampled coefficient needs matching times/values, >= 2 samples")
-    if np.any(np.diff(ts) <= 0):
+    if not np.all(np.diff(ts) > 0):
         raise DomainError("sample times must be strictly increasing")
+    if not np.isfinite(vals).all():
+        raise DomainError("sampled coefficient values must be finite")
 
     def f(t: float) -> np.ndarray:
         if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
@@ -91,7 +95,7 @@ def sampled_coefficient(times: Sequence[float], values) -> MatrixMap:
 
 
 def as_coefficient(spec) -> MatrixMap:
-    """Coerce a matrix, callable, or (kind, ...) tuple into a coefficient map."""
+    """Return a callable spec unchanged; wrap anything else as a constant matrix."""
     if callable(spec):
         return spec
     return constant_coefficient(spec)
@@ -116,8 +120,9 @@ def make_system(A, B, Q=None, R=None, pd_tol: float = PD_TOL,
     Each of A, B, Q, R may be a constant matrix or a callable t -> matrix
     (see also :func:`piecewise_constant_coefficient` and
     :func:`sampled_coefficient`). Q defaults to zero and is symmetrized on
-    every evaluation; R defaults to the identity and is checked to be
-    positive definite on a coarse sample grid.
+    every evaluation; R defaults to the identity. A and B are checked at
+    t = 0, Q and R on a coarse sample grid: every sample must be finite and
+    of the right shape, and R positive definite.
     """
     a_map = as_coefficient(A)
     b_map = as_coefficient(B)
@@ -146,6 +151,9 @@ def make_system(A, B, Q=None, R=None, pd_tol: float = PD_TOL,
     def r_map(t: float) -> np.ndarray:
         return symmetrize(np.asarray(r_raw(t), dtype=float))
 
+    for name, value in (("A", a0), ("B", b0)):
+        if not np.isfinite(value).all():
+            raise DomainError(f"{name}(0.0) has non-finite entries")
     for t in np.linspace(0.0, 1.0, validation_samples):
         q_t = q_map(t)
         if q_t.shape != (n, n):
@@ -153,6 +161,9 @@ def make_system(A, B, Q=None, R=None, pd_tol: float = PD_TOL,
         r_t = r_map(t)
         if r_t.shape != (m, m):
             raise DomainError(f"R({t}) has shape {r_t.shape}, expected {(m, m)}")
+        for name, value in (("Q", q_t), ("R", r_t)):
+            if not np.isfinite(value).all():
+                raise DomainError(f"{name}({t}) has non-finite entries")
         lam = float(np.linalg.eigvalsh(r_t).min())
         if lam <= pd_tol:
             raise DefinitenessError(

@@ -21,6 +21,7 @@ from covsteer import (
     spurious_root_escape,
     sqrt_spd,
 )
+from covsteer import bridge
 from covsteer.bridge import _sqrt_spd_pair
 
 GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))  # scalar trivial-case Pi(0), ~0.381966
@@ -252,6 +253,36 @@ def test_steering_problem_validation():
         SteeringProblem(scalar_system(), [[1.0]], [[1.0]], -0.5)
 
 
+@pytest.mark.parametrize("eps", [np.inf, np.nan])
+def test_steering_problem_rejects_non_finite_epsilon(eps):
+    with pytest.raises(DomainError):
+        SteeringProblem(scalar_system(), [[1.0]], [[1.0]], eps)
+
+
+@pytest.mark.parametrize("which", ["sigma0", "sigma1"])
+def test_steering_problem_rejects_non_finite_covariance(which):
+    sigmas = {"sigma0": [[1.0]], "sigma1": [[1.0]], which: [[np.nan]]}
+    with pytest.raises(DomainError, match=which):
+        SteeringProblem(scalar_system(), sigmas["sigma0"], sigmas["sigma1"], 1.0)
+
+
+def test_solve_nan_residual_fails_the_gate(monkeypatch):
+    monkeypatch.setattr(
+        bridge, "rk4_grid", lambda f, y0, grid: np.full((len(grid),) + y0.shape, np.nan)
+    )
+    with pytest.raises(BoundaryResidualError):
+        solve(inertial_problem(), 100)
+
+
+def test_solve_records_escape_scans_of_both_roots():
+    scalar = SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0)
+    for problem, grid_size in ((inertial_problem(), 1000), (scalar, 1000)):
+        diagnostics = solve(problem, grid_size).diagnostics
+        assert diagnostics["escape_plus"].sign_change
+        assert not diagnostics["escape_minus"].sign_change
+        assert len(diagnostics["escape_plus"].times) == 101
+
+
 # ---------------------------------------------------------------------------
 # spurious root escape
 
@@ -341,6 +372,35 @@ def test_epsilon_sweep_single_zero_row():
 def test_epsilon_sweep_rejects_unsorted():
     with pytest.raises(DomainError):
         epsilon_sweep(inertial_problem(), [0.1, 1.0])
+
+
+def test_epsilon_sweep_rows_match_standalone_solves():
+    eps_list = [2.0, 0.5, 0.0]
+    rows = epsilon_sweep(inertial_problem(), eps_list, 400)
+    for eps, row in zip(eps_list, rows):
+        sol = solve(inertial_problem(eps=eps), 400)
+        assert row.epsilon == eps
+        np.testing.assert_array_equal(row.pi0, sol.pi[0])
+        assert row.boundary_residuals == sol.boundary_residuals
+
+
+@pytest.mark.parametrize("eps_list", [[1.0], [10.0, 1.0, 0.1, 0.0]])
+def test_epsilon_sweep_checks_and_propagates_once(monkeypatch, eps_list):
+    calls = {"require_controllable": 0, "propagate": 0}
+
+    def counted(name):
+        original = getattr(bridge, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bridge, name, counted(name))
+    epsilon_sweep(inertial_problem(), eps_list, 200)
+    assert calls == {"require_controllable": 1, "propagate": 1}
 
 
 # ---------------------------------------------------------------------------

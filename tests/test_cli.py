@@ -1,12 +1,15 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from covsteer import simulate
 from covsteer.cli import (
     PRESETS,
     RunConfig,
     build_problem,
+    load_config,
     main,
     run_simulate,
     run_solve,
@@ -131,6 +134,47 @@ def test_main_exit_codes(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text("{not json")
     assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("overrides", [
+    {"monte_carlo": {"n_paths": "10"}},
+    {"epsilon": "abc"},
+    {"grid_size": "x"},
+    {"epsilon": float("nan")},
+    {"epsilon": float("inf")},
+    {"eps_list": [0.1, 1.0]},
+    {"eps_list": [1.0, -0.1]},
+    {"sigma0": [["a"]]},
+    {"system": {"A": {"kind": "sampled", "times": [0.0, 0.5],
+                      "values": [[[0.0]], [[0.0]]]}, "B": [[1.0]]}},
+    {"system": {"A": [[float("nan")]], "B": [[1.0]]}},
+])
+def test_main_malformed_config_exits_1(tmp_path, overrides):
+    raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
+    raw.update(overrides)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))  # NaN and Infinity are written as JSON literals
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_load_config_applies_flags_before_validation():
+    def args(paths):
+        return SimpleNamespace(config=None, preset="scalar-trivial", seed=3, steps=50, paths=paths)
+
+    with pytest.raises(ConfigError, match="n_paths"):
+        load_config(args(1))
+    cfg = load_config(args(20))
+    assert (cfg.monte_carlo.seed, cfg.monte_carlo.n_steps, cfg.monte_carlo.n_paths) == (3, 50, 20)
+
+
+def test_inertial_r4_preset_solves_and_simulates(tmp_path):
+    ctx = run_solve(preset_config("inertial-r4"), tmp_path)
+    problem, solution = ctx["problem"], ctx["solution"]
+    assert solution.boundary_residuals[1] < 1e-4
+    result = simulate(problem, solution, 20000, 1000, seed=20260826)
+    gap = np.linalg.norm(result.empirical_cov[-1] - problem.sigma1)
+    assert gap / np.linalg.norm(problem.sigma1) < 0.05
 
 
 def test_main_solve_preset(tmp_path):

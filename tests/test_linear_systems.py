@@ -153,3 +153,14 @@ def test_sampled_system_transition_matches_closed_form():
     a = sampled_coefficient(ts, [[[t]] for t in ts])
     sys = make_system(a, [[1.0]])
     np.testing.assert_allclose(state_transition(sys, 1.0, 0.0), [[np.exp(0.5)]], rtol=1e-7)
+
+
+def test_non_finite_coefficients_rejected():
+    with pytest.raises(DomainError):
+        make_system([[np.nan]], [[1.0]])
+    with pytest.raises(DomainError):  # callable, non-finite only at t = 1
+        make_system([[0.0]], [[1.0]], lambda t: np.array([[np.inf if t == 1.0 else 0.0]]))
+    with pytest.raises(DomainError):
+        sampled_coefficient([0.0, 0.5, 1.0], [[[0.0]], [[np.nan]], [[0.0]]])
+    with pytest.raises(DomainError):
+        piecewise_constant_coefficient([0.0, 0.5, 1.0], [[[np.inf]], [[0.0]]])
