@@ -10,7 +10,8 @@ mass-transport limit). The boundary problem has a closed-form initial value:
 linearizing both flows through the Hamiltonian transition matrix reduces the
 coupling to a quadratic matrix equation whose two symmetric roots are written
 explicitly in terms of the Phi blocks; only the smaller root yields flows
-free of finite escape on [0, 1]. Given Pi(0) the whole solution is a single
+free of finite escape on [0, 1]. -H obeys Pi's Riccati equation, so one
+right-hand side drives both flows. Given Pi(0) the whole solution is a single
 forward integration, and the state covariance follows from the closed-loop
 Lyapunov equation with diffusion eps * B R^-1 B'.
 
@@ -19,6 +20,8 @@ The noise enters through the control channel scaled by the input weight,
     dx = (A x + B u) dt + sqrt(eps) B R^-1/2 dw,
 
 which is the model the coupling roots assume; R = I gives sqrt(eps) B dw.
+:func:`noise_channel` is B R^-1/2, and :func:`covsteer.systems.input_quad`
+is B R^-1 B', both the control weight and the diffusion.
 
 Phi(t, 0) and the controllability of (A, B) depend on the system alone, not
 on eps, so :func:`epsilon_sweep` propagates once and solves every eps on the
@@ -32,17 +35,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BoundaryResidualError,
-    ConditioningError,
-    DefinitenessError,
-    DomainError,
+from .errors import BoundaryResidualError, ConditioningError, DomainError
+from .hamiltonian import (
+    COND_LIMIT,
+    BlockTransition,
+    _checked_inverse,
+    propagate,
+    symplectic_residual,
 )
-from .hamiltonian import COND_LIMIT, BlockTransition, propagate, symplectic_residual
 from .integrate import rk4_grid
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
+    _spd_eigh,
+    input_quad,
     make_system,
     reachability_gramian,
     require_controllable,
@@ -59,27 +65,20 @@ def sqrt_spd(s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 def _sqrt_spd_pair(s: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """(S^1/2, S^-1/2) from one eigendecomposition."""
-    s = symmetrize(np.asarray(s, dtype=float))
-    w, v = np.linalg.eigh(s)
-    floor = tol * max(1.0, float(w.max(initial=0.0)))
-    if w.min() <= floor:
-        raise DefinitenessError(
-            f"matrix is not positive definite (min eigenvalue {w.min():.3e})",
-            min_eigenvalue=float(w.min()),
-        )
+    w, v = _spd_eigh(s, tol)
     sw = np.sqrt(w)
     return symmetrize((v * sw) @ v.T), symmetrize((v / sw) @ v.T)
 
 
 def _inv_spd(s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    s = symmetrize(np.asarray(s, dtype=float))
-    w, v = np.linalg.eigh(s)
-    if w.min() <= tol * max(1.0, float(w.max(initial=0.0))):
-        raise DefinitenessError(
-            f"matrix is not positive definite (min eigenvalue {w.min():.3e})",
-            min_eigenvalue=float(w.min()),
-        )
-    return symmetrize((v / w) @ v.T)
+    """S^-1 of an SPD matrix, or of each matrix in a stack."""
+    w, v = _spd_eigh(s, tol)
+    return symmetrize((v / w[..., None, :]) @ np.swapaxes(v, -1, -2))
+
+
+def noise_channel(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
+    """B(t) R(t)^-1/2, through which sqrt(eps) dw enters the state."""
+    return sys.B(t) @ _sqrt_spd_pair(sys.R(t))[1]
 
 
 def _refined_root_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,12 +87,7 @@ def _refined_root_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The correction solves the Sylvester equation R*D + D*R = S - R@R in the
     eigenbasis, recovering the digits eigh loses on ill-conditioned input.
     """
-    w, v = np.linalg.eigh(symmetrize(s))
-    if w.min() <= 0.0:
-        raise DefinitenessError(
-            f"matrix is not positive definite (min eigenvalue {w.min():.3e})",
-            min_eigenvalue=float(w.min()),
-        )
+    w, v = _spd_eigh(s, 0.0)
     sw = np.sqrt(w)
     root = (v * sw) @ v.T
     resid = v.T @ (s - root @ root) @ v
@@ -152,14 +146,7 @@ class SteeringProblem:
         if s0.shape != (n, n) or s1.shape != (n, n):
             raise DomainError("boundary covariances must be n x n")
         for name, s in (("sigma0", s0), ("sigma1", s1)):
-            if not np.isfinite(s).all():
-                raise DomainError(f"{name} has non-finite entries")
-            lam = float(np.linalg.eigvalsh(s).min())
-            if lam <= 1e-12:
-                raise DefinitenessError(
-                    f"{name} is not positive definite (min eigenvalue {lam:.3e})",
-                    min_eigenvalue=lam,
-                )
+            _spd_eigh(s, name=name)
         eps = float(self.epsilon)
         if not 0.0 <= eps < np.inf:
             raise DomainError(f"epsilon must be finite and nonnegative, got {eps}")
@@ -182,15 +169,6 @@ class CouplingRoots:
     t_weight: np.ndarray
 
 
-def _phi12_inverse(bt: BlockTransition, cond_limit: float) -> np.ndarray:
-    cond = np.linalg.cond(bt.phi12)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise ConditioningError(
-            f"Phi12 too ill-conditioned to invert (condition number {cond:.3e})"
-        )
-    return np.linalg.inv(bt.phi12)
-
-
 def coupling_roots(
     sigma0: np.ndarray,
     sigma1: np.ndarray,
@@ -211,18 +189,17 @@ def coupling_roots(
         raise DomainError("epsilon must be nonnegative")
     sigma0 = symmetrize(np.asarray(sigma0, dtype=float))
     sigma1 = symmetrize(np.asarray(sigma1, dtype=float))
-    inv12 = _phi12_inverse(bt, cond_limit)
+    inv12 = _checked_inverse(bt.phi12, "Phi12", cond_limit, ConditioningError)
     base = symmetrize(-inv12 @ bt.phi11)
-    mapped = symmetrize(inv12 @ sigma1 @ inv12.T)
+    mapped = symmetrize(inv12 @ sigma1 @ inv12.T)  # (Phi12' Sigma1^-1 Phi12)^-1
     s0_half, s0_inv_half = _sqrt_spd_pair(sigma0)
     eye = np.eye(sigma0.shape[0])
     core = sqrt_spd(0.25 * epsilon**2 * eye + symmetrize(s0_half @ mapped @ s0_half))
     offset = symmetrize(s0_inv_half @ core @ s0_inv_half)
-    t_weight = symmetrize(np.linalg.inv(bt.phi12.T @ _inv_spd(sigma1) @ bt.phi12))
     return CouplingRoots(
         z_minus=symmetrize(base - offset),
         z_plus=symmetrize(base + offset),
-        t_weight=t_weight,
+        t_weight=mapped,
     )
 
 
@@ -249,23 +226,19 @@ def _initial_values(
     return pi0, h0
 
 
-def _quad_term(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
-    b = sys.B(t)
-    return b @ np.linalg.solve(sys.R(t), b.T)
+def _riccati(a: np.ndarray, quad: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """-(A'P + P A - P quad P + Q), symmetrized; quad is B R^-1 B'."""
+    return symmetrize(-(a.T @ p + p @ a - p @ quad @ p + q))
 
 
 def riccati_rhs_pi(sys: TimeVaryingLinearSystem, t: float, pi: np.ndarray) -> np.ndarray:
     """dPi/dt = -(A'Pi + Pi A - Pi B R^-1 B' Pi + Q)."""
-    a = sys.A(t)
-    rhs = a.T @ pi + pi @ a - pi @ _quad_term(sys, t) @ pi + sys.Q(t)
-    return symmetrize(-rhs)
+    return _riccati(sys.A(t), input_quad(sys, t), sys.Q(t), pi)
 
 
 def riccati_rhs_h(sys: TimeVaryingLinearSystem, t: float, h: np.ndarray) -> np.ndarray:
-    """dH/dt = -(A'H + H A + H B R^-1 B' H - Q)."""
-    a = sys.A(t)
-    rhs = a.T @ h + h @ a + h @ _quad_term(sys, t) @ h - sys.Q(t)
-    return symmetrize(-rhs)
+    """dH/dt = -(A'H + H A + H B R^-1 B' H - Q), i.e. -H obeys Pi's equation."""
+    return -_riccati(sys.A(t), input_quad(sys, t), sys.Q(t), -h)
 
 
 @dataclass(frozen=True)
@@ -302,7 +275,8 @@ def solve(
     the RK4 stage times exactly), and records boundary and sum-law residuals
     and the escape scans of both roots. Raises BoundaryResidualError
     (solution attached) if the terminal covariance misses sigma1 by more than
-    residual_tol in relative Frobenius norm.
+    residual_tol in relative Frobenius norm, or if Pi, H or Sigma is not
+    finite on the grid.
     """
     if grid_size < 1:
         raise DomainError("grid_size must be positive")
@@ -334,7 +308,6 @@ def _solve_on(
 ) -> BridgeSolution:
     """The eps-dependent part of :func:`solve`, on transitions from :func:`_transitions`."""
     sys = problem.sys
-    n = sys.dim_state
     eps = problem.epsilon
     bt = transitions[-1]
     roots = coupling_roots(problem.sigma0, problem.sigma1, bt, eps, cond_limit)
@@ -343,28 +316,22 @@ def _solve_on(
     def rhs(t, y):
         pi, h, sig = y
         a = sys.A(t)
-        b = sys.B(t)
-        quad = b @ np.linalg.solve(sys.R(t), b.T)
+        quad = input_quad(sys, t)
         q = sys.Q(t)
-        d_pi = -(a.T @ pi + pi @ a - pi @ quad @ pi + q)
-        d_h = -(a.T @ h + h @ a + h @ quad @ h - q)
         a_cl = a - quad @ pi
-        d_sig = a_cl @ sig + sig @ a_cl.T + eps * quad
-        return np.stack(
-            [symmetrize(d_pi), symmetrize(d_h), symmetrize(d_sig)]
-        )
+        return np.stack([
+            _riccati(a, quad, q, pi),
+            -_riccati(a, quad, q, -h),
+            symmetrize(a_cl @ sig + sig @ a_cl.T + eps * quad),
+        ])
 
     grid = np.linspace(0.0, 1.0, grid_size + 1)
-    y0 = np.stack([pi0, h0, problem.sigma0])
-    traj = rk4_grid(rhs, y0, grid)
-    pi_t = np.array([symmetrize(y[0]) for y in traj])
-    h_t = np.array([symmetrize(y[1]) for y in traj])
-    sigma_t = np.array([symmetrize(y[2]) for y in traj])
-
-    gains = np.empty((grid_size + 1, sys.dim_input, n))
-    for i, t in enumerate(grid):
-        b = sys.B(t)
-        gains[i] = np.linalg.solve(sys.R(t), b.T @ pi_t[i])
+    b_t = np.stack([sys.B(t) for t in grid])
+    r_t = np.stack([sys.R(t) for t in grid])
+    traj = symmetrize(rk4_grid(rhs, np.stack([pi0, h0, problem.sigma0]), grid))
+    finite = bool(np.isfinite(traj).all())
+    pi_t, h_t, sigma_t = np.moveaxis(traj, 1, 0)
+    gains = np.linalg.solve(r_t, np.swapaxes(b_t, -1, -2) @ pi_t)
 
     res0 = float(
         np.linalg.norm(sigma_t[0] - problem.sigma0) / np.linalg.norm(problem.sigma0)
@@ -380,13 +347,14 @@ def _solve_on(
         "escape_plus": spurious_root_escape(problem, transitions, roots.z_plus),
     }
     if eps > 0:
-        sum_res = 0.0
-        for i in range(grid_size + 1):
-            target = eps * _inv_spd(sigma_t[i])
-            sum_res = max(
-                sum_res,
-                float(np.linalg.norm(pi_t[i] + h_t[i] - target) / np.linalg.norm(target)),
-            )
+        # a non-finite trajectory fails the gate below, so Sigma is not inverted
+        sum_res = np.nan
+        if finite:
+            target = eps * _inv_spd(sigma_t)
+            sum_res = float(np.max(
+                np.linalg.norm(pi_t + h_t - target, axis=(1, 2))
+                / np.linalg.norm(target, axis=(1, 2))
+            ))
         diagnostics["sum_law_residual"] = sum_res
         target1 = eps * _inv_spd(problem.sigma1)
         diagnostics["terminal_sum_residual"] = float(
@@ -407,6 +375,10 @@ def _solve_on(
         raise BoundaryResidualError(
             f"terminal covariance residual {res1:.3e} exceeds {residual_tol:.3e}",
             solution=solution,
+        )
+    if not finite:
+        raise BoundaryResidualError(
+            "Pi, H or Sigma has non-finite entries on the grid", solution=solution
         )
     return solution
 
@@ -472,11 +444,7 @@ def corollary_q_zero(
         if np.abs(sys.Q(t)).max() > 1e-12:
             raise DomainError("corollary_q_zero requires Q = 0")
 
-    def b_scaled(t):
-        _, r_inv_half = _sqrt_spd_pair(sys.R(t))
-        return sys.B(t) @ r_inv_half
-
-    scaled = make_system(sys.A, b_scaled)
+    scaled = make_system(sys.A, lambda t: noise_channel(sys, t))
     psi = state_transition(scaled, 1.0, 0.0, steps_per_unit)
     gram = reachability_gramian(scaled, 1.0, 0.0, steps_per_unit)
     gram_inv = _inv_spd(gram)

@@ -32,7 +32,7 @@ from .bridge import (
 )
 from .errors import ConfigError, CovsteerError, DomainError
 from .hamiltonian import propagate, symplectic_residual
-from .monte_carlo import simulate, tolerance_tube
+from .monte_carlo import _checkpoint_indices, simulate, tolerance_tube
 from .systems import (
     constant_coefficient,
     make_system,
@@ -127,6 +127,10 @@ class RunConfig:
             raise ConfigError("monte_carlo.n_paths must be at least 2")
         if self.monte_carlo.n_steps < 1:
             raise ConfigError("monte_carlo.n_steps must be positive")
+        try:
+            _checkpoint_indices(self.monte_carlo.checkpoints, self.monte_carlo.n_steps)
+        except DomainError as exc:
+            raise ConfigError(f"monte_carlo.checkpoints: {exc}") from exc
         try:
             build_problem(self)
         except ConfigError:

@@ -19,9 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError
+from .errors import CovsteerError, DomainError, SingularMatrixError
 from .integrate import rk4_checkpoints
-from .systems import DEFAULT_STEPS_PER_UNIT, TimeVaryingLinearSystem, _check_time, symmetrize
+from .systems import (
+    DEFAULT_STEPS_PER_UNIT,
+    TimeVaryingLinearSystem,
+    _check_time,
+    input_quad,
+    symmetrize,
+)
 
 COND_LIMIT = 1e12
 
@@ -59,14 +65,7 @@ def hamiltonian_matrix(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
     """Assemble M(t); the (1, 2) block uses R(t)^-1 (identity R gives -BB')."""
     t = _check_time(t)
     a = sys.A(t)
-    b = sys.B(t)
-    q = sys.Q(t)
-    r = sys.R(t)
-    try:
-        b_rinv_bt = b @ np.linalg.solve(r, b.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"R({t}) is singular") from exc
-    return np.block([[a, -b_rinv_bt], [-q, -a.T]])
+    return np.block([[a, -input_quad(sys, t)], [-sys.Q(t), -a.T]])
 
 
 def propagate(
@@ -114,12 +113,16 @@ def symplectic_residual(bt: BlockTransition) -> float:
     return max(float(np.abs(r).max()) for r in residuals)
 
 
-def _checked_inverse(mat: np.ndarray, name: str, cond_limit: float) -> np.ndarray:
+def _checked_inverse(
+    mat: np.ndarray,
+    name: str,
+    cond_limit: float,
+    error: type[CovsteerError] = SingularMatrixError,
+) -> np.ndarray:
+    """mat^-1, or raise error when the condition number is non-finite or above cond_limit."""
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularMatrixError(
-            f"{name} is numerically singular (condition number {cond:.3e})"
-        )
+        raise error(f"{name} is too ill-conditioned to invert (condition number {cond:.3e})")
     return np.linalg.inv(mat)
 
 

@@ -6,23 +6,23 @@ Validates a solved bridge by integrating the controlled SDE
 
 which is the noise model of :mod:`covsteer.bridge`, over many paths,
 estimating empirical covariances at checkpoints and the expected quadratic
-cost. Randomness is counter-based: path i draws from a
-Philox stream keyed by (seed, i), so results are bit-identical for a given
-(seed, n_paths, n_steps) regardless of how paths are chunked or threaded.
+cost. The noise enters through :func:`covsteer.bridge.noise_channel`.
+Randomness is counter-based: path i draws from a Philox stream keyed by
+(seed, i), so a path's states and cost depend on (seed, i, n_steps) only,
+not on n_paths or on the block of paths it is simulated in.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import BridgeSolution, SteeringProblem, _sqrt_spd_pair, sqrt_spd
+from .bridge import BridgeSolution, SteeringProblem, noise_channel, sqrt_spd
 from .errors import DomainError, UnsupportedDimensionError
 
 _PERTURBATION_STREAM = 0xC0575EE2  # fixed substream key for gain perturbations
+_BLOCK_PATHS = 4096  # paths simulated together; bounds the noise buffer's memory
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,6 @@ def _checkpoint_indices(checkpoints, n_steps: int) -> np.ndarray:
     return np.array(idx, dtype=int)
 
 
-def _worker_count(n_threads: int | None) -> int:
-    if n_threads is None:
-        n_threads = int(os.environ.get("COVSTEER_THREADS", "1"))
-    return max(1, n_threads)
-
-
 def _simulate_gain(
     problem: SteeringProblem,
     gain_t: np.ndarray,
@@ -76,7 +70,6 @@ def _simulate_gain(
     n_steps: int,
     seed: int,
     checkpoints,
-    n_threads: int | None = None,
 ) -> SimulationResult:
     """Core ensemble run under an explicit gain trajectory."""
     if n_paths < 2:
@@ -95,7 +88,7 @@ def _simulate_gain(
     r_seq = np.stack([sys.R(t) for t in t_grid])
     k_seq = _interp_matrices(gain_t, gain_seq, t_grid)
     closed_seq = a_seq - np.matmul(b_seq, k_seq)
-    noise_seq = np.stack([b @ _sqrt_spd_pair(r)[1] for b, r in zip(b_seq, r_seq)])
+    noise_seq = np.stack([noise_channel(sys, t) for t in t_grid])
 
     cp_idx = _checkpoint_indices(checkpoints, n_steps)
     cp_lookup = {int(k): i for i, k in enumerate(cp_idx)}
@@ -106,6 +99,7 @@ def _simulate_gain(
     costs = np.empty(n_paths)
 
     def run_block(lo: int, hi: int) -> None:
+        # a function, so that one block's noise is freed before the next is drawn
         count = hi - lo
         x0 = np.empty((count, n))
         noise = np.empty((count, n_steps, m))
@@ -130,15 +124,8 @@ def _simulate_gain(
                     x = x + noise_scale * (noise[:, k] @ noise_seq[k].T)
         costs[lo:hi] = cost
 
-    workers = _worker_count(n_threads)
-    block = max(1, min(n_paths, 4096))
-    blocks = [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: run_block(*span), blocks))
-    else:
-        for lo, hi in blocks:
-            run_block(lo, hi)
+    for lo in range(0, n_paths, _BLOCK_PATHS):
+        run_block(lo, min(lo + _BLOCK_PATHS, n_paths))
 
     emp = np.einsum("pci,pcj->cij", states, states) / n_paths
     emp = 0.5 * (emp + np.transpose(emp, (0, 2, 1)))
@@ -161,7 +148,6 @@ def simulate(
     n_steps: int,
     seed: int,
     checkpoints=None,
-    n_threads: int | None = None,
 ) -> SimulationResult:
     """Simulate the closed loop under the solved feedback gain.
 
@@ -172,7 +158,7 @@ def simulate(
     if checkpoints is None:
         checkpoints = np.linspace(0.0, 1.0, 11)
     return _simulate_gain(
-        problem, solution.grid, solution.k, n_paths, n_steps, seed, checkpoints, n_threads
+        problem, solution.grid, solution.k, n_paths, n_steps, seed, checkpoints
     )
 
 
@@ -231,7 +217,6 @@ def cost_gap(
     n_paths: int,
     n_steps: int,
     seed: int,
-    n_threads: int | None = None,
 ) -> CostGapReport:
     """Estimate perturbed-minus-optimal expected cost with common random numbers.
 
@@ -242,14 +227,14 @@ def cost_gap(
     sys = problem.sys
     checkpoints = [0.0, 1.0]
     base = _simulate_gain(
-        problem, solution.grid, solution.k, n_paths, n_steps, seed, checkpoints, n_threads
+        problem, solution.grid, solution.k, n_paths, n_steps, seed, checkpoints
     )
     gen = np.random.Generator(np.random.Philox(key=[seed, _PERTURBATION_STREAM]))
     delta = gen.standard_normal((sys.dim_input, sys.dim_state))
     delta /= np.linalg.norm(delta)
     k_pert = solution.k + perturbation_scale * delta
     pert = _simulate_gain(
-        problem, solution.grid, k_pert, n_paths, n_steps, seed, checkpoints, n_threads
+        problem, solution.grid, k_pert, n_paths, n_steps, seed, checkpoints
     )
     diffs = pert.costs - base.costs
     s1_norm = np.linalg.norm(problem.sigma1)

@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ControllabilityError, DefinitenessError, DomainError
-from .integrate import rk4_checkpoints, rk4_step, simpson_uniform, steps_for_span
+from .errors import ControllabilityError, DefinitenessError, DomainError, SingularMatrixError
+from .integrate import rk4_checkpoints, rk4_grid, simpson_uniform, steps_for_span
 
 MatrixMap = Callable[[float], np.ndarray]
 
@@ -24,8 +24,28 @@ PD_TOL = 1e-12
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return (M + M') / 2; used on every nominally symmetric output."""
-    return 0.5 * (m + m.T)
+    """Return (M + M') / 2 of a matrix or of each matrix in a stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def _spd_eigh(s, tol: float = PD_TOL, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a symmetric positive definite matrix or stack.
+
+    The input is symmetrized first. Raises DomainError on non-finite entries
+    and DefinitenessError when an eigenvalue is at or below
+    tol * max(1, largest eigenvalue) of its matrix.
+    """
+    s = symmetrize(np.asarray(s, dtype=float))
+    if not np.isfinite(s).all():
+        raise DomainError(f"{name} has non-finite entries")
+    w, v = np.linalg.eigh(s)  # eigenvalues ascending
+    if np.any(w[..., 0] <= tol * np.maximum(1.0, w[..., -1])):
+        lam = float(w[..., 0].min())
+        raise DefinitenessError(
+            f"{name} is not positive definite (min eigenvalue {lam:.3e})",
+            min_eigenvalue=lam,
+        )
+    return w, v
 
 
 def _check_time(t: float) -> float:
@@ -122,7 +142,8 @@ def make_system(A, B, Q=None, R=None, pd_tol: float = PD_TOL,
     :func:`sampled_coefficient`). Q defaults to zero and is symmetrized on
     every evaluation; R defaults to the identity. A and B are checked at
     t = 0, Q and R on a coarse sample grid: every sample must be finite and
-    of the right shape, and R positive definite.
+    of the right shape, and each R sample's smallest eigenvalue must exceed
+    pd_tol * max(1, its largest eigenvalue).
     """
     a_map = as_coefficient(A)
     b_map = as_coefficient(B)
@@ -161,17 +182,20 @@ def make_system(A, B, Q=None, R=None, pd_tol: float = PD_TOL,
         r_t = r_map(t)
         if r_t.shape != (m, m):
             raise DomainError(f"R({t}) has shape {r_t.shape}, expected {(m, m)}")
-        for name, value in (("Q", q_t), ("R", r_t)):
-            if not np.isfinite(value).all():
-                raise DomainError(f"{name}({t}) has non-finite entries")
-        lam = float(np.linalg.eigvalsh(r_t).min())
-        if lam <= pd_tol:
-            raise DefinitenessError(
-                f"R({t}) is not positive definite (min eigenvalue {lam:.3e})",
-                min_eigenvalue=lam,
-            )
+        if not np.isfinite(q_t).all():
+            raise DomainError(f"Q({t}) has non-finite entries")
+        _spd_eigh(r_t, pd_tol, f"R({t})")
 
     return TimeVaryingLinearSystem(n, m, a_map, b_map, q_map, r_map)
+
+
+def input_quad(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
+    """B(t) R(t)^-1 B(t)': the control weight of both Riccati flows and the noise diffusion."""
+    b = sys.B(t)
+    try:
+        return b @ np.linalg.solve(sys.R(t), b.T)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"R({t}) is singular") from exc
 
 
 def state_transition(
@@ -211,20 +235,10 @@ def reachability_gramian(
     n_int = steps_for_span(steps_per_unit, s, t)
     n_int += n_int % 2
     taus = np.linspace(t, s, n_int + 1)
-
-    def rhs(tau, g):
-        return -g @ sys.A(tau)
-
-    g = np.eye(sys.dim_state)
-    integrand = np.empty((n_int + 1, sys.dim_state, sys.dim_state))
-    dt = taus[1] - taus[0]
-    for k, tau in enumerate(taus):
-        if k > 0:
-            g = rk4_step(rhs, taus[k - 1], g, dt)
-        gb = g @ sys.B(tau)
-        integrand[k] = gb @ gb.T
+    g = rk4_grid(lambda tau, y: -y @ sys.A(tau), np.eye(sys.dim_state), taus)
+    gb = g @ np.stack([sys.B(tau) for tau in taus])
     # reverse so the Simpson weights run from s to t
-    gram = simpson_uniform(integrand[::-1], (t - s) / n_int)
+    gram = simpson_uniform((gb @ np.swapaxes(gb, -1, -2))[::-1], (t - s) / n_int)
     return symmetrize(gram)
 
 

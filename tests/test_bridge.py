@@ -266,12 +266,36 @@ def test_steering_problem_rejects_non_finite_covariance(which):
         SteeringProblem(scalar_system(), sigmas["sigma0"], sigmas["sigma1"], 1.0)
 
 
-def test_solve_nan_residual_fails_the_gate(monkeypatch):
+def six_state_problem():
+    sys = make_system(np.zeros((6, 6)), np.eye(6), np.eye(6))
+    return SteeringProblem(sys, 2 * np.eye(6), 0.25 * np.eye(6), 1.0)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("make_problem", [inertial_problem, six_state_problem],
+                         ids=["inertial", "six-state"])
+def test_solve_nan_residual_fails_the_gate(monkeypatch, make_problem, fill):
     monkeypatch.setattr(
-        bridge, "rk4_grid", lambda f, y0, grid: np.full((len(grid),) + y0.shape, np.nan)
+        bridge, "rk4_grid", lambda f, y0, grid: np.full((len(grid),) + y0.shape, fill)
     )
-    with pytest.raises(BoundaryResidualError):
-        solve(inertial_problem(), 100)
+    with pytest.raises(BoundaryResidualError) as err:
+        solve(make_problem(), 100)
+    assert np.isnan(err.value.solution.diagnostics["sum_law_residual"])
+
+
+def test_solve_non_finite_h_fails_the_gate(monkeypatch):
+    # Sigma still meets sigma1, so only the finiteness check can catch this
+    integrate = bridge.rk4_grid
+
+    def h_ends_nan(f, y0, grid):
+        traj = integrate(f, y0, grid)
+        traj[-1, 1] = np.nan
+        return traj
+
+    monkeypatch.setattr(bridge, "rk4_grid", h_ends_nan)
+    with pytest.raises(BoundaryResidualError, match="non-finite") as err:
+        solve(inertial_problem(), 500)
+    assert err.value.solution.boundary_residuals[1] < 1e-6
 
 
 def test_solve_records_escape_scans_of_both_roots():
@@ -407,10 +431,10 @@ def test_epsilon_sweep_checks_and_propagates_once(monkeypatch, eps_list):
 # general input weight
 
 def test_r_reduction_equivalence():
-    direct = _solve_tolerant(inertial_problem(r=4.0 * np.eye(1)))
+    direct = solve(inertial_problem(r=4.0 * np.eye(1)), 1000)
     transformed_sys = make_system([[0.0, 1.0], [0.0, 0.0]], [[0.0], [0.5]], np.eye(2))
-    transformed = _solve_tolerant(
-        SteeringProblem(transformed_sys, 2 * np.eye(2), 0.25 * np.eye(2), 1.0)
+    transformed = solve(
+        SteeringProblem(transformed_sys, 2 * np.eye(2), 0.25 * np.eye(2), 1.0), 1000
     )
     np.testing.assert_allclose(direct.pi, transformed.pi, atol=1e-8)
 

@@ -158,6 +158,17 @@ def test_main_malformed_config_exits_1(tmp_path, overrides):
     assert not (tmp_path / "o").exists()
 
 
+def test_off_grid_checkpoints_exit_1_before_solving(tmp_path):
+    raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
+    raw["monte_carlo"] = {"n_steps": 10, "seed": 1, "checkpoints": [0.0, 0.15, 1.0]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match="monte_carlo.checkpoints"):
+        RunConfig.from_dict(raw)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_load_config_applies_flags_before_validation():
     def args(paths):
         return SimpleNamespace(config=None, preset="scalar-trivial", seed=3, steps=50, paths=paths)
