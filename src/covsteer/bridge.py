@@ -291,8 +291,8 @@ def _transitions(
 ) -> list[BlockTransition]:
     """Controllability check and Phi(t, 0) at about 100 grid nodes; the last is Phi(1, 0).
 
-    Neither depends on eps. The checkpoints are grid nodes, so the pass
-    still takes exactly grid_size RK4 steps.
+    Neither depends on eps. Phi runs on the same grid_size-step grid as the
+    Pi/H/Sigma pass.
     """
     require_controllable(sys, controllability_tol, grid_size)
     grid = np.linspace(0.0, 1.0, grid_size + 1)
@@ -350,15 +350,10 @@ def _solve_on(
         # a non-finite trajectory fails the gate below, so Sigma is not inverted
         sum_res = np.nan
         if finite:
-            target = eps * _inv_spd(sigma_t)
-            sum_res = float(np.max(
-                np.linalg.norm(pi_t + h_t - target, axis=(1, 2))
-                / np.linalg.norm(target, axis=(1, 2))
-            ))
+            sum_res = float(np.max(_sum_law_residual(pi_t, h_t, eps * _inv_spd(sigma_t))))
         diagnostics["sum_law_residual"] = sum_res
-        target1 = eps * _inv_spd(problem.sigma1)
         diagnostics["terminal_sum_residual"] = float(
-            np.linalg.norm(pi_t[-1] + h_t[-1] - target1) / np.linalg.norm(target1)
+            _sum_law_residual(pi_t[-1], h_t[-1], eps * _inv_spd(problem.sigma1))
         )
 
     solution = BridgeSolution(
@@ -381,6 +376,16 @@ def _solve_on(
             "Pi, H or Sigma has non-finite entries on the grid", solution=solution
         )
     return solution
+
+
+def _sum_law_residual(pi: np.ndarray, h: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """||Pi + H - target||_F / max(||target||_F, ||Pi||_F) per matrix; NaN stays NaN.
+
+    target is eps * Sigma^-1. Flooring the scale at ||Pi|| keeps the reading
+    meaningful as eps -> 0, where target vanishes but Pi does not.
+    """
+    scale = np.maximum(np.linalg.norm(target, axis=(-2, -1)), np.linalg.norm(pi, axis=(-2, -1)))
+    return np.linalg.norm(pi + h - target, axis=(-2, -1)) / scale
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ from .bridge import (
 )
 from .errors import ConfigError, CovsteerError, DomainError
 from .hamiltonian import propagate, symplectic_residual
-from .monte_carlo import _checkpoint_indices, simulate, tolerance_tube
+from .integrate import grid_indices
+from .monte_carlo import simulate, tolerance_tube
 from .systems import (
     constant_coefficient,
     make_system,
@@ -128,7 +129,8 @@ class RunConfig:
         if self.monte_carlo.n_steps < 1:
             raise ConfigError("monte_carlo.n_steps must be positive")
         try:
-            _checkpoint_indices(self.monte_carlo.checkpoints, self.monte_carlo.n_steps)
+            grid_indices(self.monte_carlo.checkpoints,
+                         np.linspace(0.0, 1.0, self.monte_carlo.n_steps + 1))
         except DomainError as exc:
             raise ConfigError(f"monte_carlo.checkpoints: {exc}") from exc
         try:
@@ -284,8 +286,7 @@ def _write_csv(path: Path, header: list[str], rows, cfg: RunConfig) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, (int, float, np.floating)) else v
-                             for v in row])
+            writer.writerow([_fmt(v) for v in row])
 
 
 def _upper_triangle_header(prefix: str, n: int) -> list[str]:
@@ -421,10 +422,16 @@ def run_verify(tol_scale: float = 1.0, seed: int = 20260826,
     tol = 1e-10 * tol_scale
     checks.append(("lemma1-identity", worst < tol, f"max residual {worst:.3e} (tol {tol:.1e})"))
 
-    for name in ("scalar-trivial", "inertial-q1", "inertial-q10", "inertial-qneg5"):
+    # one propagation per preset serves all of its checks
+    runs = {}
+    for name in ("scalar-trivial", "inertial-q1", "inertial-q10", "inertial-qneg5", "inertial-q0"):
         cfg = RunConfig.from_dict(json.loads(json.dumps(PRESETS[name])))
         problem = build_problem(cfg)
         bts = propagate(problem.sys, 0.0, 1.0, np.linspace(0.0, 1.0, 11), cfg.grid_size)
+        runs[name] = (cfg, problem, bts)
+
+    for name in ("scalar-trivial", "inertial-q1", "inertial-q10", "inertial-qneg5"):
+        _, problem, bts = runs[name]
         res = max(symplectic_residual(bt) for bt in bts)
         tol = 1e-9 * tol_scale
         checks.append(
@@ -443,10 +450,8 @@ def run_verify(tol_scale: float = 1.0, seed: int = 20260826,
         )
 
     for name in ("scalar-trivial", "inertial-q0"):
-        cfg = RunConfig.from_dict(json.loads(json.dumps(PRESETS[name])))
-        problem = build_problem(cfg)
-        bt = propagate(problem.sys, 0.0, 1.0, [1.0], cfg.grid_size)[-1]
-        pi0_ham, _ = initial_conditions(problem, bt)
+        cfg, problem, bts = runs[name]
+        pi0_ham, _ = initial_conditions(problem, bts[-1])
         pi0_gram, _ = corollary_q_zero(problem, cfg.grid_size)
         gap = float(np.abs(pi0_ham - pi0_gram).max())
         tol = 1e-8 * tol_scale
@@ -461,9 +466,7 @@ def run_verify(tol_scale: float = 1.0, seed: int = 20260826,
         if not ok:
             failed = True
     if debug_plus_branch:
-        cfg = RunConfig.from_dict(json.loads(json.dumps(PRESETS["scalar-trivial"])))
-        problem = build_problem(cfg)
-        bts = propagate(problem.sys, 0.0, 1.0, np.linspace(0.0, 1.0, 11), cfg.grid_size)
+        _, problem, bts = runs["scalar-trivial"]
         plus = spurious_root_escape(problem, bts)
         print(
             f"EXPECTED-FAIL forced-plus-branch: determinant sign change "

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CovsteerError, DomainError, SingularMatrixError
-from .integrate import rk4_checkpoints
+from .integrate import grid_indices, rk4_grid, steps_for_span
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
@@ -77,26 +77,24 @@ def propagate(
 ) -> list[BlockTransition]:
     """Integrate Phi(., s) from Phi(s, s) = I, recording each checkpoint.
 
-    Checkpoints must be sorted within [s, t]; if the last one falls short of
-    t a final entry Phi(t, s) is appended, so the last element always spans
-    the full interval.
+    The flow runs on the uniform grid of steps_for_span(steps_per_unit, s, t)
+    RK4 steps over [s, t]. Checkpoints must be sorted nodes of that grid;
+    if the last one falls short of t a final entry Phi(t, s) is appended, so
+    the last element always spans the full interval.
     """
     s, t = _check_time(s), _check_time(t)
     if s > t:
         raise DomainError("propagate requires s <= t")
-    cps = [float(c) for c in checkpoints]
-    if any(b < a for a, b in zip(cps, cps[1:])):
-        raise DomainError("checkpoints must be sorted ascending")
-    if cps and (cps[0] < s - 1e-12 or cps[-1] > t + 1e-12):
-        raise DomainError("checkpoints must lie within [s, t]")
-    if not cps or cps[-1] < t - 1e-14:
-        cps.append(t)
+    grid = np.linspace(s, t, steps_for_span(steps_per_unit, s, t) + 1)
+    idx = list(grid_indices(checkpoints, grid)) if len(checkpoints) else []
+    if not idx or grid[idx[-1]] < t:
+        idx.append(len(grid) - 1)
 
     def rhs(tau, phi):
         return hamiltonian_matrix(sys, tau) @ phi
 
-    mats = rk4_checkpoints(rhs, np.eye(2 * sys.dim_state), s, cps, steps_per_unit)
-    return [BlockTransition.from_matrix(s, c, m) for c, m in zip(cps, mats)]
+    mats = rk4_grid(rhs, np.eye(2 * sys.dim_state), grid)
+    return [BlockTransition.from_matrix(s, float(grid[k]), mats[k]) for k in idx]
 
 
 def symplectic_residual(bt: BlockTransition) -> float:

@@ -1,8 +1,13 @@
 """Fixed-step classical Runge-Kutta integration and Simpson quadrature.
 
-All integrators work on arbitrary ndarray-valued states (vectors, matrices,
-stacked matrices) so the same machinery drives transition matrices, Riccati
-flows and Lyapunov covariance propagation.
+:func:`rk4_grid` is the only integrator. It works on arbitrary ndarray-valued
+states (vectors, matrices, stacked matrices) so the same machinery drives
+transition matrices, Riccati flows and Lyapunov covariance propagation, and
+it always runs on a uniform ``np.linspace`` grid. A caller that wants the
+state at chosen times (checkpoints) integrates the whole grid and picks out
+nodes, so every checkpoint must be a grid node; :func:`grid_indices`
+enforces this. The state at a node therefore does not depend on which
+checkpoints were asked for.
 """
 
 from __future__ import annotations
@@ -26,48 +31,30 @@ def rk4_step(f: Rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_span(f: Rhs, y0: np.ndarray, t0: float, t1: float, n_steps: int) -> np.ndarray:
-    """Integrate y' = f(t, y) from t0 to t1 with n_steps uniform RK4 steps."""
-    if n_steps < 1:
-        raise DomainError("n_steps must be positive")
-    dt = (t1 - t0) / n_steps
-    y = np.asarray(y0, dtype=float)
-    for k in range(n_steps):
-        y = rk4_step(f, t0 + k * dt, y, dt)
-    return y
-
-
 def steps_for_span(steps_per_unit: int, a: float, b: float) -> int:
     """Step count for [a, b] at a density of steps_per_unit on a unit interval."""
     return max(1, math.ceil(steps_per_unit * abs(b - a) - 1e-12))
 
 
-def rk4_checkpoints(
-    f: Rhs,
-    y0: np.ndarray,
-    t0: float,
-    checkpoints: list[float] | np.ndarray,
-    steps_per_unit: int = 1000,
-) -> list[np.ndarray]:
-    """Integrate from t0, recording the state at each checkpoint.
+def grid_indices(checkpoints, grid: np.ndarray) -> np.ndarray:
+    """Index of each checkpoint among the nodes of a uniform grid.
 
-    Checkpoints must be sorted and >= t0; each inter-checkpoint segment is
-    integrated with a uniform RK4 grid proportional to its length.
+    Raises DomainError unless the checkpoints are nonempty, sorted ascending
+    and each lies within 1e-9 of a step of a node.
     """
-    cps = [float(c) for c in checkpoints]
-    if any(b < a for a, b in zip(cps, cps[1:])):
-        raise DomainError("checkpoints must be sorted ascending")
-    if cps and cps[0] < t0 - 1e-12:
-        raise DomainError("checkpoints must not precede the start time")
-    out = []
-    y = np.asarray(y0, dtype=float)
-    t = t0
-    for c in cps:
-        if c > t + 1e-14:
-            y = rk4_span(f, y, t, c, steps_for_span(steps_per_unit, t, c))
-            t = c
-        out.append(y.copy())
-    return out
+    n = len(grid) - 1
+    h = (grid[-1] - grid[0]) / n
+    idx = []
+    for c in checkpoints:
+        c = float(c)
+        k = min(max(round((c - grid[0]) / h), 0), n) if h > 0 and math.isfinite(c) else 0
+        if not abs(c - grid[k]) <= 1e-9 * h:
+            raise DomainError(f"checkpoint {c} is not a node of the {n}-step grid "
+                              f"on [{grid[0]:g}, {grid[-1]:g}]")
+        idx.append(k)
+    if len(idx) == 0 or sorted(idx) != idx:
+        raise DomainError("checkpoints must be nonempty and sorted")
+    return np.array(idx, dtype=int)
 
 
 def rk4_grid(f: Rhs, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .bridge import BridgeSolution, SteeringProblem, noise_channel, sqrt_spd
 from .errors import DomainError, UnsupportedDimensionError
+from .integrate import grid_indices
 
 _PERTURBATION_STREAM = 0xC0575EE2  # fixed substream key for gain perturbations
 _BLOCK_PATHS = 4096  # paths simulated together; bounds the noise buffer's memory
@@ -46,20 +47,6 @@ def _interp_matrices(src_t: np.ndarray, src_m: np.ndarray, dst_t: np.ndarray) ->
     for j in range(flat.shape[1]):
         out[:, j] = np.interp(dst_t, src_t, flat[:, j])
     return out.reshape((len(dst_t),) + src_m.shape[1:])
-
-
-def _checkpoint_indices(checkpoints, n_steps: int) -> np.ndarray:
-    idx = []
-    for c in checkpoints:
-        k = round(float(c) * n_steps)
-        if abs(float(c) * n_steps - k) > 1e-9 or not 0 <= k <= n_steps:
-            raise DomainError(
-                f"checkpoint {c} does not land on the simulation grid (n_steps={n_steps})"
-            )
-        idx.append(k)
-    if len(idx) == 0 or sorted(idx) != idx:
-        raise DomainError("checkpoints must be nonempty and sorted")
-    return np.array(idx, dtype=int)
 
 
 def _simulate_gain(
@@ -90,7 +77,7 @@ def _simulate_gain(
     closed_seq = a_seq - np.matmul(b_seq, k_seq)
     noise_seq = np.stack([noise_channel(sys, t) for t in t_grid])
 
-    cp_idx = _checkpoint_indices(checkpoints, n_steps)
+    cp_idx = grid_indices(checkpoints, t_grid)
     cp_lookup = {int(k): i for i, k in enumerate(cp_idx)}
     init_root = sqrt_spd(problem.sigma0)
     noise_scale = np.sqrt(eps * dt)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ControllabilityError, DefinitenessError, DomainError, SingularMatrixError
-from .integrate import rk4_checkpoints, rk4_grid, simpson_uniform, steps_for_span
+from .integrate import rk4_grid, simpson_uniform, steps_for_span
 
 MatrixMap = Callable[[float], np.ndarray]
 
@@ -210,11 +210,8 @@ def state_transition(
         raise DomainError("state_transition requires s <= t")
     if t == s:
         return np.eye(sys.dim_state)
-
-    def rhs(tau, psi):
-        return sys.A(tau) @ psi
-
-    return rk4_checkpoints(rhs, np.eye(sys.dim_state), s, [t], steps_per_unit)[-1]
+    grid = np.linspace(s, t, steps_for_span(steps_per_unit, s, t) + 1)
+    return rk4_grid(lambda tau, psi: sys.A(tau) @ psi, np.eye(sys.dim_state), grid)[-1]
 
 
 def reachability_gramian(

@@ -307,6 +307,28 @@ def test_solve_records_escape_scans_of_both_roots():
         assert len(diagnostics["escape_plus"].times) == 101
 
 
+@pytest.mark.parametrize("eps", [1e-14, 2.2e-311])
+def test_sum_law_residuals_stay_finite_at_tiny_eps(eps):
+    # eps * Sigma^-1 vanishes here, so the readings are scaled by ||Pi|| instead
+    diagnostics = solve(inertial_problem(eps=eps), 500).diagnostics
+    for key in ("sum_law_residual", "terminal_sum_residual"):
+        assert 0.0 <= diagnostics[key] <= 1e-8
+
+
+@pytest.mark.parametrize("q_scale", [1.0, 0.0], ids=["q1", "q0"])
+def test_phi_at_one_does_not_depend_on_checkpoints(q_scale):
+    sys = inertial_system(q_scale)
+    grid_size = 2000
+    final = [
+        propagate(sys, 0.0, 1.0, [1.0], grid_size)[-1],
+        propagate(sys, 0.0, 1.0, np.linspace(0.0, 1.0, 11), grid_size)[-1],
+        bridge._transitions(sys, grid_size)[-1],
+    ]
+    for bt in final[1:]:
+        assert bt.t == 1.0
+        np.testing.assert_array_equal(bt.matrix, final[0].matrix)
+
+
 # ---------------------------------------------------------------------------
 # spurious root escape
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from covsteer import simulate
+from covsteer import cli, simulate
 from covsteer.cli import (
     PRESETS,
     RunConfig,
@@ -148,6 +148,8 @@ def test_main_exit_codes(tmp_path):
     {"system": {"A": {"kind": "sampled", "times": [0.0, 0.5],
                       "values": [[[0.0]], [[0.0]]]}, "B": [[1.0]]}},
     {"system": {"A": [[float("nan")]], "B": [[1.0]]}},
+    {"monte_carlo": {"checkpoints": [0.0, float("nan")]}},
+    {"monte_carlo": {"checkpoints": [0.0, float("inf")]}},
 ])
 def test_main_malformed_config_exits_1(tmp_path, overrides):
     raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
@@ -203,11 +205,32 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_write_csv_formats_every_cell_with_17_digits(tmp_path):
+    path = tmp_path / "row.csv"
+    cli._write_csv(path, ["a", "b", "c", "d"], [[3, 0.1, np.float64(1 / 3), np.nan]],
+                   preset_config())
+    assert path.read_bytes().splitlines(keepends=True)[2] == (
+        b"3,0.10000000000000001,0.33333333333333331,nan\r\n"
+    )
+
+
 def test_verify_overtight_tolerance_fails(capsys):
     assert run_verify(tol_scale=1e-7) == 3
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_debug_branch_line(capsys):
-    run_verify(debug_plus_branch=True)
-    assert "EXPECTED-FAIL forced-plus-branch" in capsys.readouterr().out
+def test_verify_debug_branch_line(monkeypatch, capsys):
+    # one propagation per preset serves every check, the debug line included
+    calls = []
+    original = cli.propagate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "propagate", counted)
+    assert run_verify(debug_plus_branch=True) == 0
+    assert len(calls) == 5
+    out = capsys.readouterr().out
+    assert "EXPECTED-FAIL forced-plus-branch" in out
+    assert sum(line.startswith("PASS ") for line in out.splitlines()) == 15

@@ -88,6 +88,9 @@ def test_propagate_unsorted_checkpoints():
 def test_propagate_checkpoints_outside_span():
     with pytest.raises(DomainError):
         propagate(scalar_system(), 0.2, 0.8, [0.9])
+    # a checkpoint between two nodes of the 10-step grid
+    with pytest.raises(DomainError, match="not a node"):
+        propagate(scalar_system(), 0.0, 1.0, [0.15], 10)
 
 
 def test_symplectic_residual_identity():
