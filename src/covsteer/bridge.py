@@ -64,10 +64,11 @@ def sqrt_spd(s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def _sqrt_spd_pair(s: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """(S^1/2, S^-1/2) from one eigendecomposition."""
+    """(S^1/2, S^-1/2) from one eigendecomposition, of a matrix or of each matrix in a stack."""
     w, v = _spd_eigh(s, tol)
-    sw = np.sqrt(w)
-    return symmetrize((v * sw) @ v.T), symmetrize((v / sw) @ v.T)
+    sw = np.sqrt(w)[..., None, :]
+    vt = np.swapaxes(v, -1, -2)
+    return symmetrize((v * sw) @ vt), symmetrize((v / sw) @ vt)
 
 
 def _inv_spd(s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -76,9 +77,9 @@ def _inv_spd(s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return symmetrize((v / w[..., None, :]) @ np.swapaxes(v, -1, -2))
 
 
-def noise_channel(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
-    """B(t) R(t)^-1/2, through which sqrt(eps) dw enters the state."""
-    return sys.B(t) @ _sqrt_spd_pair(sys.R(t))[1]
+def noise_channel(b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """B R^-1/2, through which sqrt(eps) dw enters the state; B and R may be stacks."""
+    return b @ _sqrt_spd_pair(r)[1]
 
 
 def _refined_root_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,7 +450,7 @@ def corollary_q_zero(
         if np.abs(sys.Q(t)).max() > 1e-12:
             raise DomainError("corollary_q_zero requires Q = 0")
 
-    scaled = make_system(sys.A, lambda t: noise_channel(sys, t))
+    scaled = make_system(sys.A, lambda t: noise_channel(sys.B(t), sys.R(t)))
     psi = state_transition(scaled, 1.0, 0.0, steps_per_unit)
     gram = reachability_gramian(scaled, 1.0, 0.0, steps_per_unit)
     gram_inv = _inv_spd(gram)

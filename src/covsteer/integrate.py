@@ -72,10 +72,19 @@ def rk4_grid(f: Rhs, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def simpson_uniform(samples: np.ndarray, h: float) -> np.ndarray:
-    """Composite Simpson rule over uniformly spaced samples (even interval count)."""
+    """Composite Simpson rule over uniformly spaced samples, any positive interval count.
+
+    An odd count n >= 3 takes Simpson's rule on the first n - 3 intervals and
+    the 3/8 rule on the last three; a single interval takes the trapezoid rule.
+    """
     n = len(samples) - 1
-    if n < 2 or n % 2 != 0:
-        raise DomainError("Simpson quadrature needs an even, positive interval count")
+    if n < 1:
+        raise DomainError("quadrature needs a positive interval count")
+    if n == 1:
+        return (0.5 * h) * (samples[0] + samples[1])
+    if n % 2:
+        tail = (3.0 * h / 8.0) * (samples[-4] + 3.0 * (samples[-3] + samples[-2]) + samples[-1])
+        return tail if n == 3 else simpson_uniform(samples[:-3], h) + tail
     acc = samples[0] + samples[-1]
     acc = acc + 4.0 * np.sum(samples[1:-1:2], axis=0)
     acc = acc + 2.0 * np.sum(samples[2:-1:2], axis=0)

@@ -7,9 +7,17 @@ Validates a solved bridge by integrating the controlled SDE
 which is the noise model of :mod:`covsteer.bridge`, over many paths,
 estimating empirical covariances at checkpoints and the expected quadratic
 cost. The noise enters through :func:`covsteer.bridge.noise_channel`.
-Randomness is counter-based: path i draws from a Philox stream keyed by
-(seed, i), so a path's states and cost depend on (seed, i, n_steps) only,
-not on n_paths or on the block of paths it is simulated in.
+
+One pass over the steps carries every path, with paths in the last axis of
+an (n, n_paths) state; each step applies the Euler step I + dt (A - BK), the
+cost weight Q + K'RK (so u'Ru + x'Qx = x'(Q + K'RK)x) and the scaled noise
+channel sqrt(eps dt) B R^-1/2, all precomputed on the grid.
+
+Randomness is counter-based. Paths come in blocks of 4096, and block b draws
+from the Philox stream keyed by (seed, b): first x(0) as an (n, 4096) array,
+then, when eps > 0, an (m, 4096) array per step, always at full width. Path i
+is column i mod 4096 of the stream keyed by (seed, i // 4096), so its states
+and cost depend on (seed, i, n_steps) only, not on n_paths.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .errors import DomainError, UnsupportedDimensionError
 from .integrate import grid_indices
 
 _PERTURBATION_STREAM = 0xC0575EE2  # fixed substream key for gain perturbations
-_BLOCK_PATHS = 4096  # paths simulated together; bounds the noise buffer's memory
+_BLOCK_PATHS = 4096  # paths per Philox stream
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,7 @@ def _simulate_gain(
     seed: int,
     checkpoints,
 ) -> SimulationResult:
-    """Core ensemble run under an explicit gain trajectory."""
+    """Core ensemble run under an explicit gain trajectory (see the module docstring)."""
     if n_paths < 2:
         raise DomainError("n_paths must be at least 2")
     if n_steps < 1:
@@ -74,45 +82,35 @@ def _simulate_gain(
     q_seq = np.stack([sys.Q(t) for t in t_grid])
     r_seq = np.stack([sys.R(t) for t in t_grid])
     k_seq = _interp_matrices(gain_t, gain_seq, t_grid)
-    closed_seq = a_seq - np.matmul(b_seq, k_seq)
-    noise_seq = np.stack([noise_channel(sys, t) for t in t_grid])
+    step_seq = np.eye(n) + dt * (a_seq - b_seq @ k_seq)  # Euler step F_k
+    weight_seq = q_seq + np.swapaxes(k_seq, -1, -2) @ r_seq @ k_seq  # u'Ru + x'Qx = x'W_k x
+    noise_seq = np.sqrt(eps * dt) * noise_channel(b_seq, r_seq)
+    trapezoid = np.full(n_steps + 1, dt)
+    trapezoid[[0, -1]] = 0.5 * dt
 
     cp_idx = grid_indices(checkpoints, t_grid)
     cp_lookup = {int(k): i for i, k in enumerate(cp_idx)}
-    init_root = sqrt_spd(problem.sigma0)
-    noise_scale = np.sqrt(eps * dt)
+    gens = [np.random.Generator(np.random.Philox(key=[seed, b]))
+            for b in range(-(-n_paths // _BLOCK_PATHS))]
 
+    def draw(rows: int) -> np.ndarray:
+        # every block draws at full width, so a path's draws do not depend on n_paths
+        return np.concatenate(
+            [gen.standard_normal((rows, _BLOCK_PATHS)) for gen in gens], axis=1
+        )[:, :n_paths]
+
+    x = sqrt_spd(problem.sigma0) @ draw(n)
     states = np.empty((n_paths, len(cp_idx), n))
-    costs = np.empty(n_paths)
-
-    def run_block(lo: int, hi: int) -> None:
-        # a function, so that one block's noise is freed before the next is drawn
-        count = hi - lo
-        x0 = np.empty((count, n))
-        noise = np.empty((count, n_steps, m))
-        for j, path in enumerate(range(lo, hi)):
-            gen = np.random.Generator(np.random.Philox(key=[seed, path]))
-            x0[j] = gen.standard_normal(n)
-            noise[j] = gen.standard_normal((n_steps, m))
-        x = x0 @ init_root  # init_root is symmetric, so this is sqrt(Sigma0) x0
-        cost = np.zeros(count)
-        for k in range(n_steps + 1):
-            u = -(x @ k_seq[k].T)
-            integrand = np.einsum("pi,ij,pj->p", u, r_seq[k], u)
-            integrand += np.einsum("pi,ij,pj->p", x, q_seq[k], x)
-            weight = 0.5 if k in (0, n_steps) else 1.0
-            cost += weight * dt * integrand
-            ci = cp_lookup.get(k)
-            if ci is not None:
-                states[lo:hi, ci] = x
-            if k < n_steps:
-                x = x + dt * (x @ closed_seq[k].T)
-                if eps > 0:
-                    x = x + noise_scale * (noise[:, k] @ noise_seq[k].T)
-        costs[lo:hi] = cost
-
-    for lo in range(0, n_paths, _BLOCK_PATHS):
-        run_block(lo, min(lo + _BLOCK_PATHS, n_paths))
+    costs = np.zeros(n_paths)
+    for k in range(n_steps + 1):
+        costs += trapezoid[k] * ((weight_seq[k] @ x) * x).sum(axis=0)
+        ci = cp_lookup.get(k)
+        if ci is not None:
+            states[:, ci] = x.T
+        if k < n_steps:
+            x = step_seq[k] @ x
+            if eps > 0:
+                x += np.dot(noise_seq[k], draw(m))  # matmul is slower for m = 1
 
     emp = np.einsum("pci,pcj->cij", states, states) / n_paths
     emp = 0.5 * (emp + np.transpose(emp, (0, 2, 1)))
@@ -139,8 +137,10 @@ def simulate(
     """Simulate the closed loop under the solved feedback gain.
 
     Gains between solver grid points are linearly interpolated; the running
-    cost u'Ru + x'Qx is accumulated per path by the trapezoidal rule. The
-    result is deterministic in (seed, n_paths, n_steps, checkpoints).
+    cost u'Ru + x'Qx = x'(Q + K'RK)x is accumulated per path by the
+    trapezoidal rule. Path i draws from column i mod 4096 of the Philox
+    stream keyed by (seed, i // 4096): x(0) first, then one draw per step
+    when eps > 0. Its states and cost depend on (seed, i, n_steps) only.
     """
     if checkpoints is None:
         checkpoints = np.linspace(0.0, 1.0, 11)
@@ -173,11 +173,7 @@ def tolerance_tube(
         raise DomainError("level must be positive and resolution at least 3")
     theta = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
     circle = level * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    out = np.empty((len(solution.grid), resolution, 2))
-    for i in range(len(solution.grid)):
-        root = sqrt_spd(solution.sigma[i])
-        out[i] = circle @ root  # root is symmetric
-    return out
+    return circle @ sqrt_spd(solution.sigma)  # each root is symmetric
 
 
 @dataclass(frozen=True)

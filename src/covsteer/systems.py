@@ -230,7 +230,6 @@ def reachability_gramian(
     if s >= t:
         raise DomainError("reachability_gramian requires s < t")
     n_int = steps_for_span(steps_per_unit, s, t)
-    n_int += n_int % 2
     taus = np.linspace(t, s, n_int + 1)
     g = rk4_grid(lambda tau, y: -y @ sys.A(tau), np.eye(sys.dim_state), taus)
     gb = g @ np.stack([sys.B(tau) for tau in taus])

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+import covsteer.systems
 from covsteer import (
     DefinitenessError,
     DomainError,
+    SteeringProblem,
     check_controllability,
     make_system,
     piecewise_constant_coefficient,
     reachability_gramian,
     sampled_coefficient,
+    solve,
     state_transition,
 )
+from covsteer.integrate import simpson_uniform
 
 
 def double_integrator(q=None):
@@ -164,3 +168,32 @@ def test_non_finite_coefficients_rejected():
         sampled_coefficient([0.0, 0.5, 1.0], [[[0.0]], [[np.nan]], [[0.0]]])
     with pytest.raises(DomainError):
         piecewise_constant_coefficient([0.0, 0.5, 1.0], [[[np.inf]], [[0.0]]])
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_simpson_odd_interval_counts_exact_on_a_cubic(n):
+    # Simpson and the 3/8 rule both integrate cubics exactly
+    x = np.linspace(0.5, 2.0, n + 1)
+    f = 2.0 * x**3 - x**2 + 3.0 * x - 1.0
+    exact = (0.5 * x**4 - x**3 / 3.0 + 1.5 * x**2 - x)[[0, -1]] @ [-1.0, 1.0]
+    assert simpson_uniform(f, 1.5 / n) == pytest.approx(exact, rel=1e-14)
+
+
+def test_simpson_single_interval_is_trapezoid():
+    assert simpson_uniform(np.array([1.0, 3.0]), 0.5) == 1.0
+    with pytest.raises(DomainError):
+        simpson_uniform(np.array([1.0]), 0.5)
+
+
+def test_gramian_runs_on_the_odd_solve_grid(monkeypatch):
+    steps = []
+    integrate = covsteer.systems.rk4_grid
+
+    def counted(f, y0, grid):
+        steps.append(len(grid) - 1)
+        return integrate(f, y0, grid)
+
+    monkeypatch.setattr(covsteer.systems, "rk4_grid", counted)
+    problem = SteeringProblem(double_integrator(np.eye(2)), 2.0 * np.eye(2), 0.25 * np.eye(2))
+    solve(problem, grid_size=201)
+    assert steps == [201]

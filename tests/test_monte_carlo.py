@@ -11,8 +11,10 @@ from covsteer import (
     make_system,
     simulate,
     solve,
+    sqrt_spd,
     tolerance_tube,
 )
+from covsteer import cli, monte_carlo
 from covsteer.bridge import BridgeSolution
 
 
@@ -46,6 +48,89 @@ def test_paths_independent_of_path_count_and_block(inertial_solution):
     many = simulate(problem, sol, 5000, 200, seed=5)
     assert many.states[:500].tobytes() == few.states.tobytes()
     assert many.costs[:500].tobytes() == few.costs.tobytes()
+
+
+def _tv_problem():
+    # n = 3, m = 2, time-varying A, B, Q and R, with R != I and Q != 0
+    sys = make_system(
+        lambda t: np.array([[0.0, 1.0, 0.0], [-1.0, -0.2 * t, 0.5], [0.3, 0.0, -t]]),
+        lambda t: np.array([[1.0, 0.0], [t, 1.0], [0.0, 1.0 - 0.5 * t]]),
+        lambda t: np.diag([1.0 + t, 0.5, 2.0 - t]),
+        lambda t: np.array([[2.0 + t, 0.3], [0.3, 1.0]]),
+    )
+    sigma0 = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, 0.1], [0.0, 0.1, 0.5]])
+    return SteeringProblem(sys, sigma0, np.eye(3), epsilon=0.7)
+
+
+def _naive_paths(problem, gain_seq, n_paths, n_steps, seed, block):
+    """Per-path Euler-Maruyama with draws from the documented stream rule."""
+    sys = problem.sys
+    n, m = sys.dim_state, sys.dim_input
+    dt = 1.0 / n_steps
+    w, v = np.linalg.eigh(problem.sigma0)
+    root0 = v @ np.diag(np.sqrt(w)) @ v.T
+    states = np.empty((n_paths, n_steps + 1, n))
+    costs = np.zeros(n_paths)
+    for i in range(n_paths):
+        b, col = divmod(i, block)
+        gen = np.random.Generator(np.random.Philox(key=[seed, b]))
+        x = root0 @ gen.standard_normal((n, block))[:, col]
+        for k in range(n_steps + 1):
+            t = k * dt
+            u = -gain_seq[k] @ x
+            weight = 0.5 * dt if k in (0, n_steps) else dt
+            costs[i] += weight * (u @ sys.R(t) @ u + x @ sys.Q(t) @ x)
+            states[i, k] = x
+            if k < n_steps:
+                w, v = np.linalg.eigh(sys.R(t))
+                r_inv_half = v @ np.diag(w**-0.5) @ v.T
+                dw = gen.standard_normal((m, block))[:, col]
+                x = (x + dt * (sys.A(t) @ x + sys.B(t) @ u)
+                     + np.sqrt(problem.epsilon * dt) * sys.B(t) @ r_inv_half @ dw)
+    return states, costs
+
+
+def test_stream_contract_matches_naive_per_path_loop(monkeypatch):
+    # 20 paths in blocks of 8 make three streams, the last one cut to 4 columns
+    monkeypatch.setattr(monte_carlo, "_BLOCK_PATHS", 8)
+    problem = _tv_problem()
+    n_steps, seed = 10, 31
+    grid = np.linspace(0.0, 1.0, n_steps + 1)
+    gain_seq = np.random.default_rng(3).standard_normal((n_steps + 1, 2, 3))
+    result = monte_carlo._simulate_gain(problem, grid, gain_seq, 20, n_steps, seed, grid)
+    states, costs = _naive_paths(problem, gain_seq, 20, n_steps, seed, 8)
+    assert np.abs(result.states - states).max() <= 1e-12 * np.abs(states).max()
+    assert np.abs(result.costs - costs).max() <= 1e-12 * np.abs(costs).max()
+
+
+def test_golden_stream_inertial_q1():
+    # pins the draws of seed 1; a change to the stream (or to the solved gain)
+    # must edit these values on purpose
+    cfg = cli.RunConfig.from_dict(dict(cli.PRESETS["inertial-q1"]))
+    problem = cli.build_problem(cfg)
+    sol = solve(problem, cfg.grid_size)
+    result = simulate(problem, sol, 3, 4, seed=1, checkpoints=np.linspace(0.0, 1.0, 5))
+    states = [
+        [[1.442905095109758, 1.296624971873409],
+         [1.7670613380781102, -1.2730828165553365],
+         [1.448790633939276, -2.2592570621439854],
+         [0.8839763684032796, -2.378417789749241],
+         [0.2893719209659694, -1.0698805525037234]],
+        [[1.074396696190205, -1.9478046067528507],
+         [0.5874455445019923, -1.9823455796037226],
+         [0.09185914960106162, -2.0501524627042738],
+         [-0.4206789660750068, -0.21636610663222933],
+         [-0.47477049273306415, 0.07486605481923136]],
+        [[-0.34766729619337616, -1.284029851049072],
+         [-0.6686747589556441, -0.1333739236343257],
+         [-0.7020182398642255, 0.6578363163116079],
+         [-0.5375591607863235, 0.22240693914194487],
+         [-0.48195742600083724, 0.8028120572380839]],
+    ]
+    np.testing.assert_allclose(result.states, states, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        result.costs, [45.04503395960195, 14.5910839764259, 22.506992224548135], rtol=1e-12
+    )
 
 
 def test_zero_control_trivial_cost():
@@ -147,6 +232,15 @@ def test_tube_benchmark_start_radius(inertial_solution):
     tube = tolerance_tube(sol, level=3.0, resolution=64)
     radii = np.linalg.norm(tube[0], axis=1)
     np.testing.assert_allclose(radii, 3.0 * np.sqrt(2.0), atol=1e-9)
+
+
+def test_tube_matches_per_node_roots(inertial_solution):
+    _, sol = inertial_solution
+    tube = tolerance_tube(sol, level=2.0, resolution=16)
+    theta = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    circle = 2.0 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    reference = np.stack([circle @ sqrt_spd(s) for s in sol.sigma])
+    assert np.abs(tube - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
 def test_tube_dimension_guard():
