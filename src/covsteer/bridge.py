@@ -10,10 +10,11 @@ mass-transport limit). The boundary problem has a closed-form initial value:
 linearizing both flows through the Hamiltonian transition matrix reduces the
 coupling to a quadratic matrix equation whose two symmetric roots are written
 explicitly in terms of the Phi blocks; only the smaller root yields flows
-free of finite escape on [0, 1]. -H obeys Pi's Riccati equation, so one
-right-hand side drives both flows. Given Pi(0) the whole solution is a single
-forward integration, and the state covariance follows from the closed-loop
-Lyapunov equation with diffusion eps * B R^-1 B'.
+free of finite escape on [0, 1]. Given (Pi0, H0), one pass of the same linear
+flow from Y(0) = [[I, I], [Pi0, -H0]] gives Y(t) = [[X1, X2], [Y1, Y2]], and
+Pi = Y1 X1^-1, H = -Y2 X2^-1. The flow conserves X1' Y2 - Y1' X2 =
+-eps Sigma0^-1, so the state covariance eps (Pi + H)^-1 is X2 Sigma0 X1' for
+every eps >= 0, free of the inverse that cancels catastrophically at tiny eps.
 
 The noise enters through the control channel scaled by the input weight,
 
@@ -35,11 +36,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundaryResidualError, ConditioningError, DomainError
+from .errors import BoundaryResidualError, ConditioningError, DomainError, SingularMatrixError
 from .hamiltonian import (
     COND_LIMIT,
     BlockTransition,
     _checked_inverse,
+    hamiltonian_matrix,
     propagate,
     symplectic_residual,
 )
@@ -271,13 +273,13 @@ def solve(
 ) -> BridgeSolution:
     """Solve the steering problem end-to-end on a uniform RK4 grid.
 
-    Propagates Phi(t, 0), forms the closed-form (Pi0, H0), then integrates
-    Pi, H and the closed-loop covariance jointly (so the gain is evaluated at
-    the RK4 stage times exactly), and records boundary and sum-law residuals
-    and the escape scans of both roots. Raises BoundaryResidualError
-    (solution attached) if the terminal covariance misses sigma1 by more than
-    residual_tol in relative Frobenius norm, or if Pi, H or Sigma is not
-    finite on the grid.
+    Propagates Phi(t, 0), forms the closed-form (Pi0, H0), reads Pi, H and
+    Sigma off one linear pass from Y(0) = [[I, I], [Pi0, -H0]] (see the module
+    docstring), and records boundary and sum-law residuals and the escape
+    scans of both roots. Raises SingularMatrixError if X1 or X2 is singular on
+    the grid, and BoundaryResidualError (solution attached) if the terminal
+    covariance misses sigma1 by more than residual_tol in relative Frobenius
+    norm, or if Pi, H or Sigma is not finite on the grid.
     """
     if grid_size < 1:
         raise DomainError("grid_size must be positive")
@@ -293,7 +295,7 @@ def _transitions(
     """Controllability check and Phi(t, 0) at about 100 grid nodes; the last is Phi(1, 0).
 
     Neither depends on eps. Phi runs on the same grid_size-step grid as the
-    Pi/H/Sigma pass.
+    pass that yields Pi, H and Sigma.
     """
     require_controllable(sys, controllability_tol, grid_size)
     grid = np.linspace(0.0, 1.0, grid_size + 1)
@@ -314,24 +316,21 @@ def _solve_on(
     roots = coupling_roots(problem.sigma0, problem.sigma1, bt, eps, cond_limit)
     pi0, h0 = _initial_values(problem, roots)
 
-    def rhs(t, y):
-        pi, h, sig = y
-        a = sys.A(t)
-        quad = input_quad(sys, t)
-        q = sys.Q(t)
-        a_cl = a - quad @ pi
-        return np.stack([
-            _riccati(a, quad, q, pi),
-            -_riccati(a, quad, q, -h),
-            symmetrize(a_cl @ sig + sig @ a_cl.T + eps * quad),
-        ])
-
+    n = sys.dim_state
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     b_t = np.stack([sys.B(t) for t in grid])
     r_t = np.stack([sys.R(t) for t in grid])
-    traj = symmetrize(rk4_grid(rhs, np.stack([pi0, h0, problem.sigma0]), grid))
-    finite = bool(np.isfinite(traj).all())
-    pi_t, h_t, sigma_t = np.moveaxis(traj, 1, 0)
+    y_t = rk4_grid(lambda t, y: hamiltonian_matrix(sys, t) @ y,
+                   np.block([[np.eye(n), np.eye(n)], [pi0, -h0]]), grid)
+    yt = y_t.transpose(0, 2, 1)  # [[X1', Y1'], [X2', Y2']]
+    try:  # Pi = Y1 X1^-1 and H = -Y2 X2^-1 are symmetric: X1' Pi = Y1' and X2' H = -Y2'
+        pi_t = symmetrize(np.linalg.solve(yt[:, :n, :n], yt[:, :n, n:]))
+        h_t = -symmetrize(np.linalg.solve(yt[:, n:, :n], yt[:, n:, n:]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"X(t) is singular on the grid: {exc}") from exc
+    sigma_t = symmetrize(y_t[:, :n, n:] @ problem.sigma0 @ yt[:, :n, :n])  # X2 Sigma0 X1'
+    del y_t, yt  # lowers the peak memory of the diagnostics below
+    finite = all(np.isfinite(arr).all() for arr in (pi_t, h_t, sigma_t))
     gains = np.linalg.solve(r_t, np.swapaxes(b_t, -1, -2) @ pi_t)
 
     res0 = float(
@@ -382,8 +381,9 @@ def _solve_on(
 def _sum_law_residual(pi: np.ndarray, h: np.ndarray, target: np.ndarray) -> np.ndarray:
     """||Pi + H - target||_F / max(||target||_F, ||Pi||_F) per matrix; NaN stays NaN.
 
-    target is eps * Sigma^-1. Flooring the scale at ||Pi|| keeps the reading
-    meaningful as eps -> 0, where target vanishes but Pi does not.
+    target is eps * Sigma^-1, which Pi + H meets exactly on the symplectic
+    flow: the reading is how far the discrete flow departs from it. Flooring
+    the scale at ||Pi|| keeps it meaningful as eps -> 0, where target vanishes.
     """
     scale = np.maximum(np.linalg.norm(target, axis=(-2, -1)), np.linalg.norm(pi, axis=(-2, -1)))
     return np.linalg.norm(pi + h - target, axis=(-2, -1)) / scale

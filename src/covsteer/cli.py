@@ -10,11 +10,11 @@ error, 3 verify failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -134,11 +134,18 @@ class RunConfig:
         except DomainError as exc:
             raise ConfigError(f"monte_carlo.checkpoints: {exc}") from exc
         try:
-            build_problem(self)
+            self.problem()
         except ConfigError:
             raise
-        except (CovsteerError, ValueError) as exc:
+        except (CovsteerError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid problem definition: {exc}") from exc
+
+    def problem(self) -> SteeringProblem:
+        """The problem this config defines, built again only after its definition changes."""
+        key = json.dumps([self.system, self.sigma0, self.sigma1, self.epsilon], sort_keys=True)
+        if self.__dict__.get("_problem_key") != key:
+            self._problem, self._problem_key = build_problem(self), key
+        return self._problem
 
 
 def _integer(value, path: str) -> int:
@@ -276,33 +283,31 @@ def _config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path: Path, header: list[str], rows, cfg: RunConfig) -> None:
+    """Write rows (a 2-D array or any iterable of rows) 1024 at a time, each cell as %.17g."""
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# covsteer {__version__} schema={SCHEMA_VERSION} config={_config_hash(cfg)}\r\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for chunk in iter(lambda: list(islice(rows, 1024)), []):
+            fh.write((line * len(chunk)) % tuple(np.asarray(chunk, dtype=float).ravel().tolist()))
 
 
 def _upper_triangle_header(prefix: str, n: int) -> list[str]:
     return [f"{prefix}_{i + 1}_{j + 1}" for i in range(n) for j in range(i, n)]
 
 
-def _upper_triangle(mat: np.ndarray) -> list[float]:
-    n = mat.shape[0]
-    return [mat[i, j] for i in range(n) for j in range(i, n)]
+def _upper_triangle(stack: np.ndarray) -> np.ndarray:
+    rows, cols = np.triu_indices(stack.shape[-1])  # row by row, as the header names them
+    return stack[..., rows, cols]
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def run_solve(cfg: RunConfig, out_dir: Path) -> dict:
-    problem = build_problem(cfg)
+    problem = cfg.problem()
     solution = solve(problem, cfg.grid_size)
     n, m = problem.sys.dim_state, problem.sys.dim_input
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -310,14 +315,14 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> dict:
     _write_csv(
         out_dir / "gains.csv",
         ["t"] + [f"k_{i + 1}_{j + 1}" for i in range(m) for j in range(n)],
-        ([t] + list(solution.k[idx].ravel()) for idx, t in enumerate(solution.grid)),
+        np.column_stack([solution.grid, solution.k.reshape(len(solution.grid), -1)]),
         cfg,
     )
     for label, arr in (("pi", solution.pi), ("h", solution.h), ("sigma", solution.sigma)):
         _write_csv(
             out_dir / f"{label}.csv",
             ["t"] + _upper_triangle_header(label, n),
-            ([t] + _upper_triangle(arr[idx]) for idx, t in enumerate(solution.grid)),
+            np.column_stack([solution.grid, _upper_triangle(arr)]),
             cfg,
         )
 
@@ -326,21 +331,21 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> dict:
     lines = [
         f"covsteer {__version__} solve report ({cfg.name})",
         f"config hash: {_config_hash(cfg)}",
-        f"epsilon: {_fmt(problem.epsilon)}",
-        f"boundary residual t=0: {_fmt(solution.boundary_residuals[0])}",
-        f"boundary residual t=1: {_fmt(solution.boundary_residuals[1])}",
-        f"symplectic residual of Phi(1,0): {_fmt(solution.diagnostics['symplectic_residual'])}",
+        f"epsilon: {problem.epsilon:.17g}",
+        f"boundary residual t=0: {solution.boundary_residuals[0]:.17g}",
+        f"boundary residual t=1: {solution.boundary_residuals[1]:.17g}",
+        f"symplectic residual of Phi(1,0): {solution.diagnostics['symplectic_residual']:.17g}",
     ]
     if "sum_law_residual" in solution.diagnostics:
         lines.append(f"sum-law residual (max over grid): "
-                     f"{_fmt(solution.diagnostics['sum_law_residual'])}")
+                     f"{solution.diagnostics['sum_law_residual']:.17g}")
     lines += [
         f"branch: minus root selected; Pi(0) eigenvalues "
         f"{np.array2string(np.linalg.eigvalsh(solution.pi[0]), precision=6)}",
         f"escape scan (minus root): sign change={escape_minus.sign_change}, "
-        f"min |det X|={_fmt(escape_minus.min_abs_determinant)}",
+        f"min |det X|={escape_minus.min_abs_determinant:.17g}",
         f"escape scan (plus root):  sign change={escape_plus.sign_change}, "
-        f"min |det X|={_fmt(escape_plus.min_abs_determinant)}",
+        f"min |det X|={escape_plus.min_abs_determinant:.17g}",
     ]
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return {"solution": solution, "problem": problem}
@@ -360,34 +365,24 @@ def run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     _write_csv(
         out_dir / "paths.csv",
         ["path_id", "t"] + [f"x_{i + 1}" for i in range(n)],
-        (
-            [pid, t] + list(result.states[pid, ci])
-            for pid in range(result.n_paths)
-            for ci, t in enumerate(result.grid)
-        ),
+        np.column_stack([np.repeat(np.arange(result.n_paths), len(result.grid)),
+                         np.tile(result.grid, result.n_paths), result.states.reshape(-1, n)]),
         cfg,
     )
     _write_csv(
         out_dir / "empirical_cov.csv",
         ["t"] + _upper_triangle_header("cov", n),
-        ([t] + _upper_triangle(result.empirical_cov[ci]) for ci, t in enumerate(result.grid)),
+        np.column_stack([result.grid, _upper_triangle(result.empirical_cov)]),
         cfg,
     )
     if n == 2:
         tube = tolerance_tube(solution, mc.tube_level, mc.tube_resolution)
-        _write_csv(
-            out_dir / "tube.csv",
-            ["t", "point_index", "z_1", "z_2", "level"],
-            (
-                [solution.grid[ti], pi, tube[ti, pi, 0], tube[ti, pi, 1], mc.tube_level]
-                for ti in range(len(solution.grid))
-                for pi in range(tube.shape[1])
-            ),
-            cfg,
-        )
+        _write_csv(out_dir / "tube.csv", ["t", "point_index", "z_1", "z_2", "level"],
+                   ([t, i, *z, mc.tube_level] for t, points in zip(solution.grid.tolist(), tube)
+                    for i, z in enumerate(points.tolist())), cfg)
     (out_dir / "cost.txt").write_text(
-        f"cost estimate: {_fmt(result.cost_estimate)}\n"
-        f"standard error: {_fmt(result.cost_stderr)}\n"
+        f"cost estimate: {result.cost_estimate:.17g}\n"
+        f"standard error: {result.cost_stderr:.17g}\n"
         f"paths: {result.n_paths}  steps: {mc.n_steps}  seed: {mc.seed}\n",
         encoding="utf-8",
     )
@@ -397,7 +392,7 @@ def run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 def run_sweep(cfg: RunConfig, out_dir: Path) -> dict:
     if len(cfg.eps_list) == 0:
         raise ConfigError("eps_list must not be empty for sweep")
-    rows = epsilon_sweep(build_problem(cfg), cfg.eps_list, cfg.grid_size)
+    rows = epsilon_sweep(cfg.problem(), cfg.eps_list, cfg.grid_size)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "sweep.csv",
@@ -426,7 +421,7 @@ def run_verify(tol_scale: float = 1.0, seed: int = 20260826,
     runs = {}
     for name in ("scalar-trivial", "inertial-q1", "inertial-q10", "inertial-qneg5", "inertial-q0"):
         cfg = RunConfig.from_dict(json.loads(json.dumps(PRESETS[name])))
-        problem = build_problem(cfg)
+        problem = cfg.problem()
         bts = propagate(problem.sys, 0.0, 1.0, np.linspace(0.0, 1.0, 11), cfg.grid_size)
         runs[name] = (cfg, problem, bts)
 

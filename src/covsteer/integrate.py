@@ -2,12 +2,12 @@
 
 :func:`rk4_grid` is the only integrator. It works on arbitrary ndarray-valued
 states (vectors, matrices, stacked matrices) so the same machinery drives
-transition matrices, Riccati flows and Lyapunov covariance propagation, and
-it always runs on a uniform ``np.linspace`` grid. A caller that wants the
-state at chosen times (checkpoints) integrates the whole grid and picks out
-nodes, so every checkpoint must be a grid node; :func:`grid_indices`
-enforces this. The state at a node therefore does not depend on which
-checkpoints were asked for.
+every linear flow of the package (transitions, the Gramian's sweep and the
+pass yielding Pi, H and Sigma) on a uniform ``np.linspace`` grid. A caller
+that wants the state at chosen times (checkpoints) integrates the whole grid
+and picks out nodes, so every checkpoint must be a grid node;
+:func:`grid_indices` enforces this. The state at a node therefore does not
+depend on which checkpoints were asked for.
 """
 
 from __future__ import annotations

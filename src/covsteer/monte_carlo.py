@@ -88,7 +88,8 @@ def _simulate_gain(
     trapezoid = np.full(n_steps + 1, dt)
     trapezoid[[0, -1]] = 0.5 * dt
 
-    cp_idx = grid_indices(checkpoints, t_grid)
+    cp_idx = (np.append(np.arange(0, n_steps, max(1, n_steps // 10)), n_steps)
+              if checkpoints is None else grid_indices(checkpoints, t_grid))
     cp_lookup = {int(k): i for i, k in enumerate(cp_idx)}
     gens = [np.random.Generator(np.random.Philox(key=[seed, b]))
             for b in range(-(-n_paths // _BLOCK_PATHS))]
@@ -141,9 +142,9 @@ def simulate(
     trapezoidal rule. Path i draws from column i mod 4096 of the Philox
     stream keyed by (seed, i // 4096): x(0) first, then one draw per step
     when eps > 0. Its states and cost depend on (seed, i, n_steps) only.
+    Checkpoints are grid nodes, by default every max(1, n_steps // 10)-th
+    and t = 1 (t = 0, 0.1, ..., 1 when n_steps is a multiple of 10).
     """
-    if checkpoints is None:
-        checkpoints = np.linspace(0.0, 1.0, 11)
     return _simulate_gain(
         problem, solution.grid, solution.k, n_paths, n_steps, seed, checkpoints
     )

@@ -63,6 +63,42 @@ def test_piecewise_coefficient_config():
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
+@pytest.mark.parametrize(
+    "argv, calls",
+    [(["solve", "--preset", "scalar-trivial"], 1),
+     (["simulate", "--preset", "scalar-trivial", "--seed", "1", "--paths", "50"], 1),
+     (["sweep", "--preset", "scalar-trivial"], 1),
+     (["verify"], 5)],
+    ids=["solve", "simulate", "sweep", "verify"],
+)
+def test_each_command_builds_each_problem_once(monkeypatch, tmp_path, argv, calls):
+    built = []
+    original = cli.build_problem
+
+    def counted(cfg):
+        built.append(cfg.name)
+        return original(cfg)
+
+    monkeypatch.setattr(cli, "build_problem", counted)
+    out = [] if argv[0] == "verify" else ["--out", str(tmp_path)]
+    assert main(argv + out) == 0
+    assert len(built) == calls
+
+
+def test_config_problem_is_rebuilt_only_after_its_definition_changes():
+    cfg = preset_config("scalar-trivial")
+    before = (cfg.to_dict(), cli._config_hash(cfg))
+    problem = cfg.problem()
+    assert cfg.problem() is problem
+    assert (cfg.to_dict(), cli._config_hash(cfg)) == before
+    cfg.monte_carlo.seed = 5
+    assert cfg.problem() is problem
+    cfg.epsilon = 0.0
+    assert cfg.problem().epsilon == 0.0
+    cfg.sigma1 = [[4.0]]
+    np.testing.assert_array_equal(cfg.problem().sigma1, [[4.0]])
+
+
 def test_run_solve_writes_expected_files(tmp_path):
     cfg = preset_config(grid_size=400)
     run_solve(cfg, tmp_path)
@@ -212,6 +248,30 @@ def test_write_csv_formats_every_cell_with_17_digits(tmp_path):
     assert path.read_bytes().splitlines(keepends=True)[2] == (
         b"3,0.10000000000000001,0.33333333333333331,nan\r\n"
     )
+
+
+def test_write_csv_matches_a_csv_module_reference(tmp_path):
+    # reference: csv.writer with one f"{float(x):.17g}" per cell; the table spans
+    # several chunked writes and holds every special value
+    import csv
+
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((9000, 3)) * 10.0 ** rng.integers(-300, 300, (9000, 3))
+    table[:6, 0] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+    cfg = preset_config()
+    header = ["a", "b", "c"]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# covsteer {cli.__version__} schema={cli.SCHEMA_VERSION} "
+                 f"config={cli._config_hash(cfg)}\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in table:
+            writer.writerow([f"{float(v):.17g}" for v in row])
+    for rows in (table, (row for row in table), table.tolist()):
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, header, rows, cfg)
+        assert path.read_bytes() == ref.read_bytes()
 
 
 def test_verify_overtight_tolerance_fails(capsys):

@@ -129,7 +129,7 @@ def test_golden_stream_inertial_q1():
     ]
     np.testing.assert_allclose(result.states, states, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(
-        result.costs, [45.04503395960195, 14.5910839764259, 22.506992224548135], rtol=1e-12
+        result.costs, [45.045033959702884, 14.591083976444796, 22.506992224636672], rtol=1e-12
     )
 
 
@@ -182,6 +182,24 @@ def test_simulate_input_validation(inertial_solution):
         simulate(problem, sol, 1, 100, seed=0)
     with pytest.raises(DomainError):
         simulate(problem, sol, 10, 100, seed=0, checkpoints=[0.0, 1.0 / 3.0])
+    with pytest.raises(DomainError):
+        simulate(problem, sol, 10, 0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "n_steps, expected",
+    [(4, [0.0, 0.25, 0.5, 0.75, 1.0]),
+     (25, list(np.arange(0, 25, 2) / 25) + [1.0]),
+     (30, list(np.arange(11) / 10))],
+    ids=["4", "25", "30"],
+)
+def test_simulate_default_checkpoints_are_grid_nodes(inertial_solution, n_steps, expected):
+    # every max(1, n_steps // 10)-th node and t = 1; a multiple of 10 gives t = 0, 0.1, ..., 1
+    problem, sol = inertial_solution
+    result = simulate(problem, sol, 3, n_steps, seed=1)
+    np.testing.assert_allclose(result.grid, expected, rtol=0, atol=1e-15)
+    explicit = simulate(problem, sol, 3, n_steps, seed=1, checkpoints=expected)
+    assert result.states.tobytes() == explicit.states.tobytes()
 
 
 def test_empirical_covariance_hand_cases():
