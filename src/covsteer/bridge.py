@@ -41,7 +41,7 @@ from .hamiltonian import (
     COND_LIMIT,
     BlockTransition,
     _checked_inverse,
-    hamiltonian_matrix,
+    hamiltonian_rhs,
     propagate,
     symplectic_residual,
 )
@@ -320,7 +320,7 @@ def _solve_on(
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     b_t = np.stack([sys.B(t) for t in grid])
     r_t = np.stack([sys.R(t) for t in grid])
-    y_t = rk4_grid(lambda t, y: hamiltonian_matrix(sys, t) @ y,
+    y_t = rk4_grid(hamiltonian_rhs(sys, grid),
                    np.block([[np.eye(n), np.eye(n)], [pi0, -h0]]), grid)
     yt = y_t.transpose(0, 2, 1)  # [[X1', Y1'], [X2', Y2']]
     try:  # Pi = Y1 X1^-1 and H = -Y2 X2^-1 are symmetric: X1' Pi = Y1' and X2' H = -Y2'

@@ -10,6 +10,13 @@ symplectic identities (M J + J M' = 0 with J the canonical skew form), which
 are exposed here as checkable residuals, together with the symmetric ratio
 T(t, s) = Phi11^-1 Phi12 whose negativity/monotonicity underpins invertibility
 of the blocks on controllable systems.
+
+M is assembled in one place, :func:`hamiltonian_stack`, at an array of times:
+one A, B, Q and R call per time and one batched solve for B R^-1 B'.
+:func:`hamiltonian_rhs` feeds it to an RK4 pass page by page
+(see :func:`covsteer.integrate.stage_sampler`), so a pass over an N-step
+grid samples the coefficients once at each of its 2N + 1 stage times, and
+:func:`hamiltonian_matrix` is the one-time case.
 """
 
 from __future__ import annotations
@@ -20,12 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CovsteerError, DomainError, SingularMatrixError
-from .integrate import grid_indices, rk4_grid, steps_for_span
+from .integrate import Rhs, grid_indices, rk4_grid, stage_sampler, steps_for_span
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
     _check_time,
-    input_quad,
+    _input_quad,
     symmetrize,
 )
 
@@ -63,9 +70,35 @@ class BlockTransition:
 
 def hamiltonian_matrix(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
     """Assemble M(t); the (1, 2) block uses R(t)^-1 (identity R gives -BB')."""
-    t = _check_time(t)
-    a = sys.A(t)
-    return np.block([[a, -input_quad(sys, t)], [-sys.Q(t), -a.T]])
+    return hamiltonian_stack(sys, [t])[0]
+
+
+def hamiltonian_stack(
+    sys: TimeVaryingLinearSystem, ts, out: np.ndarray | None = None
+) -> np.ndarray:
+    """M(t) for each time in ts, shape (len(ts), 2n, 2n), written into out if given.
+
+    Calls A, B, Q and R once per time and forms every B R^-1 B' with one
+    batched solve; raises SingularMatrixError on a singular R.
+    """
+    ts = [_check_time(t) for t in ts]
+    n = sys.dim_state
+    if out is None:
+        out = np.empty((len(ts), 2 * n, 2 * n))
+    a = np.array([sys.A(t) for t in ts])
+    out[:, :n, :n] = a
+    out[:, n:, n:] = -np.swapaxes(a, -1, -2)
+    out[:, n:, :n] = -np.array([sys.Q(t) for t in ts])
+    b = np.array([sys.B(t) for t in ts])
+    out[:, :n, n:] = -_input_quad(b, np.array([sys.R(t) for t in ts]), ts)
+    return out
+
+
+def hamiltonian_rhs(sys: TimeVaryingLinearSystem, grid: np.ndarray) -> Rhs:
+    """(t, y) -> M(t) @ y for one pass of rk4_grid over grid, M sampled once per stage time."""
+    n2 = 2 * sys.dim_state
+    m_at = stage_sampler(grid, lambda ts, out: hamiltonian_stack(sys, ts, out), (n2, n2))
+    return lambda t, y: m_at(t) @ y
 
 
 def propagate(
@@ -90,10 +123,7 @@ def propagate(
     if not idx or grid[idx[-1]] < t:
         idx.append(len(grid) - 1)
 
-    def rhs(tau, phi):
-        return hamiltonian_matrix(sys, tau) @ phi
-
-    mats = rk4_grid(rhs, np.eye(2 * sys.dim_state), grid)
+    mats = rk4_grid(hamiltonian_rhs(sys, grid), np.eye(2 * sys.dim_state), grid)
     return [BlockTransition.from_matrix(s, float(grid[k]), mats[k]) for k in idx]
 
 

@@ -8,6 +8,12 @@ that wants the state at chosen times (checkpoints) integrates the whole grid
 and picks out nodes, so every checkpoint must be a grid node;
 :func:`grid_indices` enforces this. The state at a node therefore does not
 depend on which checkpoints were asked for.
+
+Each of those flows is linear, y' = G(t) y, and an RK4 pass over an N-step
+grid evaluates G only at the 2N + 1 nodes and midpoints of the grid.
+:func:`stage_sampler` samples G once per such stage time, in pages of
+:data:`STAGE_PAGE` times, so a pass neither rebuilds G four times per step
+nor holds all 2N + 1 samples at once.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ import numpy as np
 from .errors import DomainError
 
 Rhs = Callable[[float, np.ndarray], np.ndarray]
+
+STAGE_PAGE = 256  # stage times sampled at once by stage_sampler; bounds its memory
 
 
 def rk4_step(f: Rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:
@@ -69,6 +77,52 @@ def rk4_grid(f: Rhs, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
         y = rk4_step(f, grid[k], y, grid[k + 1] - grid[k])
         out[k + 1] = y
     return out
+
+
+def stage_sampler(
+    grid: np.ndarray,
+    fill: Callable[[np.ndarray, np.ndarray], object],
+    shape: tuple[int, ...],
+) -> Callable[[float], np.ndarray]:
+    """G(t) at the RK4 stage times of a pass of :func:`rk4_grid` over grid.
+
+    A pass over an N-step uniform grid spanning [lo, hi] (either direction)
+    evaluates its rhs only at the 2N + 1 stage times: the nodes and the
+    midpoints t + dt/2 that :func:`rk4_step` forms, each within an ulp of
+    np.linspace(lo, hi, 2N + 1). The returned function maps a stage time t
+    to its index j = round(2N (t - lo) / (hi - lo)), 0 on a zero-length
+    span, and returns G at that stage time from a page of at most
+    STAGE_PAGE samples. fill(ts, out) writes G(ts[i]) into out[i]. A page
+    is refilled only when j leaves it, with the next page laid out ahead in
+    the direction of the pass, so one pass samples each stage time exactly
+    once. The returned matrix is a view that the next refill overwrites.
+    """
+    n2 = 2 * (len(grid) - 1)
+    forward = grid[-1] >= grid[0]
+    times = np.empty(n2 + 1)
+    times[::2] = grid
+    times[1::2] = grid[:-1] + 0.5 * np.diff(grid)  # bit for bit as rk4_step forms them
+    if not forward:
+        times = times[::-1]
+    lo, hi = float(times[0]), float(times[-1])
+    scale = n2 / (hi - lo) if hi > lo else 0.0
+    page = np.empty((min(STAGE_PAGE, n2 + 1),) + tuple(shape))
+    start = stop = 0  # page holds the samples of times[start:stop]
+
+    def at(t: float) -> np.ndarray:
+        nonlocal start, stop
+        j = round((float(t) - lo) * scale)  # a Python float rounds 8x faster
+        if not start <= j < stop:
+            if not 0 <= j <= n2:
+                raise DomainError(f"time {t} is not a stage time of the {n2 // 2}-step grid")
+            if forward:
+                start, stop = j, min(j + len(page), n2 + 1)
+            else:
+                start, stop = max(j + 1 - len(page), 0), j + 1
+            fill(times[start:stop], page[: stop - start])
+        return page[j - start]
+
+    return at
 
 
 def simpson_uniform(samples: np.ndarray, h: float) -> np.ndarray:

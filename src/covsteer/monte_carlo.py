@@ -49,12 +49,18 @@ class SimulationResult:
 
 
 def _interp_matrices(src_t: np.ndarray, src_m: np.ndarray, dst_t: np.ndarray) -> np.ndarray:
-    """Entrywise linear interpolation of a matrix trajectory onto dst_t."""
-    flat = src_m.reshape(len(src_t), -1)
-    out = np.empty((len(dst_t), flat.shape[1]))
-    for j in range(flat.shape[1]):
-        out[:, j] = np.interp(dst_t, src_t, flat[:, j])
-    return out.reshape((len(dst_t),) + src_m.shape[1:])
+    """Entrywise linear interpolation of a matrix trajectory onto dst_t.
+
+    Every entry at once, with np.interp's formula and its end values: a time
+    before src_t[0] takes src_m[0] and one at or after src_t[-1] takes src_m[-1].
+    """
+    x = np.clip(dst_t, src_t[0], src_t[-1])
+    i = np.clip(np.searchsorted(src_t, x, side="right") - 1, 0, len(src_t) - 2)
+    lo_t = src_t[i][:, None, None]
+    slope = (src_m[i + 1] - src_m[i]) / (src_t[i + 1][:, None, None] - lo_t)
+    out = slope * (x[:, None, None] - lo_t) + src_m[i]
+    out[x == src_t[-1]] = src_m[-1]
+    return out
 
 
 def _simulate_gain(

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ControllabilityError, DefinitenessError, DomainError, SingularMatrixError
-from .integrate import rk4_grid, simpson_uniform, steps_for_span
+from .integrate import rk4_grid, simpson_uniform, stage_sampler, steps_for_span
 
 MatrixMap = Callable[[float], np.ndarray]
 
@@ -79,12 +79,12 @@ def piecewise_constant_coefficient(breaks: Sequence[float], values) -> MatrixMap
         raise DomainError("piecewise breakpoints must be strictly increasing")
     if not np.isfinite(vals).all():
         raise DomainError("piecewise coefficient values must be finite")
+    lo, hi, last = float(bk[0]), float(bk[-1]), len(vals) - 1
 
     def f(t: float) -> np.ndarray:
-        if t < bk[0] - 1e-12 or t > bk[-1] + 1e-12:
-            raise DomainError(f"time {t} outside piecewise range [{bk[0]}, {bk[-1]}]")
-        i = int(np.clip(np.searchsorted(bk, t, side="right") - 1, 0, len(vals) - 1))
-        return vals[i]
+        if t < lo - 1e-12 or t > hi + 1e-12:
+            raise DomainError(f"time {t} outside piecewise range [{lo}, {hi}]")
+        return vals[min(max(int(bk.searchsorted(t, side="right")) - 1, 0), last)]
 
     return f
 
@@ -102,12 +102,13 @@ def sampled_coefficient(times: Sequence[float], values) -> MatrixMap:
         raise DomainError("sample times must be strictly increasing")
     if not np.isfinite(vals).all():
         raise DomainError("sampled coefficient values must be finite")
+    lo, hi, last = float(ts[0]), float(ts[-1]), len(ts) - 2
 
     def f(t: float) -> np.ndarray:
-        if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
-            raise DomainError(f"time {t} outside sample range [{ts[0]}, {ts[-1]}]")
-        t = min(max(t, ts[0]), ts[-1])
-        i = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
+        if t < lo - 1e-12 or t > hi + 1e-12:
+            raise DomainError(f"time {t} outside sample range [{lo}, {hi}]")
+        t = min(max(t, lo), hi)
+        i = min(max(int(ts.searchsorted(t, side="right")) - 1, 0), last)
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
         return (1.0 - w) * vals[i] + w * vals[i + 1]
 
@@ -119,6 +120,17 @@ def as_coefficient(spec) -> MatrixMap:
     if callable(spec):
         return spec
     return constant_coefficient(spec)
+
+
+def _symmetric_coefficient(spec) -> MatrixMap:
+    """Coefficient whose every value is symmetrized; a constant is symmetrized once."""
+    if not callable(spec):
+        return constant_coefficient(symmetrize(as_coefficient(spec)(0.0)))
+
+    def f(t: float) -> np.ndarray:
+        return symmetrize(np.asarray(spec(t), dtype=float))
+
+    return f
 
 
 @dataclass(frozen=True)
@@ -139,8 +151,9 @@ def make_system(A, B, Q=None, R=None, pd_tol: float = PD_TOL,
 
     Each of A, B, Q, R may be a constant matrix or a callable t -> matrix
     (see also :func:`piecewise_constant_coefficient` and
-    :func:`sampled_coefficient`). Q defaults to zero and is symmetrized on
-    every evaluation; R defaults to the identity. A and B are checked at
+    :func:`sampled_coefficient`). Q defaults to zero and R to the identity;
+    both are symmetrized, a constant once and a callable on every
+    evaluation. A and B are checked at
     t = 0, Q and R on a coarse sample grid: every sample must be finite and
     of the right shape, and each R sample's smallest eigenvalue must exceed
     pd_tol * max(1, its largest eigenvalue).
@@ -156,21 +169,8 @@ def make_system(A, B, Q=None, R=None, pd_tol: float = PD_TOL,
         raise DomainError("B(t) must have one row per state")
     m = b0.shape[1]
 
-    if Q is None:
-        q_raw = constant_coefficient(np.zeros((n, n)))
-    else:
-        q_raw = as_coefficient(Q)
-
-    def q_map(t: float) -> np.ndarray:
-        return symmetrize(np.asarray(q_raw(t), dtype=float))
-
-    if R is None:
-        r_raw = constant_coefficient(np.eye(m))
-    else:
-        r_raw = as_coefficient(R)
-
-    def r_map(t: float) -> np.ndarray:
-        return symmetrize(np.asarray(r_raw(t), dtype=float))
+    q_map = _symmetric_coefficient(np.zeros((n, n)) if Q is None else Q)
+    r_map = _symmetric_coefficient(np.eye(m) if R is None else R)
 
     for name, value in (("A", a0), ("B", b0)):
         if not np.isfinite(value).all():
@@ -191,11 +191,27 @@ def make_system(A, B, Q=None, R=None, pd_tol: float = PD_TOL,
 
 def input_quad(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
     """B(t) R(t)^-1 B(t)': the control weight of both Riccati flows and the noise diffusion."""
-    b = sys.B(t)
+    return _input_quad(sys.B(t), sys.R(t), [t])
+
+
+def _input_quad(b: np.ndarray, r: np.ndarray, ts) -> np.ndarray:
+    """B R^-1 B' of B and R sampled at the times ts, one batched solve for a stack.
+
+    Raises SingularMatrixError naming the time of the most nearly singular R.
+    """
     try:
-        return b @ np.linalg.solve(sys.R(t), b.T)
+        return b @ np.linalg.solve(r, np.swapaxes(b, -1, -2))
     except np.linalg.LinAlgError as exc:
+        t = ts[int(np.argmin(np.abs(np.linalg.det(r))))]
         raise SingularMatrixError(f"R({t}) is singular") from exc
+
+
+def _drift_sampler(sys: TimeVaryingLinearSystem, grid: np.ndarray):
+    """A(t) once per RK4 stage time of a pass over grid (see integrate.stage_sampler)."""
+    return stage_sampler(
+        grid, lambda ts, out: np.stack([sys.A(t) for t in ts], out=out),
+        (sys.dim_state, sys.dim_state),
+    )
 
 
 def state_transition(
@@ -211,7 +227,8 @@ def state_transition(
     if t == s:
         return np.eye(sys.dim_state)
     grid = np.linspace(s, t, steps_for_span(steps_per_unit, s, t) + 1)
-    return rk4_grid(lambda tau, psi: sys.A(tau) @ psi, np.eye(sys.dim_state), grid)[-1]
+    a_at = _drift_sampler(sys, grid)
+    return rk4_grid(lambda tau, psi: a_at(tau) @ psi, np.eye(sys.dim_state), grid)[-1]
 
 
 def reachability_gramian(
@@ -231,7 +248,8 @@ def reachability_gramian(
         raise DomainError("reachability_gramian requires s < t")
     n_int = steps_for_span(steps_per_unit, s, t)
     taus = np.linspace(t, s, n_int + 1)
-    g = rk4_grid(lambda tau, y: -y @ sys.A(tau), np.eye(sys.dim_state), taus)
+    a_at = _drift_sampler(sys, taus)
+    g = rk4_grid(lambda tau, y: -y @ a_at(tau), np.eye(sys.dim_state), taus)
     gb = g @ np.stack([sys.B(tau) for tau in taus])
     # reverse so the Simpson weights run from s to t
     gram = simpson_uniform((gb @ np.swapaxes(gb, -1, -2))[::-1], (t - s) / n_int)

@@ -144,6 +144,32 @@ def test_piecewise_constant_coefficient():
         a(1.5)
 
 
+def test_piecewise_coefficient_is_right_continuous_at_each_break():
+    breaks = [0.0, 0.2, 0.5, 0.9, 1.0]
+    a = piecewise_constant_coefficient(breaks, np.arange(4.0).reshape(4, 1, 1))
+    for i, brk in enumerate(breaks):
+        assert a(brk)[0, 0] == min(i, 3)
+        assert a(np.nextafter(brk, np.inf))[0, 0] == min(i, 3)
+        assert a(np.nextafter(brk, -np.inf))[0, 0] == max(i - 1, 0)
+    for t in (-1e-11, 1.0 + 1e-11):
+        with pytest.raises(DomainError):
+            a(t)
+
+
+def test_sampled_coefficient_at_and_around_each_knot():
+    knots = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
+    vals = np.array([[[1.0, -2.0]], [[3.0, 0.5]], [[-1.0, 4.0]], [[2.0, 2.0]], [[0.0, 1.0]]])
+    a = sampled_coefficient(knots, vals)
+    for i, knot in enumerate(knots):
+        np.testing.assert_array_equal(a(knot), vals[i])
+        for t in (np.nextafter(knot, -np.inf), np.nextafter(knot, np.inf)):
+            expect = [np.interp(t, knots, vals[:, 0, j]) for j in range(2)]
+            np.testing.assert_allclose(a(t)[0], expect, rtol=1e-15, atol=1e-15)
+    for t in (-1e-11, 1.0 + 1e-11):
+        with pytest.raises(DomainError):
+            a(t)
+
+
 def test_sampled_coefficient_interpolates():
     a = sampled_coefficient([0.0, 1.0], [np.zeros((1, 1)), 2.0 * np.ones((1, 1))])
     assert a(0.5)[0, 0] == pytest.approx(1.0)

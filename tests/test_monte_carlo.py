@@ -103,6 +103,19 @@ def test_stream_contract_matches_naive_per_path_loop(monkeypatch):
     assert np.abs(result.costs - costs).max() <= 1e-12 * np.abs(costs).max()
 
 
+def test_interp_matrices_matches_the_per_entry_interp_loop():
+    rng = np.random.default_rng(5)
+    src_t = np.linspace(0.0, 1.0, 2001)
+    src_m = rng.standard_normal((2001, 2, 6))
+    # non-nested in the source grid, with both ends and times beyond each end
+    dst_t = np.concatenate([[-0.05], np.linspace(0.0, 1.0, 777), [1.05]])
+    flat = src_m.reshape(2001, -1)
+    ref = np.stack([np.interp(dst_t, src_t, flat[:, j]) for j in range(12)], axis=1)
+    got = monte_carlo._interp_matrices(src_t, src_m, dst_t)
+    assert got.shape == (779, 2, 6)
+    assert np.abs(got.reshape(779, -1) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_golden_stream_inertial_q1():
     # pins the draws of seed 1; a change to the stream (or to the solved gain)
     # must edit these values on purpose
