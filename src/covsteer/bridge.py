@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import BoundaryResidualError, ConditioningError, DomainError, SingularMatrixError
 from .hamiltonian import (
-    COND_LIMIT,
     BlockTransition,
     _checked_inverse,
     hamiltonian_rhs,
@@ -58,24 +57,26 @@ from .systems import (
     symmetrize,
 )
 
+RESIDUAL_TOL = 1e-4  # largest relative Frobenius miss of Sigma(1) against Sigma1
 
-def sqrt_spd(s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+
+def sqrt_spd(s: np.ndarray) -> np.ndarray:
     """Unique SPD square root via spectral decomposition."""
-    root, _ = _sqrt_spd_pair(s, tol)
+    root, _ = _sqrt_spd_pair(s)
     return root
 
 
-def _sqrt_spd_pair(s: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def _sqrt_spd_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S^1/2, S^-1/2) from one eigendecomposition, of a matrix or of each matrix in a stack."""
-    w, v = _spd_eigh(s, tol)
+    w, v = _spd_eigh(s)
     sw = np.sqrt(w)[..., None, :]
     vt = np.swapaxes(v, -1, -2)
     return symmetrize((v * sw) @ vt), symmetrize((v / sw) @ vt)
 
 
-def _inv_spd(s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _inv_spd(s: np.ndarray) -> np.ndarray:
     """S^-1 of an SPD matrix, or of each matrix in a stack."""
-    w, v = _spd_eigh(s, tol)
+    w, v = _spd_eigh(s)
     return symmetrize((v / w[..., None, :]) @ np.swapaxes(v, -1, -2))
 
 
@@ -177,7 +178,6 @@ def coupling_roots(
     sigma1: np.ndarray,
     bt: BlockTransition,
     epsilon: float = 1.0,
-    cond_limit: float = COND_LIMIT,
 ) -> CouplingRoots:
     """Closed-form roots of the boundary coupling for noise level eps.
 
@@ -192,7 +192,7 @@ def coupling_roots(
         raise DomainError("epsilon must be nonnegative")
     sigma0 = symmetrize(np.asarray(sigma0, dtype=float))
     sigma1 = symmetrize(np.asarray(sigma1, dtype=float))
-    inv12 = _checked_inverse(bt.phi12, "Phi12", cond_limit, ConditioningError)
+    inv12 = _checked_inverse(bt.phi12, "Phi12", ConditioningError)
     base = symmetrize(-inv12 @ bt.phi11)
     mapped = symmetrize(inv12 @ sigma1 @ inv12.T)  # (Phi12' Sigma1^-1 Phi12)^-1
     s0_half, s0_inv_half = _sqrt_spd_pair(sigma0)
@@ -207,16 +207,14 @@ def coupling_roots(
 
 
 def initial_conditions(
-    problem: SteeringProblem,
-    bt: BlockTransition,
-    cond_limit: float = COND_LIMIT,
+    problem: SteeringProblem, bt: BlockTransition
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial values (Pi0, H0) selecting the escape-free branch.
 
     Pi0 = Z- + eps/2 * Sigma0^-1 and H0 = eps * Sigma0^-1 - Pi0; at eps = 0
     this degenerates to H0 = -Pi0 and only Pi0 drives the control.
     """
-    roots = coupling_roots(problem.sigma0, problem.sigma1, bt, problem.epsilon, cond_limit)
+    roots = coupling_roots(problem.sigma0, problem.sigma1, bt, problem.epsilon)
     return _initial_values(problem, roots)
 
 
@@ -264,13 +262,7 @@ class BridgeSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve(
-    problem: SteeringProblem,
-    grid_size: int = 1000,
-    residual_tol: float = 1e-4,
-    controllability_tol: float = 1e-9,
-    cond_limit: float = COND_LIMIT,
-) -> BridgeSolution:
+def solve(problem: SteeringProblem, grid_size: int = 1000) -> BridgeSolution:
     """Solve the steering problem end-to-end on a uniform RK4 grid.
 
     Propagates Phi(t, 0), forms the closed-form (Pi0, H0), reads Pi, H and
@@ -278,42 +270,33 @@ def solve(
     docstring), and records boundary and sum-law residuals and the escape
     scans of both roots. Raises SingularMatrixError if X1 or X2 is singular on
     the grid, and BoundaryResidualError (solution attached) if the terminal
-    covariance misses sigma1 by more than residual_tol in relative Frobenius
+    covariance misses sigma1 by more than RESIDUAL_TOL in relative Frobenius
     norm, or if Pi, H or Sigma is not finite on the grid.
     """
     if grid_size < 1:
         raise DomainError("grid_size must be positive")
-    transitions = _transitions(problem.sys, grid_size, controllability_tol)
-    return _solve_on(problem, transitions, grid_size, residual_tol, cond_limit)
+    return _solve_on(problem, _transitions(problem.sys, grid_size), grid_size)
 
 
-def _transitions(
-    sys: TimeVaryingLinearSystem,
-    grid_size: int,
-    controllability_tol: float = 1e-9,
-) -> list[BlockTransition]:
+def _transitions(sys: TimeVaryingLinearSystem, grid_size: int) -> list[BlockTransition]:
     """Controllability check and Phi(t, 0) at about 100 grid nodes; the last is Phi(1, 0).
 
     Neither depends on eps. Phi runs on the same grid_size-step grid as the
     pass that yields Pi, H and Sigma.
     """
-    require_controllable(sys, controllability_tol, grid_size)
+    require_controllable(sys, grid_size)
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     return propagate(sys, 0.0, 1.0, grid[:: max(1, grid_size // 100)], grid_size)
 
 
 def _solve_on(
-    problem: SteeringProblem,
-    transitions: Sequence[BlockTransition],
-    grid_size: int,
-    residual_tol: float = 1e-4,
-    cond_limit: float = COND_LIMIT,
+    problem: SteeringProblem, transitions: Sequence[BlockTransition], grid_size: int
 ) -> BridgeSolution:
     """The eps-dependent part of :func:`solve`, on transitions from :func:`_transitions`."""
     sys = problem.sys
     eps = problem.epsilon
     bt = transitions[-1]
-    roots = coupling_roots(problem.sigma0, problem.sigma1, bt, eps, cond_limit)
+    roots = coupling_roots(problem.sigma0, problem.sigma1, bt, eps)
     pi0, h0 = _initial_values(problem, roots)
 
     n = sys.dim_state
@@ -323,12 +306,14 @@ def _solve_on(
     y_t = rk4_grid(hamiltonian_rhs(sys, grid),
                    np.block([[np.eye(n), np.eye(n)], [pi0, -h0]]), grid)
     yt = y_t.transpose(0, 2, 1)  # [[X1', Y1'], [X2', Y2']]
-    try:  # Pi = Y1 X1^-1 and H = -Y2 X2^-1 are symmetric: X1' Pi = Y1' and X2' H = -Y2'
-        pi_t = symmetrize(np.linalg.solve(yt[:, :n, :n], yt[:, :n, n:]))
-        h_t = -symmetrize(np.linalg.solve(yt[:, n:, :n], yt[:, n:, n:]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"X(t) is singular on the grid: {exc}") from exc
-    sigma_t = symmetrize(y_t[:, :n, n:] @ problem.sigma0 @ yt[:, :n, :n])  # X2 Sigma0 X1'
+    # a non-finite Y fails the finiteness gate below, so its arithmetic need not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:  # Pi = Y1 X1^-1 and H = -Y2 X2^-1 are symmetric: X1' Pi = Y1' and X2' H = -Y2'
+            pi_t = symmetrize(np.linalg.solve(yt[:, :n, :n], yt[:, :n, n:]))
+            h_t = -symmetrize(np.linalg.solve(yt[:, n:, :n], yt[:, n:, n:]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"X(t) is singular on the grid: {exc}") from exc
+        sigma_t = symmetrize(y_t[:, :n, n:] @ problem.sigma0 @ yt[:, :n, :n])  # X2 Sigma0 X1'
     del y_t, yt  # lowers the peak memory of the diagnostics below
     finite = all(np.isfinite(arr).all() for arr in (pi_t, h_t, sigma_t))
     gains = np.linalg.solve(r_t, np.swapaxes(b_t, -1, -2) @ pi_t)
@@ -366,9 +351,9 @@ def _solve_on(
         epsilon=eps,
         diagnostics=diagnostics,
     )
-    if not (res1 <= residual_tol):
+    if not (res1 <= RESIDUAL_TOL):
         raise BoundaryResidualError(
-            f"terminal covariance residual {res1:.3e} exceeds {residual_tol:.3e}",
+            f"terminal covariance residual {res1:.3e} exceeds {RESIDUAL_TOL:.3e}",
             solution=solution,
         )
     if not finite:
@@ -408,14 +393,13 @@ def spurious_root_escape(
     problem: SteeringProblem,
     checkpoints: Sequence[BlockTransition],
     root: np.ndarray | None = None,
-    cond_limit: float = COND_LIMIT,
 ) -> EscapeReport:
     """Scan det X(t) along Hamiltonian checkpoints; defaults to the plus root."""
     if len(checkpoints) == 0:
         raise DomainError("escape scan needs at least one checkpoint")
     if root is None:
         final = checkpoints[-1]
-        roots = coupling_roots(problem.sigma0, problem.sigma1, final, problem.epsilon, cond_limit)
+        roots = coupling_roots(problem.sigma0, problem.sigma1, final, problem.epsilon)
         root = roots.z_plus
     s0_inv = _inv_spd(problem.sigma0)
     y0 = 0.5 * problem.epsilon * s0_inv + root

@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from .bridge import (
 from .errors import ConfigError, CovsteerError, DomainError
 from .hamiltonian import propagate, symplectic_residual
 from .integrate import grid_indices
-from .monte_carlo import simulate, tolerance_tube
+from .monte_carlo import check_seed, check_tube, simulate, tolerance_tube
 from .systems import (
     constant_coefficient,
     make_system,
@@ -72,43 +72,21 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        for key in ("name", "system", "sigma0", "sigma1"):
-            if key not in raw:
-                raise ConfigError(f"missing required config field '{key}'")
-        known = {
-            "name", "system", "sigma0", "sigma1", "epsilon",
-            "grid_size", "eps_list", "monte_carlo",
-        }
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"unknown config field '{key}'")
+        _check_fields(cls, raw, "config root must be a JSON object", "")
         mc_raw = raw.get("monte_carlo", {})
-        if not isinstance(mc_raw, dict):
-            raise ConfigError("monte_carlo must be an object")
-        mc_known = {"n_paths", "n_steps", "seed", "checkpoints", "tube_level", "tube_resolution"}
-        for key in mc_raw:
-            if key not in mc_known:
-                raise ConfigError(f"unknown config field 'monte_carlo.{key}'")
-        mc = MonteCarloConfig(**mc_raw)
+        _check_fields(MonteCarloConfig, mc_raw, "monte_carlo must be an object", "monte_carlo.")
+        cfg = cls(**{**raw, "monte_carlo": MonteCarloConfig(**mc_raw)})
+        mc = cfg.monte_carlo
         for key in ("n_paths", "n_steps", "tube_resolution"):
             _integer(getattr(mc, key), f"monte_carlo.{key}")
         if mc.seed is not None:
             _integer(mc.seed, "monte_carlo.seed")
         _number(mc.tube_level, "monte_carlo.tube_level")
         _numbers(mc.checkpoints, "monte_carlo.checkpoints")
-        eps_list = raw.get("eps_list", [10.0, 1.0, 0.1, 0.01, 0.0])
-        cfg = cls(
-            name=str(raw["name"]),
-            system=raw["system"],
-            sigma0=raw["sigma0"],
-            sigma1=raw["sigma1"],
-            epsilon=_number(raw.get("epsilon", 1.0), "epsilon"),
-            grid_size=_integer(raw.get("grid_size", 2000), "grid_size"),
-            eps_list=_numbers(eps_list, "eps_list"),
-            monte_carlo=mc,
-        )
+        cfg.name = str(cfg.name)
+        cfg.epsilon = _number(cfg.epsilon, "epsilon")
+        cfg.grid_size = _integer(cfg.grid_size, "grid_size")
+        cfg.eps_list = _numbers(cfg.eps_list, "eps_list")
         cfg.validate()
         return cfg
 
@@ -124,15 +102,21 @@ class RunConfig:
             raise ConfigError("eps_list entries must be finite and nonnegative")
         if any(b > a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ConfigError("eps_list must be sorted descending")
-        if self.monte_carlo.n_paths < 2:
+        mc = self.monte_carlo
+        if mc.n_paths < 2:
             raise ConfigError("monte_carlo.n_paths must be at least 2")
-        if self.monte_carlo.n_steps < 1:
+        if mc.n_steps < 1:
             raise ConfigError("monte_carlo.n_steps must be positive")
         try:
-            grid_indices(self.monte_carlo.checkpoints,
-                         np.linspace(0.0, 1.0, self.monte_carlo.n_steps + 1))
+            grid_indices(mc.checkpoints, np.linspace(0.0, 1.0, mc.n_steps + 1))
         except DomainError as exc:
             raise ConfigError(f"monte_carlo.checkpoints: {exc}") from exc
+        try:
+            check_tube(mc.tube_level, mc.tube_resolution)
+            if mc.seed is not None:
+                check_seed(mc.seed)
+        except DomainError as exc:  # the message starts with the field's name
+            raise ConfigError(f"monte_carlo.{exc}") from exc
         try:
             self.problem()
         except ConfigError:
@@ -146,6 +130,19 @@ class RunConfig:
         if self.__dict__.get("_problem_key") != key:
             self._problem, self._problem_key = build_problem(self), key
         return self._problem
+
+
+def _check_fields(cls, raw, not_object: str, prefix: str) -> None:
+    """Raise ConfigError unless raw is a dict with every required field of cls and no other."""
+    if not isinstance(raw, dict):
+        raise ConfigError(not_object)
+    for f in fields(cls):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required config field '{prefix}{f.name}'")
+    known = {f.name for f in fields(cls)}
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown config field '{prefix}{key}'")
 
 
 def _integer(value, path: str) -> int:
@@ -175,9 +172,9 @@ def _coefficient(spec, path: str):
     if kind not in ("constant", "piecewise", "sampled"):
         raise ConfigError(f"{path}: unknown coefficient kind '{kind}'")
     try:
-        if kind == "constant":
-            coef = constant_coefficient(spec["value"])
-        elif kind == "piecewise":
+        if kind == "constant":  # make_system takes the matrix itself and symmetrizes it once
+            return constant_coefficient(spec["value"])(0.0)
+        if kind == "piecewise":
             coef = piecewise_constant_coefficient(spec["breaks"], spec["values"])
         else:
             coef = sampled_coefficient(spec["times"], spec["values"])

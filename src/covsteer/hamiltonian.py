@@ -36,7 +36,7 @@ from .systems import (
     symmetrize,
 )
 
-COND_LIMIT = 1e12
+COND_LIMIT = 1e12  # largest condition number of Phi11 or Phi12 that is inverted
 
 
 @dataclass(frozen=True)
@@ -142,19 +142,16 @@ def symplectic_residual(bt: BlockTransition) -> float:
 
 
 def _checked_inverse(
-    mat: np.ndarray,
-    name: str,
-    cond_limit: float,
-    error: type[CovsteerError] = SingularMatrixError,
+    mat: np.ndarray, name: str, error: type[CovsteerError] = SingularMatrixError
 ) -> np.ndarray:
-    """mat^-1, or raise error when the condition number is non-finite or above cond_limit."""
+    """mat^-1, or raise error when the condition number is non-finite or above COND_LIMIT."""
     cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise error(f"{name} is too ill-conditioned to invert (condition number {cond:.3e})")
     return np.linalg.inv(mat)
 
 
-def ratio_T(bt: BlockTransition, cond_limit: float = COND_LIMIT) -> np.ndarray:
+def ratio_T(bt: BlockTransition) -> np.ndarray:
     """Symmetric ratio T(t, s) = Phi11^-1 Phi12; zero at t = s.
 
     Negative definite for t > s on controllable systems, and monotonically
@@ -162,5 +159,5 @@ def ratio_T(bt: BlockTransition, cond_limit: float = COND_LIMIT) -> np.ndarray:
     """
     if bt.t == bt.s:
         return np.zeros((bt.dim, bt.dim))
-    inv11 = _checked_inverse(bt.phi11, "Phi11", cond_limit)
+    inv11 = _checked_inverse(bt.phi11, "Phi11")
     return symmetrize(inv11 @ bt.phi12)

@@ -63,6 +63,15 @@ def _interp_matrices(src_t: np.ndarray, src_m: np.ndarray, dst_t: np.ndarray) ->
     return out
 
 
+def check_seed(seed: int) -> None:
+    """Raise DomainError unless seed lies in [0, 2**63), where each seed keys its own streams.
+
+    2**63 and -2**63 would key the same Philox stream, and 2**64 and up key none.
+    """
+    if not 0 <= seed < 2**63:
+        raise DomainError(f"seed must be in [0, 2**63), got {seed}")
+
+
 def _simulate_gain(
     problem: SteeringProblem,
     gain_t: np.ndarray,
@@ -77,6 +86,7 @@ def _simulate_gain(
         raise DomainError("n_paths must be at least 2")
     if n_steps < 1:
         raise DomainError("n_steps must be positive")
+    check_seed(seed)
     sys = problem.sys
     n, m = sys.dim_state, sys.dim_input
     eps = problem.epsilon
@@ -164,6 +174,17 @@ def empirical_covariance(result: SimulationResult, t: float) -> np.ndarray:
     return result.empirical_cov[hits[0]]
 
 
+def check_tube(level: float, resolution: int) -> None:
+    """Raise DomainError unless level is finite and positive and resolution is at least 3.
+
+    The messages name the arguments as the config fields tube_level and tube_resolution.
+    """
+    if not 0.0 < level < np.inf:
+        raise DomainError(f"tube_level must be finite and positive, got {level}")
+    if resolution < 3:
+        raise DomainError(f"tube_resolution must be at least 3, got {resolution}")
+
+
 def tolerance_tube(
     solution: BridgeSolution,
     level: float = 3.0,
@@ -176,8 +197,7 @@ def tolerance_tube(
     """
     if solution.sigma.shape[1] != 2:
         raise UnsupportedDimensionError("tolerance tube is defined for 2-d states only")
-    if level <= 0 or resolution < 3:
-        raise DomainError("level must be positive and resolution at least 3")
+    check_tube(level, resolution)
     theta = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
     circle = level * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     return circle @ sqrt_spd(solution.sigma)  # each root is symmetric

@@ -20,7 +20,8 @@ from .integrate import rk4_grid, simpson_uniform, stage_sampler, steps_for_span
 MatrixMap = Callable[[float], np.ndarray]
 
 DEFAULT_STEPS_PER_UNIT = 1000
-PD_TOL = 1e-12
+PD_TOL = 1e-12  # an SPD matrix needs min eigenvalue > PD_TOL * max(1, max eigenvalue)
+CONTROLLABILITY_TOL = 1e-9  # (A, B) is controllable if the Gramian's min eigenvalue exceeds it
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -39,10 +40,12 @@ def _spd_eigh(s, tol: float = PD_TOL, name: str = "matrix") -> tuple[np.ndarray,
     if not np.isfinite(s).all():
         raise DomainError(f"{name} has non-finite entries")
     w, v = np.linalg.eigh(s)  # eigenvalues ascending
-    if np.any(w[..., 0] <= tol * np.maximum(1.0, w[..., -1])):
-        lam = float(w[..., 0].min())
+    bad = w[..., 0] <= tol * np.maximum(1.0, w[..., -1])
+    if np.any(bad):
+        lam, top = w[bad][0, [0, -1]].tolist()  # the first matrix that fails
         raise DefinitenessError(
-            f"{name} is not positive definite (min eigenvalue {lam:.3e})",
+            f"{name} is not positive definite (min eigenvalue {lam:.3e} is not above "
+            f"{tol:g} * max(1, max eigenvalue {top:.3e}))",
             min_eigenvalue=lam,
         )
     return w, v
@@ -145,8 +148,7 @@ class TimeVaryingLinearSystem:
     R: MatrixMap = field(repr=False, default=None)
 
 
-def make_system(A, B, Q=None, R=None, pd_tol: float = PD_TOL,
-                validation_samples: int = 11) -> TimeVaryingLinearSystem:
+def make_system(A, B, Q=None, R=None) -> TimeVaryingLinearSystem:
     """Build a validated system from coefficient specs.
 
     Each of A, B, Q, R may be a constant matrix or a callable t -> matrix
@@ -154,9 +156,9 @@ def make_system(A, B, Q=None, R=None, pd_tol: float = PD_TOL,
     :func:`sampled_coefficient`). Q defaults to zero and R to the identity;
     both are symmetrized, a constant once and a callable on every
     evaluation. A and B are checked at
-    t = 0, Q and R on a coarse sample grid: every sample must be finite and
+    t = 0, Q and R at t = 0, 0.1, ..., 1: every sample must be finite and
     of the right shape, and each R sample's smallest eigenvalue must exceed
-    pd_tol * max(1, its largest eigenvalue).
+    PD_TOL * max(1, its largest eigenvalue).
     """
     a_map = as_coefficient(A)
     b_map = as_coefficient(B)
@@ -175,7 +177,7 @@ def make_system(A, B, Q=None, R=None, pd_tol: float = PD_TOL,
     for name, value in (("A", a0), ("B", b0)):
         if not np.isfinite(value).all():
             raise DomainError(f"{name}(0.0) has non-finite entries")
-    for t in np.linspace(0.0, 1.0, validation_samples):
+    for t in np.linspace(0.0, 1.0, 11):
         q_t = q_map(t)
         if q_t.shape != (n, n):
             raise DomainError(f"Q({t}) has shape {q_t.shape}, expected {(n, n)}")
@@ -184,7 +186,7 @@ def make_system(A, B, Q=None, R=None, pd_tol: float = PD_TOL,
             raise DomainError(f"R({t}) has shape {r_t.shape}, expected {(m, m)}")
         if not np.isfinite(q_t).all():
             raise DomainError(f"Q({t}) has non-finite entries")
-        _spd_eigh(r_t, pd_tol, f"R({t})")
+        _spd_eigh(r_t, name=f"R({t})")
 
     return TimeVaryingLinearSystem(n, m, a_map, b_map, q_map, r_map)
 
@@ -286,26 +288,23 @@ class ControllabilityReport:
 def check_controllability(
     sys: TimeVaryingLinearSystem,
     grid: Sequence[tuple[float, float]],
-    tol: float = 1e-9,
     steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
 ) -> ControllabilityReport:
-    """Smallest Gramian eigenvalue on each subinterval; FAIL below tol."""
+    """Smallest Gramian eigenvalue on each subinterval; FAIL at or below CONTROLLABILITY_TOL."""
     if len(grid) == 0:
         raise DomainError("controllability grid must not be empty")
     entries = []
     for s, t in grid:
         gram = reachability_gramian(sys, t, s, steps_per_unit)
         lam = float(np.linalg.eigvalsh(gram).min())
-        entries.append(ControllabilityEntry(float(s), float(t), lam, lam > tol))
-    return ControllabilityReport(tuple(entries), tol)
+        entries.append(ControllabilityEntry(float(s), float(t), lam, lam > CONTROLLABILITY_TOL))
+    return ControllabilityReport(tuple(entries), CONTROLLABILITY_TOL)
 
 
 def require_controllable(
-    sys: TimeVaryingLinearSystem,
-    tol: float = 1e-9,
-    steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
+    sys: TimeVaryingLinearSystem, steps_per_unit: int = DEFAULT_STEPS_PER_UNIT
 ) -> None:
     """Raise ControllabilityError if the Gramian over (0, 1) is near singular."""
-    report = check_controllability(sys, [(0.0, 1.0)], tol, steps_per_unit)
+    report = check_controllability(sys, [(0.0, 1.0)], steps_per_unit)
     if not report.passed:
         raise ControllabilityError(str(report))

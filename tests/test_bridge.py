@@ -4,6 +4,7 @@ from scipy.integrate import solve_ivp
 
 from covsteer import (
     BoundaryResidualError,
+    ConditioningError,
     ControllabilityError,
     DefinitenessError,
     DomainError,
@@ -246,6 +247,25 @@ def test_solve_uncontrollable_system_rejected():
     problem = SteeringProblem(sys, 2 * np.eye(2), 0.25 * np.eye(2), 1.0)
     with pytest.raises(ControllabilityError):
         solve(problem, 200)
+
+
+def test_ill_conditioned_phi12_raises_conditioning_error():
+    # the Gramian's smallest eigenvalue is 1e-8, above CONTROLLABILITY_TOL, but
+    # cond Phi12(1, 0) = 1e14 exceeds COND_LIMIT
+    sys = make_system(np.zeros((2, 2)), np.diag([1e3, 1e-4]))
+    with pytest.raises(ConditioningError, match="Phi12"):
+        solve(SteeringProblem(sys, np.eye(2), np.eye(2), 1.0), 200)
+
+
+def test_definiteness_error_states_the_bound_that_failed():
+    # cond Phi12 = 1e10 passes COND_LIMIT; the coupling core has eigenvalues
+    # 0.25 and about 1e12, and 0.25 is not above PD_TOL * 1e12
+    sys = make_system(np.zeros((2, 2)), np.diag([1e2, 1e-3]))
+    with pytest.raises(DefinitenessError,
+                       match=r"min eigenvalue 2\.500e-01 is not above 1e-12 \* max\(1, max "
+                             r"eigenvalue 1\.000e\+12\)") as err:
+        solve(SteeringProblem(sys, np.eye(2), np.eye(2), 1.0), 200)
+    assert err.value.min_eigenvalue == pytest.approx(0.25)
 
 
 def test_steering_problem_validation():

@@ -49,6 +49,23 @@ def test_config_dimension_mismatch():
         RunConfig.from_dict(raw)
 
 
+def test_constant_coefficients_are_one_matrix_at_every_time():
+    sys = preset_config("inertial-r4").problem().sys
+    for coef in (sys.A, sys.B, sys.Q, sys.R):
+        value = coef(0.0)
+        assert all(coef(t) is value for t in (0.25, 0.5, 1.0))
+
+
+def test_ill_conditioned_phi12_exits_2(tmp_path, capsys):
+    raw = {"name": "ill", "system": {"A": [[0.0, 0.0], [0.0, 0.0]],
+                                     "B": [[1e3, 0.0], [0.0, 1e-4]]},
+           "sigma0": [[1.0, 0.0], [0.0, 1.0]], "sigma1": [[1.0, 0.0], [0.0, 1.0]]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "Phi12 is too ill-conditioned" in capsys.readouterr().err
+
+
 def test_piecewise_coefficient_config():
     raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
     raw["system"]["Q"] = {
@@ -186,6 +203,10 @@ def test_main_exit_codes(tmp_path):
     {"system": {"A": [[float("nan")]], "B": [[1.0]]}},
     {"monte_carlo": {"checkpoints": [0.0, float("nan")]}},
     {"monte_carlo": {"checkpoints": [0.0, float("inf")]}},
+    {"monte_carlo": {"tube_level": 0.0}},
+    {"monte_carlo": {"tube_resolution": 2}},
+    {"monte_carlo": {"tube_level": float("inf")}},
+    {"monte_carlo": {"seed": 2**70}},
 ])
 def test_main_malformed_config_exits_1(tmp_path, overrides):
     raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
@@ -193,6 +214,21 @@ def test_main_malformed_config_exits_1(tmp_path, overrides):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))  # NaN and Infinity are written as JSON literals
     assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tube_level", 0.0), ("tube_level", float("inf")), ("tube_resolution", 2),
+    ("seed", 2**70), ("seed", 2**63), ("seed", -1),
+])
+def test_bad_monte_carlo_values_exit_1_before_solving(tmp_path, capsys, field, value):
+    # simulate once solved and wrote its CSVs before reaching these values
+    raw = json.loads(json.dumps(PRESETS["inertial-q1"]))
+    raw["monte_carlo"] = {"n_paths": 10, "n_steps": 10, "seed": 1, field: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert f"monte_carlo.{field}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

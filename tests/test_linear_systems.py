@@ -97,14 +97,14 @@ def test_gramian_symmetric_psd():
 
 
 def test_controllability_pass_double_integrator():
-    report = check_controllability(double_integrator(), [(0.0, 1.0)], tol=1e-9)
+    report = check_controllability(double_integrator(), [(0.0, 1.0)])
     assert report.passed
     np.testing.assert_allclose(report.entries[0].min_eigenvalue, 0.0657, atol=5e-4)
 
 
 def test_controllability_fail_zero_channel():
     sys = make_system([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 1)))
-    report = check_controllability(sys, [(0.0, 1.0)], tol=1e-9)
+    report = check_controllability(sys, [(0.0, 1.0)])
     assert not report.passed
     assert report.entries[0].min_eigenvalue == pytest.approx(0.0, abs=1e-14)
     assert "FAIL" in str(report)
@@ -112,7 +112,7 @@ def test_controllability_fail_zero_channel():
 
 def test_controllability_subintervals_integrator_chain():
     sys = make_system(np.zeros((2, 2)), np.eye(2))
-    report = check_controllability(sys, [(0.0, 0.1), (0.45, 0.55), (0.9, 1.0)], tol=1e-9)
+    report = check_controllability(sys, [(0.0, 0.1), (0.45, 0.55), (0.9, 1.0)])
     assert report.passed
     for entry in report.entries:
         assert entry.min_eigenvalue == pytest.approx(0.1, rel=1e-9)

@@ -274,6 +274,23 @@ def test_tube_matches_per_node_roots(inertial_solution):
     assert np.abs(tube - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**70])
+def test_simulate_and_cost_gap_reject_a_seed_outside_the_stream_keys(inertial_solution, seed):
+    # seeds 2**63 and -2**63 would key the same Philox stream; 2**70 keys none
+    problem, sol = inertial_solution
+    with pytest.raises(DomainError, match="seed"):
+        simulate(problem, sol, 10, 10, seed=seed)
+    with pytest.raises(DomainError, match="seed"):
+        cost_gap(problem, sol, 0.1, 10, 10, seed=seed)
+
+
+@pytest.mark.parametrize("level, resolution",
+                         [(0.0, 16), (-1.0, 16), (np.inf, 16), (np.nan, 16), (3.0, 2)])
+def test_tube_rejects_a_bad_level_or_resolution(level, resolution):
+    with pytest.raises(DomainError):
+        tolerance_tube(_flat_solution(np.eye(2)), level, resolution)
+
+
 def test_tube_dimension_guard():
     problem = scalar_problem()
     sol = solve(problem, 200)
