@@ -36,7 +36,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundaryResidualError, ConditioningError, DomainError, SingularMatrixError
+from .errors import (
+    BoundaryResidualError,
+    ConditioningError,
+    DefinitenessError,
+    DomainError,
+    SingularMatrixError,
+)
 from .hamiltonian import (
     BlockTransition,
     _checked_inverse,
@@ -49,6 +55,7 @@ from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
     _spd_eigh,
+    _vectorized,
     input_quad,
     make_system,
     reachability_gramian,
@@ -197,7 +204,14 @@ def coupling_roots(
     mapped = symmetrize(inv12 @ sigma1 @ inv12.T)  # (Phi12' Sigma1^-1 Phi12)^-1
     s0_half, s0_inv_half = _sqrt_spd_pair(sigma0)
     eye = np.eye(sigma0.shape[0])
-    core = sqrt_spd(0.25 * epsilon**2 * eye + symmetrize(s0_half @ mapped @ s0_half))
+    inner = 0.25 * epsilon**2 * eye + symmetrize(s0_half @ mapped @ s0_half)
+    try:  # inner is SPD whenever Phi12 is invertible, so a failure here is conditioning
+        core = sqrt_spd(inner)
+    except DefinitenessError as exc:
+        raise ConditioningError(
+            f"the coupling core is too ill-conditioned for its square root "
+            f"(condition number {np.linalg.cond(inner):.3e})"
+        ) from exc
     offset = symmetrize(s0_inv_half @ core @ s0_inv_half)
     return CouplingRoots(
         z_minus=symmetrize(base - offset),
@@ -301,8 +315,7 @@ def _solve_on(
 
     n = sys.dim_state
     grid = np.linspace(0.0, 1.0, grid_size + 1)
-    b_t = np.stack([sys.B(t) for t in grid])
-    r_t = np.stack([sys.R(t) for t in grid])
+    b_t, r_t = sys.B(grid), sys.R(grid)
     y_t = rk4_grid(hamiltonian_rhs(sys, grid),
                    np.block([[np.eye(n), np.eye(n)], [pi0, -h0]]), grid)
     yt = y_t.transpose(0, 2, 1)  # [[X1', Y1'], [X2', Y2']]
@@ -430,11 +443,10 @@ def corollary_q_zero(
     :func:`initial_conditions` on the same problem.
     """
     sys = problem.sys
-    for t in np.linspace(0.0, 1.0, 7):
-        if np.abs(sys.Q(t)).max() > 1e-12:
-            raise DomainError("corollary_q_zero requires Q = 0")
+    if np.abs(sys.Q(np.linspace(0.0, 1.0, 7))).max() > 1e-12:
+        raise DomainError("corollary_q_zero requires Q = 0")
 
-    scaled = make_system(sys.A, lambda t: noise_channel(sys.B(t), sys.R(t)))
+    scaled = make_system(sys.A, _vectorized(lambda t: noise_channel(sys.B(t), sys.R(t))))
     psi = state_transition(scaled, 1.0, 0.0, steps_per_unit)
     gram = reachability_gramian(scaled, 1.0, 0.0, steps_per_unit)
     gram_inv = _inv_spd(gram)

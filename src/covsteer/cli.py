@@ -404,6 +404,10 @@ def run_verify(tol_scale: float = 1.0, seed: int = 20260826,
                debug_plus_branch: bool = False, stream=None) -> int:
     """Batch property checks over the shipped presets; returns the exit code."""
     stream = stream or sys.stdout
+    try:
+        check_seed(seed)
+    except DomainError as exc:  # the message starts with "seed"
+        raise ConfigError(f"--{exc}") from exc
     checks: list[tuple[str, bool, str]] = []
 
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ T(t, s) = Phi11^-1 Phi12 whose negativity/monotonicity underpins invertibility
 of the blocks on controllable systems.
 
 M is assembled in one place, :func:`hamiltonian_stack`, at an array of times:
-one A, B, Q and R call per time and one batched solve for B R^-1 B'.
+one A, B, Q and R call for the whole array and one batched solve for B R^-1 B'.
 :func:`hamiltonian_rhs` feeds it to an RK4 pass page by page
 (see :func:`covsteer.integrate.stage_sampler`), so a pass over an N-step
 grid samples the coefficients once at each of its 2N + 1 stage times, and
@@ -32,7 +32,7 @@ from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
     _check_time,
-    _input_quad,
+    input_quad,
     symmetrize,
 )
 
@@ -73,31 +73,20 @@ def hamiltonian_matrix(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
     return hamiltonian_stack(sys, [t])[0]
 
 
-def hamiltonian_stack(
-    sys: TimeVaryingLinearSystem, ts, out: np.ndarray | None = None
-) -> np.ndarray:
-    """M(t) for each time in ts, shape (len(ts), 2n, 2n), written into out if given.
+def hamiltonian_stack(sys: TimeVaryingLinearSystem, ts) -> np.ndarray:
+    """M(t) for each time in ts, shape (len(ts), 2n, 2n).
 
-    Calls A, B, Q and R once per time and forms every B R^-1 B' with one
-    batched solve; raises SingularMatrixError on a singular R.
+    Calls A, B, Q and R once on the array ts and forms every B R^-1 B' with
+    one batched solve; raises SingularMatrixError on a singular R.
     """
-    ts = [_check_time(t) for t in ts]
-    n = sys.dim_state
-    if out is None:
-        out = np.empty((len(ts), 2 * n, 2 * n))
-    a = np.array([sys.A(t) for t in ts])
-    out[:, :n, :n] = a
-    out[:, n:, n:] = -np.swapaxes(a, -1, -2)
-    out[:, n:, :n] = -np.array([sys.Q(t) for t in ts])
-    b = np.array([sys.B(t) for t in ts])
-    out[:, :n, n:] = -_input_quad(b, np.array([sys.R(t) for t in ts]), ts)
-    return out
+    ts = _check_time(ts)
+    a = sys.A(ts)
+    return np.block([[a, -input_quad(sys, ts)], [-sys.Q(ts), -np.swapaxes(a, -1, -2)]])
 
 
 def hamiltonian_rhs(sys: TimeVaryingLinearSystem, grid: np.ndarray) -> Rhs:
     """(t, y) -> M(t) @ y for one pass of rk4_grid over grid, M sampled once per stage time."""
-    n2 = 2 * sys.dim_state
-    m_at = stage_sampler(grid, lambda ts, out: hamiltonian_stack(sys, ts, out), (n2, n2))
+    m_at = stage_sampler(grid, lambda ts: hamiltonian_stack(sys, ts))
     return lambda t, y: m_at(t) @ y
 
 

@@ -80,9 +80,7 @@ def rk4_grid(f: Rhs, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def stage_sampler(
-    grid: np.ndarray,
-    fill: Callable[[np.ndarray, np.ndarray], object],
-    shape: tuple[int, ...],
+    grid: np.ndarray, sample: Callable[[np.ndarray], np.ndarray]
 ) -> Callable[[float], np.ndarray]:
     """G(t) at the RK4 stage times of a pass of :func:`rk4_grid` over grid.
 
@@ -92,10 +90,10 @@ def stage_sampler(
     np.linspace(lo, hi, 2N + 1). The returned function maps a stage time t
     to its index j = round(2N (t - lo) / (hi - lo)), 0 on a zero-length
     span, and returns G at that stage time from a page of at most
-    STAGE_PAGE samples. fill(ts, out) writes G(ts[i]) into out[i]. A page
-    is refilled only when j leaves it, with the next page laid out ahead in
-    the direction of the pass, so one pass samples each stage time exactly
-    once. The returned matrix is a view that the next refill overwrites.
+    STAGE_PAGE samples. sample(ts) returns the stack of G(ts[i]). A page is
+    sampled only when j leaves the last one, with the next page laid out
+    ahead in the direction of the pass, so one pass samples each stage time
+    exactly once.
     """
     n2 = 2 * (len(grid) - 1)
     forward = grid[-1] >= grid[0]
@@ -106,20 +104,21 @@ def stage_sampler(
         times = times[::-1]
     lo, hi = float(times[0]), float(times[-1])
     scale = n2 / (hi - lo) if hi > lo else 0.0
-    page = np.empty((min(STAGE_PAGE, n2 + 1),) + tuple(shape))
+    size = min(STAGE_PAGE, n2 + 1)
+    page = None
     start = stop = 0  # page holds the samples of times[start:stop]
 
     def at(t: float) -> np.ndarray:
-        nonlocal start, stop
+        nonlocal page, start, stop
         j = round((float(t) - lo) * scale)  # a Python float rounds 8x faster
         if not start <= j < stop:
             if not 0 <= j <= n2:
                 raise DomainError(f"time {t} is not a stage time of the {n2 // 2}-step grid")
             if forward:
-                start, stop = j, min(j + len(page), n2 + 1)
+                start, stop = j, min(j + size, n2 + 1)
             else:
-                start, stop = max(j + 1 - len(page), 0), j + 1
-            fill(times[start:stop], page[: stop - start])
+                start, stop = max(j + 1 - size, 0), j + 1
+            page = sample(times[start:stop])
         return page[j - start]
 
     return at

@@ -93,10 +93,7 @@ def _simulate_gain(
     dt = 1.0 / n_steps
     t_grid = np.linspace(0.0, 1.0, n_steps + 1)
 
-    a_seq = np.stack([sys.A(t) for t in t_grid])
-    b_seq = np.stack([sys.B(t) for t in t_grid])
-    q_seq = np.stack([sys.Q(t) for t in t_grid])
-    r_seq = np.stack([sys.R(t) for t in t_grid])
+    a_seq, b_seq, q_seq, r_seq = sys.A(t_grid), sys.B(t_grid), sys.Q(t_grid), sys.R(t_grid)
     k_seq = _interp_matrices(gain_t, gain_seq, t_grid)
     step_seq = np.eye(n) + dt * (a_seq - b_seq @ k_seq)  # Euler step F_k
     weight_seq = q_seq + np.swapaxes(k_seq, -1, -2) @ r_seq @ k_seq  # u'Ru + x'Qx = x'W_k x

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ControllabilityError, DefinitenessError, DomainError, SingularMatrixError
 from .integrate import rk4_grid, simpson_uniform, stage_sampler, steps_for_span
 
-MatrixMap = Callable[[float], np.ndarray]
+MatrixMap = Callable[[float], np.ndarray]  # built maps also take a 1-d array of times
 
 DEFAULT_STEPS_PER_UNIT = 1000
 PD_TOL = 1e-12  # an SPD matrix needs min eigenvalue > PD_TOL * max(1, max eigenvalue)
@@ -51,22 +51,37 @@ def _spd_eigh(s, tol: float = PD_TOL, name: str = "matrix") -> tuple[np.ndarray,
     return w, v
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not 0.0 - 1e-12 <= t <= 1.0 + 1e-12:
-        raise DomainError(f"time {t} outside the horizon [0, 1]")
-    return min(max(t, 0.0), 1.0)
+def _in_range(t, lo: float, hi: float, what: str):
+    """t clipped to [lo, hi], a float or an array like t; DomainError if a time lies
+    more than 1e-12 outside."""
+    ts = np.asarray(t, dtype=float)
+    outside = ~((ts >= lo - 1e-12) & (ts <= hi + 1e-12))  # NaN is outside
+    if outside.any():
+        raise DomainError(f"time {ts[outside].flat[0]} outside {what} [{lo:g}, {hi:g}]")
+    return float(min(max(ts, lo), hi)) if ts.ndim == 0 else np.minimum(np.maximum(ts, lo), hi)
+
+
+def _check_time(t):
+    return _in_range(t, 0.0, 1.0, "the horizon")
+
+
+def _vectorized(f: MatrixMap) -> MatrixMap:
+    """Mark f as a map that takes a time and returns a matrix, or takes a 1-d array
+    of times and returns their stack in one call."""
+    f.vectorized = True
+    return f
 
 
 def constant_coefficient(value) -> MatrixMap:
+    """The matrix itself at a time, and a read-only broadcast stack at an array of times."""
     mat = np.array(value, dtype=float)
     if mat.ndim != 2:
         raise DomainError("constant coefficient must be a 2-d matrix")
 
-    def f(t: float) -> np.ndarray:
-        return mat
+    def f(t):
+        return mat if np.ndim(t) == 0 else np.broadcast_to(mat, np.shape(t) + mat.shape)
 
-    return f
+    return _vectorized(f)
 
 
 def piecewise_constant_coefficient(breaks: Sequence[float], values) -> MatrixMap:
@@ -82,14 +97,12 @@ def piecewise_constant_coefficient(breaks: Sequence[float], values) -> MatrixMap
         raise DomainError("piecewise breakpoints must be strictly increasing")
     if not np.isfinite(vals).all():
         raise DomainError("piecewise coefficient values must be finite")
-    lo, hi, last = float(bk[0]), float(bk[-1]), len(vals) - 1
 
-    def f(t: float) -> np.ndarray:
-        if t < lo - 1e-12 or t > hi + 1e-12:
-            raise DomainError(f"time {t} outside piecewise range [{lo}, {hi}]")
-        return vals[min(max(int(bk.searchsorted(t, side="right")) - 1, 0), last)]
+    def f(t):
+        t = _in_range(t, bk[0], bk[-1], "piecewise range")
+        return vals[np.minimum(bk.searchsorted(t, side="right") - 1, len(vals) - 1)]
 
-    return f
+    return _vectorized(f)
 
 
 def sampled_coefficient(times: Sequence[float], values) -> MatrixMap:
@@ -105,35 +118,42 @@ def sampled_coefficient(times: Sequence[float], values) -> MatrixMap:
         raise DomainError("sample times must be strictly increasing")
     if not np.isfinite(vals).all():
         raise DomainError("sampled coefficient values must be finite")
-    lo, hi, last = float(ts[0]), float(ts[-1]), len(ts) - 2
 
-    def f(t: float) -> np.ndarray:
-        if t < lo - 1e-12 or t > hi + 1e-12:
-            raise DomainError(f"time {t} outside sample range [{lo}, {hi}]")
-        t = min(max(t, lo), hi)
-        i = min(max(int(ts.searchsorted(t, side="right")) - 1, 0), last)
-        w = (t - ts[i]) / (ts[i + 1] - ts[i])
+    def f(t):
+        t = _in_range(t, ts[0], ts[-1], "sample range")
+        i = np.minimum(ts.searchsorted(t, side="right") - 1, len(ts) - 2)
+        w = ((t - ts[i]) / (ts[i + 1] - ts[i]))[..., None, None]
         return (1.0 - w) * vals[i] + w * vals[i + 1]
 
-    return f
+    return _vectorized(f)
 
 
 def as_coefficient(spec) -> MatrixMap:
-    """Return a callable spec unchanged; wrap anything else as a constant matrix."""
-    if callable(spec):
+    """A map that takes a time or a 1-d array of times (see :func:`_vectorized`).
+
+    A non-callable spec is a constant matrix and a marked map passes through.
+    Any other callable is taken to map one time to a matrix; at an array of
+    times it is called once per time.
+    """
+    if not callable(spec):
+        return constant_coefficient(spec)
+    if getattr(spec, "vectorized", False):
         return spec
-    return constant_coefficient(spec)
+
+    def per_time(t):
+        if np.ndim(t) == 0:
+            return spec(t)
+        return np.array([spec(tau) for tau in np.asarray(t).tolist()], dtype=float)
+
+    return _vectorized(per_time)
 
 
 def _symmetric_coefficient(spec) -> MatrixMap:
-    """Coefficient whose every value is symmetrized; a constant is symmetrized once."""
+    """Coefficient whose every value, or stack, is symmetrized; a constant is symmetrized once."""
+    coef = as_coefficient(spec)
     if not callable(spec):
-        return constant_coefficient(symmetrize(as_coefficient(spec)(0.0)))
-
-    def f(t: float) -> np.ndarray:
-        return symmetrize(np.asarray(spec(t), dtype=float))
-
-    return f
+        return constant_coefficient(symmetrize(coef(0.0)))
+    return _vectorized(lambda t: symmetrize(np.asarray(coef(t), dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -151,69 +171,45 @@ class TimeVaryingLinearSystem:
 def make_system(A, B, Q=None, R=None) -> TimeVaryingLinearSystem:
     """Build a validated system from coefficient specs.
 
-    Each of A, B, Q, R may be a constant matrix or a callable t -> matrix
-    (see also :func:`piecewise_constant_coefficient` and
-    :func:`sampled_coefficient`). Q defaults to zero and R to the identity;
-    both are symmetrized, a constant once and a callable on every
-    evaluation. A and B are checked at
-    t = 0, Q and R at t = 0, 0.1, ..., 1: every sample must be finite and
+    Each of A, B, Q, R may be a constant matrix or a callable (see
+    :func:`as_coefficient`, :func:`piecewise_constant_coefficient` and
+    :func:`sampled_coefficient`); every map of the built system takes a time
+    or a 1-d array of times. Q defaults to zero and R to the identity; both
+    are symmetrized, a constant once and a callable on every evaluation. All
+    four are sampled at t = 0, 0.1, ..., 1: every sample must be finite and
     of the right shape, and each R sample's smallest eigenvalue must exceed
     PD_TOL * max(1, its largest eigenvalue).
     """
-    a_map = as_coefficient(A)
-    b_map = as_coefficient(B)
-    a0 = np.asarray(a_map(0.0), dtype=float)
-    if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
-        raise DomainError("A(t) must be square")
-    n = a0.shape[0]
-    b0 = np.asarray(b_map(0.0), dtype=float)
-    if b0.ndim != 2 or b0.shape[0] != n:
-        raise DomainError("B(t) must have one row per state")
-    m = b0.shape[1]
-
+    a_map, b_map = as_coefficient(A), as_coefficient(B)
+    ts = np.linspace(0.0, 1.0, 11)
+    a, b = np.asarray(a_map(ts), dtype=float), np.asarray(b_map(ts), dtype=float)
+    n, m = a.shape[-1], b.shape[-1]
     q_map = _symmetric_coefficient(np.zeros((n, n)) if Q is None else Q)
     r_map = _symmetric_coefficient(np.eye(m) if R is None else R)
-
-    for name, value in (("A", a0), ("B", b0)):
-        if not np.isfinite(value).all():
-            raise DomainError(f"{name}(0.0) has non-finite entries")
-    for t in np.linspace(0.0, 1.0, 11):
-        q_t = q_map(t)
-        if q_t.shape != (n, n):
-            raise DomainError(f"Q({t}) has shape {q_t.shape}, expected {(n, n)}")
-        r_t = r_map(t)
-        if r_t.shape != (m, m):
-            raise DomainError(f"R({t}) has shape {r_t.shape}, expected {(m, m)}")
-        if not np.isfinite(q_t).all():
-            raise DomainError(f"Q({t}) has non-finite entries")
-        _spd_eigh(r_t, name=f"R({t})")
-
+    r = r_map(ts)
+    for name, vals, shape in (("A", a, (n, n)), ("B", b, (n, m)), ("Q", q_map(ts), (n, n)),
+                              ("R", r, (m, m))):
+        if vals.shape != (len(ts), *shape):
+            raise DomainError(f"{name}(t) has shape {vals.shape[1:]}, expected {shape}")
+        finite = np.isfinite(vals).all(axis=(-2, -1))
+        if not finite.all():
+            raise DomainError(f"{name}({ts[~finite][0]:g}) has non-finite entries")
+    _spd_eigh(r, name="R(t)")
     return TimeVaryingLinearSystem(n, m, a_map, b_map, q_map, r_map)
 
 
-def input_quad(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
-    """B(t) R(t)^-1 B(t)': the control weight of both Riccati flows and the noise diffusion."""
-    return _input_quad(sys.B(t), sys.R(t), [t])
+def input_quad(sys: TimeVaryingLinearSystem, t) -> np.ndarray:
+    """B(t) R(t)^-1 B(t)': the control weight of both Riccati flows and the noise diffusion.
 
-
-def _input_quad(b: np.ndarray, r: np.ndarray, ts) -> np.ndarray:
-    """B R^-1 B' of B and R sampled at the times ts, one batched solve for a stack.
-
-    Raises SingularMatrixError naming the time of the most nearly singular R.
+    At a 1-d array of times it is a stack, from one batched solve. Raises
+    SingularMatrixError naming the time of the most nearly singular R.
     """
+    b, r = sys.B(t), sys.R(t)
     try:
         return b @ np.linalg.solve(r, np.swapaxes(b, -1, -2))
     except np.linalg.LinAlgError as exc:
-        t = ts[int(np.argmin(np.abs(np.linalg.det(r))))]
-        raise SingularMatrixError(f"R({t}) is singular") from exc
-
-
-def _drift_sampler(sys: TimeVaryingLinearSystem, grid: np.ndarray):
-    """A(t) once per RK4 stage time of a pass over grid (see integrate.stage_sampler)."""
-    return stage_sampler(
-        grid, lambda ts, out: np.stack([sys.A(t) for t in ts], out=out),
-        (sys.dim_state, sys.dim_state),
-    )
+        worst = np.reshape(t, -1)[np.argmin(np.abs(np.linalg.det(r)))]
+        raise SingularMatrixError(f"R({worst}) is singular") from exc
 
 
 def state_transition(
@@ -229,7 +225,7 @@ def state_transition(
     if t == s:
         return np.eye(sys.dim_state)
     grid = np.linspace(s, t, steps_for_span(steps_per_unit, s, t) + 1)
-    a_at = _drift_sampler(sys, grid)
+    a_at = stage_sampler(grid, sys.A)
     return rk4_grid(lambda tau, psi: a_at(tau) @ psi, np.eye(sys.dim_state), grid)[-1]
 
 
@@ -250,9 +246,9 @@ def reachability_gramian(
         raise DomainError("reachability_gramian requires s < t")
     n_int = steps_for_span(steps_per_unit, s, t)
     taus = np.linspace(t, s, n_int + 1)
-    a_at = _drift_sampler(sys, taus)
+    a_at = stage_sampler(taus, sys.A)
     g = rk4_grid(lambda tau, y: -y @ a_at(tau), np.eye(sys.dim_state), taus)
-    gb = g @ np.stack([sys.B(tau) for tau in taus])
+    gb = g @ sys.B(taus)
     # reverse so the Simpson weights run from s to t
     gram = simpson_uniform((gb @ np.swapaxes(gb, -1, -2))[::-1], (t - s) / n_int)
     return symmetrize(gram)

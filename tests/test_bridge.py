@@ -258,14 +258,20 @@ def test_ill_conditioned_phi12_raises_conditioning_error():
 
 
 def test_definiteness_error_states_the_bound_that_failed():
-    # cond Phi12 = 1e10 passes COND_LIMIT; the coupling core has eigenvalues
-    # 0.25 and about 1e12, and 0.25 is not above PD_TOL * 1e12
-    sys = make_system(np.zeros((2, 2)), np.diag([1e2, 1e-3]))
+    # 0.25 is not above PD_TOL * 1e12
     with pytest.raises(DefinitenessError,
                        match=r"min eigenvalue 2\.500e-01 is not above 1e-12 \* max\(1, max "
                              r"eigenvalue 1\.000e\+12\)") as err:
-        solve(SteeringProblem(sys, np.eye(2), np.eye(2), 1.0), 200)
+        sqrt_spd(np.diag([0.25, 1e12]))
     assert err.value.min_eigenvalue == pytest.approx(0.25)
+
+
+def test_ill_conditioned_coupling_core_raises_conditioning_error():
+    # cond Phi12 = 1e10 passes COND_LIMIT, but the coupling core is SPD with
+    # eigenvalues 0.25 and about 1e12, too ill-conditioned for PD_TOL
+    sys = make_system(np.zeros((2, 2)), np.diag([1e2, 1e-3]))
+    with pytest.raises(ConditioningError, match=r"coupling core .*condition number 4\.000e\+12"):
+        solve(SteeringProblem(sys, np.eye(2), np.eye(2), 1.0), 200)
 
 
 def test_steering_problem_validation():

@@ -310,6 +310,12 @@ def test_write_csv_matches_a_csv_module_reference(tmp_path):
         assert path.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**70])
+def test_verify_rejects_a_seed_outside_the_stream_keys(capsys, seed):
+    assert main(["verify", "--seed", str(seed)]) == 1
+    assert "config error: --seed must be in [0, 2**63)" in capsys.readouterr().err
+
+
 def test_verify_overtight_tolerance_fails(capsys):
     assert run_verify(tol_scale=1e-7) == 3
     assert "FAIL" in capsys.readouterr().out

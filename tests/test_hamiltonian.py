@@ -256,7 +256,7 @@ def test_drift_sweeps_match_the_per_call_oracle(monkeypatch, name):
 
 
 def test_stage_sampler_rejects_a_time_outside_its_grid():
-    at = stage_sampler(np.linspace(0.2, 0.6, 5), lambda ts, out: out.fill(0.0), (1,))
+    at = stage_sampler(np.linspace(0.2, 0.6, 5), lambda ts: np.zeros((len(ts), 1)))
     assert at(0.2)[0] == 0.0 and at(0.6)[0] == 0.0
     with pytest.raises(DomainError):
         at(0.7)

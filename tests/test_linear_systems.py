@@ -154,6 +154,9 @@ def test_piecewise_coefficient_is_right_continuous_at_each_break():
     for t in (-1e-11, 1.0 + 1e-11):
         with pytest.raises(DomainError):
             a(t)
+        with pytest.raises(DomainError):
+            a(np.array([0.5, t, 0.7]))
+    _assert_array_call_stacks_scalar_calls(a, breaks)
 
 
 def test_sampled_coefficient_at_and_around_each_knot():
@@ -168,6 +171,21 @@ def test_sampled_coefficient_at_and_around_each_knot():
     for t in (-1e-11, 1.0 + 1e-11):
         with pytest.raises(DomainError):
             a(t)
+        with pytest.raises(DomainError):
+            a(np.array([0.5, t, 0.7]))
+    _assert_array_call_stacks_scalar_calls(a, knots)
+
+
+def _assert_array_call_stacks_scalar_calls(coef, points):
+    """coef at an array of times equals its scalar calls stacked, bit for bit, at,
+    just below and just above each point, alone, through make_system and through a
+    scalar-only lambda that make_system calls once per time."""
+    ts = np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
+    expect = np.stack([coef(t) for t in ts])
+    sys = make_system(np.zeros((1, 1)), coef)
+    scalar_only = make_system(np.zeros((1, 1)), lambda t: coef(float(t)))
+    for f in (coef, sys.B, scalar_only.B):
+        np.testing.assert_array_equal(f(ts), expect)
 
 
 def test_sampled_coefficient_interpolates():
@@ -188,8 +206,10 @@ def test_sampled_system_transition_matches_closed_form():
 def test_non_finite_coefficients_rejected():
     with pytest.raises(DomainError):
         make_system([[np.nan]], [[1.0]])
-    with pytest.raises(DomainError):  # callable, non-finite only at t = 1
-        make_system([[0.0]], [[1.0]], lambda t: np.array([[np.inf if t == 1.0 else 0.0]]))
+    inf_at_1 = lambda t: np.array([[np.inf if t == 1.0 else 0.0]])  # noqa: E731
+    for args in (([[0.0]], [[1.0]], inf_at_1), (inf_at_1, [[1.0]]), ([[0.0]], inf_at_1)):
+        with pytest.raises(DomainError):  # callable, non-finite only at t = 1
+            make_system(*args)
     with pytest.raises(DomainError):
         sampled_coefficient([0.0, 0.5, 1.0], [[[0.0]], [[np.nan]], [[0.0]]])
     with pytest.raises(DomainError):
