@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .hamiltonian import (
-    BlockTransition,
+    blocks,
     hamiltonian_matrix,
     propagate,
     ratio_T,

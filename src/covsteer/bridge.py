@@ -44,13 +44,13 @@ from .errors import (
     SingularMatrixError,
 )
 from .hamiltonian import (
-    BlockTransition,
     _checked_inverse,
+    blocks,
     hamiltonian_rhs,
     propagate,
     symplectic_residual,
 )
-from .integrate import rk4_grid
+from .integrate import rk4_grid, thin_nodes
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
@@ -152,10 +152,11 @@ class SteeringProblem:
 
     def __post_init__(self):
         n = self.sys.dim_state
-        s0 = symmetrize(np.asarray(self.sigma0, dtype=float))
-        s1 = symmetrize(np.asarray(self.sigma1, dtype=float))
+        s0 = np.asarray(self.sigma0, dtype=float)
+        s1 = np.asarray(self.sigma1, dtype=float)
         if s0.shape != (n, n) or s1.shape != (n, n):
             raise DomainError("boundary covariances must be n x n")
+        s0, s1 = symmetrize(s0), symmetrize(s1)
         for name, s in (("sigma0", s0), ("sigma1", s1)):
             _spd_eigh(s, name=name)
         eps = float(self.epsilon)
@@ -183,7 +184,7 @@ class CouplingRoots:
 def coupling_roots(
     sigma0: np.ndarray,
     sigma1: np.ndarray,
-    bt: BlockTransition,
+    phi: np.ndarray,
     epsilon: float = 1.0,
 ) -> CouplingRoots:
     """Closed-form roots of the boundary coupling for noise level eps.
@@ -191,16 +192,17 @@ def coupling_roots(
         Z+- = -Phi12^-1 Phi11
               +- S0^-1/2 (eps^2 I / 4 + S0^1/2 Phi12^-1 S1 Phi12^-T S0^1/2)^1/2 S0^-1/2
 
-    evaluated on Phi = Phi(1, 0). For eps != 1 the boundary covariances enter
-    through the scaled conditions eps * Sigma^-1, which folds into the
-    eps^2 I / 4 term above.
+    evaluated on phi = Phi(1, 0), one 2n x 2n array. For eps != 1 the
+    boundary covariances enter through the scaled conditions eps * Sigma^-1,
+    which folds into the eps^2 I / 4 term above.
     """
     if epsilon < 0:
         raise DomainError("epsilon must be nonnegative")
     sigma0 = symmetrize(np.asarray(sigma0, dtype=float))
     sigma1 = symmetrize(np.asarray(sigma1, dtype=float))
-    inv12 = _checked_inverse(bt.phi12, "Phi12", ConditioningError)
-    base = symmetrize(-inv12 @ bt.phi11)
+    phi11, phi12, _, _ = blocks(phi)
+    inv12 = _checked_inverse(phi12, "Phi12", ConditioningError)
+    base = symmetrize(-inv12 @ phi11)
     mapped = symmetrize(inv12 @ sigma1 @ inv12.T)  # (Phi12' Sigma1^-1 Phi12)^-1
     s0_half, s0_inv_half = _sqrt_spd_pair(sigma0)
     eye = np.eye(sigma0.shape[0])
@@ -221,14 +223,14 @@ def coupling_roots(
 
 
 def initial_conditions(
-    problem: SteeringProblem, bt: BlockTransition
+    problem: SteeringProblem, phi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Initial values (Pi0, H0) selecting the escape-free branch.
+    """Initial values (Pi0, H0) selecting the escape-free branch, from phi = Phi(1, 0).
 
     Pi0 = Z- + eps/2 * Sigma0^-1 and H0 = eps * Sigma0^-1 - Pi0; at eps = 0
     this degenerates to H0 = -Pi0 and only Pi0 drives the control.
     """
-    roots = coupling_roots(problem.sigma0, problem.sigma1, bt, problem.epsilon)
+    roots = coupling_roots(problem.sigma0, problem.sigma1, phi, problem.epsilon)
     return _initial_values(problem, roots)
 
 
@@ -292,25 +294,29 @@ def solve(problem: SteeringProblem, grid_size: int = 1000) -> BridgeSolution:
     return _solve_on(problem, _transitions(problem.sys, grid_size), grid_size)
 
 
-def _transitions(sys: TimeVaryingLinearSystem, grid_size: int) -> list[BlockTransition]:
-    """Controllability check and Phi(t, 0) at about 100 grid nodes; the last is Phi(1, 0).
+def _transitions(
+    sys: TimeVaryingLinearSystem, grid_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Controllability check and (times, Phi(times, 0)) at about 100 grid nodes.
 
+    The nodes are thin_nodes(grid_size, 100), so the last is Phi(1, 0).
     Neither depends on eps. Phi runs on the same grid_size-step grid as the
     pass that yields Pi, H and Sigma.
     """
     require_controllable(sys, grid_size)
-    grid = np.linspace(0.0, 1.0, grid_size + 1)
-    return propagate(sys, 0.0, 1.0, grid[:: max(1, grid_size // 100)], grid_size)
+    times, phi = propagate(sys, 0.0, 1.0, grid_size)
+    keep = thin_nodes(grid_size, 100)
+    return times[keep], phi[keep]  # copies, so the full stack is freed on return
 
 
 def _solve_on(
-    problem: SteeringProblem, transitions: Sequence[BlockTransition], grid_size: int
+    problem: SteeringProblem, transitions: tuple[np.ndarray, np.ndarray], grid_size: int
 ) -> BridgeSolution:
     """The eps-dependent part of :func:`solve`, on transitions from :func:`_transitions`."""
     sys = problem.sys
     eps = problem.epsilon
-    bt = transitions[-1]
-    roots = coupling_roots(problem.sigma0, problem.sigma1, bt, eps)
+    phi1 = transitions[1][-1]
+    roots = coupling_roots(problem.sigma0, problem.sigma1, phi1, eps)
     pi0, h0 = _initial_values(problem, roots)
 
     n = sys.dim_state
@@ -339,7 +345,7 @@ def _solve_on(
     )
 
     diagnostics = {
-        "symplectic_residual": symplectic_residual(bt),
+        "symplectic_residual": symplectic_residual(phi1),
         "pi0_min_eigenvalue": float(np.linalg.eigvalsh(pi0).min()),
         "escape_minus": spurious_root_escape(problem, transitions, roots.z_minus),
         "escape_plus": spurious_root_escape(problem, transitions, roots.z_plus),
@@ -404,21 +410,16 @@ class EscapeReport:
 
 def spurious_root_escape(
     problem: SteeringProblem,
-    checkpoints: Sequence[BlockTransition],
-    root: np.ndarray | None = None,
+    transitions: tuple[np.ndarray, np.ndarray],
+    root: np.ndarray,
 ) -> EscapeReport:
-    """Scan det X(t) along Hamiltonian checkpoints; defaults to the plus root."""
-    if len(checkpoints) == 0:
-        raise DomainError("escape scan needs at least one checkpoint")
-    if root is None:
-        final = checkpoints[-1]
-        roots = coupling_roots(problem.sigma0, problem.sigma1, final, problem.epsilon)
-        root = roots.z_plus
+    """Scan det X(t) for one coupling root along transitions = (times, Phi(times, 0))."""
+    times, phi = transitions
+    if len(times) == 0:
+        raise DomainError("escape scan needs at least one node")
     s0_inv = _inv_spd(problem.sigma0)
     y0 = 0.5 * problem.epsilon * s0_inv + root
-    times = np.array([bt.t for bt in checkpoints])
-    phi11 = np.array([bt.phi11 for bt in checkpoints])
-    phi12 = np.array([bt.phi12 for bt in checkpoints])
+    phi11, phi12, _, _ = blocks(phi)
     dets = np.linalg.det(phi11 + phi12 @ y0)
     interior = dets[(times > 0.0) & (times < 1.0 + 1e-12)]
     sign_change = bool(np.any(interior[:-1] * interior[1:] < 0)) if len(interior) > 1 else False
@@ -496,7 +497,7 @@ def epsilon_sweep(
         raise DomainError("eps_list must be sorted descending")
 
     transitions = _transitions(problem.sys, grid_size)
-    pi0_limit = initial_conditions(replace(problem, epsilon=0.0), transitions[-1])[0]
+    pi0_limit = initial_conditions(replace(problem, epsilon=0.0), transitions[1][-1])[0]
     rows = []
     for eps in eps_arr:
         sol = _solve_on(replace(problem, epsilon=eps), transitions, grid_size)

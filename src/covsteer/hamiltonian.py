@@ -21,13 +21,10 @@ grid samples the coefficients once at each of its 2N + 1 stage times, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import CovsteerError, DomainError, SingularMatrixError
-from .integrate import Rhs, grid_indices, rk4_grid, stage_sampler, steps_for_span
+from .integrate import Rhs, rk4_grid, stage_sampler, steps_for_span
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
@@ -39,33 +36,10 @@ from .systems import (
 COND_LIMIT = 1e12  # largest condition number of Phi11 or Phi12 that is inverted
 
 
-@dataclass(frozen=True)
-class BlockTransition:
-    """Hamiltonian transition matrix Phi(t, s) partitioned into n x n blocks."""
-
-    s: float
-    t: float
-    phi11: np.ndarray
-    phi12: np.ndarray
-    phi21: np.ndarray
-    phi22: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, s: float, t: float, phi: np.ndarray) -> "BlockTransition":
-        n2 = phi.shape[0]
-        if phi.shape != (n2, n2) or n2 % 2 != 0:
-            raise DomainError("block transition needs a square even-dimension matrix")
-        n = n2 // 2
-        return cls(s, t, phi[:n, :n].copy(), phi[:n, n:].copy(),
-                   phi[n:, :n].copy(), phi[n:, n:].copy())
-
-    @property
-    def dim(self) -> int:
-        return self.phi11.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.block([[self.phi11, self.phi12], [self.phi21, self.phi22]])
+def blocks(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Views (Phi11, Phi12, Phi21, Phi22) of a 2n x 2n matrix or of each matrix in a stack."""
+    n = phi.shape[-1] // 2
+    return phi[..., :n, :n], phi[..., :n, n:], phi[..., n:, :n], phi[..., n:, n:]
 
 
 def hamiltonian_matrix(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
@@ -94,38 +68,36 @@ def propagate(
     sys: TimeVaryingLinearSystem,
     s: float,
     t: float,
-    checkpoints: Sequence[float],
     steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
-) -> list[BlockTransition]:
-    """Integrate Phi(., s) from Phi(s, s) = I, recording each checkpoint.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phi(., s) at every node of a uniform grid over [s, t], from Phi(s, s) = I.
 
-    The flow runs on the uniform grid of steps_for_span(steps_per_unit, s, t)
-    RK4 steps over [s, t]. Checkpoints must be sorted nodes of that grid;
-    if the last one falls short of t a final entry Phi(t, s) is appended, so
-    the last element always spans the full interval.
+    Returns (times, phi): the grid of steps_for_span(steps_per_unit, s, t) RK4
+    steps and the (len(times), 2n, 2n) stack of Phi(times[k], s), so phi[-1] is
+    Phi(t, s).
     """
     s, t = _check_time(s), _check_time(t)
     if s > t:
         raise DomainError("propagate requires s <= t")
-    grid = np.linspace(s, t, steps_for_span(steps_per_unit, s, t) + 1)
-    idx = list(grid_indices(checkpoints, grid)) if len(checkpoints) else []
-    if not idx or grid[idx[-1]] < t:
-        idx.append(len(grid) - 1)
-
-    mats = rk4_grid(hamiltonian_rhs(sys, grid), np.eye(2 * sys.dim_state), grid)
-    return [BlockTransition.from_matrix(s, float(grid[k]), mats[k]) for k in idx]
+    times = np.linspace(s, t, steps_for_span(steps_per_unit, s, t) + 1)
+    return times, rk4_grid(hamiltonian_rhs(sys, times), np.eye(2 * sys.dim_state), times)
 
 
-def symplectic_residual(bt: BlockTransition) -> float:
-    """Max-abs entry over the six block identities implied by the symplectic flow."""
-    eye = np.eye(bt.dim)
+def symplectic_residual(phi: np.ndarray) -> float:
+    """Max-abs entry over the six block identities implied by the symplectic flow.
+
+    phi is one 2n x 2n matrix or a stack of them; a stack gives the maximum over all.
+    """
+    p11, p12, p21, p22 = blocks(phi)
+    t11, t21, t12, t22 = blocks(np.swapaxes(phi, -1, -2))  # tij is the transpose of pij
+    eye = np.eye(p11.shape[-1])
     residuals = (
-        bt.phi11.T @ bt.phi22 - bt.phi21.T @ bt.phi12 - eye,
-        bt.phi12.T @ bt.phi22 - bt.phi22.T @ bt.phi12,
-        bt.phi21.T @ bt.phi11 - bt.phi11.T @ bt.phi21,
-        bt.phi11 @ bt.phi22.T - bt.phi12 @ bt.phi21.T - eye,
-        bt.phi12 @ bt.phi11.T - bt.phi11 @ bt.phi12.T,
-        bt.phi21 @ bt.phi22.T - bt.phi22 @ bt.phi21.T,
+        t11 @ p22 - t21 @ p12 - eye,
+        t12 @ p22 - t22 @ p12,
+        t21 @ p11 - t11 @ p21,
+        p11 @ t22 - p12 @ t21 - eye,
+        p12 @ t11 - p11 @ t12,
+        p21 @ t22 - p22 @ t21,
     )
     return max(float(np.abs(r).max()) for r in residuals)
 
@@ -140,13 +112,11 @@ def _checked_inverse(
     return np.linalg.inv(mat)
 
 
-def ratio_T(bt: BlockTransition) -> np.ndarray:
-    """Symmetric ratio T(t, s) = Phi11^-1 Phi12; zero at t = s.
+def ratio_T(phi: np.ndarray) -> np.ndarray:
+    """Symmetric ratio T(t, s) = Phi11^-1 Phi12 of one Phi(t, s); zero at t = s.
 
     Negative definite for t > s on controllable systems, and monotonically
     nonincreasing in t in the positive-definite order.
     """
-    if bt.t == bt.s:
-        return np.zeros((bt.dim, bt.dim))
-    inv11 = _checked_inverse(bt.phi11, "Phi11")
-    return symmetrize(inv11 @ bt.phi12)
+    p11, p12, _, _ = blocks(phi)
+    return symmetrize(_checked_inverse(p11, "Phi11") @ p12)

@@ -4,10 +4,11 @@
 states (vectors, matrices, stacked matrices) so the same machinery drives
 every linear flow of the package (transitions, the Gramian's sweep and the
 pass yielding Pi, H and Sigma) on a uniform ``np.linspace`` grid. A caller
-that wants the state at chosen times (checkpoints) integrates the whole grid
-and picks out nodes, so every checkpoint must be a grid node;
-:func:`grid_indices` enforces this. The state at a node therefore does not
-depend on which checkpoints were asked for.
+that wants the state at chosen times integrates the whole grid and picks out
+nodes: :func:`grid_indices` maps checkpoints to nodes and rejects any that is
+not one, and :func:`thin_nodes` is the one rule for keeping about ``count``
+evenly spaced nodes. The state at a node therefore does not depend on which
+nodes were asked for.
 
 Each of those flows is linear, y' = G(t) y, and an RK4 pass over an N-step
 grid evaluates G only at the 2N + 1 nodes and midpoints of the grid.
@@ -63,6 +64,11 @@ def grid_indices(checkpoints, grid: np.ndarray) -> np.ndarray:
     if len(idx) == 0 or sorted(idx) != idx:
         raise DomainError("checkpoints must be nonempty and sorted")
     return np.array(idx, dtype=int)
+
+
+def thin_nodes(n: int, count: int) -> np.ndarray:
+    """Indices of every max(1, n // count)-th node of an n-step grid, and of its last node."""
+    return np.append(np.arange(0, n, max(1, n // count)), n)
 
 
 def rk4_grid(f: Rhs, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:

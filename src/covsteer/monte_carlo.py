@@ -28,7 +28,7 @@ import numpy as np
 
 from .bridge import BridgeSolution, SteeringProblem, noise_channel, sqrt_spd
 from .errors import DomainError, UnsupportedDimensionError
-from .integrate import grid_indices
+from .integrate import grid_indices, thin_nodes
 
 _PERTURBATION_STREAM = 0xC0575EE2  # fixed substream key for gain perturbations
 _BLOCK_PATHS = 4096  # paths per Philox stream
@@ -101,8 +101,8 @@ def _simulate_gain(
     trapezoid = np.full(n_steps + 1, dt)
     trapezoid[[0, -1]] = 0.5 * dt
 
-    cp_idx = (np.append(np.arange(0, n_steps, max(1, n_steps // 10)), n_steps)
-              if checkpoints is None else grid_indices(checkpoints, t_grid))
+    cp_idx = (thin_nodes(n_steps, 10) if checkpoints is None
+              else grid_indices(checkpoints, t_grid))
     cp_lookup = {int(k): i for i, k in enumerate(cp_idx)}
     gens = [np.random.Generator(np.random.Philox(key=[seed, b]))
             for b in range(-(-n_paths // _BLOCK_PATHS))]
@@ -165,7 +165,7 @@ def simulate(
 
 def empirical_covariance(result: SimulationResult, t: float) -> np.ndarray:
     """Zero-mean second moment (1/N) sum x x' at a recorded checkpoint."""
-    hits = np.flatnonzero(np.isclose(result.grid, t, atol=1e-12))
+    hits = np.flatnonzero(np.abs(result.grid - t) <= 1e-12)
     if len(hits) == 0:
         raise DomainError(f"time {t} was not recorded as a checkpoint")
     return result.empirical_cov[hits[0]]

@@ -10,6 +10,7 @@ from covsteer import (
     DomainError,
     SingularMatrixError,
     SteeringProblem,
+    blocks,
     corollary_q_zero,
     coupling_roots,
     epsilon_sweep,
@@ -96,38 +97,45 @@ def test_lemma1_shape_mismatch():
 # ---------------------------------------------------------------------------
 # coupling roots and initial conditions
 
-def scalar_bt():
-    return propagate(scalar_system(), 0.0, 1.0, [1.0])[-1]
+def phi_at_one(sys):
+    return propagate(sys, 0.0, 1.0)[1][-1]
+
+
+def scalar_phi():
+    return phi_at_one(scalar_system())
 
 
 def test_coupling_roots_scalar_eps1():
-    roots = coupling_roots([[1.0]], [[1.0]], scalar_bt(), 1.0)
+    roots = coupling_roots([[1.0]], [[1.0]], scalar_phi(), 1.0)
     assert roots.z_minus[0, 0] == pytest.approx(1.0 - np.sqrt(5.0) / 2.0, abs=1e-12)
     assert roots.z_plus[0, 0] == pytest.approx(1.0 + np.sqrt(5.0) / 2.0, abs=1e-12)
     assert roots.t_weight[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coupling_roots_scalar_eps0():
-    roots = coupling_roots([[1.0]], [[1.0]], scalar_bt(), 0.0)
+    roots = coupling_roots([[1.0]], [[1.0]], scalar_phi(), 0.0)
     assert roots.z_minus[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert roots.z_plus[0, 0] == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(DomainError, match="nonnegative"):
+        coupling_roots([[1.0]], [[1.0]], scalar_phi(), -0.1)
 
 
 def test_coupling_roots_symmetric_and_ordered():
     rng = np.random.default_rng(3)
-    bt = propagate(inertial_system(), 0.0, 1.0, [1.0])[-1]
+    phi = phi_at_one(inertial_system())
     for _ in range(5):
         s0, s1 = random_spd(rng, 2), random_spd(rng, 2)
-        roots = coupling_roots(s0, s1, bt, 0.7)
+        roots = coupling_roots(s0, s1, phi, 0.7)
         np.testing.assert_allclose(roots.z_minus, roots.z_minus.T, atol=0)
         np.testing.assert_allclose(roots.z_plus, roots.z_plus.T, atol=0)
         assert np.linalg.eigvalsh(roots.z_plus - roots.z_minus).min() > 0
 
 
-def _offset_via_t_form(sigma0, sigma1, bt, eps):
+def _offset_via_t_form(sigma0, sigma1, phi, eps):
     """Square-root offset computed through the pre-reduction T-parameterized form."""
     s0_inv = np.linalg.inv(sigma0 / eps)
-    t_mat = np.linalg.inv(bt.phi12.T @ np.linalg.inv(sigma1 / eps) @ bt.phi12)
+    phi12 = blocks(phi)[1]
+    t_mat = np.linalg.inv(phi12.T @ np.linalg.inv(sigma1 / eps) @ phi12)
     t_h, t_ih = _sqrt_spd_pair(t_mat)
     t_inv = t_ih @ t_ih
     inner = t_ih @ s0_inv @ t_ih + 0.25 * (t_ih @ s0_inv @ t_inv @ s0_inv @ t_ih)
@@ -136,34 +144,34 @@ def _offset_via_t_form(sigma0, sigma1, bt, eps):
 
 def test_coupling_roots_match_t_form():
     rng = np.random.default_rng(11)
-    bt = propagate(inertial_system(), 0.0, 1.0, [1.0])[-1]
+    phi = phi_at_one(inertial_system())
     for eps in (1.0, 0.5, 2.0):
         for _ in range(5):
             s0, s1 = random_spd(rng, 2, 1e3), random_spd(rng, 2, 1e3)
-            roots = coupling_roots(s0, s1, bt, eps)
+            roots = coupling_roots(s0, s1, phi, eps)
             offset = 0.5 * (roots.z_plus - roots.z_minus)
-            np.testing.assert_allclose(offset, _offset_via_t_form(s0, s1, bt, eps), atol=1e-9)
+            np.testing.assert_allclose(offset, _offset_via_t_form(s0, s1, phi, eps), atol=1e-9)
 
 
 def test_initial_conditions_scalar():
     problem = SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0)
-    pi0, h0 = initial_conditions(problem, scalar_bt())
+    pi0, h0 = initial_conditions(problem, scalar_phi())
     assert pi0[0, 0] == pytest.approx(GOLDEN, abs=1e-12)
     assert h0[0, 0] == pytest.approx(1.0 - GOLDEN, abs=1e-12)
 
 
 def test_initial_conditions_identity_transport():
     problem = SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 0.0)
-    pi0, h0 = initial_conditions(problem, scalar_bt())
+    pi0, h0 = initial_conditions(problem, scalar_phi())
     assert pi0[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert h0[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_initial_conditions_branch_consistency():
     problem = inertial_problem()
-    bt = propagate(problem.sys, 0.0, 1.0, [1.0])[-1]
-    roots = coupling_roots(problem.sigma0, problem.sigma1, bt, problem.epsilon)
-    pi0, _ = initial_conditions(problem, bt)
+    phi = phi_at_one(problem.sys)
+    roots = coupling_roots(problem.sigma0, problem.sigma1, phi, problem.epsilon)
+    pi0, _ = initial_conditions(problem, phi)
     expected = roots.z_minus + 0.5 * problem.epsilon * np.linalg.inv(problem.sigma0)
     np.testing.assert_allclose(pi0, expected, atol=1e-10)
 
@@ -279,6 +287,11 @@ def test_steering_problem_validation():
         SteeringProblem(scalar_system(), [[0.0]], [[1.0]], 1.0)
     with pytest.raises(DomainError):
         SteeringProblem(scalar_system(), [[1.0]], [[1.0]], -0.5)
+    for sigma0 in ([1.0], 1.0, [[[1.0]]]):  # checked before symmetrize reads axis -2
+        with pytest.raises(DomainError, match="boundary covariances must be n x n"):
+            SteeringProblem(scalar_system(), sigma0, [[1.0]], 1.0)
+    with pytest.raises(DomainError, match="grid_size"):
+        solve(SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0), grid_size=0)
 
 
 @pytest.mark.parametrize("eps", [np.inf, np.nan])
@@ -359,18 +372,19 @@ def test_sum_law_residuals_stay_finite_at_tiny_eps(eps):
         assert 0.0 <= diagnostics[key] <= 1e-8
 
 
+@pytest.mark.parametrize("grid_size", [150, 1001])
 @pytest.mark.parametrize("q_scale", [1.0, 0.0], ids=["q1", "q0"])
-def test_phi_at_one_does_not_depend_on_checkpoints(q_scale):
+def test_transitions_keep_the_first_and_last_nodes(q_scale, grid_size):
     sys = inertial_system(q_scale)
-    grid_size = 2000
-    final = [
-        propagate(sys, 0.0, 1.0, [1.0], grid_size)[-1],
-        propagate(sys, 0.0, 1.0, np.linspace(0.0, 1.0, 11), grid_size)[-1],
-        bridge._transitions(sys, grid_size)[-1],
-    ]
-    for bt in final[1:]:
-        assert bt.t == 1.0
-        np.testing.assert_array_equal(bt.matrix, final[0].matrix)
+    times, phi = propagate(sys, 0.0, 1.0, grid_size)
+    kept_times, kept = bridge._transitions(sys, grid_size)
+    # every max(1, grid_size // 100)-th node, and the last node
+    step = max(1, grid_size // 100)
+    expected = list(range(0, grid_size, step)) + [grid_size]
+    np.testing.assert_array_equal(kept_times, times[expected])
+    assert kept_times[0] == 0.0 and kept_times[-1] == 1.0
+    np.testing.assert_array_equal(kept[0], np.eye(4))
+    assert kept[-1].tobytes() == phi[-1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +392,9 @@ def test_phi_at_one_does_not_depend_on_checkpoints(q_scale):
 
 def test_escape_scalar_plus_root():
     problem = SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0)
-    bts = propagate(problem.sys, 0.0, 1.0, np.linspace(0.0, 1.0, 101))
-    report = spurious_root_escape(problem, bts)
+    transitions = propagate(problem.sys, 0.0, 1.0, 100)
+    roots = coupling_roots(problem.sigma0, problem.sigma1, transitions[1][-1], 1.0)
+    report = spurious_root_escape(problem, transitions, roots.z_plus)
     assert report.sign_change
     # X(t) = 1 - t (1/2 + Z+) vanishes at t ~ 0.382
     flip = np.flatnonzero(report.determinants[:-1] * report.determinants[1:] < 0)[0]
@@ -388,19 +403,20 @@ def test_escape_scalar_plus_root():
 
 def test_escape_scalar_minus_root_clean():
     problem = SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0)
-    bts = propagate(problem.sys, 0.0, 1.0, np.linspace(0.0, 1.0, 101))
-    roots = coupling_roots(problem.sigma0, problem.sigma1, bts[-1], 1.0)
-    report = spurious_root_escape(problem, bts, roots.z_minus)
+    transitions = propagate(problem.sys, 0.0, 1.0, 100)
+    roots = coupling_roots(problem.sigma0, problem.sigma1, transitions[1][-1], 1.0)
+    report = spurious_root_escape(problem, transitions, roots.z_minus)
     assert not report.sign_change
     assert report.min_abs_determinant > 0.1
 
 
 def test_escape_inertial_case():
     problem = inertial_problem()
-    bts = propagate(problem.sys, 0.0, 1.0, np.linspace(0.0, 1.0, 201), 1000)
-    roots = coupling_roots(problem.sigma0, problem.sigma1, bts[-1], 1.0)
-    assert spurious_root_escape(problem, bts, roots.z_plus).sign_change
-    assert not spurious_root_escape(problem, bts, roots.z_minus).sign_change
+    times, phi = propagate(problem.sys, 0.0, 1.0, 1000)
+    nodes = (times[::5], phi[::5])
+    roots = coupling_roots(problem.sigma0, problem.sigma1, phi[-1], 1.0)
+    assert spurious_root_escape(problem, nodes, roots.z_plus).sign_change
+    assert not spurious_root_escape(problem, nodes, roots.z_minus).sign_change
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +432,7 @@ def test_corollary_matches_hamiltonian_route():
     sys = inertial_system(q_scale=0.0)
     problem = SteeringProblem(sys, 2 * np.eye(2), 0.25 * np.eye(2), 1.0)
     pi0_gram, h0_gram = corollary_q_zero(problem, 1000)
-    bt = propagate(sys, 0.0, 1.0, [1.0], 1000)[-1]
-    pi0_ham, h0_ham = initial_conditions(problem, bt)
+    pi0_ham, h0_ham = initial_conditions(problem, phi_at_one(sys))
     np.testing.assert_allclose(pi0_gram, pi0_ham, atol=1e-8)
     np.testing.assert_allclose(h0_gram, h0_ham, atol=1e-8)
 
@@ -462,6 +477,10 @@ def test_epsilon_sweep_single_zero_row():
 def test_epsilon_sweep_rejects_unsorted():
     with pytest.raises(DomainError):
         epsilon_sweep(inertial_problem(), [0.1, 1.0])
+    with pytest.raises(DomainError, match="empty"):
+        epsilon_sweep(inertial_problem(), [])
+    with pytest.raises(DomainError, match="nonnegative"):
+        epsilon_sweep(inertial_problem(), [1.0, -0.1])
 
 
 def test_epsilon_sweep_rows_match_standalone_solves():

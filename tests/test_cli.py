@@ -187,6 +187,14 @@ def test_main_exit_codes(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text("{not json")
     assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    cfg_path.write_text("[1, 2]")  # the root is not an object
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    # a directory is not a readable config file
+    assert main(["solve", "--config", str(tmp_path), "--out", str(tmp_path)]) == 1
+    raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
+    cfg_path.write_text(json.dumps(dict(raw, eps_list=[])))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -207,6 +215,19 @@ def test_main_exit_codes(tmp_path):
     {"monte_carlo": {"tube_resolution": 2}},
     {"monte_carlo": {"tube_level": float("inf")}},
     {"monte_carlo": {"seed": 2**70}},
+    {"monte_carlo": [1]},
+    {"monte_carlo": {"n_steps": 0}},
+    {"eps_list": 1.0},
+    {"grid_size": 0},
+    {"system": {"A": [[0.0]]}},
+    {"system": {"A": 1.0, "B": [[1.0]]}},
+    {"system": {"A": [0.0], "B": [[1.0]]}},
+    {"system": {"A": {"kind": "spline"}, "B": [[1.0]]}},
+    {"system": {"A": {"kind": "piecewise", "breaks": [0.0, 1.0]}, "B": [[1.0]]}},
+    {"system": {"A": {"kind": "piecewise", "breaks": [0.0, 0.6, 0.4, 1.0],
+                      "values": [[[0.0]]] * 3}, "B": [[1.0]]}},
+    {"system": {"A": {"kind": "sampled", "times": [0.0, 0.7, 0.3, 1.0],
+                      "values": [[[0.0]]] * 4}, "B": [[1.0]]}},
 ])
 def test_main_malformed_config_exits_1(tmp_path, overrides):
     raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
@@ -314,6 +335,14 @@ def test_write_csv_matches_a_csv_module_reference(tmp_path):
 def test_verify_rejects_a_seed_outside_the_stream_keys(capsys, seed):
     assert main(["verify", "--seed", str(seed)]) == 1
     assert "config error: --seed must be in [0, 2**63)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol_scale", ["inf", "nan", "0", "-1"])
+def test_verify_rejects_a_tol_scale_that_is_not_finite_and_positive(capsys, tol_scale):
+    assert main(["verify", "--tol-scale", tol_scale]) == 1
+    captured = capsys.readouterr()
+    assert "config error: --tol-scale must be finite and positive" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_overtight_tolerance_fails(capsys):

@@ -8,6 +8,7 @@ from covsteer import (
     SingularMatrixError,
     SteeringProblem,
     TimeVaryingLinearSystem,
+    blocks,
     hamiltonian_matrix,
     make_system,
     piecewise_constant_coefficient,
@@ -19,7 +20,6 @@ from covsteer import (
     state_transition,
     symplectic_residual,
 )
-from covsteer.hamiltonian import BlockTransition
 from covsteer.integrate import rk4_grid, stage_sampler
 
 
@@ -68,73 +68,64 @@ def test_assembly_singular_r():
 
 
 def test_propagate_initial_condition():
-    bts = propagate(scalar_system(), 0.0, 0.0, [0.0])
-    assert len(bts) == 1
-    np.testing.assert_allclose(bts[0].matrix, np.eye(2), atol=0)
+    times, phi = propagate(scalar_system(), 0.0, 0.0)
+    np.testing.assert_array_equal(times, [0.0, 0.0])
+    np.testing.assert_array_equal(phi, [np.eye(2), np.eye(2)])
+    with pytest.raises(DomainError, match="s <= t"):
+        propagate(scalar_system(), 0.8, 0.2)
 
 
 def test_propagate_nilpotent_scalar():
-    bt = propagate(scalar_system(), 0.0, 1.0, [1.0])[-1]
+    phi = propagate(scalar_system(), 0.0, 1.0)[1][-1]
     np.testing.assert_allclose(
-        bt.matrix, [[1.0, -1.0], [0.0, 1.0]], atol=1e-13
+        phi, [[1.0, -1.0], [0.0, 1.0]], atol=1e-13
     )
 
 
 def test_propagate_constant_hyperbolic():
     # M = [[0,-1],[-1,0]] exponentiates to [[cosh, -sinh], [-sinh, cosh]]
-    bt = propagate(scalar_system(q=1.0), 0.0, 1.0, [1.0])[-1]
+    times, phi = propagate(scalar_system(q=1.0), 0.0, 1.0)
+    np.testing.assert_array_equal(times, np.linspace(0.0, 1.0, 1001))
     c, s = np.cosh(1.0), np.sinh(1.0)
-    np.testing.assert_allclose(bt.matrix, [[c, -s], [-s, c]], atol=1e-12)
-    np.testing.assert_allclose(bt.phi11, [[1.5431]], atol=1e-4)
-    np.testing.assert_allclose(bt.phi12, [[-1.1752]], atol=1e-4)
-
-
-def test_propagate_unsorted_checkpoints():
-    with pytest.raises(DomainError):
-        propagate(scalar_system(), 0.0, 1.0, [0.5, 0.2])
-
-
-def test_propagate_checkpoints_outside_span():
-    with pytest.raises(DomainError):
-        propagate(scalar_system(), 0.2, 0.8, [0.9])
-    # a checkpoint between two nodes of the 10-step grid
-    with pytest.raises(DomainError, match="not a node"):
-        propagate(scalar_system(), 0.0, 1.0, [0.15], 10)
+    np.testing.assert_allclose(phi[-1], [[c, -s], [-s, c]], atol=1e-12)
+    phi11, phi12, _, _ = blocks(phi[-1])
+    np.testing.assert_allclose(phi11, [[1.5431]], atol=1e-4)
+    np.testing.assert_allclose(phi12, [[-1.1752]], atol=1e-4)
 
 
 def test_symplectic_residual_identity():
-    bt = BlockTransition.from_matrix(0.0, 0.0, np.eye(4))
-    assert symplectic_residual(bt) == 0.0
+    assert symplectic_residual(np.eye(4)) == 0.0
+    assert symplectic_residual(np.stack([np.eye(4)] * 3)) == 0.0
 
 
 def test_symplectic_residual_hyperbolic():
-    bt = propagate(scalar_system(q=1.0), 0.0, 1.0, [1.0])[-1]
-    assert symplectic_residual(bt) < 1e-12
+    phi = propagate(scalar_system(q=1.0), 0.0, 1.0)[1]
+    assert symplectic_residual(phi[-1]) < 1e-12
+    assert symplectic_residual(phi) == max(symplectic_residual(m) for m in phi)
 
 
 def test_symplectic_residual_double_integrator():
-    bts = propagate(double_integrator_q1(), 0.0, 1.0, np.linspace(0.1, 1.0, 10), 1000)
-    assert max(symplectic_residual(bt) for bt in bts) < 1e-9
+    phi = propagate(double_integrator_q1(), 0.0, 1.0, 1000)[1]
+    assert symplectic_residual(phi[100::100]) < 1e-9
 
 
 def test_ratio_t_at_equal_times_is_zero():
-    bt = propagate(double_integrator_q1(), 0.0, 0.0, [0.0])[0]
-    np.testing.assert_allclose(ratio_T(bt), np.zeros((2, 2)), atol=0)
+    phi = propagate(double_integrator_q1(), 0.0, 0.0)[1][0]
+    np.testing.assert_array_equal(ratio_T(phi), np.zeros((2, 2)))
 
 
 def test_ratio_t_scalar_values():
-    bt0 = propagate(scalar_system(), 0.0, 1.0, [1.0])[-1]
-    np.testing.assert_allclose(ratio_T(bt0), [[-1.0]], atol=1e-12)
-    bt1 = propagate(scalar_system(q=1.0), 0.0, 1.0, [1.0])[-1]
-    np.testing.assert_allclose(ratio_T(bt1), [[-np.tanh(1.0)]], atol=1e-12)
+    phi0 = propagate(scalar_system(), 0.0, 1.0)[1][-1]
+    np.testing.assert_allclose(ratio_T(phi0), [[-1.0]], atol=1e-12)
+    phi1 = propagate(scalar_system(q=1.0), 0.0, 1.0)[1][-1]
+    np.testing.assert_allclose(ratio_T(phi1), [[-np.tanh(1.0)]], atol=1e-12)
 
 
 def test_ratio_t_negative_definite_and_monotone():
-    times = np.linspace(0.1, 1.0, 10)
-    bts = propagate(double_integrator_q1(), 0.0, 1.0, times, 1000)
+    phi = propagate(double_integrator_q1(), 0.0, 1.0, 1000)[1]
     prev = None
-    for bt in bts:
-        t_mat = ratio_T(bt)
+    for mat in phi[100::100]:
+        t_mat = ratio_T(mat)
         assert np.linalg.eigvalsh(t_mat).max() < 0
         if prev is not None:
             assert np.linalg.eigvalsh(t_mat - prev).max() <= 1e-10
@@ -144,15 +135,17 @@ def test_ratio_t_negative_definite_and_monotone():
 def test_determinant_is_one():
     # trace M(t) = 0 identically, so the flow preserves volume
     for sys in (scalar_system(q=1.0), double_integrator_q1()):
-        for bt in propagate(sys, 0.0, 1.0, np.linspace(0.25, 1.0, 4), 1000):
-            assert abs(np.linalg.det(bt.matrix) - 1.0) < 1e-9
+        phi = propagate(sys, 0.0, 1.0, 1000)[1]
+        assert np.abs(np.linalg.det(phi[250::250]) - 1.0).max() < 1e-9
 
 
-def test_block_partition_roundtrip():
+def test_blocks_are_views_of_a_matrix_or_of_each_matrix_in_a_stack():
     mat = np.arange(16.0).reshape(4, 4)
-    bt = BlockTransition.from_matrix(0.0, 1.0, mat)
-    np.testing.assert_allclose(bt.matrix, mat)
-    assert bt.dim == 2
+    for phi in (mat, np.stack([mat, -mat])):
+        parts = blocks(phi)
+        np.testing.assert_array_equal(np.block([[parts[0], parts[1]], [parts[2], parts[3]]]), phi)
+        assert all(part.shape == phi.shape[:-2] + (2, 2) and np.shares_memory(part, phi)
+                   for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +218,8 @@ def test_solve_samples_each_coefficient_once_per_stage_time_per_pass(monkeypatch
 def test_propagate_matches_the_per_call_hamiltonian_oracle(name):
     sys = PARITY_SYSTEMS[name]()
     oracle = rk4_grid(lambda t, y: hamiltonian_matrix(sys, t) @ y, np.eye(2 * sys.dim_state), GRID_TV)
-    staged = np.array([bt.matrix for bt in propagate(sys, 0.0, 1.0, GRID_TV, N_TV)])
+    times, staged = propagate(sys, 0.0, 1.0, N_TV)
+    np.testing.assert_array_equal(times, GRID_TV)
     if name == "tv":
         assert _rel(staged, oracle) <= 1e-12
     else:

@@ -229,6 +229,13 @@ def test_empirical_covariance_hand_cases():
     np.testing.assert_allclose(empirical_covariance(pm, 0.5), [[1.0]])
     with pytest.raises(DomainError):
         empirical_covariance(pm, 0.25)
+    # times match on absolute distance: 0.99999 is not within 1e-12 of 1
+    near = SimulationResult(
+        states=np.zeros((2, 3, 1)), empirical_cov=np.array([[[1.0]], [[2.0]], [[3.0]]]),
+        **dict(base, grid=np.array([0.0, 0.99999, 1.0]))
+    )
+    np.testing.assert_array_equal(empirical_covariance(near, 1.0), [[3.0]])
+    np.testing.assert_array_equal(empirical_covariance(near, 0.99999), [[2.0]])
 
 
 def _flat_solution(sigma):
