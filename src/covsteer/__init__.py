@@ -26,6 +26,7 @@ from .errors import (
     BoundaryResidualError,
     ConditioningError,
     ConfigError,
+    ConjugatePointError,
     ControllabilityError,
     CovsteerError,
     DefinitenessError,

@@ -26,7 +26,21 @@ is B R^-1 B', both the control weight and the diffusion.
 
 Phi(t, 0) and the controllability of (A, B) depend on the system alone, not
 on eps, so :func:`epsilon_sweep` propagates once and solves every eps on the
-same transitions.
+same transitions. The Y pass is linear too, so one pass serves every eps of a
+sweep: with k values of eps its state is the 2n x 2nk matrix
+
+    Y(0) = [[I,          I,           I,          I,           ...],
+            [Pi0(eps_1), -H0(eps_1),  Pi0(eps_2), -H0(eps_2),  ...]],
+
+and eps_i is read from columns [2n i, 2n (i + 1)). The columns do not mix, so
+each eps's flow is the one a standalone solve integrates; with k = 1 the state
+is the 2n x 2n Y(0) above.
+
+A zero of det X1 or det X2 inside the horizon is a conjugate point of the
+flow: past it Pi or H escapes and the expected cost is unbounded below, so no
+optimal law exists. An indefinite Q can reach one, and the solver raises
+ConjugatePointError at the first grid interval where either determinant
+changes sign.
 """
 
 from __future__ import annotations
@@ -39,6 +53,8 @@ import numpy as np
 from .errors import (
     BoundaryResidualError,
     ConditioningError,
+    ConjugatePointError,
+    CovsteerError,
     DefinitenessError,
     DomainError,
     SingularMatrixError,
@@ -50,7 +66,7 @@ from .hamiltonian import (
     propagate,
     symplectic_residual,
 )
-from .integrate import rk4_grid, thin_nodes
+from .integrate import rk4_grid, stage_times, steps_for_span, thin_nodes
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
@@ -285,13 +301,14 @@ def solve(problem: SteeringProblem, grid_size: int = 1000) -> BridgeSolution:
     Sigma off one linear pass from Y(0) = [[I, I], [Pi0, -H0]] (see the module
     docstring), and records boundary and sum-law residuals and the escape
     scans of both roots. Raises SingularMatrixError if X1 or X2 is singular on
-    the grid, and BoundaryResidualError (solution attached) if the terminal
+    the grid, ConjugatePointError if det X1 or det X2 changes sign between two
+    grid nodes, and BoundaryResidualError (solution attached) if the terminal
     covariance misses sigma1 by more than RESIDUAL_TOL in relative Frobenius
     norm, or if Pi, H or Sigma is not finite on the grid.
     """
     if grid_size < 1:
         raise DomainError("grid_size must be positive")
-    return _solve_on(problem, _transitions(problem.sys, grid_size), grid_size)
+    return _solve_each([problem], _transitions(problem.sys, grid_size), grid_size)[0]
 
 
 def _transitions(
@@ -309,31 +326,117 @@ def _transitions(
     return times[keep], phi[keep]  # copies, so the full stack is freed on return
 
 
-def _solve_on(
-    problem: SteeringProblem, transitions: tuple[np.ndarray, np.ndarray], grid_size: int
-) -> BridgeSolution:
-    """The eps-dependent part of :func:`solve`, on transitions from :func:`_transitions`."""
-    sys = problem.sys
-    eps = problem.epsilon
-    phi1 = transitions[1][-1]
-    roots = coupling_roots(problem.sigma0, problem.sigma1, phi1, eps)
-    pi0, h0 = _initial_values(problem, roots)
+def _solve_each(
+    problems: Sequence[SteeringProblem],
+    transitions: tuple[np.ndarray, np.ndarray],
+    grid_size: int,
+) -> list[BridgeSolution]:
+    """The eps-dependent part of :func:`solve` for problems that differ only in eps.
 
+    One Y pass serves every problem: problem i's Y(0) = [[I, I], [Pi0, -H0]]
+    fills columns [2n i, 2n (i + 1)) of one 2n x 2nk state. The solutions,
+    and the error raised, are those a loop of :func:`solve` calls would give:
+    the roots and then the flows are taken in eps order, and when eps_j's
+    fail, eps_1 .. eps_{j-1} are gated in order before eps_j's error is raised.
+    """
+    sys = problems[0].sys
     n = sys.dim_state
+    phi1 = transitions[1][-1]
+
+    def start(problem):
+        roots = coupling_roots(problem.sigma0, problem.sigma1, phi1, problem.epsilon)
+        return (problem, roots, *_initial_values(problem, roots))
+
+    starts, error = _until_error(start, problems)
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     b_t, r_t = sys.B(grid), sys.R(grid)
-    y_t = rk4_grid(hamiltonian_rhs(sys, grid),
-                   np.block([[np.eye(n), np.eye(n)], [pi0, -h0]]), grid)
+    flows = []
+    if starts:
+        eye = np.eye(n)
+        y0 = np.block([[eye, eye] * len(starts),
+                       [m for _, _, pi0, h0 in starts for m in (pi0, -h0)]])
+        y_t = rk4_grid(hamiltonian_rhs(sys, grid), y0, grid)
+        flows, read_error = _until_error(
+            lambda i: _read_flows(y_t[:, :, 2 * n * i:2 * n * (i + 1)], problems[i].sigma0, grid),
+            range(len(starts)),
+        )
+        del y_t  # lowers the peak memory of the diagnostics below
+        error = read_error or error
+    solutions = [_gated_solution(problem, roots, pi0, *flow, transitions, grid, b_t, r_t)
+                 for (problem, roots, pi0, _), flow in zip(starts, flows)]
+    if error is not None:
+        raise error
+    return solutions
+
+
+def _until_error(fn, items) -> tuple[list, CovsteerError | None]:
+    """[fn(x) for x in items] up to the first CovsteerError, and that error or None."""
+    out = []
+    for x in items:
+        try:
+            out.append(fn(x))
+        except CovsteerError as exc:
+            return out, exc
+    return out, None
+
+
+def _read_flows(
+    y_t: np.ndarray, sigma0: np.ndarray, grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Pi, H, Sigma) on the grid from Y(t) = [[X1, X2], [Y1, Y2]] of one eps.
+
+    Raises SingularMatrixError if X1 or X2 is singular at a node, and
+    ConjugatePointError if det X1 or det X2 changes sign between two nodes.
+    """
+    n = sigma0.shape[0]
     yt = y_t.transpose(0, 2, 1)  # [[X1', Y1'], [X2', Y2']]
-    # a non-finite Y fails the finiteness gate below, so its arithmetic need not warn
+    # a non-finite Y fails the finiteness gate, so its arithmetic need not warn
     with np.errstate(invalid="ignore", over="ignore"):
         try:  # Pi = Y1 X1^-1 and H = -Y2 X2^-1 are symmetric: X1' Pi = Y1' and X2' H = -Y2'
             pi_t = symmetrize(np.linalg.solve(yt[:, :n, :n], yt[:, :n, n:]))
             h_t = -symmetrize(np.linalg.solve(yt[:, n:, :n], yt[:, n:, n:]))
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"X(t) is singular on the grid: {exc}") from exc
-        sigma_t = symmetrize(y_t[:, :n, n:] @ problem.sigma0 @ yt[:, :n, :n])  # X2 Sigma0 X1'
-    del y_t, yt  # lowers the peak memory of the diagnostics below
+        _require_no_conjugate_point(y_t[:, :n, :n], y_t[:, :n, n:], grid)
+        sigma_t = symmetrize(y_t[:, :n, n:] @ sigma0 @ yt[:, :n, :n])  # X2 Sigma0 X1'
+    return pi_t, h_t, sigma_t
+
+
+def _require_no_conjugate_point(x1: np.ndarray, x2: np.ndarray, grid: np.ndarray) -> None:
+    """Raise ConjugatePointError at the first grid interval where det X1 or det X2 flips sign.
+
+    Past a zero of det X the flow has reached a conjugate point, where Pi or
+    H escapes and the expected cost is unbounded below. Only a strict sign
+    change counts; a NaN determinant is left to the finiteness gate.
+    """
+    signs = np.sign([np.linalg.det(x1), np.linalg.det(x2)])
+    flips = signs[:, :-1] * signs[:, 1:] < 0
+    hits = np.flatnonzero(flips.any(axis=0))
+    if len(hits):
+        k = hits[0]
+        name = "X1" if flips[0, k] else "X2"
+        raise ConjugatePointError(
+            f"the flow reaches a conjugate point: det {name}(t) changes sign between "
+            f"t = {grid[k]:.6g} and t = {grid[k + 1]:.6g}, so no optimal law exists",
+            interval=(float(grid[k]), float(grid[k + 1])),
+        )
+
+
+def _gated_solution(
+    problem: SteeringProblem,
+    roots: CouplingRoots,
+    pi0: np.ndarray,
+    pi_t: np.ndarray,
+    h_t: np.ndarray,
+    sigma_t: np.ndarray,
+    transitions: tuple[np.ndarray, np.ndarray],
+    grid: np.ndarray,
+    b_t: np.ndarray,
+    r_t: np.ndarray,
+) -> BridgeSolution:
+    """Gains, residuals and diagnostics of one eps's flows, and the solution's gates."""
+    eps = problem.epsilon
+    phi1 = transitions[1][-1]
     finite = all(np.isfinite(arr).all() for arr in (pi_t, h_t, sigma_t))
     gains = np.linalg.solve(r_t, np.swapaxes(b_t, -1, -2) @ pi_t)
 
@@ -441,10 +544,12 @@ def corollary_q_zero(
     Phi12 = -M(1, 0) Psi(1, 0)^-T, so Pi0 follows from the drift transition
     matrix and the reachability Gramian alone (general R folds into the
     Gramian through the scaled channel B R^-1/2). Must agree with
-    :func:`initial_conditions` on the same problem.
+    :func:`initial_conditions` on the same problem. Q is checked at every
+    stage time of the two passes.
     """
     sys = problem.sys
-    if np.abs(sys.Q(np.linspace(0.0, 1.0, 7))).max() > 1e-12:
+    grid = np.linspace(0.0, 1.0, steps_for_span(steps_per_unit, 0.0, 1.0) + 1)
+    if np.abs(sys.Q(stage_times(grid))).max() > 1e-12:
         raise DomainError("corollary_q_zero requires Q = 0")
 
     scaled = make_system(sys.A, _vectorized(lambda t: noise_channel(sys.B(t), sys.R(t))))
@@ -484,9 +589,11 @@ def epsilon_sweep(
 
     Each row equals a standalone :func:`solve` at that eps. The controllability
     check and the Hamiltonian transition matrix do not depend on eps, so one
-    propagation serves every solve of the sweep. eps_list must be sorted
-    descending and nonnegative; the gap column is expected to decrease
-    monotonically and scale O(eps).
+    propagation serves every solve of the sweep, and one Y pass integrates
+    every eps's Y(0) side by side (see the module docstring). The error raised
+    is the one the first failing standalone solve would raise. eps_list must
+    be sorted descending and nonnegative; the gap column is expected to
+    decrease monotonically and scale O(eps).
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) == 0:
@@ -498,9 +605,10 @@ def epsilon_sweep(
 
     transitions = _transitions(problem.sys, grid_size)
     pi0_limit = initial_conditions(replace(problem, epsilon=0.0), transitions[1][-1])[0]
+    solutions = _solve_each([replace(problem, epsilon=eps) for eps in eps_arr],
+                            transitions, grid_size)
     rows = []
-    for eps in eps_arr:
-        sol = _solve_on(replace(problem, epsilon=eps), transitions, grid_size)
+    for eps, sol in zip(eps_arr, solutions):
         pi0 = sol.pi[0].copy()
         rows.append(
             SweepRow(eps, pi0, float(np.linalg.norm(pi0 - pi0_limit)), sol.boundary_residuals)

@@ -29,6 +29,18 @@ class SingularMatrixError(CovsteerError):
     """A matrix required to be invertible is singular."""
 
 
+class ConjugatePointError(SingularMatrixError):
+    """The Hamiltonian flow reaches a conjugate point inside the horizon.
+
+    Past it the expected cost is unbounded below, so no optimal law exists.
+    interval is the first grid interval (t_k, t_k+1) that brackets it.
+    """
+
+    def __init__(self, message, interval=None):
+        super().__init__(message)
+        self.interval = interval
+
+
 class ConditioningError(CovsteerError):
     """A matrix is too ill-conditioned to invert reliably."""
 

@@ -85,16 +85,27 @@ def rk4_grid(f: Rhs, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
+def stage_times(grid: np.ndarray) -> np.ndarray:
+    """The 2N + 1 stage times of a pass of :func:`rk4_grid` over an N-step grid.
+
+    The nodes and the midpoints t + dt/2 in grid order, bit for bit as
+    :func:`rk4_step` forms them.
+    """
+    times = np.empty(2 * len(grid) - 1)
+    times[::2] = grid
+    times[1::2] = grid[:-1] + 0.5 * np.diff(grid)
+    return times
+
+
 def stage_sampler(
     grid: np.ndarray, sample: Callable[[np.ndarray], np.ndarray]
 ) -> Callable[[float], np.ndarray]:
     """G(t) at the RK4 stage times of a pass of :func:`rk4_grid` over grid.
 
     A pass over an N-step uniform grid spanning [lo, hi] (either direction)
-    evaluates its rhs only at the 2N + 1 stage times: the nodes and the
-    midpoints t + dt/2 that :func:`rk4_step` forms, each within an ulp of
-    np.linspace(lo, hi, 2N + 1). The returned function maps a stage time t
-    to its index j = round(2N (t - lo) / (hi - lo)), 0 on a zero-length
+    evaluates its rhs only at the 2N + 1 :func:`stage_times`, each within an
+    ulp of np.linspace(lo, hi, 2N + 1). The returned function maps a stage
+    time t to its index j = round(2N (t - lo) / (hi - lo)), 0 on a zero-length
     span, and returns G at that stage time from a page of at most
     STAGE_PAGE samples. sample(ts) returns the stack of G(ts[i]). A page is
     sampled only when j leaves the last one, with the next page laid out
@@ -103,9 +114,7 @@ def stage_sampler(
     """
     n2 = 2 * (len(grid) - 1)
     forward = grid[-1] >= grid[0]
-    times = np.empty(n2 + 1)
-    times[::2] = grid
-    times[1::2] = grid[:-1] + 0.5 * np.diff(grid)  # bit for bit as rk4_step forms them
+    times = stage_times(grid)
     if not forward:
         times = times[::-1]
     lo, hi = float(times[0]), float(times[-1])

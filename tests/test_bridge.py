@@ -5,7 +5,9 @@ from scipy.integrate import solve_ivp
 from covsteer import (
     BoundaryResidualError,
     ConditioningError,
+    ConjugatePointError,
     ControllabilityError,
+    CovsteerError,
     DefinitenessError,
     DomainError,
     SingularMatrixError,
@@ -17,6 +19,7 @@ from covsteer import (
     initial_conditions,
     lemma1_residual,
     make_system,
+    piecewise_constant_coefficient,
     propagate,
     riccati_rhs_h,
     riccati_rhs_pi,
@@ -355,6 +358,33 @@ def test_solve_singular_x_raises_typed(monkeypatch):
         solve(inertial_problem(), 100)
 
 
+def conjugate_problem(omega, eps):
+    """Scalar A = 0, B = R = Sigma0 = Sigma1 = 1, Q = -omega^2: Phi12(t, 0) = -sin(omega t) / omega."""
+    return SteeringProblem(scalar_system(q=-omega**2), [[1.0]], [[1.0]], eps)
+
+
+# grid 1001 has no node at t = 0.5, where det X1 vanishes at eps = 0
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+@pytest.mark.parametrize("omega", [1.0, 3.0, 3.1])
+def test_solve_before_the_first_conjugate_point(omega, eps):
+    sol = solve(conjugate_problem(omega, eps), 1001)
+    assert sol.boundary_residuals[1] < 1e-8
+    assert not sol.diagnostics["escape_minus"].sign_change
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+@pytest.mark.parametrize("omega", [3.2, 4.0, 7.0])
+def test_conjugate_point_raises_and_brackets_the_zero_of_x1(omega, eps):
+    # X1(t) = cos(omega t) - Pi0 sin(omega t) / omega first vanishes at omega t = atan2(omega, Pi0)
+    pi0 = eps / 2 + omega / np.tan(omega) - np.sqrt(eps**2 / 4 + omega**2 / np.sin(omega) ** 2)
+    t_zero = np.arctan2(omega, pi0) / omega
+    with pytest.raises(ConjugatePointError, match="conjugate point") as err:
+        solve(conjugate_problem(omega, eps), 1001)
+    lo, hi = err.value.interval
+    assert hi - lo == pytest.approx(1 / 1001)
+    assert lo <= t_zero <= hi
+
+
 def test_solve_records_escape_scans_of_both_roots():
     scalar = SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0)
     for problem, grid_size in ((inertial_problem(), 1000), (scalar, 1000)):
@@ -447,6 +477,12 @@ def test_corollary_isotropic_channels():
 def test_corollary_rejects_nonzero_q():
     with pytest.raises(DomainError):
         corollary_q_zero(inertial_problem())
+    # Q = 50 I on [0.02, 0.08) only, between the stage times of a 7-node check
+    zero = np.zeros((2, 2))
+    q = piecewise_constant_coefficient([0.0, 0.02, 0.08, 1.0], [zero, 50 * np.eye(2), zero])
+    sys = make_system([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], q)
+    with pytest.raises(DomainError, match="Q = 0"):
+        corollary_q_zero(SteeringProblem(sys, 2 * np.eye(2), 0.25 * np.eye(2), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +531,7 @@ def test_epsilon_sweep_rows_match_standalone_solves():
 
 @pytest.mark.parametrize("eps_list", [[1.0], [10.0, 1.0, 0.1, 0.0]])
 def test_epsilon_sweep_checks_and_propagates_once(monkeypatch, eps_list):
-    calls = {"require_controllable": 0, "propagate": 0}
+    calls = {"require_controllable": 0, "propagate": 0, "rk4_grid": 0}
 
     def counted(name):
         original = getattr(bridge, name)
@@ -509,7 +545,45 @@ def test_epsilon_sweep_checks_and_propagates_once(monkeypatch, eps_list):
     for name in calls:
         monkeypatch.setattr(bridge, name, counted(name))
     epsilon_sweep(inertial_problem(), eps_list, 200)
-    assert calls == {"require_controllable": 1, "propagate": 1}
+    # one Y pass for every eps
+    assert calls == {"require_controllable": 1, "propagate": 1, "rk4_grid": 1}
+
+
+@pytest.mark.parametrize(
+    "fail_eps, grid_size, first_error, y0_shapes",
+    [(2.0, 200, ConditioningError, []),
+     (0.5, 200, ConditioningError, [(4, 4)]),
+     (0.5, 2, BoundaryResidualError, [(4, 4)])],
+    ids=["first-eps-roots", "second-eps-roots", "first-eps-gate"],
+)
+def test_epsilon_sweep_raises_the_error_of_the_first_failing_solve(
+    monkeypatch, fail_eps, grid_size, first_error, y0_shapes
+):
+    eps_list = [2.0, 0.5, 0.0]
+    roots = bridge.coupling_roots
+
+    def roots_fail_at_one_eps(sigma0, sigma1, phi, eps):
+        if eps == fail_eps:
+            raise ConditioningError(f"no roots at eps = {eps}")
+        return roots(sigma0, sigma1, phi, eps)
+
+    monkeypatch.setattr(bridge, "coupling_roots", roots_fail_at_one_eps)
+    with pytest.raises(CovsteerError) as standalone:
+        for eps in eps_list:
+            solve(inertial_problem(eps=eps), grid_size)
+
+    integrate, shapes = bridge.rk4_grid, []
+
+    def recorded(f, y0, grid):
+        shapes.append(y0.shape)
+        return integrate(f, y0, grid)
+
+    monkeypatch.setattr(bridge, "rk4_grid", recorded)
+    with pytest.raises(first_error) as swept:
+        epsilon_sweep(inertial_problem(), eps_list, grid_size)
+    assert type(standalone.value) is first_error
+    assert str(swept.value) == str(standalone.value)
+    assert shapes == y0_shapes  # the Y pass carries only the eps before the failing roots
 
 
 # ---------------------------------------------------------------------------

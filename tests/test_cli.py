@@ -66,6 +66,16 @@ def test_ill_conditioned_phi12_exits_2(tmp_path, capsys):
     assert "Phi12 is too ill-conditioned" in capsys.readouterr().err
 
 
+def test_conjugate_point_exits_2(tmp_path, capsys):
+    # Q = -16 puts a zero of det X(t) inside the horizon (Phi12(t, 0) = -sin(4t) / 4)
+    raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
+    raw["system"]["Q"] = [[-16.0]]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "conjugate point" in capsys.readouterr().err
+
+
 def test_piecewise_coefficient_config():
     raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
     raw["system"]["Q"] = {

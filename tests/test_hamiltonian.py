@@ -9,6 +9,7 @@ from covsteer import (
     SteeringProblem,
     TimeVaryingLinearSystem,
     blocks,
+    epsilon_sweep,
     hamiltonian_matrix,
     make_system,
     piecewise_constant_coefficient,
@@ -212,6 +213,18 @@ def test_solve_samples_each_coefficient_once_per_stage_time_per_pass(monkeypatch
         assert np.abs(times - stages[j]).max() <= 2 * np.spacing(1.0), name
         np.testing.assert_array_equal(np.bincount(j, minlength=2 * N_TV + 1), expected[name])
     assert [len(c.times) for c in maps] == [1803, 1804, 1202, 1503]
+
+
+def test_epsilon_sweep_rows_match_standalone_solves_bit_for_bit_on_the_tv_system():
+    # n = 3, m = 2: one Y pass carries the three eps side by side in a 6 x 18 state
+    problem = SteeringProblem(PARITY_SYSTEMS["tv"](), np.eye(3), 0.5 * np.eye(3))
+    eps_list = [2.0, 0.5, 0.0]
+    rows = epsilon_sweep(problem, eps_list, N_TV)
+    for eps, row in zip(eps_list, rows):
+        sol = solve(SteeringProblem(problem.sys, problem.sigma0, problem.sigma1, eps), N_TV)
+        assert row.epsilon == eps
+        assert row.pi0.tobytes() == sol.pi[0].tobytes()
+        assert row.boundary_residuals == sol.boundary_residuals
 
 
 @pytest.mark.parametrize("name", sorted(PARITY_SYSTEMS))
