@@ -62,7 +62,7 @@ from .errors import (
 from .hamiltonian import (
     _checked_inverse,
     blocks,
-    hamiltonian_rhs,
+    hamiltonian_stack,
     propagate,
     symplectic_residual,
 )
@@ -304,10 +304,9 @@ def solve(problem: SteeringProblem, grid_size: int = 1000) -> BridgeSolution:
     the grid, ConjugatePointError if det X1 or det X2 changes sign between two
     grid nodes, and BoundaryResidualError (solution attached) if the terminal
     covariance misses sigma1 by more than RESIDUAL_TOL in relative Frobenius
-    norm, or if Pi, H or Sigma is not finite on the grid.
+    norm, or if Pi, H or Sigma is not finite on the grid. Raises DomainError
+    unless grid_size is a positive integer.
     """
-    if grid_size < 1:
-        raise DomainError("grid_size must be positive")
     return _solve_each([problem], _transitions(problem.sys, grid_size), grid_size)[0]
 
 
@@ -318,8 +317,11 @@ def _transitions(
 
     The nodes are thin_nodes(grid_size, 100), so the last is Phi(1, 0).
     Neither depends on eps. Phi runs on the same grid_size-step grid as the
-    pass that yields Pi, H and Sigma.
+    pass that yields Pi, H and Sigma. Raises DomainError unless grid_size is a
+    positive integer.
     """
+    if not isinstance(grid_size, (int, np.integer)) or grid_size < 1:
+        raise DomainError(f"grid_size must be a positive integer, got {grid_size!r}")
     require_controllable(sys, grid_size)
     times, phi = propagate(sys, 0.0, 1.0, grid_size)
     keep = thin_nodes(grid_size, 100)
@@ -355,7 +357,7 @@ def _solve_each(
         eye = np.eye(n)
         y0 = np.block([[eye, eye] * len(starts),
                        [m for _, _, pi0, h0 in starts for m in (pi0, -h0)]])
-        y_t = rk4_grid(hamiltonian_rhs(sys, grid), y0, grid)
+        y_t = rk4_grid(lambda ts: hamiltonian_stack(sys, ts), y0, grid)
         flows, read_error = _until_error(
             lambda i: _read_flows(y_t[:, :, 2 * n * i:2 * n * (i + 1)], problems[i].sigma0, grid),
             range(len(starts)),

@@ -13,10 +13,9 @@ of the blocks on controllable systems.
 
 M is assembled in one place, :func:`hamiltonian_stack`, at an array of times:
 one A, B, Q and R call for the whole array and one batched solve for B R^-1 B'.
-:func:`hamiltonian_rhs` feeds it to an RK4 pass page by page
-(see :func:`covsteer.integrate.stage_sampler`), so a pass over an N-step
-grid samples the coefficients once at each of its 2N + 1 stage times, and
-:func:`hamiltonian_matrix` is the one-time case.
+It is the sampler :func:`covsteer.integrate.rk4_grid` calls a page at a time,
+so a pass over an N-step grid samples the coefficients once at each of its
+2N + 1 stage times, and :func:`hamiltonian_matrix` is the one-time case.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CovsteerError, DomainError, SingularMatrixError
-from .integrate import Rhs, rk4_grid, stage_sampler, steps_for_span
+from .integrate import rk4_grid, steps_for_span
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
@@ -58,12 +57,6 @@ def hamiltonian_stack(sys: TimeVaryingLinearSystem, ts) -> np.ndarray:
     return np.block([[a, -input_quad(sys, ts)], [-sys.Q(ts), -np.swapaxes(a, -1, -2)]])
 
 
-def hamiltonian_rhs(sys: TimeVaryingLinearSystem, grid: np.ndarray) -> Rhs:
-    """(t, y) -> M(t) @ y for one pass of rk4_grid over grid, M sampled once per stage time."""
-    m_at = stage_sampler(grid, lambda ts: hamiltonian_stack(sys, ts))
-    return lambda t, y: m_at(t) @ y
-
-
 def propagate(
     sys: TimeVaryingLinearSystem,
     s: float,
@@ -80,7 +73,7 @@ def propagate(
     if s > t:
         raise DomainError("propagate requires s <= t")
     times = np.linspace(s, t, steps_for_span(steps_per_unit, s, t) + 1)
-    return times, rk4_grid(hamiltonian_rhs(sys, times), np.eye(2 * sys.dim_state), times)
+    return times, rk4_grid(lambda ts: hamiltonian_stack(sys, ts), np.eye(2 * sys.dim_state), times)
 
 
 def symplectic_residual(phi: np.ndarray) -> float:

@@ -1,20 +1,19 @@
 """Fixed-step classical Runge-Kutta integration and Simpson quadrature.
 
-:func:`rk4_grid` is the only integrator. It works on arbitrary ndarray-valued
-states (vectors, matrices, stacked matrices) so the same machinery drives
-every linear flow of the package (transitions, the Gramian's sweep and the
-pass yielding Pi, H and Sigma) on a uniform ``np.linspace`` grid. A caller
-that wants the state at chosen times integrates the whole grid and picks out
-nodes: :func:`grid_indices` maps checkpoints to nodes and rejects any that is
-not one, and :func:`thin_nodes` is the one rule for keeping about ``count``
-evenly spaced nodes. The state at a node therefore does not depend on which
-nodes were asked for.
+:func:`rk4_grid` is the only integrator. Every flow of the package is linear,
+y' = G(t) y (transitions, the Gramian's sweep and the pass yielding Pi, H and
+Sigma), so it takes G as a sampler of an array of times and works on
+arbitrary ndarray-valued states (vectors, matrices, stacked matrices) on a
+uniform ``np.linspace`` grid. A caller that wants the state at chosen times
+integrates the whole grid and picks out nodes: :func:`grid_indices` maps
+checkpoints to nodes and rejects any that is not one, and :func:`thin_nodes`
+is the one rule for keeping about ``count`` evenly spaced nodes. The state at
+a node therefore does not depend on which nodes were asked for.
 
-Each of those flows is linear, y' = G(t) y, and an RK4 pass over an N-step
-grid evaluates G only at the 2N + 1 nodes and midpoints of the grid.
-:func:`stage_sampler` samples G once per such stage time, in pages of
-:data:`STAGE_PAGE` times, so a pass neither rebuilds G four times per step
-nor holds all 2N + 1 samples at once.
+An RK4 pass over an N-step grid evaluates G only at the 2N + 1 nodes and
+midpoints of the grid, its :func:`stage_times`. :func:`rk4_grid` samples them
+a page of :data:`STAGE_PAGE` steps at a time, so a pass samples G once per
+stage time, in few calls, without holding all 2N + 1 samples at once.
 """
 
 from __future__ import annotations
@@ -26,17 +25,20 @@ import numpy as np
 
 from .errors import DomainError
 
-Rhs = Callable[[float, np.ndarray], np.ndarray]
-
-STAGE_PAGE = 256  # stage times sampled at once by stage_sampler; bounds its memory
+STAGE_PAGE = 256  # steps whose stage times rk4_grid samples at once; bounds its memory
 
 
-def rk4_step(f: Rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    """Single classical RK4 step from t to t+dt (dt may be negative)."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
+def rk4_step(g0: np.ndarray, gh: np.ndarray, g1: np.ndarray, y: np.ndarray,
+             dt: float) -> np.ndarray:
+    """One classical RK4 step of y' = G(t) y over dt (which may be negative).
+
+    g0, gh and g1 are G at the step's start, midpoint and end. With y = I the
+    result is the step's transition matrix.
+    """
+    k1 = g0 @ y
+    k2 = gh @ (y + 0.5 * dt * k1)
+    k3 = gh @ (y + 0.5 * dt * k2)
+    k4 = g1 @ (y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -71,25 +73,10 @@ def thin_nodes(n: int, count: int) -> np.ndarray:
     return np.append(np.arange(0, n, max(1, n // count)), n)
 
 
-def rk4_grid(f: Rhs, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Integrate along a uniform grid, returning the state at every node.
-
-    Result has shape (len(grid),) + y0.shape with result[0] == y0.
-    """
-    y = np.asarray(y0, dtype=float)
-    out = np.empty((len(grid),) + y.shape)
-    out[0] = y
-    for k in range(len(grid) - 1):
-        y = rk4_step(f, grid[k], y, grid[k + 1] - grid[k])
-        out[k + 1] = y
-    return out
-
-
 def stage_times(grid: np.ndarray) -> np.ndarray:
     """The 2N + 1 stage times of a pass of :func:`rk4_grid` over an N-step grid.
 
-    The nodes and the midpoints t + dt/2 in grid order, bit for bit as
-    :func:`rk4_step` forms them.
+    The nodes and the midpoints t + dt/2, in grid order.
     """
     times = np.empty(2 * len(grid) - 1)
     times[::2] = grid
@@ -97,46 +84,29 @@ def stage_times(grid: np.ndarray) -> np.ndarray:
     return times
 
 
-def stage_sampler(
-    grid: np.ndarray, sample: Callable[[np.ndarray], np.ndarray]
-) -> Callable[[float], np.ndarray]:
-    """G(t) at the RK4 stage times of a pass of :func:`rk4_grid` over grid.
+def rk4_grid(sample: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
+             grid: np.ndarray) -> np.ndarray:
+    """Integrate y' = G(t) y along a uniform grid, returning the state at every node.
 
-    A pass over an N-step uniform grid spanning [lo, hi] (either direction)
-    evaluates its rhs only at the 2N + 1 :func:`stage_times`, each within an
-    ulp of np.linspace(lo, hi, 2N + 1). The returned function maps a stage
-    time t to its index j = round(2N (t - lo) / (hi - lo)), 0 on a zero-length
-    span, and returns G at that stage time from a page of at most
-    STAGE_PAGE samples. sample(ts) returns the stack of G(ts[i]). A page is
-    sampled only when j leaves the last one, with the next page laid out
-    ahead in the direction of the pass, so one pass samples each stage time
-    exactly once.
+    sample(ts) returns the stack of G(ts[i]). It is called once per page of
+    STAGE_PAGE steps, on that page's stage times in the order of the pass;
+    a node shared by two pages is sampled once. Result has shape
+    (len(grid),) + y0.shape with result[0] == y0.
     """
-    n2 = 2 * (len(grid) - 1)
-    forward = grid[-1] >= grid[0]
-    times = stage_times(grid)
-    if not forward:
-        times = times[::-1]
-    lo, hi = float(times[0]), float(times[-1])
-    scale = n2 / (hi - lo) if hi > lo else 0.0
-    size = min(STAGE_PAGE, n2 + 1)
-    page = None
-    start = stop = 0  # page holds the samples of times[start:stop]
-
-    def at(t: float) -> np.ndarray:
-        nonlocal page, start, stop
-        j = round((float(t) - lo) * scale)  # a Python float rounds 8x faster
-        if not start <= j < stop:
-            if not 0 <= j <= n2:
-                raise DomainError(f"time {t} is not a stage time of the {n2 // 2}-step grid")
-            if forward:
-                start, stop = j, min(j + size, n2 + 1)
-            else:
-                start, stop = max(j + 1 - size, 0), j + 1
-            page = sample(times[start:stop])
-        return page[j - start]
-
-    return at
+    y = np.asarray(y0, dtype=float)
+    out = np.empty((len(grid),) + y.shape)
+    out[0] = y
+    n = len(grid) - 1
+    g = None
+    for start in range(0, n, STAGE_PAGE):
+        stop = min(start + STAGE_PAGE, n)
+        times = stage_times(grid[start:stop + 1])
+        g = sample(times) if g is None else np.concatenate((g[-1:], sample(times[1:])))
+        for k in range(start, stop):
+            j = 2 * (k - start)
+            y = rk4_step(g[j], g[j + 1], g[j + 2], y, grid[k + 1] - grid[k])
+            out[k + 1] = y
+    return out
 
 
 def simpson_uniform(samples: np.ndarray, h: float) -> np.ndarray:

@@ -4,7 +4,10 @@ A system is a quadruple of matrix-valued coefficient maps on [0, 1]:
 state drift A(t) (n x n), input/noise channel B(t) (n x m), state penalty
 Q(t) (symmetric n x n, any sign) and input weight R(t) (SPD m x m).
 Coefficients may be constant matrices, closed-form callables,
-piecewise-constant tables or linearly interpolated sample grids.
+piecewise-constant tables or linearly interpolated sample grids. Every map
+of a built system also takes a 1-d array of times, so the drift transition
+and the Gramian's sweep hand A, or -A', to :func:`covsteer.integrate.rk4_grid`
+as its sampler and A is evaluated once per stage time of each pass.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ControllabilityError, DefinitenessError, DomainError, SingularMatrixError
-from .integrate import rk4_grid, simpson_uniform, stage_sampler, steps_for_span
+from .integrate import rk4_grid, simpson_uniform, steps_for_span
 
 MatrixMap = Callable[[float], np.ndarray]  # built maps also take a 1-d array of times
 
@@ -225,8 +228,7 @@ def state_transition(
     if t == s:
         return np.eye(sys.dim_state)
     grid = np.linspace(s, t, steps_for_span(steps_per_unit, s, t) + 1)
-    a_at = stage_sampler(grid, sys.A)
-    return rk4_grid(lambda tau, psi: a_at(tau) @ psi, np.eye(sys.dim_state), grid)[-1]
+    return rk4_grid(sys.A, np.eye(sys.dim_state), grid)[-1]
 
 
 def reachability_gramian(
@@ -238,17 +240,16 @@ def reachability_gramian(
     """Gramian of the input channel over (s, t) by composite Simpson quadrature.
 
     Integrand is Psi(t, tau) B(tau) B(tau)' Psi(t, tau)'; the family
-    Psi(t, tau) is produced by one backward sweep of dG/dtau = -G A(tau)
-    from G(t) = I.
+    Psi(t, tau)' is produced by one backward sweep of
+    d/dtau Psi(t, tau)' = -A(tau)' Psi(t, tau)' from Psi(t, t)' = I.
     """
     t, s = _check_time(t), _check_time(s)
     if s >= t:
         raise DomainError("reachability_gramian requires s < t")
     n_int = steps_for_span(steps_per_unit, s, t)
     taus = np.linspace(t, s, n_int + 1)
-    a_at = stage_sampler(taus, sys.A)
-    g = rk4_grid(lambda tau, y: -y @ a_at(tau), np.eye(sys.dim_state), taus)
-    gb = g @ sys.B(taus)
+    gt = rk4_grid(lambda ts: -np.swapaxes(sys.A(ts), -1, -2), np.eye(sys.dim_state), taus)
+    gb = np.swapaxes(gt, -1, -2) @ sys.B(taus)
     # reverse so the Simpson weights run from s to t
     gram = simpson_uniform((gb @ np.swapaxes(gb, -1, -2))[::-1], (t - s) / n_int)
     return symmetrize(gram)

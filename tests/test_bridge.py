@@ -297,6 +297,15 @@ def test_steering_problem_validation():
         solve(SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0), grid_size=0)
 
 
+@pytest.mark.parametrize("run", [lambda p, g: solve(p, g),
+                                 lambda p, g: epsilon_sweep(p, [1.0, 0.0], g)],
+                         ids=["solve", "sweep"])
+@pytest.mark.parametrize("grid_size", [0, -1, 2.5])
+def test_a_grid_size_that_is_not_a_positive_integer_raises_domain_error(run, grid_size):
+    with pytest.raises(DomainError, match="grid_size must be a positive integer"):
+        run(inertial_problem(), grid_size)
+
+
 @pytest.mark.parametrize("eps", [np.inf, np.nan])
 def test_steering_problem_rejects_non_finite_epsilon(eps):
     with pytest.raises(DomainError):
@@ -320,7 +329,7 @@ def six_state_problem():
                          ids=["inertial", "six-state"])
 def test_solve_nan_residual_fails_the_gate(monkeypatch, make_problem, fill):
     monkeypatch.setattr(
-        bridge, "rk4_grid", lambda f, y0, grid: np.full((len(grid),) + y0.shape, fill)
+        bridge, "rk4_grid", lambda sample, y0, grid: np.full((len(grid),) + y0.shape, fill)
     )
     with pytest.raises(BoundaryResidualError) as err:
         solve(make_problem(), 100)
@@ -332,8 +341,8 @@ def test_solve_non_finite_h_fails_the_gate(monkeypatch):
     # sigma1, so only the finiteness check can catch this
     integrate = bridge.rk4_grid
 
-    def h_ends_nan(f, y0, grid):
-        traj = integrate(f, y0, grid)
+    def h_ends_nan(sample, y0, grid):
+        traj = integrate(sample, y0, grid)
         n = y0.shape[0] // 2
         traj[-1, n:, n:] = np.nan
         return traj
@@ -347,8 +356,8 @@ def test_solve_non_finite_h_fails_the_gate(monkeypatch):
 def test_solve_singular_x_raises_typed(monkeypatch):
     integrate = bridge.rk4_grid
 
-    def x_singular_midway(f, y0, grid):
-        traj = integrate(f, y0, grid)
+    def x_singular_midway(sample, y0, grid):
+        traj = integrate(sample, y0, grid)
         n = y0.shape[0] // 2
         traj[len(grid) // 2, :n, :n] = 0.0
         return traj
@@ -574,9 +583,9 @@ def test_epsilon_sweep_raises_the_error_of_the_first_failing_solve(
 
     integrate, shapes = bridge.rk4_grid, []
 
-    def recorded(f, y0, grid):
+    def recorded(sample, y0, grid):
         shapes.append(y0.shape)
-        return integrate(f, y0, grid)
+        return integrate(sample, y0, grid)
 
     monkeypatch.setattr(bridge, "rk4_grid", recorded)
     with pytest.raises(first_error) as swept:

@@ -21,7 +21,7 @@ from covsteer import (
     state_transition,
     symplectic_residual,
 )
-from covsteer.integrate import rk4_grid, stage_sampler
+from covsteer.integrate import rk4_grid, stage_times
 
 
 def scalar_system(q=0.0, r=1.0):
@@ -152,7 +152,7 @@ def test_blocks_are_views_of_a_matrix_or_of_each_matrix_in_a_stack():
 # ---------------------------------------------------------------------------
 # coefficients sampled once per RK4 stage time
 
-N_TV = 300  # 601 stage times: three pages at STAGE_PAGE = 256
+N_TV = 300  # 300 steps: two pages at STAGE_PAGE = 256, the second of 44 steps
 GRID_TV = np.linspace(0.0, 1.0, N_TV + 1)
 
 
@@ -193,7 +193,7 @@ def _rel(x, ref):
     return float(np.abs(x - ref).max() / np.abs(ref).max())
 
 
-@pytest.mark.parametrize("page", [7, 256, 10_000])
+@pytest.mark.parametrize("page", [1, 7, 256, 299, 10_000])
 def test_solve_samples_each_coefficient_once_per_stage_time_per_pass(monkeypatch, page):
     monkeypatch.setattr(covsteer.integrate, "STAGE_PAGE", page)
     maps = [Counted(f) for f in tv_maps()]
@@ -227,10 +227,54 @@ def test_epsilon_sweep_rows_match_standalone_solves_bit_for_bit_on_the_tv_system
         assert row.boundary_residuals == sol.boundary_residuals
 
 
+def test_solve_gives_the_same_bytes_at_every_page_size(monkeypatch):
+    problem = SteeringProblem(PARITY_SYSTEMS["tv"](), np.eye(3), 0.5 * np.eye(3))
+    outputs = []
+    for page in (1, 7, 10_000):
+        monkeypatch.setattr(covsteer.integrate, "STAGE_PAGE", page)
+        sol = solve(problem, N_TV)
+        outputs.append([arr.tobytes() for arr in (sol.pi, sol.h, sol.sigma, sol.k)])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("page", [1, 3, 256])
+@pytest.mark.parametrize("grid", [np.linspace(0.0, 1.0, 9), np.linspace(1.0, 0.0, 9)],
+                         ids=["forward", "backward"])
+def test_rk4_grid_on_a_constant_scalar_follows_the_stability_polynomial(monkeypatch, page, grid):
+    monkeypatch.setattr(covsteer.integrate, "STAGE_PAGE", page)
+    lam, sampled = -2.5, []
+
+    def sample(ts):
+        sampled.append(ts)
+        return np.full((len(ts), 1, 1), lam)
+
+    ys = rk4_grid(sample, np.ones(1), grid)
+    z = lam * (grid[1] - grid[0])  # every step of these grids is exactly +-1/8
+    r = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    np.testing.assert_allclose(ys[:, 0], r ** np.arange(len(grid)), rtol=1e-14, atol=0.0)
+    # each stage time is sampled once, a page of steps per call, in the order of the pass
+    assert len(sampled) == -(-(len(grid) - 1) // page)
+    np.testing.assert_array_equal(np.concatenate(sampled), stage_times(grid))
+
+
+def per_call_rk4(f, y0, grid):
+    """Classical RK4 of y' = f(t, y) that calls f at every stage of every step: the oracle."""
+    ys = [np.asarray(y0, dtype=float)]
+    for k in range(len(grid) - 1):
+        t, dt, y = grid[k], grid[k + 1] - grid[k], ys[-1]
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = f(t + dt, y + dt * k3)
+        ys.append(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(ys)
+
+
 @pytest.mark.parametrize("name", sorted(PARITY_SYSTEMS))
 def test_propagate_matches_the_per_call_hamiltonian_oracle(name):
     sys = PARITY_SYSTEMS[name]()
-    oracle = rk4_grid(lambda t, y: hamiltonian_matrix(sys, t) @ y, np.eye(2 * sys.dim_state), GRID_TV)
+    oracle = per_call_rk4(lambda t, y: hamiltonian_matrix(sys, t) @ y, np.eye(2 * sys.dim_state),
+                          GRID_TV)
     times, staged = propagate(sys, 0.0, 1.0, N_TV)
     np.testing.assert_array_equal(times, GRID_TV)
     if name == "tv":
@@ -244,26 +288,20 @@ def test_drift_sweeps_match_the_per_call_oracle(monkeypatch, name):
     sys = PARITY_SYSTEMS[name]()
     passes = []
 
-    def recorded(f, y0, grid):
-        passes.append((y0, grid, rk4_grid(f, y0, grid)))
+    def recorded(sample, y0, grid):
+        passes.append((y0, grid, rk4_grid(sample, y0, grid)))
         return passes[-1][2]
 
     monkeypatch.setattr(covsteer.systems, "rk4_grid", recorded)
     reachability_gramian(sys, 1.0, 0.0, N_TV)
     state_transition(sys, 1.0, 0.0, N_TV)
-    (y0, back, sweep), (psi0, fwd, psi) = passes
+    (y0, back, sweep_t), (psi0, fwd, psi) = passes
     assert back[0] == 1.0 and back[-1] == 0.0 and len(back) == N_TV + 1
-    oracles = (rk4_grid(lambda tau, y: -y @ sys.A(tau), y0, back),
-               rk4_grid(lambda tau, y: sys.A(tau) @ y, psi0, fwd))
-    for staged, oracle in zip((sweep, psi), oracles):
+    # the Gramian integrates the transposed sweep; the oracle, G' = -G A row by row
+    oracles = (per_call_rk4(lambda tau, y: -y @ sys.A(tau), y0, back),
+               per_call_rk4(lambda tau, y: sys.A(tau) @ y, psi0, fwd))
+    for staged, oracle in zip((np.swapaxes(sweep_t, -1, -2), psi), oracles):
         if name == "tv":
             assert _rel(staged, oracle) <= 1e-12
         else:
             np.testing.assert_array_equal(staged, oracle)
-
-
-def test_stage_sampler_rejects_a_time_outside_its_grid():
-    at = stage_sampler(np.linspace(0.2, 0.6, 5), lambda ts: np.zeros((len(ts), 1)))
-    assert at(0.2)[0] == 0.0 and at(0.6)[0] == 0.0
-    with pytest.raises(DomainError):
-        at(0.7)

@@ -235,9 +235,9 @@ def test_gramian_runs_on_the_odd_solve_grid(monkeypatch):
     steps = []
     integrate = covsteer.systems.rk4_grid
 
-    def counted(f, y0, grid):
+    def counted(sample, y0, grid):
         steps.append(len(grid) - 1)
-        return integrate(f, y0, grid)
+        return integrate(sample, y0, grid)
 
     monkeypatch.setattr(covsteer.systems, "rk4_grid", counted)
     problem = SteeringProblem(double_integrator(np.eye(2)), 2.0 * np.eye(2), 0.25 * np.eye(2))

@@ -1,8 +1,10 @@
 """Property test: every drawn problem solves within tolerance or raises a typed error.
 
-Every solved draw is also checked against an independent oracle: scipy's
-DOP853 on the linear Hamiltonian flow Y' = M(t) Y, started at the solution's
-own Pi(0) and H(0) and mapped to Pi, H and Sigma by the same formulas.
+The state penalty Q may be indefinite, so some draws reach a conjugate point
+and must raise. Every solved draw is also checked against an independent
+oracle: scipy's DOP853 on the linear Hamiltonian flow Y' = M(t) Y, started at
+the solution's own Pi(0) and H(0) and mapped to Pi, H and Sigma by the same
+formulas.
 """
 
 import numpy as np
@@ -23,15 +25,20 @@ def _spd(rng, dim, log10_cond):
     return (q * (eigs / np.sqrt(eigs.max()))) @ q.T
 
 
-def _problem(n, m, seed, q_scale, log10_cond0, log10_cond1, eps):
-    """The problem a :func:`problems` draw of these values builds."""
+def _problem(n, m, seed, q_scale, log10_cond0, log10_cond1, eps, q_neg=0.0):
+    """The problem a :func:`problems` draw of these values builds.
+
+    Q = (q_scale CC' - q_neg DD') / n, indefinite when both weights are positive.
+    """
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((n, n))
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, m))
-    sys = make_system(a, b, q_scale * (c @ c.T) / n, _spd(rng, m, 1.0))
+    r = _spd(rng, m, 1.0)
     sigma0 = _spd(rng, n, log10_cond0)
     sigma1 = _spd(rng, n, log10_cond1)
+    d = rng.standard_normal((n, n))  # drawn last, so q_neg = 0 leaves the other draws as they were
+    sys = make_system(a, b, (q_scale * (c @ c.T) - q_neg * (d @ d.T)) / n, r)
     return SteeringProblem(sys, sigma0, sigma1, eps)
 
 
@@ -43,7 +50,8 @@ def problems(draw):
     q_scale = draw(st.floats(0.0, 5.0))
     log10_cond0 = draw(st.floats(0.0, 4.0))
     log10_cond1 = draw(st.floats(0.0, 4.0))
-    return _problem(n, m, seed, q_scale, log10_cond0, log10_cond1, draw(st.floats(0.0, 10.0)))
+    eps = draw(st.floats(0.0, 10.0))
+    return _problem(n, m, seed, q_scale, log10_cond0, log10_cond1, eps, draw(st.floats(0.0, 5.0)))
 
 
 def _dop853(rhs, y0, grid):
@@ -81,6 +89,7 @@ def test_solve_succeeds_within_tolerance_or_raises_typed(problem):
         assert np.isfinite(arr).all()
     assert sol.boundary_residuals[1] <= 1e-4
     assert not sol.diagnostics["escape_minus"].sign_change
+    assert (np.linalg.eigvalsh(sol.sigma)[:, 0] > 0.0).all()  # Sigma(t) is SPD at every node
     pi, h, _ = _hamiltonian_oracle(problem, sol)
     assert _rel(sol.pi, pi) <= 1e-3
     assert _rel(sol.h, h) <= 1e-3
