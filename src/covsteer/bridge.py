@@ -66,7 +66,7 @@ from .hamiltonian import (
     propagate,
     symplectic_residual,
 )
-from .integrate import rk4_grid, stage_times, steps_for_span, thin_nodes
+from .integrate import positive_int, rk4_grid, stage_times, steps_for_span, thin_nodes
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
@@ -320,8 +320,7 @@ def _transitions(
     pass that yields Pi, H and Sigma. Raises DomainError unless grid_size is a
     positive integer.
     """
-    if not isinstance(grid_size, (int, np.integer)) or grid_size < 1:
-        raise DomainError(f"grid_size must be a positive integer, got {grid_size!r}")
+    positive_int(grid_size, "grid_size")
     require_controllable(sys, grid_size)
     times, phi = propagate(sys, 0.0, 1.0, grid_size)
     keep = thin_nodes(grid_size, 100)

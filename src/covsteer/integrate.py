@@ -14,6 +14,13 @@ An RK4 pass over an N-step grid evaluates G only at the 2N + 1 nodes and
 midpoints of the grid, its :func:`stage_times`. :func:`rk4_grid` samples them
 a page of :data:`STAGE_PAGE` steps at a time, so a pass samples G once per
 stage time, in few calls, without holding all 2N + 1 samples at once.
+
+Because the flow is linear, one RK4 step is a matrix: y_{k+1} = E_k y_k, where
+E_k depends only on G at the step's start, midpoint and end. From a page of
+samples, :func:`step_matrices` builds every E_k of the page with stacked
+arithmetic, and the pass then advances with one :func:`rk4_step`, a single
+``E_k @ y``, per step. A page therefore holds at most STAGE_PAGE step
+matrices, and the number of :func:`rk4_step` calls is the number of steps.
 """
 
 from __future__ import annotations
@@ -25,25 +32,44 @@ import numpy as np
 
 from .errors import DomainError
 
-STAGE_PAGE = 256  # steps whose stage times rk4_grid samples at once; bounds its memory
+STAGE_PAGE = 256  # steps whose stage samples and step matrices rk4_grid holds at once
 
 
-def rk4_step(g0: np.ndarray, gh: np.ndarray, g1: np.ndarray, y: np.ndarray,
-             dt: float) -> np.ndarray:
-    """One classical RK4 step of y' = G(t) y over dt (which may be negative).
+def step_matrices(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The RK4 step matrices E_k of y' = G(t) y for a page of steps, as one stack.
 
-    g0, gh and g1 are G at the step's start, midpoint and end. With y = I the
-    result is the step's transition matrix.
+    g is G at the page's stage times (2P + 1 of them, as :func:`stage_times`
+    orders them) and h the P step sizes, negative on a backward grid. With
+    K1 = G0, K2 = Gh(I + h/2 K1), K3 = Gh(I + h/2 K2) and K4 = G1(I + h K3),
+    E_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) maps the state at node k to node k + 1.
     """
-    k1 = g0 @ y
-    k2 = gh @ (y + 0.5 * dt * k1)
-    k3 = gh @ (y + 0.5 * dt * k2)
-    k4 = g1 @ (y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    g0, gh, g1 = g[:-1:2], g[1::2], g[2::2]
+    eye = np.eye(g.shape[-1])
+    h = h[:, None, None]
+    k2 = gh @ (eye + 0.5 * h * g0)
+    k3 = gh @ (eye + 0.5 * h * k2)
+    k4 = g1 @ (eye + h * k3)
+    return eye + (h / 6.0) * (g0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_step(e: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One RK4 step: out = e @ y for the step's matrix e from :func:`step_matrices`."""
+    return np.matmul(e, y, out=out)
+
+
+def positive_int(value, name: str) -> int:
+    """value as an int; DomainError unless it is an int or numpy integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def steps_for_span(steps_per_unit: int, a: float, b: float) -> int:
-    """Step count for [a, b] at a density of steps_per_unit on a unit interval."""
+    """Step count for [a, b] at a density of steps_per_unit on a unit interval.
+
+    Raises DomainError unless steps_per_unit is a positive integer.
+    """
+    steps_per_unit = positive_int(steps_per_unit, "steps_per_unit")
     return max(1, math.ceil(steps_per_unit * abs(b - a) - 1e-12))
 
 
@@ -90,8 +116,12 @@ def rk4_grid(sample: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
 
     sample(ts) returns the stack of G(ts[i]). It is called once per page of
     STAGE_PAGE steps, on that page's stage times in the order of the pass;
-    a node shared by two pages is sampled once. Result has shape
-    (len(grid),) + y0.shape with result[0] == y0.
+    a node shared by two pages is sampled once. From each page's samples,
+    :func:`step_matrices` builds the page's E_k in one batched pass, with the
+    step sizes of ``np.diff(grid)`` (negative on a backward grid); then each
+    step is one call of :func:`rk4_step`, E_k @ y written into its node, so
+    the calls count the steps. Result has shape (len(grid),) + y0.shape with
+    result[0] == y0.
     """
     y = np.asarray(y0, dtype=float)
     out = np.empty((len(grid),) + y.shape)
@@ -102,10 +132,10 @@ def rk4_grid(sample: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
         stop = min(start + STAGE_PAGE, n)
         times = stage_times(grid[start:stop + 1])
         g = sample(times) if g is None else np.concatenate((g[-1:], sample(times[1:])))
-        for k in range(start, stop):
-            j = 2 * (k - start)
-            y = rk4_step(g[j], g[j + 1], g[j + 2], y, grid[k + 1] - grid[k])
-            out[k + 1] = y
+        for e, slot in zip(step_matrices(g, np.diff(grid[start:stop + 1])),
+                           out[start + 1:stop + 1]):
+            y = rk4_step(e, y, slot)
+        del e  # the last step's view would hold this page's E_k while the next page is sampled
     return out
 
 

@@ -225,10 +225,10 @@ def state_transition(
     t, s = _check_time(t), _check_time(s)
     if s > t:
         raise DomainError("state_transition requires s <= t")
+    steps = steps_for_span(steps_per_unit, s, t)
     if t == s:
         return np.eye(sys.dim_state)
-    grid = np.linspace(s, t, steps_for_span(steps_per_unit, s, t) + 1)
-    return rk4_grid(sys.A, np.eye(sys.dim_state), grid)[-1]
+    return rk4_grid(sys.A, np.eye(sys.dim_state), np.linspace(s, t, steps + 1))[-1]
 
 
 def reachability_gramian(

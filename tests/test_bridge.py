@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from covsteer import (
     BoundaryResidualError,
@@ -13,6 +15,7 @@ from covsteer import (
     SingularMatrixError,
     SteeringProblem,
     blocks,
+    check_controllability,
     corollary_q_zero,
     coupling_roots,
     epsilon_sweep,
@@ -21,14 +24,17 @@ from covsteer import (
     make_system,
     piecewise_constant_coefficient,
     propagate,
+    reachability_gramian,
     riccati_rhs_h,
     riccati_rhs_pi,
     solve,
     spurious_root_escape,
     sqrt_spd,
+    state_transition,
 )
 from covsteer import bridge
 from covsteer.bridge import _sqrt_spd_pair
+from covsteer.systems import require_controllable
 
 GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))  # scalar trivial-case Pi(0), ~0.381966
 
@@ -300,10 +306,30 @@ def test_steering_problem_validation():
 @pytest.mark.parametrize("run", [lambda p, g: solve(p, g),
                                  lambda p, g: epsilon_sweep(p, [1.0, 0.0], g)],
                          ids=["solve", "sweep"])
-@pytest.mark.parametrize("grid_size", [0, -1, 2.5])
+@pytest.mark.parametrize("grid_size", [0, -1, 2.5, True])
 def test_a_grid_size_that_is_not_a_positive_integer_raises_domain_error(run, grid_size):
     with pytest.raises(DomainError, match="grid_size must be a positive integer"):
         run(inertial_problem(), grid_size)
+
+
+STEP_DENSITY_ENTRY_POINTS = {
+    "propagate": lambda p, k: propagate(p.sys, 0.0, 1.0, k),
+    "state_transition": lambda p, k: state_transition(p.sys, 1.0, 0.0, k),
+    "state_transition_over_no_time": lambda p, k: state_transition(p.sys, 0.5, 0.5, k),
+    "reachability_gramian": lambda p, k: reachability_gramian(p.sys, 1.0, 0.0, k),
+    "check_controllability": lambda p, k: check_controllability(p.sys, [(0.0, 1.0)], k),
+    "require_controllable": lambda p, k: require_controllable(p.sys, k),
+    "corollary_q_zero": lambda p, k: corollary_q_zero(p, k),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STEP_DENSITY_ENTRY_POINTS))
+@pytest.mark.parametrize("steps", [0, -3, 2.5, True])
+def test_a_step_density_that_is_not_a_positive_integer_raises_domain_error(entry, steps):
+    # Q = 0, so corollary_q_zero reaches its step count; True must not pass as 1
+    problem = SteeringProblem(inertial_system(q_scale=0.0), 2 * np.eye(2), 0.25 * np.eye(2), 1.0)
+    with pytest.raises(DomainError, match="steps_per_unit must be a positive integer"):
+        STEP_DENSITY_ENTRY_POINTS[entry](problem, steps)
 
 
 @pytest.mark.parametrize("eps", [np.inf, np.nan])
@@ -392,6 +418,34 @@ def test_conjugate_point_raises_and_brackets_the_zero_of_x1(omega, eps):
     lo, hi = err.value.interval
     assert hi - lo == pytest.approx(1 / 1001)
     assert lo <= t_zero <= hi
+
+
+def double_integrator_threshold():
+    """q* where det Phi12(1, 0) first vanishes for A = [[0, 1], [0, 0]], B = [0; 1], R = 1, Q = -qI.
+
+    Independent of covsteer: the exact exponential of the constant Hamiltonian matrix.
+    """
+    a, b = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+
+    def det_phi12(q):
+        m = np.block([[a, -b @ b.T], [q * np.eye(2), -a.T]])
+        return np.linalg.det(expm(m)[:2, 2:])
+
+    return brentq(det_phi12, 1.0, 40.0, xtol=1e-13)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+@pytest.mark.parametrize("ratio", [0.98, 0.999, 1.001, 1.02])
+def test_double_integrator_solves_up_to_the_conjugate_point_threshold(ratio, eps):
+    q_star = double_integrator_threshold()
+    assert q_star == pytest.approx(36.681862731, rel=1e-10)
+    problem = SteeringProblem(inertial_system(q_scale=-ratio * q_star), 2 * np.eye(2),
+                              0.25 * np.eye(2), eps)
+    if ratio < 1.0:
+        assert not solve(problem, 2000).diagnostics["escape_minus"].sign_change
+    else:
+        with pytest.raises(ConjugatePointError, match="conjugate point"):
+            solve(problem, 2000)
 
 
 def test_solve_records_escape_scans_of_both_roots():
