@@ -5,6 +5,12 @@ arrays); a handful of presets are shipped embedded. All numeric output is
 CSV (UTF-8, '.' decimal, 17 significant digits) plus plain-text reports,
 intended for external plotting. Exit codes: 0 ok, 1 config error, 2 solver
 error, 3 verify failure.
+
+CSV emission formats each shared cell once. A file's lines come in blocks
+(a grid node, path, checkpoint or epsilon) whose key cell and row templates
+(with fixed cells such as a tube point's index and level) are formatted once
+per command; :func:`_block_rows` fills the varying %.17g slots of up to
+CHUNK_ROWS lines by one %. :func:`_write_csv` is the one writer.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -43,6 +50,7 @@ from .systems import (
 
 SCHEMA_VERSION = 1
 VERIFY_SEED = 20260826  # default seed of verify's random lemma-1 draws
+CHUNK_ROWS = 1024  # CSV data lines formatted, and written, at once
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +290,54 @@ def _config_hash(cfg: RunConfig) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows, cfg: RunConfig) -> None:
-    """Write rows (a 2-D array or any iterable of rows) 1024 at a time, each cell as %.17g."""
-    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    """Write the header comment, the header and rows, an iterable of CRLF-ended data lines."""
     rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# covsteer {__version__} schema={SCHEMA_VERSION} config={_config_hash(cfg)}\r\n")
         fh.write(",".join(header) + "\r\n")
-        for chunk in iter(lambda: list(islice(rows, 1024)), []):
-            fh.write((line * len(chunk)) % tuple(np.asarray(chunk, dtype=float).ravel().tolist()))
+        for chunk in iter(lambda: "".join(islice(rows, CHUNK_ROWS)), ""):
+            fh.write(chunk)
+
+
+def _cells(values) -> list[str]:
+    """Each of values (any array-like) as a %.17g string, formatted by one %."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    return ("%.17g," * len(values) % tuple(values)).split(",")[:-1]
+
+
+def _slots(count: int) -> str:
+    return ",".join(["%.17g"] * count)
+
+
+def _block_rows(keys: list[str], templates: list[str], values) -> Iterator[str]:
+    """Data lines: per block b and template r, keys[b], then template r filled from values[b, r].
+
+    values has shape (len(keys), len(templates), slots per template). Each
+    chunk of at most CHUNK_ROWS lines is one template string filled by one %.
+    """
+    values = np.asarray(values, dtype=float)
+    tails = [f",{row}\r\n" for row in templates]
+    per = min(len(tails), CHUNK_ROWS)  # a block longer than a chunk is split
+    step = max(1, CHUNK_ROWS // len(tails))
+    for b in range(0, len(keys), step):
+        for r in range(0, len(tails), per):
+            parts = [""] + tails[r:r + per]  # key.join(parts) is the block's text
+            text = "".join([key.join(parts) for key in keys[b:b + step]])
+            cells = tuple(values[b:b + step, r:r + per].ravel().tolist())
+            yield from (text % cells).splitlines(True)
+
+
+def _table_rows(keys: list[str], table: np.ndarray) -> Iterator[str]:
+    """One data line per key: the key cell, then the matching row of the 2-D table."""
+    return _block_rows(keys, [_slots(table.shape[1])], table[:, None])
+
+
+def _make_out_dir(out_dir: Path) -> None:
+    """Create out_dir and its parents, or raise ConfigError naming it."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory '{out_dir}': {exc}") from exc
 
 
 def _upper_triangle_header(prefix: str, n: int) -> list[str]:
@@ -306,23 +354,17 @@ def _upper_triangle(stack: np.ndarray) -> np.ndarray:
 
 def run_solve(cfg: RunConfig, out_dir: Path) -> dict:
     problem = cfg.problem()
+    _make_out_dir(out_dir)
     solution = solve(problem, cfg.grid_size)
     n, m = problem.sys.dim_state, problem.sys.dim_input
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    _write_csv(
-        out_dir / "gains.csv",
-        ["t"] + [f"k_{i + 1}_{j + 1}" for i in range(m) for j in range(n)],
-        np.column_stack([solution.grid, solution.k.reshape(len(solution.grid), -1)]),
-        cfg,
-    )
+    t = _cells(solution.grid)  # the key column of all four files, and of tube.csv
+    tables = [("gains", [f"k_{i + 1}_{j + 1}" for i in range(m) for j in range(n)],
+               solution.k.reshape(len(t), -1))]
     for label, arr in (("pi", solution.pi), ("h", solution.h), ("sigma", solution.sigma)):
-        _write_csv(
-            out_dir / f"{label}.csv",
-            ["t"] + _upper_triangle_header(label, n),
-            np.column_stack([solution.grid, _upper_triangle(arr)]),
-            cfg,
-        )
+        tables.append((label, _upper_triangle_header(label, n), _upper_triangle(arr)))
+    for label, names, table in tables:
+        _write_csv(out_dir / f"{label}.csv", ["t"] + names, _table_rows(t, table), cfg)
 
     escape_plus = solution.diagnostics["escape_plus"]
     escape_minus = solution.diagnostics["escape_minus"]
@@ -346,7 +388,7 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> dict:
         f"min |det X|={escape_plus.min_abs_determinant:.17g}",
     ]
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return {"solution": solution, "problem": problem}
+    return {"solution": solution, "problem": problem, "grid_cells": t}
 
 
 def run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
@@ -360,24 +402,22 @@ def run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     )
     n = problem.sys.dim_state
 
+    t = _cells(result.grid)
     _write_csv(
         out_dir / "paths.csv",
         ["path_id", "t"] + [f"x_{i + 1}" for i in range(n)],
-        np.column_stack([np.repeat(np.arange(result.n_paths), len(result.grid)),
-                         np.tile(result.grid, result.n_paths), result.states.reshape(-1, n)]),
+        _block_rows(_cells(np.arange(result.n_paths)), [f"{c},{_slots(n)}" for c in t],
+                    result.states),
         cfg,
     )
-    _write_csv(
-        out_dir / "empirical_cov.csv",
-        ["t"] + _upper_triangle_header("cov", n),
-        np.column_stack([result.grid, _upper_triangle(result.empirical_cov)]),
-        cfg,
-    )
+    _write_csv(out_dir / "empirical_cov.csv", ["t"] + _upper_triangle_header("cov", n),
+               _table_rows(t, _upper_triangle(result.empirical_cov)), cfg)
     if n == 2:
         tube = tolerance_tube(solution, mc.tube_level, mc.tube_resolution)
+        level = _cells([mc.tube_level])[0]
+        points = [f"{i},%.17g,%.17g,{level}" for i in _cells(np.arange(mc.tube_resolution))]
         _write_csv(out_dir / "tube.csv", ["t", "point_index", "z_1", "z_2", "level"],
-                   ([t, i, *z, mc.tube_level] for t, points in zip(solution.grid.tolist(), tube)
-                    for i, z in enumerate(points.tolist())), cfg)
+                   _block_rows(ctx["grid_cells"], points, tube), cfg)
     (out_dir / "cost.txt").write_text(
         f"cost estimate: {result.cost_estimate:.17g}\n"
         f"standard error: {result.cost_stderr:.17g}\n"
@@ -390,12 +430,13 @@ def run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 def run_sweep(cfg: RunConfig, out_dir: Path) -> dict:
     if len(cfg.eps_list) == 0:
         raise ConfigError("eps_list must not be empty for sweep")
+    _make_out_dir(out_dir)
     rows = epsilon_sweep(cfg.problem(), cfg.eps_list, cfg.grid_size)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "sweep.csv",
         ["epsilon", "pi0_gap", "boundary_residual_0", "boundary_residual_1"],
-        ([row.epsilon, row.gap, *row.boundary_residuals] for row in rows),
+        _table_rows(_cells([row.epsilon for row in rows]),
+                    np.array([[row.gap, *row.boundary_residuals] for row in rows])),
         cfg,
     )
     return {"rows": rows}

@@ -155,8 +155,9 @@ def simulate(
     trapezoidal rule. Path i draws from column i mod 4096 of the Philox
     stream keyed by (seed, i // 4096): x(0) first, then one draw per step
     when eps > 0. Its states and cost depend on (seed, i, n_steps) only.
-    Checkpoints are grid nodes, by default every max(1, n_steps // 10)-th
-    and t = 1 (t = 0, 0.1, ..., 1 when n_steps is a multiple of 10).
+    Checkpoints are strictly increasing grid nodes, by default every
+    max(1, n_steps // 10)-th and t = 1 (t = 0, 0.1, ..., 1 when n_steps is a
+    multiple of 10).
     """
     return _simulate_gain(
         problem, solution.grid, solution.k, n_paths, n_steps, seed, checkpoints

@@ -1,10 +1,12 @@
+import csv
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from covsteer import cli, simulate
+from covsteer import cli, epsilon_sweep, simulate, tolerance_tube
 from covsteer.cli import (
     PRESETS,
     RunConfig,
@@ -274,6 +276,39 @@ def test_off_grid_checkpoints_exit_1_before_solving(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_repeated_checkpoints_exit_1_before_solving(tmp_path, capsys):
+    # two t = 0.5 checkpoints once exited 0 and wrote two different t = 0.5 rows
+    raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
+    raw["monte_carlo"] = {"n_steps": 10, "seed": 1, "checkpoints": [0.0, 0.5, 0.5, 1.0]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match="monte_carlo.checkpoints: .*strictly increasing"):
+        RunConfig.from_dict(raw)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("config error: monte_carlo.checkpoints: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_an_unusable_out_path_exits_1_before_solving(monkeypatch, tmp_path, capsys,
+                                                      command, below):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output directory was made")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    monkeypatch.setattr(cli, "epsilon_sweep", no_solve)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    out = blocker / "sub" if below else blocker
+    argv = [command, "--preset", "scalar-trivial", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory '{out}': ")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
+
+
 def test_load_config_applies_flags_before_validation():
     def args(paths):
         return SimpleNamespace(config=None, preset="scalar-trivial", seed=3, steps=50, paths=paths)
@@ -308,37 +343,138 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
+def write_reference_csv(path, cfg, header, rows):
+    """The CSV format, written independently: csv.writer, one f"{float(x):.17g}" per cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# covsteer {cli.__version__} schema={cli.SCHEMA_VERSION} "
+                 f"config={cli._config_hash(cfg)}\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{float(x):.17g}" for x in row])
+
+
 def test_write_csv_formats_every_cell_with_17_digits(tmp_path):
     path = tmp_path / "row.csv"
-    cli._write_csv(path, ["a", "b", "c", "d"], [[3, 0.1, np.float64(1 / 3), np.nan]],
+    assert cli._cells([3, 0.1, np.float64(1 / 3), np.nan]) == [
+        "3", "0.10000000000000001", "0.33333333333333331", "nan"]
+    cli._write_csv(path, ["a", "b", "c", "d"],
+                   cli._table_rows(cli._cells([3]), np.array([[0.1, np.float64(1 / 3), np.nan]])),
                    preset_config())
     assert path.read_bytes().splitlines(keepends=True)[2] == (
         b"3,0.10000000000000001,0.33333333333333331,nan\r\n"
     )
 
 
-def test_write_csv_matches_a_csv_module_reference(tmp_path):
-    # reference: csv.writer with one f"{float(x):.17g}" per cell; the table spans
-    # several chunked writes and holds every special value
-    import csv
-
+@pytest.mark.parametrize("chunk_rows", [7, cli.CHUNK_ROWS])
+def test_write_csv_matches_a_csv_module_reference(tmp_path, monkeypatch, chunk_rows):
+    # the table spans several chunks and holds every special value, in key
+    # cells and in slots; at 7 rows a chunk splits every 30-row block
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(5)
     table = rng.standard_normal((9000, 3)) * 10.0 ** rng.integers(-300, 300, (9000, 3))
-    table[:6, 0] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+    table[:6, 0] = specials
+    table[6:12, 1] = specials
     cfg = preset_config()
-    header = ["a", "b", "c"]
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# covsteer {cli.__version__} schema={cli.SCHEMA_VERSION} "
-                 f"config={cli._config_hash(cfg)}\r\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in table:
-            writer.writerow([f"{float(v):.17g}" for v in row])
-    for rows in (table, (row for row in table), table.tolist()):
-        path = tmp_path / "out.csv"
-        cli._write_csv(path, header, rows, cfg)
+    ref, path = tmp_path / "ref.csv", tmp_path / "out.csv"
+    write_reference_csv(ref, cfg, ["a", "b", "c"], table)
+    lines = list(cli._table_rows(cli._cells(table[:, 0]), table[:, 1:]))
+    for rows in (lines, iter(lines)):
+        cli._write_csv(path, ["a", "b", "c"], rows, cfg)
         assert path.read_bytes() == ref.read_bytes()
+    # blocks of 30 rows: a key cell, a fixed cell per row template and two slots
+    blocks = table.reshape(300, 30, 3)
+    fixed = rng.standard_normal(30) * 10.0 ** rng.integers(-300, 300, 30)
+    fixed[:6] = specials
+    write_reference_csv(ref, cfg, ["id", "t", "x", "y"],
+                        ([b, fixed[r], *blocks[b, r, 1:]] for b in range(300) for r in range(30)))
+    cli._write_csv(path, ["id", "t", "x", "y"],
+                   cli._block_rows(cli._cells(np.arange(300)),
+                                   [f"{c},%.17g,%.17g" for c in cli._cells(fixed)],
+                                   blocks[:, :, 1:]), cfg)
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("rows_per_block", [10_000, 100_000])
+def test_block_rows_working_memory_is_bounded_by_the_chunk(rows_per_block):
+    # a block of many rows (a large tube_resolution or checkpoint count) is
+    # formatted a chunk at a time; the unbounded form held 11 MB at 100 000 rows
+    templates = ["%.17g,%.17g"] * rows_per_block
+    values = np.random.default_rng(1).standard_normal((2, rows_per_block, 2))
+    lines = cli._block_rows(["0", "1"], templates, values)
+    next(lines)  # the per-template tails are as large as the templates themselves
+    tracemalloc.start()
+    try:
+        count = 1 + sum(1 for _ in lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2 * rows_per_block
+    assert peak < 1 << 20
+
+
+def test_simulate_csvs_match_an_independent_writer(tmp_path):
+    # tube_level 0.1 formats differently under %.17g and repr, and 300 paths
+    # of 11 checkpoints span several chunks of paths.csv
+    cfg = preset_config(grid_size=200, eps_list=[1.0, 0.1, 0.0])
+    cfg.monte_carlo = cli.MonteCarloConfig(n_paths=300, n_steps=100, seed=11,
+                                           tube_level=0.1, tube_resolution=5)
+    assert 300 * 11 > 3 * cli.CHUNK_ROWS
+    ctx = run_simulate(cfg, tmp_path / "out")
+    run_sweep(cfg, tmp_path / "out")
+    sol, result = ctx["solution"], ctx["result"]
+    tri = [(i, j) for i in range(2) for j in range(i, 2)]
+    expected = {
+        "gains": (["t", "k_1_1", "k_1_2"],
+                  ([t, *k.ravel()] for t, k in zip(sol.grid, sol.k))),
+        "paths": (["path_id", "t", "x_1", "x_2"],
+                  ([p, t, *result.states[p, c]] for p in range(300)
+                   for c, t in enumerate(result.grid))),
+        "empirical_cov": (["t", "cov_1_1", "cov_1_2", "cov_2_2"],
+                          ([t, *(cov[i, j] for i, j in tri)]
+                           for t, cov in zip(result.grid, result.empirical_cov))),
+        "tube": (["t", "point_index", "z_1", "z_2", "level"],
+                 ([t, i, *z, 0.1] for t, points in zip(sol.grid, tolerance_tube(sol, 0.1, 5))
+                  for i, z in enumerate(points))),
+        "sweep": (["epsilon", "pi0_gap", "boundary_residual_0", "boundary_residual_1"],
+                  ([row.epsilon, row.gap, *row.boundary_residuals]
+                   for row in epsilon_sweep(cfg.problem(), cfg.eps_list, cfg.grid_size))),
+    }
+    for label in ("pi", "h", "sigma"):
+        expected[label] = (["t"] + [f"{label}_{i + 1}_{j + 1}" for i, j in tri],
+                           ([t, *(m[i, j] for i, j in tri)]
+                            for t, m in zip(sol.grid, getattr(sol, label))))
+    for label, (header, rows) in expected.items():
+        write_reference_csv(tmp_path / "ref.csv", cfg, header, rows)
+        assert (tmp_path / "out" / f"{label}.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes(), label
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == \
+        sorted(f"{label}.csv" for label in expected)
+
+
+def test_each_simulate_csv_passes_the_writer_once_one_item_per_data_row(monkeypatch, tmp_path):
+    # perfbench's tracer wraps _write_csv by name and counts each item of rows as a data row
+    calls = {}
+    original = cli._write_csv
+
+    def counted(path, header, rows, cfg):
+        items = list(rows)
+        calls[path.name] = calls.get(path.name, []) + [items]
+        original(path, header, iter(items), cfg)
+
+    monkeypatch.setattr(cli, "_write_csv", counted)
+    argv = ["simulate", "--preset", "inertial-q1", "--seed", "3", "--paths", "200",
+            "--steps", "50", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert sorted(calls) == sorted(["gains.csv", "pi.csv", "h.csv", "sigma.csv", "paths.csv",
+                                    "empirical_cov.csv", "tube.csv"])
+    for name, [items] in calls.items():
+        data = (tmp_path / name).read_bytes().decode("utf-8").splitlines(True)[2:]
+        assert items == data, name
+        assert all(item.endswith("\r\n") and item.count("\n") == 1 for item in items), name
+    assert len(calls["tube.csv"][0]) == 2001 * 64
+    assert len(calls["paths.csv"][0]) == 200 * 11
 
 
 @pytest.mark.parametrize("seed", [-1, 2**70])

@@ -199,6 +199,15 @@ def test_simulate_input_validation(inertial_solution):
         simulate(problem, sol, 10, 0, seed=0)
 
 
+@pytest.mark.parametrize("checkpoints", [[0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 0.5], [0.5, 0.5]])
+def test_simulate_rejects_checkpoints_that_are_not_strictly_increasing(inertial_solution,
+                                                                      checkpoints):
+    # a repeated node once left a row of states unwritten (np.empty garbage, an inf covariance)
+    problem, sol = inertial_solution
+    with pytest.raises(DomainError, match="strictly increasing"):
+        simulate(problem, sol, 10, 10, seed=0, checkpoints=checkpoints)
+
+
 @pytest.mark.parametrize(
     "n_steps, expected",
     [(4, [0.0, 0.25, 0.5, 0.75, 1.0]),
