@@ -26,8 +26,12 @@ is B R^-1 B', both the control weight and the diffusion.
 
 Phi(t, 0) and the controllability of (A, B) depend on the system alone, not
 on eps, so :func:`epsilon_sweep` propagates once and solves every eps on the
-same transitions. The Y pass is linear too, so one pass serves every eps of a
-sweep: with k values of eps its state is the 2n x 2nk matrix
+same transitions. The Y pass integrates the same flow on the same grid as
+Phi, so it samples no coefficient: it multiplies Y(0) through the RK4 step
+matrices E_k that :func:`covsteer.hamiltonian.propagate` built, and the list
+of them is dropped as soon as the pass returns. The Y pass is linear too, so
+one pass serves every eps of a sweep: with k values of eps its state is the
+2n x 2nk matrix
 
     Y(0) = [[I,          I,           I,          I,           ...],
             [Pi0(eps_1), -H0(eps_1),  Pi0(eps_2), -H0(eps_2),  ...]],
@@ -62,7 +66,6 @@ from .errors import (
 from .hamiltonian import (
     _checked_inverse,
     blocks,
-    hamiltonian_stack,
     propagate,
     symplectic_residual,
 )
@@ -307,38 +310,43 @@ def solve(problem: SteeringProblem, grid_size: int = 1000) -> BridgeSolution:
     norm, or if Pi, H or Sigma is not finite on the grid. Raises DomainError
     unless grid_size is a positive integer.
     """
-    return _solve_each([problem], _transitions(problem.sys, grid_size), grid_size)[0]
+    transitions, steps = _transitions(problem.sys, grid_size)
+    return _solve_each([problem], transitions, steps, grid_size)[0]
 
 
 def _transitions(
     sys: TimeVaryingLinearSystem, grid_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Controllability check and (times, Phi(times, 0)) at about 100 grid nodes.
+) -> tuple[tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
+    """Controllability check, (times, Phi(times, 0)) at about 100 grid nodes, and the E_k.
 
     The nodes are thin_nodes(grid_size, 100), so the last is Phi(1, 0).
-    Neither depends on eps. Phi runs on the same grid_size-step grid as the
-    pass that yields Pi, H and Sigma. Raises DomainError unless grid_size is a
-    positive integer.
+    The step matrices are those of the grid_size-step pass that built Phi,
+    for the Y pass to multiply (:func:`_solve_each` empties their list).
+    None of them depends on eps. Raises DomainError unless grid_size
+    is a positive integer.
     """
     positive_int(grid_size, "grid_size")
     require_controllable(sys, grid_size)
-    times, phi = propagate(sys, 0.0, 1.0, grid_size)
+    times, phi, steps = propagate(sys, 0.0, 1.0, grid_size)
     keep = thin_nodes(grid_size, 100)
-    return times[keep], phi[keep]  # copies, so the full stack is freed on return
+    return (times[keep], phi[keep]), steps  # copies, so the full stack is freed on return
 
 
 def _solve_each(
     problems: Sequence[SteeringProblem],
     transitions: tuple[np.ndarray, np.ndarray],
+    steps: list[np.ndarray],
     grid_size: int,
 ) -> list[BridgeSolution]:
     """The eps-dependent part of :func:`solve` for problems that differ only in eps.
 
     One Y pass serves every problem: problem i's Y(0) = [[I, I], [Pi0, -H0]]
-    fills columns [2n i, 2n (i + 1)) of one 2n x 2nk state. The solutions,
-    and the error raised, are those a loop of :func:`solve` calls would give:
-    the roots and then the flows are taken in eps order, and when eps_j's
-    fail, eps_1 .. eps_{j-1} are gated in order before eps_j's error is raised.
+    fills columns [2n i, 2n (i + 1)) of one 2n x 2nk state. The pass
+    multiplies the step matrices of the Phi pass, steps, and then empties
+    that list, so no caller holds an E_k past it. The solutions, and the error
+    raised, are those a loop of :func:`solve` calls would give: the roots and
+    then the flows are taken in eps order, and when eps_j's fail,
+    eps_1 .. eps_{j-1} are gated in order before eps_j's error is raised.
     """
     sys = problems[0].sys
     n = sys.dim_state
@@ -356,7 +364,8 @@ def _solve_each(
         eye = np.eye(n)
         y0 = np.block([[eye, eye] * len(starts),
                        [m for _, _, pi0, h0 in starts for m in (pi0, -h0)]])
-        y_t = rk4_grid(lambda ts: hamiltonian_stack(sys, ts), y0, grid)
+        y_t = rk4_grid(steps, y0, grid)
+        steps.clear()  # no E_k outlives the pass
         flows, read_error = _until_error(
             lambda i: _read_flows(y_t[:, :, 2 * n * i:2 * n * (i + 1)], problems[i].sigma0, grid),
             range(len(starts)),
@@ -604,10 +613,10 @@ def epsilon_sweep(
     if any(b > a for a, b in zip(eps_arr, eps_arr[1:])):
         raise DomainError("eps_list must be sorted descending")
 
-    transitions = _transitions(problem.sys, grid_size)
+    transitions, steps = _transitions(problem.sys, grid_size)
     pi0_limit = initial_conditions(replace(problem, epsilon=0.0), transitions[1][-1])[0]
     solutions = _solve_each([replace(problem, epsilon=eps) for eps in eps_arr],
-                            transitions, grid_size)
+                            transitions, steps, grid_size)
     rows = []
     for eps, sol in zip(eps_arr, solutions):
         pi0 = sol.pi[0].copy()

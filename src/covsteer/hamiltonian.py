@@ -13,9 +13,12 @@ of the blocks on controllable systems.
 
 M is assembled in one place, :func:`hamiltonian_stack`, at an array of times:
 one A, B, Q and R call for the whole array and one batched solve for B R^-1 B'.
-It is the sampler :func:`covsteer.integrate.rk4_grid` calls a page at a time,
-so a pass over an N-step grid samples the coefficients once at each of its
-2N + 1 stage times, and :func:`hamiltonian_matrix` is the one-time case.
+It is the sampler :func:`covsteer.integrate.step_pages` calls a page at a
+time, so :func:`propagate` samples the coefficients once at each of the
+2N + 1 stage times of its N-step grid, and :func:`hamiltonian_matrix` is the
+one-time case. :func:`propagate` also returns the RK4 step matrices E_k it
+multiplied, so another pass of the same flow on the same grid is a product
+through them and samples nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CovsteerError, DomainError, SingularMatrixError
-from .integrate import rk4_grid, steps_for_span
+from .integrate import rk4_grid, step_pages, steps_for_span
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
@@ -62,18 +65,29 @@ def propagate(
     s: float,
     t: float,
     steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Phi(., s) at every node of a uniform grid over [s, t], from Phi(s, s) = I.
 
-    Returns (times, phi): the grid of steps_for_span(steps_per_unit, s, t) RK4
-    steps and the (len(times), 2n, 2n) stack of Phi(times[k], s), so phi[-1] is
-    Phi(t, s).
+    Returns (times, phi, steps): the grid of steps_for_span(steps_per_unit, s, t)
+    RK4 steps, the (len(times), 2n, 2n) stack of Phi(times[k], s), so phi[-1]
+    is Phi(t, s), and a list holding one page, the (len(times) - 1, 2n, 2n)
+    stack of the steps' matrices E_k that built it. Any other pass of the flow
+    on the same grid is rk4_grid(steps, y0, times).
     """
     s, t = _check_time(s), _check_time(t)
     if s > t:
         raise DomainError("propagate requires s <= t")
     times = np.linspace(s, t, steps_for_span(steps_per_unit, s, t) + 1)
-    return times, rk4_grid(lambda ts: hamiltonian_stack(sys, ts), np.eye(2 * sys.dim_state), times)
+    # one block, not a list of pages: freed whole, it leaves no holes in the heap,
+    # and the process's peak resident memory stays lower
+    e = np.empty((len(times) - 1, 2 * sys.dim_state, 2 * sys.dim_state))
+    k = 0
+    for page in step_pages(lambda ts: hamiltonian_stack(sys, ts), times):
+        e[k:k + len(page)] = page
+        k += len(page)
+    del page  # a page of E_k held through the pass below would raise its peak memory
+    steps = [e]
+    return times, rk4_grid(steps, np.eye(2 * sys.dim_state), times), steps
 
 
 def symplectic_residual(phi: np.ndarray) -> float:

@@ -2,37 +2,40 @@
 
 :func:`rk4_grid` is the only integrator. Every flow of the package is linear,
 y' = G(t) y (transitions, the Gramian's sweep and the pass yielding Pi, H and
-Sigma), so it takes G as a sampler of an array of times and works on
-arbitrary ndarray-valued states (vectors, matrices, stacked matrices) on a
-uniform ``np.linspace`` grid. A caller that wants the state at chosen times
-integrates the whole grid and picks out nodes: :func:`grid_indices` maps
-checkpoints to nodes and rejects any that is not one, and :func:`thin_nodes`
-is the one rule for keeping about ``count`` evenly spaced nodes. The state at
-a node therefore does not depend on which nodes were asked for.
-
-An RK4 pass over an N-step grid evaluates G only at the 2N + 1 nodes and
-midpoints of the grid, its :func:`stage_times`. :func:`rk4_grid` samples them
-a page of :data:`STAGE_PAGE` steps at a time, so a pass samples G once per
-stage time, in few calls, without holding all 2N + 1 samples at once.
+Sigma), and works on arbitrary ndarray-valued states (vectors, matrices,
+stacked matrices) on a uniform ``np.linspace`` grid. A caller that wants the
+state at chosen times integrates the whole grid and picks out nodes:
+:func:`grid_indices` maps checkpoints to nodes and rejects any that is not
+one, and :func:`thin_nodes` is the one rule for keeping about ``count`` evenly
+spaced nodes. The state at a node therefore does not depend on which nodes
+were asked for.
 
 Because the flow is linear, one RK4 step is a matrix: y_{k+1} = E_k y_k, where
-E_k depends only on G at the step's start, midpoint and end. From a page of
-samples, :func:`step_matrices` builds every E_k of the page with stacked
-arithmetic, and the pass then advances with one :func:`rk4_step`, a single
-``E_k @ y``, per step. A page therefore holds at most STAGE_PAGE step
-matrices, and the number of :func:`rk4_step` calls is the number of steps.
+E_k depends only on G at the step's start, midpoint and end. An RK4 pass over
+an N-step grid therefore evaluates G only at the 2N + 1 nodes and midpoints
+of the grid, its :func:`stage_times`. :func:`step_pages` takes G as a sampler
+of an array of times and samples them a page of :data:`STAGE_PAGE` steps at a
+time, so G is sampled once per stage time, in few calls; from each page of
+samples :func:`step_matrices` builds every E_k of the page with stacked
+arithmetic. :func:`rk4_grid` multiplies a state through any iterable of such
+pages with one :func:`rk4_step`, a single ``E_k @ y``, per step, so the
+number of :func:`rk4_step` calls is the number of steps. Fed a
+:func:`step_pages` generator, a pass holds at most one page of samples and
+step matrices; two passes of one flow on one grid can instead share a list
+of the pages, which is how the pass yielding Pi, H and Sigma reuses the
+Hamiltonian transition's E_k.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import DomainError
 
-STAGE_PAGE = 256  # steps whose stage samples and step matrices rk4_grid holds at once
+STAGE_PAGE = 256  # steps whose stage samples and step matrices step_pages builds at once
 
 
 def step_matrices(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -110,32 +113,44 @@ def stage_times(grid: np.ndarray) -> np.ndarray:
     return times
 
 
-def rk4_grid(sample: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
-             grid: np.ndarray) -> np.ndarray:
-    """Integrate y' = G(t) y along a uniform grid, returning the state at every node.
+def step_pages(sample: Callable[[np.ndarray], np.ndarray],
+               grid: np.ndarray) -> Iterator[np.ndarray]:
+    """The RK4 step matrices of y' = G(t) y along a uniform grid, one page at a time.
 
-    sample(ts) returns the stack of G(ts[i]). It is called once per page of
-    STAGE_PAGE steps, on that page's stage times in the order of the pass;
-    a node shared by two pages is sampled once. From each page's samples,
-    :func:`step_matrices` builds the page's E_k in one batched pass, with the
-    step sizes of ``np.diff(grid)`` (negative on a backward grid); then each
-    step is one call of :func:`rk4_step`, E_k @ y written into its node, so
-    the calls count the steps. Result has shape (len(grid),) + y0.shape with
-    result[0] == y0.
+    A generator: for each page of at most STAGE_PAGE steps it calls
+    sample(ts), which returns the stack of G(ts[i]), once on the page's stage
+    times in the order of the pass, a node shared by two pages being sampled
+    once, and yields the page's E_k from :func:`step_matrices` with the step
+    sizes of ``np.diff(grid)`` (negative on a backward grid).
     """
-    y = np.asarray(y0, dtype=float)
-    out = np.empty((len(grid),) + y.shape)
-    out[0] = y
     n = len(grid) - 1
     g = None
     for start in range(0, n, STAGE_PAGE):
         stop = min(start + STAGE_PAGE, n)
         times = stage_times(grid[start:stop + 1])
         g = sample(times) if g is None else np.concatenate((g[-1:], sample(times[1:])))
-        for e, slot in zip(step_matrices(g, np.diff(grid[start:stop + 1])),
-                           out[start + 1:stop + 1]):
+        yield step_matrices(g, np.diff(grid[start:stop + 1]))
+
+
+def rk4_grid(steps: Iterable[np.ndarray], y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Integrate y' = G(t) y along a grid, returning the state at every node.
+
+    steps is an iterable of pages of step matrices covering the grid's steps
+    in order, as :func:`step_pages` yields them; each step is one call of
+    :func:`rk4_step`, E_k @ y written into its node, so the calls count the
+    steps. A pass reads one page at a time, so a :func:`step_pages` generator
+    holds one page of samples and E_k at once. Result has shape
+    (len(grid),) + y0.shape with result[0] == y0.
+    """
+    y = np.asarray(y0, dtype=float)
+    out = np.empty((len(grid),) + y.shape)
+    out[0] = y
+    k = 0
+    for page in steps:
+        for e, slot in zip(page, out[k + 1:k + 1 + len(page)]):
             y = rk4_step(e, y, slot)
-        del e  # the last step's view would hold this page's E_k while the next page is sampled
+        k += len(page)
+        del page, e  # held, they would keep this page's E_k while the next one is built
     return out
 
 

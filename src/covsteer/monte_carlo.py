@@ -28,7 +28,7 @@ import numpy as np
 
 from .bridge import BridgeSolution, SteeringProblem, noise_channel, sqrt_spd
 from .errors import DomainError, UnsupportedDimensionError
-from .integrate import grid_indices, thin_nodes
+from .integrate import grid_indices, positive_int, thin_nodes
 
 _PERTURBATION_STREAM = 0xC0575EE2  # fixed substream key for gain perturbations
 _BLOCK_PATHS = 4096  # paths per Philox stream
@@ -82,10 +82,9 @@ def _simulate_gain(
     checkpoints,
 ) -> SimulationResult:
     """Core ensemble run under an explicit gain trajectory (see the module docstring)."""
-    if n_paths < 2:
+    if positive_int(n_paths, "n_paths") < 2:
         raise DomainError("n_paths must be at least 2")
-    if n_steps < 1:
-        raise DomainError("n_steps must be positive")
+    positive_int(n_steps, "n_steps")
     check_seed(seed)
     sys = problem.sys
     n, m = sys.dim_state, sys.dim_input

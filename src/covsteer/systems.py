@@ -6,7 +6,7 @@ Q(t) (symmetric n x n, any sign) and input weight R(t) (SPD m x m).
 Coefficients may be constant matrices, closed-form callables,
 piecewise-constant tables or linearly interpolated sample grids. Every map
 of a built system also takes a 1-d array of times, so the drift transition
-and the Gramian's sweep hand A, or -A', to :func:`covsteer.integrate.rk4_grid`
+and the Gramian's sweep hand A, or -A', to :func:`covsteer.integrate.step_pages`
 as its sampler and A is evaluated once per stage time of each pass.
 """
 
@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ControllabilityError, DefinitenessError, DomainError, SingularMatrixError
-from .integrate import rk4_grid, simpson_uniform, steps_for_span
+from .integrate import rk4_grid, simpson_uniform, step_pages, steps_for_span
 
 MatrixMap = Callable[[float], np.ndarray]  # built maps also take a 1-d array of times
 
@@ -228,7 +228,8 @@ def state_transition(
     steps = steps_for_span(steps_per_unit, s, t)
     if t == s:
         return np.eye(sys.dim_state)
-    return rk4_grid(sys.A, np.eye(sys.dim_state), np.linspace(s, t, steps + 1))[-1]
+    grid = np.linspace(s, t, steps + 1)
+    return rk4_grid(step_pages(sys.A, grid), np.eye(sys.dim_state), grid)[-1]
 
 
 def reachability_gramian(
@@ -248,7 +249,8 @@ def reachability_gramian(
         raise DomainError("reachability_gramian requires s < t")
     n_int = steps_for_span(steps_per_unit, s, t)
     taus = np.linspace(t, s, n_int + 1)
-    gt = rk4_grid(lambda ts: -np.swapaxes(sys.A(ts), -1, -2), np.eye(sys.dim_state), taus)
+    minus_a_t = step_pages(lambda ts: -np.swapaxes(sys.A(ts), -1, -2), taus)
+    gt = rk4_grid(minus_a_t, np.eye(sys.dim_state), taus)
     gb = np.swapaxes(gt, -1, -2) @ sys.B(taus)
     # reverse so the Simpson weights run from s to t
     gram = simpson_uniform((gb @ np.swapaxes(gb, -1, -2))[::-1], (t - s) / n_int)

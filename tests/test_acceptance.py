@@ -116,7 +116,7 @@ def test_criterion_4_transition_block_identities():
     }
     worst_sym, worst_det = 0.0, 0.0
     for name, sys in presets.items():
-        times, phi = propagate(sys, 0.0, 1.0, 1000)
+        times, phi, _ = propagate(sys, 0.0, 1.0, 1000)
         times, phi = times[100::100], phi[100::100]  # t = 0.1, 0.2, ..., 1
         worst_sym = max(worst_sym, symplectic_residual(phi))
         worst_det = max(worst_det, float(np.abs(np.linalg.det(phi) - 1.0).max()))
@@ -141,7 +141,7 @@ def test_criterion_4_transition_block_identities():
 def test_criterion_5_spurious_root_escape():
     # scalar: X(t) = 1 - t(1/2 + Z) linear, root at ~0.382 on the plus branch
     sp = scalar_problem()
-    times, phi = propagate(sp.sys, 0.0, 1.0, 1000)
+    times, phi, _ = propagate(sp.sys, 0.0, 1.0, 1000)
     nodes = (times[::5], phi[::5])  # t = 0, 0.005, ..., 1
     roots = coupling_roots(sp.sigma0, sp.sigma1, phi[-1], 1.0)
     plus = spurious_root_escape(sp, nodes, roots.z_plus)
@@ -152,7 +152,7 @@ def test_criterion_5_spurious_root_escape():
     assert plus.times[flip] <= tau <= plus.times[flip + 1]
 
     ip = inertial_problem(1.0)
-    times2, phi2 = propagate(ip.sys, 0.0, 1.0, 1000)
+    times2, phi2, _ = propagate(ip.sys, 0.0, 1.0, 1000)
     nodes2 = (times2[::5], phi2[::5])
     roots2 = coupling_roots(ip.sigma0, ip.sigma1, phi2[-1], 1.0)
     assert spurious_root_escape(ip, nodes2, roots2.z_plus).sign_change

@@ -469,8 +469,8 @@ def test_sum_law_residuals_stay_finite_at_tiny_eps(eps):
 @pytest.mark.parametrize("q_scale", [1.0, 0.0], ids=["q1", "q0"])
 def test_transitions_keep_the_first_and_last_nodes(q_scale, grid_size):
     sys = inertial_system(q_scale)
-    times, phi = propagate(sys, 0.0, 1.0, grid_size)
-    kept_times, kept = bridge._transitions(sys, grid_size)
+    times, phi, _ = propagate(sys, 0.0, 1.0, grid_size)
+    (kept_times, kept), _ = bridge._transitions(sys, grid_size)
     # every max(1, grid_size // 100)-th node, and the last node
     step = max(1, grid_size // 100)
     expected = list(range(0, grid_size, step)) + [grid_size]
@@ -485,7 +485,7 @@ def test_transitions_keep_the_first_and_last_nodes(q_scale, grid_size):
 
 def test_escape_scalar_plus_root():
     problem = SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0)
-    transitions = propagate(problem.sys, 0.0, 1.0, 100)
+    transitions = propagate(problem.sys, 0.0, 1.0, 100)[:2]
     roots = coupling_roots(problem.sigma0, problem.sigma1, transitions[1][-1], 1.0)
     report = spurious_root_escape(problem, transitions, roots.z_plus)
     assert report.sign_change
@@ -496,7 +496,7 @@ def test_escape_scalar_plus_root():
 
 def test_escape_scalar_minus_root_clean():
     problem = SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0)
-    transitions = propagate(problem.sys, 0.0, 1.0, 100)
+    transitions = propagate(problem.sys, 0.0, 1.0, 100)[:2]
     roots = coupling_roots(problem.sigma0, problem.sigma1, transitions[1][-1], 1.0)
     report = spurious_root_escape(problem, transitions, roots.z_minus)
     assert not report.sign_change
@@ -505,7 +505,7 @@ def test_escape_scalar_minus_root_clean():
 
 def test_escape_inertial_case():
     problem = inertial_problem()
-    times, phi = propagate(problem.sys, 0.0, 1.0, 1000)
+    times, phi, _ = propagate(problem.sys, 0.0, 1.0, 1000)
     nodes = (times[::5], phi[::5])
     roots = coupling_roots(problem.sigma0, problem.sigma1, phi[-1], 1.0)
     assert spurious_root_escape(problem, nodes, roots.z_plus).sign_change

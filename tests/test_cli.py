@@ -276,6 +276,18 @@ def test_off_grid_checkpoints_exit_1_before_solving(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_default_checkpoints_follow_the_step_count(tmp_path):
+    # the default was 0, 0.1, ..., 1 whatever the grid, so --steps 4 exited 1
+    out = tmp_path / "o"
+    assert main(["simulate", "--preset", "scalar-trivial", "--seed", "1", "--steps", "4",
+                 "--out", str(out)]) == 0
+    with open(out / "paths.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert sorted({float(row["t"]) for row in rows}) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    # at the default 1000 steps the recorded list, and so the config hash, is unchanged
+    assert preset_config().monte_carlo.checkpoints == [i / 10 for i in range(11)]
+
+
 def test_repeated_checkpoints_exit_1_before_solving(tmp_path, capsys):
     # two t = 0.5 checkpoints once exited 0 and wrote two different t = 0.5 rows
     raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import covsteer.bridge
 import covsteer.integrate
 import covsteer.systems
 from covsteer import (
@@ -23,7 +24,8 @@ from covsteer import (
     state_transition,
     symplectic_residual,
 )
-from covsteer.integrate import rk4_grid, stage_times
+from covsteer.hamiltonian import hamiltonian_stack
+from covsteer.integrate import rk4_grid, stage_times, step_pages
 
 
 def scalar_system(q=0.0, r=1.0):
@@ -71,7 +73,7 @@ def test_assembly_singular_r():
 
 
 def test_propagate_initial_condition():
-    times, phi = propagate(scalar_system(), 0.0, 0.0)
+    times, phi, _ = propagate(scalar_system(), 0.0, 0.0)
     np.testing.assert_array_equal(times, [0.0, 0.0])
     np.testing.assert_array_equal(phi, [np.eye(2), np.eye(2)])
     with pytest.raises(DomainError, match="s <= t"):
@@ -87,7 +89,7 @@ def test_propagate_nilpotent_scalar():
 
 def test_propagate_constant_hyperbolic():
     # M = [[0,-1],[-1,0]] exponentiates to [[cosh, -sinh], [-sinh, cosh]]
-    times, phi = propagate(scalar_system(q=1.0), 0.0, 1.0)
+    times, phi, _ = propagate(scalar_system(q=1.0), 0.0, 1.0)
     np.testing.assert_array_equal(times, np.linspace(0.0, 1.0, 1001))
     c, s = np.cosh(1.0), np.sinh(1.0)
     np.testing.assert_allclose(phi[-1], [[c, -s], [-s, c]], atol=1e-12)
@@ -206,15 +208,16 @@ def test_solve_samples_each_coefficient_once_per_stage_time_per_pass(monkeypatch
 
     stages = np.linspace(0.0, 1.0, 2 * N_TV + 1)
     node = (np.arange(2 * N_TV + 1) % 2 == 0).astype(int)
-    # passes: Gramian (A), Phi (A, B, Q, R), Y (A, B, Q, R); node-only:
-    # Gramian B, gains B and R. Per stage time, whatever the page size:
-    expected = {"A": 3 + 0 * node, "B": 2 + 2 * node, "Q": 2 + 0 * node, "R": 2 + node}
+    # passes: Gramian (A), Phi (A, B, Q, R); the Y pass multiplies Phi's step
+    # matrices and samples nothing. Node-only: Gramian B, gains B and R. Per
+    # stage time, whatever the page size:
+    expected = {"A": 2 + 0 * node, "B": 1 + 2 * node, "Q": 1 + 0 * node, "R": 1 + node}
     for name, c in zip("ABQR", maps):
         times = np.array(c.times)
         j = np.rint(times * 2 * N_TV).astype(int)
         assert np.abs(times - stages[j]).max() <= 2 * np.spacing(1.0), name
         np.testing.assert_array_equal(np.bincount(j, minlength=2 * N_TV + 1), expected[name])
-    assert [len(c.times) for c in maps] == [1803, 1804, 1202, 1503]
+    assert [len(c.times) for c in maps] == [1202, 1203, 601, 902]
 
 
 def test_epsilon_sweep_rows_match_standalone_solves_bit_for_bit_on_the_tv_system():
@@ -239,6 +242,54 @@ def test_solve_gives_the_same_bytes_at_every_page_size(monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("page", [1, 7, 10_000])
+def test_the_y_pass_on_phi_step_matrices_gives_the_bytes_of_a_pass_from_fresh_samples(
+    monkeypatch, page
+):
+    monkeypatch.setattr(covsteer.integrate, "STAGE_PAGE", page)
+    problem = SteeringProblem(PARITY_SYSTEMS["tv"](), np.eye(3), 0.5 * np.eye(3))
+    sweep = [SteeringProblem(problem.sys, problem.sigma0, problem.sigma1, eps)
+             for eps in (2.0, 0.5, 0.0)]
+
+    def fresh_y_pass(steps, y0, grid):  # ignores Phi's step matrices: samples M anew
+        pages = step_pages(lambda ts: hamiltonian_stack(problem.sys, ts), grid)
+        return rk4_grid(pages, y0, grid)
+
+    def outputs():
+        sols = [solve(problem, N_TV)]
+        sols += covsteer.bridge._solve_each(sweep, *covsteer.bridge._transitions(problem.sys, N_TV),
+                                            N_TV)
+        rows = epsilon_sweep(problem, [p.epsilon for p in sweep], N_TV)
+        return ([arr.tobytes() for sol in sols for arr in (sol.pi, sol.h, sol.sigma, sol.k)]
+                + [(row.pi0.tobytes(), row.gap) for row in rows])
+
+    shared = outputs()
+    monkeypatch.setattr(covsteer.bridge, "rk4_grid", fresh_y_pass)
+    assert shared == outputs()
+
+
+def test_no_step_matrix_outlives_the_y_pass(monkeypatch):
+    # the diagnostics hold the peak memory of a solve; Phi's E_k must be gone by then
+    lists, lengths = [], []
+    propagate_, read_flows = covsteer.bridge.propagate, covsteer.bridge._read_flows
+
+    def kept(*args):
+        out = propagate_(*args)
+        lists.append(out[2])
+        return out
+
+    def recorded(*args):
+        lengths.append([len(steps) for steps in lists])
+        return read_flows(*args)
+
+    monkeypatch.setattr(covsteer.bridge, "propagate", kept)
+    monkeypatch.setattr(covsteer.bridge, "_read_flows", recorded)
+    problem = SteeringProblem(PARITY_SYSTEMS["tv"](), np.eye(3), 0.5 * np.eye(3))
+    solve(problem, N_TV)
+    epsilon_sweep(problem, [1.0, 0.0], N_TV)
+    assert lengths == [[0], [0, 0], [0, 0]]
+
+
 @pytest.mark.parametrize("page", [1, 3, 256])
 @pytest.mark.parametrize("grid", [np.linspace(0.0, 1.0, 9), np.linspace(1.0, 0.0, 9)],
                          ids=["forward", "backward"])
@@ -250,7 +301,7 @@ def test_rk4_grid_on_a_constant_scalar_follows_the_stability_polynomial(monkeypa
         sampled.append(ts)
         return np.full((len(ts), 1, 1), lam)
 
-    ys = rk4_grid(sample, np.ones(1), grid)
+    ys = rk4_grid(step_pages(sample, grid), np.ones(1), grid)
     z = lam * (grid[1] - grid[0])  # every step of these grids is exactly +-1/8
     r = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
     np.testing.assert_allclose(ys[:, 0], r ** np.arange(len(grid)), rtol=1e-14, atol=0.0)
@@ -269,7 +320,7 @@ def test_rk4_grid_working_memory_is_bounded_by_the_page_not_the_grid():
         grid, y0 = np.linspace(0.0, 1.0, n + 1), np.eye(12)
         tracemalloc.start()
         try:
-            out = rk4_grid(sample, y0, grid)
+            out = rk4_grid(step_pages(sample, grid), y0, grid)
             return tracemalloc.get_traced_memory()[1] - out.nbytes
         finally:
             tracemalloc.stop()
@@ -308,7 +359,7 @@ def test_rk4_grid_matches_the_per_call_oracle_on_a_non_commuting_flow(monkeypatc
         return g[0] + t * g[1] + np.sin(3.0 * t) * g[2]
 
     oracle = per_call_rk4(lambda t, y: g_at(t) @ y, y0, grid)
-    assert _rel(rk4_grid(g_at, y0, grid), oracle) <= 1e-13
+    assert _rel(rk4_grid(step_pages(g_at, grid), y0, grid), oracle) <= 1e-13
 
 
 @pytest.mark.parametrize("name", sorted(PARITY_SYSTEMS))
@@ -316,7 +367,7 @@ def test_propagate_matches_the_per_call_hamiltonian_oracle(name):
     sys = PARITY_SYSTEMS[name]()
     oracle = per_call_rk4(lambda t, y: hamiltonian_matrix(sys, t) @ y, np.eye(2 * sys.dim_state),
                           GRID_TV)
-    times, staged = propagate(sys, 0.0, 1.0, N_TV)
+    times, staged, _ = propagate(sys, 0.0, 1.0, N_TV)
     np.testing.assert_array_equal(times, GRID_TV)
     # rk4_grid multiplies by step matrices, the oracle adds up stages: roundoff apart
     assert _rel(staged, oracle) <= 1e-12

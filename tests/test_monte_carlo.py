@@ -300,6 +300,20 @@ def test_simulate_and_cost_gap_reject_a_seed_outside_the_stream_keys(inertial_so
         cost_gap(problem, sol, 0.1, 10, 10, seed=seed)
 
 
+@pytest.mark.parametrize("arg", ["n_paths", "n_steps"])
+@pytest.mark.parametrize("value", [2.5, 100.0, True, 0])
+def test_simulate_and_cost_gap_reject_a_count_that_is_not_a_positive_integer(
+    inertial_solution, arg, value
+):
+    # a float raised a raw TypeError, and n_steps=True ran one step
+    problem, sol = inertial_solution
+    counts = {"n_paths": 10, "n_steps": 10, arg: value}
+    with pytest.raises(DomainError, match=f"{arg} must be a positive integer"):
+        simulate(problem, sol, counts["n_paths"], counts["n_steps"], seed=1)
+    with pytest.raises(DomainError, match=f"{arg} must be a positive integer"):
+        cost_gap(problem, sol, 0.1, counts["n_paths"], counts["n_steps"], seed=1)
+
+
 @pytest.mark.parametrize("level, resolution",
                          [(0.0, 16), (-1.0, 16), (np.inf, 16), (np.nan, 16), (3.0, 2)])
 def test_tube_rejects_a_bad_level_or_resolution(level, resolution):

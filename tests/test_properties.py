@@ -4,16 +4,27 @@ The state penalty Q may be indefinite, so some draws reach a conjugate point
 and must raise. Every solved draw is also checked against an independent
 oracle: scipy's DOP853 on the linear Hamiltonian flow Y' = M(t) Y, started at
 the solution's own Pi(0) and H(0) and mapped to Pi, H and Sigma by the same
-formulas.
+formulas. At zero noise and Q = 0 the problem is mass transport, and the state
+map X(1) is checked against the Gaussian Wasserstein-2 map built from scipy's
+matrix exponential alone.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from covsteer import CovsteerError, SteeringProblem, make_system, riccati_rhs_h, solve
+from covsteer import (
+    CovsteerError,
+    SteeringProblem,
+    blocks,
+    make_system,
+    propagate,
+    riccati_rhs_h,
+    solve,
+)
 from covsteer.hamiltonian import hamiltonian_matrix
 
 
@@ -117,3 +128,52 @@ def test_pinned_draws_match_the_dop853_oracle(draw):
     # H by a second route: DOP853 on H's own Riccati equation
     h_riccati = _dop853(lambda t, y: riccati_rhs_h(problem.sys, t, y), sol.h[0], sol.grid)
     assert _rel(sol.h, h_riccati) <= 1e-6
+
+
+def _root_pair(s):
+    """(S^1/2, S^-1/2) of an SPD matrix, by numpy's eigh."""
+    w, v = np.linalg.eigh(s)
+    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+
+
+@st.composite
+def transport_draws(draw):
+    """(A, B, R, Sigma0, Sigma1) with Q = 0, n <= 3, m <= 2 and R != I, and the Gramian G.
+
+    G is the controllability Gramian over [0, 1] of the channel B R^-1/2, from
+    Van Loan's block exponential. Draws with cond(G) > 100 are discarded: above
+    it roundoff on both sides nears the tolerance. Up to cond(G) = 1e3 the
+    mismatch reached 1.5e-9, where the solver's X Sigma0 X' and the oracle's
+    T Sigma0 T' themselves missed Sigma1 by up to 9.5e-10 and 3.1e-10.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, m))
+    r = _spd(rng, m, 1.0) * 10.0 ** rng.uniform(-1.0, 1.0)
+    sigma0, sigma1 = _spd(rng, n, 1.0), _spd(rng, n, 1.0)
+    channel = b @ _root_pair(r)[1]
+    van_loan = expm(np.block([[-a, channel @ channel.T], [np.zeros((n, n)), a.T]]))
+    gram = van_loan[n:, n:].T @ van_loan[:n, n:]
+    assume(np.linalg.cond(gram) <= 100.0)
+    return a, b, r, sigma0, sigma1, gram
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(transport_draws())
+def test_zero_noise_state_map_is_the_gaussian_w2_map(draw):
+    # cost of x0 -> x1 is (x1 - Psi x0)' G^-1 (x1 - Psi x0): the W2 map in G^-1/2 coordinates
+    a, b, r, sigma0, sigma1, gram = draw
+    psi = expm(a)
+    g_half, g_inv_half = _root_pair(gram)
+    s_a = g_inv_half @ psi @ sigma0 @ psi.T @ g_inv_half
+    s_b = g_inv_half @ sigma1 @ g_inv_half
+    a_half, a_inv_half = _root_pair(s_a)
+    t_w2 = a_inv_half @ _root_pair(a_half @ s_b @ a_half)[0] @ a_inv_half
+    transport = g_half @ t_w2 @ g_inv_half @ psi
+
+    problem = SteeringProblem(make_system(a, b, None, r), sigma0, sigma1, 0.0)
+    sol = solve(problem, 1000)
+    phi11, phi12, _, _ = blocks(propagate(problem.sys, 0.0, 1.0, 1000)[1][-1])
+    assert _rel(phi11 + phi12 @ sol.pi[0], transport) <= 1e-9
