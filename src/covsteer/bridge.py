@@ -44,7 +44,13 @@ A zero of det X1 or det X2 inside the horizon is a conjugate point of the
 flow: past it Pi or H escapes and the expected cost is unbounded below, so no
 optimal law exists. An indefinite Q can reach one, and the solver raises
 ConjugatePointError at the first grid interval where either determinant
-changes sign.
+changes sign. The same gate stands in for a definiteness check of
+Sigma(t) = X2 Sigma0 X1': Sigma(0) = Sigma0 is positive definite, and an
+eigenvalue of Sigma(t) can change sign only where det Sigma(t) =
+det X2 det Sigma0 det X1 vanishes. So Sigma(t) is never inverted or tested.
+Every per-node inverse the solver needs follows from one batched inverse
+each of X1 and X2: Pi and H above, and the sum-law target
+eps Sigma^-1 = eps X1^-T Sigma0^-1 X2^-1.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ from .systems import (
     make_system,
     reachability_gramian,
     require_controllable,
+    solve_r,
     state_transition,
     symmetrize,
 )
@@ -308,7 +315,9 @@ def solve(problem: SteeringProblem, grid_size: int = 1000) -> BridgeSolution:
     grid nodes, and BoundaryResidualError (solution attached) if the terminal
     covariance misses sigma1 by more than RESIDUAL_TOL in relative Frobenius
     norm, or if Pi, H or Sigma is not finite on the grid. Raises DomainError
-    unless grid_size is a positive integer.
+    unless grid_size is a positive integer. Sigma(t) is not inverted, so no
+    DefinitenessError comes from it: its definiteness follows from the
+    conjugate-point gate (see the module docstring).
     """
     transitions, steps = _transitions(problem.sys, grid_size)
     return _solve_each([problem], transitions, steps, grid_size)[0]
@@ -358,7 +367,6 @@ def _solve_each(
 
     starts, error = _until_error(start, problems)
     grid = np.linspace(0.0, 1.0, grid_size + 1)
-    b_t, r_t = sys.B(grid), sys.R(grid)
     flows = []
     if starts:
         eye = np.eye(n)
@@ -367,11 +375,13 @@ def _solve_each(
         y_t = rk4_grid(steps, y0, grid)
         steps.clear()  # no E_k outlives the pass
         flows, read_error = _until_error(
-            lambda i: _read_flows(y_t[:, :, 2 * n * i:2 * n * (i + 1)], problems[i].sigma0, grid),
+            lambda i: _read_flows(y_t[:, :, 2 * n * i:2 * n * (i + 1)], problems[i], grid),
             range(len(starts)),
         )
         del y_t  # lowers the peak memory of the diagnostics below
         error = read_error or error
+    # sampled after the reads, whose peak memory they would raise
+    b_t, r_t = sys.B(grid), sys.R(grid)
     solutions = [_gated_solution(problem, roots, pi0, *flow, transitions, grid, b_t, r_t)
                  for (problem, roots, pi0, _), flow in zip(starts, flows)]
     if error is not None:
@@ -391,25 +401,55 @@ def _until_error(fn, items) -> tuple[list, CovsteerError | None]:
 
 
 def _read_flows(
-    y_t: np.ndarray, sigma0: np.ndarray, grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Pi, H, Sigma) on the grid from Y(t) = [[X1, X2], [Y1, Y2]] of one eps.
+    y_t: np.ndarray, problem: SteeringProblem, grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
+    """(Pi, H, Sigma) on the grid from Y(t) = [[X1, X2], [Y1, Y2]] of one eps, and the sum law.
 
-    Raises SingularMatrixError if X1 or X2 is singular at a node, and
+    The sum law is the largest :func:`_sum_law_residual` over the nodes, None
+    at eps = 0. Pi = sym(Y1 X1^-1), H = -sym(Y2 X2^-1) and the target
+    eps Sigma^-1 = eps sym(X1^-T Sigma0^-1 X2^-1) come from one batched
+    inverse each of X1 and X2, and Sigma = sym(X2 Sigma0 X1'). Each inverse
+    is dropped once its last product is taken, so no more than four
+    (nodes, n, n) stacks are alive at once besides Y. Raises
+    SingularMatrixError if X1 or X2 is singular at a node, and
     ConjugatePointError if det X1 or det X2 changes sign between two nodes.
     """
-    n = sigma0.shape[0]
-    yt = y_t.transpose(0, 2, 1)  # [[X1', Y1'], [X2', Y2']]
+    x1, x2, y1, y2 = blocks(y_t)
+    eps = problem.epsilon
+    sum_law = None
     # a non-finite Y fails the finiteness gate, so its arithmetic need not warn
     with np.errstate(invalid="ignore", over="ignore"):
-        try:  # Pi = Y1 X1^-1 and H = -Y2 X2^-1 are symmetric: X1' Pi = Y1' and X2' H = -Y2'
-            pi_t = symmetrize(np.linalg.solve(yt[:, :n, :n], yt[:, :n, n:]))
-            h_t = -symmetrize(np.linalg.solve(yt[:, n:, :n], yt[:, n:, n:]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"X(t) is singular on the grid: {exc}") from exc
-        _require_no_conjugate_point(y_t[:, :n, :n], y_t[:, :n, n:], grid)
-        sigma_t = symmetrize(y_t[:, :n, n:] @ sigma0 @ yt[:, :n, :n])  # X2 Sigma0 X1'
-    return pi_t, h_t, sigma_t
+        inv = _inverse_on_grid(x1, "X1", grid)
+        if eps > 0:
+            sigma_inv = np.swapaxes(inv, -1, -2) @ _inv_spd(problem.sigma0)
+        pi_t = symmetrize(y1 @ inv)
+        inv = _inverse_on_grid(x2, "X2", grid)
+        if eps > 0:
+            sigma_inv = sigma_inv @ inv  # X1^-T Sigma0^-1 X2^-1
+        prod = y2 @ inv
+        del inv
+        h_t = symmetrize(prod)
+        del prod
+        np.negative(h_t, out=h_t)
+        _require_no_conjugate_point(x1, x2, grid)
+        if eps > 0:
+            target = symmetrize(sigma_inv)
+            del sigma_inv
+            target *= eps
+            sum_law = float(np.max(_sum_law_residual(pi_t, h_t, target)))
+            del target
+        sigma_t = symmetrize(x2 @ problem.sigma0 @ np.swapaxes(x1, -1, -2))
+    return pi_t, h_t, sigma_t, sum_law
+
+
+def _inverse_on_grid(x: np.ndarray, name: str, grid: np.ndarray) -> np.ndarray:
+    """x^-1 at every node; SingularMatrixError naming the node where det x is smallest."""
+    try:
+        return np.linalg.inv(x)
+    except np.linalg.LinAlgError as exc:
+        k = np.argmin(np.abs(np.linalg.det(x)))
+        raise SingularMatrixError(
+            f"{name}(t) is singular on the grid, at t = {grid[k]:.6g}") from exc
 
 
 def _require_no_conjugate_point(x1: np.ndarray, x2: np.ndarray, grid: np.ndarray) -> None:
@@ -439,16 +479,20 @@ def _gated_solution(
     pi_t: np.ndarray,
     h_t: np.ndarray,
     sigma_t: np.ndarray,
+    sum_law: float | None,
     transitions: tuple[np.ndarray, np.ndarray],
     grid: np.ndarray,
     b_t: np.ndarray,
     r_t: np.ndarray,
 ) -> BridgeSolution:
-    """Gains, residuals and diagnostics of one eps's flows, and the solution's gates."""
+    """Gains, residuals and diagnostics of one eps's flows, and the solution's gates.
+
+    sum_law is the reading :func:`_read_flows` took, None at eps = 0.
+    """
     eps = problem.epsilon
     phi1 = transitions[1][-1]
     finite = all(np.isfinite(arr).all() for arr in (pi_t, h_t, sigma_t))
-    gains = np.linalg.solve(r_t, np.swapaxes(b_t, -1, -2) @ pi_t)
+    gains = solve_r(r_t, np.swapaxes(b_t, -1, -2) @ pi_t, grid)
 
     res0 = float(
         np.linalg.norm(sigma_t[0] - problem.sigma0) / np.linalg.norm(problem.sigma0)
@@ -464,11 +508,8 @@ def _gated_solution(
         "escape_plus": spurious_root_escape(problem, transitions, roots.z_plus),
     }
     if eps > 0:
-        # a non-finite trajectory fails the gate below, so Sigma is not inverted
-        sum_res = np.nan
-        if finite:
-            sum_res = float(np.max(_sum_law_residual(pi_t, h_t, eps * _inv_spd(sigma_t))))
-        diagnostics["sum_law_residual"] = sum_res
+        # a non-finite trajectory fails the gate below, and its reading is NaN
+        diagnostics["sum_law_residual"] = sum_law if finite else np.nan
         diagnostics["terminal_sum_residual"] = float(
             _sum_law_residual(pi_t[-1], h_t[-1], eps * _inv_spd(problem.sigma1))
         )
@@ -503,7 +544,10 @@ def _sum_law_residual(pi: np.ndarray, h: np.ndarray, target: np.ndarray) -> np.n
     the scale at ||Pi|| keeps it meaningful as eps -> 0, where target vanishes.
     """
     scale = np.maximum(np.linalg.norm(target, axis=(-2, -1)), np.linalg.norm(pi, axis=(-2, -1)))
-    return np.linalg.norm(pi + h - target, axis=(-2, -1)) / scale
+    miss = pi + h
+    miss -= target
+    np.square(miss, out=miss)  # in place, so Pi + H - target is the only stack formed
+    return np.sqrt(miss.sum(axis=(-2, -1))) / scale
 
 
 @dataclass(frozen=True)

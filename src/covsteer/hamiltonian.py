@@ -12,7 +12,9 @@ T(t, s) = Phi11^-1 Phi12 whose negativity/monotonicity underpins invertibility
 of the blocks on controllable systems.
 
 M is assembled in one place, :func:`hamiltonian_stack`, at an array of times:
-one A, B, Q and R call for the whole array and one batched solve for B R^-1 B'.
+one A, B, Q and R call for the whole array, B R^-1 B' from
+:func:`covsteer.systems.solve_r` (a constant R is factored once), and the four
+blocks written into one preallocated stack.
 It is the sampler :func:`covsteer.integrate.step_pages` calls a page at a
 time, so :func:`propagate` samples the coefficients once at each of the
 2N + 1 stage times of its N-step grid, and :func:`hamiltonian_matrix` is the
@@ -52,12 +54,18 @@ def hamiltonian_matrix(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
 def hamiltonian_stack(sys: TimeVaryingLinearSystem, ts) -> np.ndarray:
     """M(t) for each time in ts, shape (len(ts), 2n, 2n).
 
-    Calls A, B, Q and R once on the array ts and forms every B R^-1 B' with
-    one batched solve; raises SingularMatrixError on a singular R.
+    Calls A, B, Q and R once on the array ts and writes the four blocks of
+    each M into one stack; raises SingularMatrixError on a singular R.
     """
     ts = _check_time(ts)
+    n = sys.dim_state
     a = sys.A(ts)
-    return np.block([[a, -input_quad(sys, ts)], [-sys.Q(ts), -np.swapaxes(a, -1, -2)]])
+    m = np.empty((len(ts), 2 * n, 2 * n))
+    m[:, :n, :n] = a
+    np.negative(input_quad(sys, ts), out=m[:, :n, n:])
+    np.negative(sys.Q(ts), out=m[:, n:, :n])
+    np.negative(np.swapaxes(a, -1, -2), out=m[:, n:, n:])
+    return m
 
 
 def propagate(

@@ -60,9 +60,14 @@ def rk4_step(e: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(e, y, out=out)
 
 
+def is_int(value) -> bool:
+    """True for an int or a numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def positive_int(value, name: str) -> int:
-    """value as an int; DomainError unless it is an int or numpy integer >= 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    """value as an int; DomainError unless it is an integer (see :func:`is_int`) >= 1."""
+    if not is_int(value) or value < 1:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bridge import BridgeSolution, SteeringProblem, noise_channel, sqrt_spd
 from .errors import DomainError, UnsupportedDimensionError
-from .integrate import grid_indices, positive_int, thin_nodes
+from .integrate import grid_indices, is_int, positive_int, thin_nodes
 
 _PERTURBATION_STREAM = 0xC0575EE2  # fixed substream key for gain perturbations
 _BLOCK_PATHS = 4096  # paths per Philox stream
@@ -63,13 +63,19 @@ def _interp_matrices(src_t: np.ndarray, src_m: np.ndarray, dst_t: np.ndarray) ->
     return out
 
 
-def check_seed(seed: int) -> None:
-    """Raise DomainError unless seed lies in [0, 2**63), where each seed keys its own streams.
+def check_seed(seed) -> int:
+    """seed as an int; DomainError unless it is an integer in [0, 2**63).
 
-    2**63 and -2**63 would key the same Philox stream, and 2**64 and up key none.
+    An integer is what :func:`covsteer.integrate.is_int` accepts: an int or a
+    numpy integer, not a bool, a float or a string. In that range each seed
+    keys its own streams: 2**63 and -2**63 would key the same Philox stream,
+    and 2**64 and up key none.
     """
+    if not is_int(seed):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**63:
         raise DomainError(f"seed must be in [0, 2**63), got {seed}")
+    return int(seed)
 
 
 def _simulate_gain(
@@ -85,7 +91,7 @@ def _simulate_gain(
     if positive_int(n_paths, "n_paths") < 2:
         raise DomainError("n_paths must be at least 2")
     positive_int(n_steps, "n_steps")
-    check_seed(seed)
+    seed = check_seed(seed)
     sys = problem.sys
     n, m = sys.dim_state, sys.dim_input
     eps = problem.epsilon
@@ -135,7 +141,7 @@ def _simulate_gain(
         costs=costs,
         cost_estimate=float(costs.mean()),
         cost_stderr=float(costs.std(ddof=1) / np.sqrt(n_paths)),
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -236,7 +242,7 @@ def cost_gap(
     base = _simulate_gain(
         problem, solution.grid, solution.k, n_paths, n_steps, seed, checkpoints
     )
-    gen = np.random.Generator(np.random.Philox(key=[seed, _PERTURBATION_STREAM]))
+    gen = np.random.Generator(np.random.Philox(key=[base.seed, _PERTURBATION_STREAM]))
     delta = gen.standard_normal((sys.dim_input, sys.dim_state))
     delta /= np.linalg.norm(delta)
     k_pert = solution.k + perturbation_scale * delta

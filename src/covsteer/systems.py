@@ -28,8 +28,15 @@ CONTROLLABILITY_TOL = 1e-9  # (A, B) is controllable if the Gramian's min eigenv
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return (M + M') / 2 of a matrix or of each matrix in a stack."""
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    """Return (M + M') / 2 of a float matrix or of each matrix in a stack, as a new array.
+
+    M' is copied and M added to it in place: a sum of M and its transposed view
+    would make numpy allocate a 64 KiB iteration buffer on top of the result.
+    """
+    out = np.swapaxes(m, -1, -2).copy()
+    out += m
+    out *= 0.5
+    return out
 
 
 def _spd_eigh(s, tol: float = PD_TOL, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -204,12 +211,26 @@ def make_system(A, B, Q=None, R=None) -> TimeVaryingLinearSystem:
 def input_quad(sys: TimeVaryingLinearSystem, t) -> np.ndarray:
     """B(t) R(t)^-1 B(t)': the control weight of both Riccati flows and the noise diffusion.
 
-    At a 1-d array of times it is a stack, from one batched solve. Raises
+    At a 1-d array of times it is a stack (see :func:`solve_r`). Raises
     SingularMatrixError naming the time of the most nearly singular R.
     """
-    b, r = sys.B(t), sys.R(t)
+    b = sys.B(t)
+    return b @ solve_r(sys.R(t), np.swapaxes(b, -1, -2), t)
+
+
+def solve_r(r, rhs, t) -> np.ndarray:
+    """R^-1 rhs for r = R(t) and rhs at a time t, or for their stacks at a 1-d array t.
+
+    A stack that repeats one matrix with zero stride along time, as a
+    constant coefficient returns it, is factored once: its one inverse
+    multiplies every right-hand side. Any other stack takes a batched solve.
+    Raises SingularMatrixError naming the time of the most nearly singular R.
+    """
+    r = np.asarray(r)
     try:
-        return b @ np.linalg.solve(r, np.swapaxes(b, -1, -2))
+        if r.ndim == 3 and r.strides[0] == 0:
+            return np.linalg.inv(r[0]) @ rhs
+        return np.linalg.solve(r, rhs)
     except np.linalg.LinAlgError as exc:
         worst = np.reshape(t, -1)[np.argmin(np.abs(np.linalg.det(r)))]
         raise SingularMatrixError(f"R({worst}) is singular") from exc

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import brentq
@@ -27,6 +28,7 @@ from covsteer import (
     reachability_gramian,
     riccati_rhs_h,
     riccati_rhs_pi,
+    sampled_coefficient,
     solve,
     spurious_root_escape,
     sqrt_spd,
@@ -389,7 +391,7 @@ def test_solve_singular_x_raises_typed(monkeypatch):
         return traj
 
     monkeypatch.setattr(bridge, "rk4_grid", x_singular_midway)
-    with pytest.raises(SingularMatrixError, match="X"):
+    with pytest.raises(SingularMatrixError, match=r"X1\(t\) is singular on the grid, at t = 0.5$"):
         solve(inertial_problem(), 100)
 
 
@@ -463,6 +465,62 @@ def test_sum_law_residuals_stay_finite_at_tiny_eps(eps):
     diagnostics = solve(inertial_problem(eps=eps), 500).diagnostics
     for key in ("sum_law_residual", "terminal_sum_residual"):
         assert 0.0 <= diagnostics[key] <= 1e-8
+
+
+def six_state_tv_problem(seed=7):
+    """A seeded n = 6, m = 2 problem at eps = 0.5: sampled A and B, piecewise Q, R = I."""
+    rng = np.random.default_rng(seed)
+    knots = np.linspace(0.0, 1.0, 21)
+    a = rng.normal(0.0, 0.5, (6, 6)) + rng.normal(0.0, 0.25, (21, 6, 6))
+    b = rng.normal(0.0, 1.0, (6, 2)) + rng.normal(0.0, 0.25, (21, 6, 2))
+    g = rng.normal(0.0, 0.5, (4, 6, 6))
+    sys = make_system(sampled_coefficient(knots, a), sampled_coefficient(knots, b),
+                      piecewise_constant_coefficient(np.linspace(0.0, 1.0, 5),
+                                                     g @ g.transpose(0, 2, 1)))
+    return SteeringProblem(sys, random_spd(rng, 6, 10.0), 0.1 * random_spd(rng, 6, 10.0), 0.5)
+
+
+@pytest.mark.parametrize("make_problem", [inertial_problem, six_state_tv_problem],
+                         ids=["inertial-q1", "tv-n6"])
+def test_the_sum_law_target_is_eps_times_the_inverse_of_sigma_at_every_node(
+    monkeypatch, make_problem
+):
+    # the solver forms eps Sigma^-1 from X1^-1 and X2^-1; the oracle inverts Sigma(t)
+    problem = make_problem()
+    targets = []
+    reading = bridge._sum_law_residual
+
+    def recorded(pi, h, target):
+        targets.append(np.array(target))
+        return reading(pi, h, target)
+
+    monkeypatch.setattr(bridge, "_sum_law_residual", recorded)
+    sol = solve(problem, 2000)
+    stack = targets[0]  # then the terminal reading, on Sigma1^-1
+    assert stack.shape == sol.sigma.shape
+    for target, sigma in zip(stack, sol.sigma):
+        oracle = scipy.linalg.inv(sigma)
+        assert (np.linalg.norm(target / problem.epsilon - oracle)
+                <= 1e-10 * np.linalg.norm(oracle))
+        # the solver does not test Sigma for definiteness; its gate must imply it
+        assert scipy.linalg.eigvalsh(sigma)[0] > 0.0
+
+
+def test_solve_and_sweep_run_no_batched_eigh(monkeypatch):
+    problems = [inertial_problem(), six_state_tv_problem()]  # built before eigh is watched
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    for problem in problems:
+        solve(problem, 500)
+        epsilon_sweep(problem, [1.0, 0.5, 0.0], 500)
+    assert shapes  # the boundary covariances' roots still use it, one matrix at a time
+    assert all(d <= 1 for shape in shapes for d in shape[:-2]), shapes
 
 
 @pytest.mark.parametrize("grid_size", [150, 1001])

@@ -197,6 +197,15 @@ def _rel(x, ref):
     return float(np.abs(x - ref).max() / np.abs(ref).max())
 
 
+def test_hamiltonian_stack_gives_the_bytes_of_a_block_assembly():
+    sys = make_system(*tv_maps())
+    ts = stage_times(GRID_TV)
+    a, b, r = sys.A(ts), sys.B(ts), sys.R(ts)
+    quad = b @ np.linalg.solve(r, np.swapaxes(b, -1, -2))
+    blocked = np.block([[a, -quad], [-sys.Q(ts), -np.swapaxes(a, -1, -2)]])
+    assert hamiltonian_stack(sys, ts).tobytes() == blocked.tobytes()
+
+
 @pytest.mark.parametrize("page", [1, 7, 256, 299, 10_000])
 def test_solve_samples_each_coefficient_once_per_stage_time_per_pass(monkeypatch, page):
     monkeypatch.setattr(covsteer.integrate, "STAGE_PAGE", page)

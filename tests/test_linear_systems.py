@@ -5,7 +5,9 @@ import covsteer.systems
 from covsteer import (
     DefinitenessError,
     DomainError,
+    SingularMatrixError,
     SteeringProblem,
+    TimeVaryingLinearSystem,
     check_controllability,
     make_system,
     piecewise_constant_coefficient,
@@ -14,7 +16,8 @@ from covsteer import (
     solve,
     state_transition,
 )
-from covsteer.integrate import simpson_uniform
+from covsteer.integrate import simpson_uniform, stage_times
+from covsteer.systems import constant_coefficient, input_quad, solve_r
 
 
 def double_integrator(q=None):
@@ -243,3 +246,75 @@ def test_gramian_runs_on_the_odd_solve_grid(monkeypatch):
     problem = SteeringProblem(double_integrator(np.eye(2)), 2.0 * np.eye(2), 0.25 * np.eye(2))
     solve(problem, grid_size=201)
     assert steps == [201]
+
+
+# ---------------------------------------------------------------------------
+# R^-1 rhs: a constant R is factored once
+
+GENERAL_R = [[2.0, 0.6], [0.6, 1.0]]
+TWO_INPUTS = [[0.5, 0.0], [0.3, 1.0]]
+CONSTANT_R_CASES = {  # B, R, whether the per-node solve is matched byte for byte
+    "identity": (TWO_INPUTS, np.eye(2), True),
+    "four": ([[0.0], [1.0]], [[4.0]], True),
+    "general": (TWO_INPUTS, GENERAL_R, False),
+}
+
+
+def _matches_per_node(x, ref, exact):
+    if exact:
+        return x.tobytes() == ref.tobytes()
+    return np.abs(x - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_R_CASES))
+def test_a_constant_r_gives_the_per_node_solve(name):
+    b, r, exact = CONSTANT_R_CASES[name]
+    sys = make_system([[0.0, 1.0], [0.0, 0.0]], b, np.eye(2), r)
+    r = np.array(r)
+    grid = np.linspace(0.0, 1.0, 301)
+    ts = stage_times(grid)
+    quad = np.array([bk @ np.linalg.solve(r, bk.T) for bk in sys.B(ts)])
+    assert _matches_per_node(input_quad(sys, ts), quad, exact)
+
+    sol = solve(SteeringProblem(sys, 2.0 * np.eye(2), 0.25 * np.eye(2)), 300)
+    gains = np.array([np.linalg.solve(r, bk.T @ pk) for bk, pk in zip(sys.B(grid), sol.pi)])
+    assert _matches_per_node(sol.k, gains, exact)
+
+
+def test_only_a_stack_of_one_repeated_matrix_is_factored_once(monkeypatch):
+    ts = np.linspace(0.0, 1.0, 9)
+    rhs = np.random.default_rng(5).standard_normal((9, 2, 3))
+    repeated = constant_coefficient(GENERAL_R)(ts)  # zero stride along time
+    stacked = np.ascontiguousarray(repeated)
+    calls = []
+
+    def spy(name):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args):
+            calls.append((name, np.shape(a)))
+            return original(a, *args)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+
+    spy("inv")
+    spy("solve")
+    once = solve_r(repeated, rhs, ts)
+    assert calls == [("inv", (2, 2))]
+    calls.clear()
+    batched = solve_r(stacked, rhs, ts)
+    assert calls == [("solve", (9, 2, 2))]
+    assert np.abs(once - batched).max() <= 1e-15 * np.abs(batched).max()
+
+
+@pytest.mark.parametrize("r_map, when", [
+    (constant_coefficient([[0.0]]), "0.0"),
+    (lambda t: (np.asarray(t) - 0.5)[..., None, None], "0.5"),
+], ids=["constant", "callable"])
+def test_a_singular_r_raises_naming_its_time(r_map, when):
+    # built without make_system, whose samples of R would reject it
+    sys = TimeVaryingLinearSystem(1, 1, constant_coefficient([[0.0]]),
+                                  constant_coefficient([[1.0]]),
+                                  constant_coefficient([[0.0]]), r_map)
+    with pytest.raises(SingularMatrixError, match=rf"R\({when}\) is singular"):
+        input_quad(sys, np.linspace(0.0, 1.0, 5))

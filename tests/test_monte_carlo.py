@@ -300,6 +300,27 @@ def test_simulate_and_cost_gap_reject_a_seed_outside_the_stream_keys(inertial_so
         cost_gap(problem, sol, 0.1, 10, 10, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [2.5, True, np.float64(3.0), "3"],
+                         ids=["float", "bool", "numpy-float", "str"])
+def test_simulate_and_cost_gap_reject_a_seed_that_is_not_an_integer(inertial_solution, seed):
+    # 2.5 ran on seed 2's stream and True as seed 1
+    problem, sol = inertial_solution
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        simulate(problem, sol, 10, 10, seed=seed)
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        cost_gap(problem, sol, 0.1, 10, 10, seed=seed)
+
+
+def test_a_numpy_integer_seed_runs_as_the_same_int(inertial_solution):
+    problem, sol = inertial_solution
+    a = simulate(problem, sol, 50, 20, seed=3)
+    b = simulate(problem, sol, 50, 20, seed=np.int64(3))
+    assert type(b.seed) is int and b.seed == 3
+    assert a.states.tobytes() == b.states.tobytes() and a.costs.tobytes() == b.costs.tobytes()
+    assert cost_gap(problem, sol, 0.1, 50, 20, seed=3) == cost_gap(
+        problem, sol, 0.1, 50, 20, seed=np.int64(3))
+
+
 @pytest.mark.parametrize("arg", ["n_paths", "n_steps"])
 @pytest.mark.parametrize("value", [2.5, 100.0, True, 0])
 def test_simulate_and_cost_gap_reject_a_count_that_is_not_a_positive_integer(
