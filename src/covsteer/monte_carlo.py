@@ -8,10 +8,17 @@ which is the noise model of :mod:`covsteer.bridge`, over many paths,
 estimating empirical covariances at checkpoints and the expected quadratic
 cost. The noise enters through :func:`covsteer.bridge.noise_channel`.
 
-One pass over the steps carries every path, with paths in the last axis of
-an (n, n_paths) state; each step applies the Euler step I + dt (A - BK), the
-cost weight Q + K'RK (so u'Ru + x'Qx = x'(Q + K'RK)x) and the scaled noise
-channel sqrt(eps dt) B R^-1/2, all precomputed on the grid.
+Paths are stepped one 4096-path block at a time, paths in the last axis. One
+step matrix per grid step is built before the loop,
+
+    S_k = [[G_k, F_k], [0, trap_k W_k]],
+
+from the scaled noise channel G_k = sqrt(eps dt) B R^-1/2, the Euler step
+F_k = I + dt (A - BK), the cost weight W_k = Q + K'RK (so u'Ru + x'Qx =
+x'W_k x) and the trapezoid weight trap_k. Two reused buffers hold a block's
+stacked state [dw; x; W x]: each step draws dw in place, and one product with
+S_k gives both x_{k+1} and trap_k W_k x_k, whose inner product with x_k is the
+step's cost. At eps = 0 the dw rows and G_k are left out.
 
 Randomness is counter-based. Paths come in blocks of 4096, and block b draws
 from the Philox stream keyed by (seed, b): first x(0) as an (n, 4096) array,
@@ -22,6 +29,7 @@ and cost depend on (seed, i, n_steps) only, not on n_paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,36 +108,43 @@ def _simulate_gain(
 
     a_seq, b_seq, q_seq, r_seq = sys.A(t_grid), sys.B(t_grid), sys.Q(t_grid), sys.R(t_grid)
     k_seq = _interp_matrices(gain_t, gain_seq, t_grid)
-    step_seq = np.eye(n) + dt * (a_seq - b_seq @ k_seq)  # Euler step F_k
-    weight_seq = q_seq + np.swapaxes(k_seq, -1, -2) @ r_seq @ k_seq  # u'Ru + x'Qx = x'W_k x
-    noise_seq = np.sqrt(eps * dt) * noise_channel(b_seq, r_seq)
-    trapezoid = np.full(n_steps + 1, dt)
+    trapezoid = np.full((n_steps + 1, 1, 1), dt)
     trapezoid[[0, -1]] = 0.5 * dt
+    w = m if eps > 0 else 0  # noise rows of the stacked state [dw; x; W x]
+    # S_k = [[G_k, F_k], [0, trap_k W_k]] maps [dw_k; x_k] to [x_{k+1}; trap_k W_k x_k]
+    steps = np.zeros((n_steps + 1, 2 * n, w + n))
+    if w:
+        steps[:, :n, :w] = np.sqrt(eps * dt) * noise_channel(b_seq, r_seq)
+    steps[:, :n, w:] = np.eye(n) + dt * (a_seq - b_seq @ k_seq)
+    steps[:, n:, w:] = trapezoid * (q_seq + np.swapaxes(k_seq, -1, -2) @ r_seq @ k_seq)
 
     cp_idx = (thin_nodes(n_steps, 10) if checkpoints is None
               else grid_indices(checkpoints, t_grid))
     cp_lookup = {int(k): i for i, k in enumerate(cp_idx)}
-    gens = [np.random.Generator(np.random.Philox(key=[seed, b]))
-            for b in range(-(-n_paths // _BLOCK_PATHS))]
-
-    def draw(rows: int) -> np.ndarray:
-        # every block draws at full width, so a path's draws do not depend on n_paths
-        return np.concatenate(
-            [gen.standard_normal((rows, _BLOCK_PATHS)) for gen in gens], axis=1
-        )[:, :n_paths]
-
-    x = sqrt_spd(problem.sigma0) @ draw(n)
+    root0 = sqrt_spd(problem.sigma0)
     states = np.empty((n_paths, len(cp_idx), n))
     costs = np.zeros(n_paths)
-    for k in range(n_steps + 1):
-        costs += trapezoid[k] * ((weight_seq[k] @ x) * x).sum(axis=0)
-        ci = cp_lookup.get(k)
-        if ci is not None:
-            states[:, ci] = x.T
-        if k < n_steps:
-            x = step_seq[k] @ x
-            if eps > 0:
-                x += np.dot(noise_seq[k], draw(m))  # matmul is slower for m = 1
+    z, z_next = np.empty((2, w + 2 * n, _BLOCK_PATHS))
+    for lo in range(0, n_paths, _BLOCK_PATHS):
+        gen = np.random.Generator(np.random.Philox(key=[seed, lo // _BLOCK_PATHS]))
+        cols = min(_BLOCK_PATHS, n_paths - lo)
+        block_states, block_costs = states[lo:lo + cols], costs[lo:lo + cols]
+        # every draw is at full width, so a path's draws do not depend on n_paths
+        gen.standard_normal(out=z_next[:n])
+        np.matmul(root0, z_next[:n, :cols], out=z[w:w + n, :cols])
+        for k in range(n_steps + 1):
+            x = z[w:w + n, :cols]
+            ci = cp_lookup.get(k)
+            if ci is not None:
+                block_states[:, ci] = x.T
+            if k < n_steps:
+                if w:
+                    gen.standard_normal(out=z[:w])
+                np.matmul(steps[k], z[:w + n, :cols], out=z_next[w:, :cols])
+            else:
+                np.matmul(steps[k, n:, w:], x, out=z_next[w + n:, :cols])
+            block_costs += np.einsum("ip,ip->p", x, z_next[w + n:, :cols])
+            z, z_next = z_next, z
 
     emp = np.einsum("pci,pcj->cij", states, states) / n_paths
     emp = 0.5 * (emp + np.transpose(emp, (0, 2, 1)))
@@ -235,8 +250,11 @@ def cost_gap(
 
     The perturbation is a fixed unit-Frobenius random gain offset drawn from
     a dedicated substream of seed, scaled by perturbation_scale and added to
-    K(t) at every grid time.
+    K(t) at every grid time. A perturbation_scale that is not finite raises
+    DomainError.
     """
+    if not math.isfinite(perturbation_scale):
+        raise DomainError(f"perturbation_scale must be finite, got {perturbation_scale}")
     sys = problem.sys
     checkpoints = [0.0, 1.0]
     base = _simulate_gain(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def test_paths_independent_of_path_count_and_block(inertial_solution):
     assert many.costs[:500].tobytes() == few.costs.tobytes()
 
 
-def _tv_problem():
+def _tv_problem(eps=0.7):
     # n = 3, m = 2, time-varying A, B, Q and R, with R != I and Q != 0
     sys = make_system(
         lambda t: np.array([[0.0, 1.0, 0.0], [-1.0, -0.2 * t, 0.5], [0.3, 0.0, -t]]),
@@ -59,7 +61,7 @@ def _tv_problem():
         lambda t: np.array([[2.0 + t, 0.3], [0.3, 1.0]]),
     )
     sigma0 = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, 0.1], [0.0, 0.1, 0.5]])
-    return SteeringProblem(sys, sigma0, np.eye(3), epsilon=0.7)
+    return SteeringProblem(sys, sigma0, np.eye(3), epsilon=eps)
 
 
 def _naive_paths(problem, gain_seq, n_paths, n_steps, seed, block):
@@ -82,23 +84,27 @@ def _naive_paths(problem, gain_seq, n_paths, n_steps, seed, block):
             costs[i] += weight * (u @ sys.R(t) @ u + x @ sys.Q(t) @ x)
             states[i, k] = x
             if k < n_steps:
-                w, v = np.linalg.eigh(sys.R(t))
-                r_inv_half = v @ np.diag(w**-0.5) @ v.T
-                dw = gen.standard_normal((m, block))[:, col]
-                x = (x + dt * (sys.A(t) @ x + sys.B(t) @ u)
-                     + np.sqrt(problem.epsilon * dt) * sys.B(t) @ r_inv_half @ dw)
+                x = x + dt * (sys.A(t) @ x + sys.B(t) @ u)
+                if problem.epsilon > 0:
+                    w, v = np.linalg.eigh(sys.R(t))
+                    r_inv_half = v @ np.diag(w**-0.5) @ v.T
+                    dw = gen.standard_normal((m, block))[:, col]
+                    x = x + np.sqrt(problem.epsilon * dt) * sys.B(t) @ r_inv_half @ dw
     return states, costs
 
 
-def test_stream_contract_matches_naive_per_path_loop(monkeypatch):
-    # 20 paths in blocks of 8 make three streams, the last one cut to 4 columns
+@pytest.mark.parametrize("eps", [0.7, 0.0])
+@pytest.mark.parametrize("n_paths", [20, 16, 5], ids=["cut-block", "whole-blocks", "one-block"])
+def test_stream_contract_matches_naive_per_path_loop(monkeypatch, n_paths, eps):
+    # in blocks of 8, 20 paths make three streams, the last one cut to 4 columns,
+    # 16 make two whole ones and 5 use part of one; at eps = 0 no step draws
     monkeypatch.setattr(monte_carlo, "_BLOCK_PATHS", 8)
-    problem = _tv_problem()
+    problem = _tv_problem(eps)
     n_steps, seed = 10, 31
     grid = np.linspace(0.0, 1.0, n_steps + 1)
     gain_seq = np.random.default_rng(3).standard_normal((n_steps + 1, 2, 3))
-    result = monte_carlo._simulate_gain(problem, grid, gain_seq, 20, n_steps, seed, grid)
-    states, costs = _naive_paths(problem, gain_seq, 20, n_steps, seed, 8)
+    result = monte_carlo._simulate_gain(problem, grid, gain_seq, n_paths, n_steps, seed, grid)
+    states, costs = _naive_paths(problem, gain_seq, n_paths, n_steps, seed, 8)
     assert np.abs(result.states - states).max() <= 1e-12 * np.abs(states).max()
     assert np.abs(result.costs - costs).max() <= 1e-12 * np.abs(costs).max()
 
@@ -144,6 +150,25 @@ def test_golden_stream_inertial_q1():
     np.testing.assert_allclose(
         result.costs, [45.045033959702884, 14.591083976444796, 22.506992224636672], rtol=1e-12
     )
+
+
+def test_simulate_holds_one_block_of_stepping_state():
+    # tracemalloc peak of simulate above its own states array (3 520 000 B here). The
+    # earlier loop, which stepped all paths at once in (n, n_paths) arrays, peaked
+    # 993 244 B above it; stepping one 4096-path block at a time peaks 679 404 B above.
+    # The bound sits below that plus one (2, 20000) float array (320 000 B), so a
+    # per-step full-width temporary or stepping buffers over all blocks fail it.
+    cfg = cli.RunConfig.from_dict(dict(cli.PRESETS["inertial-q1"]))
+    problem = cli.build_problem(cfg)
+    sol = solve(problem, cfg.grid_size)
+    simulate(problem, sol, 10, 10, seed=1)  # first-call allocations are not the loop's
+    tracemalloc.start()
+    try:
+        result = simulate(problem, sol, 20000, 200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - result.states.nbytes < 786_432
 
 
 def test_zero_control_trivial_cost():
@@ -347,6 +372,14 @@ def test_tube_dimension_guard():
     sol = solve(problem, 200)
     with pytest.raises(UnsupportedDimensionError):
         tolerance_tube(sol, 3.0, 16)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_cost_gap_rejects_a_perturbation_scale_that_is_not_finite(inertial_solution, scale):
+    # each gave gap = nan with only numpy warnings
+    problem, sol = inertial_solution
+    with pytest.raises(DomainError, match="perturbation_scale must be finite"):
+        cost_gap(problem, sol, scale, 100, 50, seed=1)
 
 
 def test_cost_gap_zero_perturbation(inertial_solution):

@@ -6,14 +6,15 @@ oracle: scipy's DOP853 on the linear Hamiltonian flow Y' = M(t) Y, started at
 the solution's own Pi(0) and H(0) and mapped to Pi, H and Sigma by the same
 formulas. At zero noise and Q = 0 the problem is mass transport, and the state
 map X(1) is checked against the Gaussian Wasserstein-2 map built from scipy's
-matrix exponential alone.
+matrix exponential alone. At zero noise and Q != 0 each path is checked
+against scipy's solve_bvp on the deterministic LQ two-point problem.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_bvp, solve_ivp
 from scipy.linalg import expm
 
 from covsteer import (
@@ -25,6 +26,7 @@ from covsteer import (
     riccati_rhs_h,
     solve,
 )
+from covsteer import cli
 from covsteer.hamiltonian import hamiltonian_matrix
 
 
@@ -177,3 +179,34 @@ def test_zero_noise_state_map_is_the_gaussian_w2_map(draw):
     sol = solve(problem, 1000)
     phi11, phi12, _, _ = blocks(propagate(problem.sys, 0.0, 1.0, 1000)[1][-1])
     assert _rel(phi11 + phi12 @ sol.pi[0], transport) <= 1e-9
+
+
+@pytest.mark.parametrize("preset", ["inertial-q1", "inertial-q10", "inertial-qneg5"])
+def test_zero_noise_paths_are_the_lq_two_point_extremals(preset):
+    # at eps = 0 the path from x0 minimizes the deterministic LQ cost with x(1) = T x0,
+    # T = X(1): its costate solves x' = Ax - BR^-1B' lam, lam' = -Qx - A' lam, and the
+    # feedback u = -R^-1B' Pi x means lam(t) = Pi(t) x(t); T must push Sigma0 to Sigma1
+    cfg = cli.RunConfig.from_dict(dict(cli.PRESETS[preset], epsilon=0.0))
+    problem = cli.build_problem(cfg)
+    sol = solve(problem, cfg.grid_size)
+    sys, n = problem.sys, problem.sys.dim_state
+    phi11, phi12, _, _ = blocks(propagate(sys, 0.0, 1.0, cfg.grid_size)[1][-1])
+    transport = phi11 + phi12 @ sol.pi[0]
+    assert _rel(transport @ problem.sigma0 @ transport.T, problem.sigma1) <= 1e-9
+
+    a, b, q, r = sys.A(0.0), sys.B(0.0), sys.Q(0.0), sys.R(0.0)  # constant on the presets
+    quad = b @ np.linalg.solve(r, b.T)
+
+    def rhs(t, y):
+        return np.vstack([a @ y[:n] - quad @ y[n:], -q @ y[:n] - a.T @ y[n:]])
+
+    mesh = np.linspace(0.0, 1.0, 11)
+    for x0 in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-0.7, 2.0])):
+        x1 = transport @ x0
+        run = solve_bvp(rhs, lambda ya, yb: np.concatenate([ya[:n] - x0, yb[:n] - x1]),
+                        mesh, np.zeros((2 * n, len(mesh))), tol=1e-10, max_nodes=100_000)
+        assert run.success, run.message
+        lam0 = run.sol(0.0)[n:]
+        assert np.abs(lam0 - sol.pi[0] @ x0).max() <= 1e-9 * np.abs(lam0).max()
+        path = run.sol(sol.grid)
+        assert _rel(np.einsum("tij,jt->it", sol.pi, path[:n]), path[n:]) <= 1e-9
