@@ -30,6 +30,7 @@ and cost depend on (seed, i, n_steps) only, not on n_paths.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,11 +251,14 @@ def cost_gap(
 
     The perturbation is a fixed unit-Frobenius random gain offset drawn from
     a dedicated substream of seed, scaled by perturbation_scale and added to
-    K(t) at every grid time. A perturbation_scale that is not finite raises
-    DomainError.
+    K(t) at every grid time. A perturbation_scale that is not a finite real
+    number (a bool is not one) raises DomainError.
     """
-    if not math.isfinite(perturbation_scale):
-        raise DomainError(f"perturbation_scale must be finite, got {perturbation_scale}")
+    if not (isinstance(perturbation_scale, numbers.Real)
+            and not isinstance(perturbation_scale, bool)
+            and math.isfinite(perturbation_scale)):
+        raise DomainError("perturbation_scale must be finite and a real number, not a bool, "
+                          f"got {perturbation_scale!r}")
     sys = problem.sys
     checkpoints = [0.0, 1.0]
     base = _simulate_gain(

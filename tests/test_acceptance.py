@@ -1,4 +1,4 @@
-"""Acceptance gate: one test per criterion, each printing a PASS line.
+"""Acceptance gate: one or more tests per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines. The benchmark throughout is the planar inertial-particle
@@ -223,6 +223,45 @@ def test_criterion_9_monte_carlo_consistency(benchmark_solutions):
     assert elapsed < 60.0
     print(f"\nPASS criterion 9: empirical terminal covariance residual {rel:.4f} < 0.05 "
           f"at 20000 paths; repeated seed byte-identical; both runs in {elapsed:.1f}s < 60s")
+
+
+def _exact_scheme_moments(problem, sol, n_steps):
+    """P_k = E x_k x_k' of the Euler-Maruyama scheme: P_{k+1} = F P F' + eps dt N N'.
+
+    F_k = I + dt (A - B K) and N_k = B R^-1/2 at t_k, from P_0 = Sigma0, with K
+    read at the solver nodes that the simulation grid hits.
+    """
+    sys, dt = problem.sys, 1.0 / n_steps
+    stride = (len(sol.grid) - 1) // n_steps
+    assert stride * n_steps == len(sol.grid) - 1
+    moments = [np.asarray(problem.sigma0, dtype=float)]
+    for k in range(n_steps):
+        t = k * dt
+        assert sol.grid[k * stride] == pytest.approx(t, abs=1e-15)
+        f = np.eye(sys.dim_state) + dt * (sys.A(t) - sys.B(t) @ sol.k[k * stride])
+        w, v = np.linalg.eigh(sys.R(t))
+        noise = sys.B(t) @ v @ np.diag(w**-0.5) @ v.T
+        moments.append(f @ moments[-1] @ f.T + problem.epsilon * dt * noise @ noise.T)
+    return np.array(moments)
+
+
+@pytest.mark.parametrize("q", [1.0, 10.0, -5.0])
+def test_criterion_9_covariances_are_the_exact_scheme_moments_within_sampling_error(
+    benchmark_solutions, q
+):
+    # the scheme is linear and Gaussian, so its moments are exact; what is left of
+    # S - P is sampling error, with Var S_ij = (P_ij^2 + P_ii P_jj) / n_paths
+    problem, sol = inertial_problem(q), benchmark_solutions[q][0]
+    n_paths, n_steps = 20000, 1000
+    result = simulate(problem, sol, n_paths, n_steps, seed=20260826)
+    exact = _exact_scheme_moments(problem, sol, n_steps)
+    p = exact[np.rint(result.grid * n_steps).astype(int)]
+    diag = np.diagonal(p, axis1=1, axis2=2)
+    sd = np.sqrt((p**2 + diag[:, :, None] * diag[:, None, :]) / n_paths)
+    z = np.abs(result.empirical_cov - p) / sd
+    assert len(result.grid) == 11 and z.max() <= 4.0
+    print(f"\nPASS criterion 9 (Q={q:g}I): empirical covariances at {len(result.grid)} "
+          f"checkpoints within max |z| = {z.max():.2f} <= 4 of the exact scheme moments")
 
 
 def test_criterion_10_input_weight_reduction():

@@ -36,6 +36,7 @@ from covsteer import (
 )
 from covsteer import bridge
 from covsteer.bridge import _sqrt_spd_pair
+from covsteer.integrate import rk4_grid
 from covsteer.systems import require_controllable
 
 GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))  # scalar trivial-case Pi(0), ~0.381966
@@ -504,6 +505,24 @@ def test_the_sum_law_target_is_eps_times_the_inverse_of_sigma_at_every_node(
                 <= 1e-10 * np.linalg.norm(oracle))
         # the solver does not test Sigma for definiteness; its gate must imply it
         assert scipy.linalg.eigvalsh(sigma)[0] > 0.0
+
+
+@pytest.mark.parametrize("make_problem", [inertial_problem, six_state_tv_problem],
+                         ids=["inertial-q1", "tv-n6"])
+def test_rk4_grid_on_the_phi_step_matrices_gives_the_bytes_of_a_matmul_loop(make_problem):
+    sys = make_problem().sys
+    n2 = 2 * sys.dim_state
+    times, phi, steps = propagate(sys, 0.0, 1.0, 1000)
+    rng = np.random.default_rng(5)
+    # Phi's start, a two-eps Y(0) and a vector
+    for y0 in (np.eye(n2), rng.normal(size=(n2, 2 * n2)), rng.normal(size=n2)):
+        loop = np.empty((len(times),) + y0.shape)
+        loop[0] = y0
+        for k, e in enumerate(e for page in steps for e in page):
+            np.matmul(e, loop[k], out=loop[k + 1])
+        np.testing.assert_array_equal(rk4_grid(steps, y0, times), loop, strict=True)
+        if y0.shape == (n2, n2):
+            np.testing.assert_array_equal(phi, loop, strict=True)
 
 
 def test_solve_and_sweep_run_no_batched_eigh(monkeypatch):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from covsteer import (
     symplectic_residual,
 )
 from covsteer.hamiltonian import hamiltonian_stack
-from covsteer.integrate import rk4_grid, stage_times, step_pages
+from covsteer.integrate import rk4_grid, stage_times, step_matrices, step_pages
 
 
 def scalar_system(q=0.0, r=1.0):
@@ -338,6 +339,38 @@ def test_rk4_grid_working_memory_is_bounded_by_the_page_not_the_grid():
     small, large = extra_peak(2000), extra_peak(20_000)
     # one 12 x 12 step matrix per step held past its page would add 20 MB at N = 20 000
     assert abs(large - small) <= 16 * 1024
+
+
+def expression_step_matrices(g, h):
+    """E_k as one expression with fresh temporaries: the reference for the in-place build."""
+    g0, gh, g1 = g[:-1:2], g[1::2], g[2::2]
+    eye = np.eye(g.shape[-1])
+    h = h[:, None, None]
+    k2 = gh @ (eye + 0.5 * h * g0)
+    k3 = gh @ (eye + 0.5 * h * k2)
+    k4 = g1 @ (eye + h * k3)
+    return eye + (h / 6.0) * (g0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12])
+@pytest.mark.parametrize("steps", [1, 7, 256])
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "backward"])
+def test_step_matrices_give_the_bytes_of_the_expression(n, steps, direction):
+    rng = np.random.default_rng(100 * n + steps)
+    g = rng.normal(0.0, 2.0, (2 * steps + 1, n, n))
+    h = direction * rng.uniform(1e-4, 0.3, steps)
+    e = step_matrices(g, h)
+    assert e.shape == (steps, n, n) and e.dtype == np.float64
+    np.testing.assert_array_equal(e, expression_step_matrices(g, h), strict=True)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3, 3), (1, 3, 3, 1)], ids=["scalar", "stack", "4-d"])
+def test_rk4_grid_takes_only_a_vector_or_a_matrix_state(shape):
+    # np.dot contracts a stack along other axes than @ does, so a stack is refused
+    grid = np.linspace(0.0, 1.0, 5)
+    pages = step_pages(lambda ts: np.zeros((len(ts), 3, 3)), grid)
+    with pytest.raises(DomainError, match=re.escape(f"a vector or a matrix, got shape {shape}")):
+        rk4_grid(pages, np.ones(shape), grid)
 
 
 def per_call_rk4(f, y0, grid):

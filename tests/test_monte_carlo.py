@@ -374,9 +374,11 @@ def test_tube_dimension_guard():
         tolerance_tube(sol, 3.0, 16)
 
 
-@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, "0.1", None, True],
+                         ids=["nan", "inf", "-inf", "str", "none", "bool"])
 def test_cost_gap_rejects_a_perturbation_scale_that_is_not_finite(inertial_solution, scale):
-    # each gave gap = nan with only numpy warnings
+    # nan and +-inf gave gap = nan with only numpy warnings, "0.1" and None a raw
+    # TypeError, and True ran as a scale of 1.0
     problem, sol = inertial_solution
     with pytest.raises(DomainError, match="perturbation_scale must be finite"):
         cost_gap(problem, sol, scale, 100, 50, seed=1)

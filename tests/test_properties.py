@@ -7,7 +7,9 @@ the solution's own Pi(0) and H(0) and mapped to Pi, H and Sigma by the same
 formulas. At zero noise and Q = 0 the problem is mass transport, and the state
 map X(1) is checked against the Gaussian Wasserstein-2 map built from scipy's
 matrix exponential alone. At zero noise and Q != 0 each path is checked
-against scipy's solve_bvp on the deterministic LQ two-point problem.
+against scipy's solve_bvp on the deterministic LQ two-point problem, and a
+scalar problem with a closed form checks Pi(0) below the conjugate-point
+threshold and the gate above it.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from scipy.integrate import solve_bvp, solve_ivp
 from scipy.linalg import expm
 
 from covsteer import (
+    ConjugatePointError,
     CovsteerError,
     SteeringProblem,
     blocks,
@@ -210,3 +213,35 @@ def test_zero_noise_paths_are_the_lq_two_point_extremals(preset):
         assert np.abs(lam0 - sol.pi[0] @ x0).max() <= 1e-9 * np.abs(lam0).max()
         path = run.sol(sol.grid)
         assert _rel(np.einsum("tij,jt->it", sol.pi, path[:n]), path[n:]) <= 1e-9
+
+
+def _scalar_identity_transport(q):
+    """A = 0, B = R = 1, Q = q and Sigma0 = Sigma1 = 1 at eps = 0."""
+    return SteeringProblem(make_system([[0.0]], [[1.0]], [[q]], [[1.0]]),
+                           np.eye(1), np.eye(1), 0.0)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.tuples(st.just(1.0), st.floats(0.1, np.sqrt(50.0))),
+                 st.tuples(st.just(-1.0), st.floats(0.05, 0.95 * np.pi))),
+       st.sampled_from([999, 1000]))
+def test_scalar_pi0_is_the_closed_form_below_the_conjugate_point(signed_rate, grid_size):
+    # the optimal path keeps x(1) = x0: x0 cosh(k(t - 1/2)) / cosh(k/2) for Q = k^2 and
+    # x0 cos(w(t - 1/2)) / cos(w/2) for Q = -w^2, so Pi(0) = -x'(0)/x(0) is
+    # k tanh(k/2) or -w tan(w/2); w stays below pi, where cos(w/2) vanishes
+    sign, rate = signed_rate
+    pi0 = solve(_scalar_identity_transport(sign * rate**2), grid_size).pi[0, 0, 0]
+    closed = rate * np.tanh(rate / 2.0) if sign > 0 else -rate * np.tan(rate / 2.0)
+    assert abs(pi0 - closed) <= 1e-9 * max(1.0, abs(closed))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(st.floats(1.03 * np.pi, 1.97 * np.pi, exclude_min=True, exclude_max=True),
+       st.sampled_from([999, 1000]))
+def test_scalar_past_the_conjugate_point_raises_at_mid_horizon(omega, grid_size):
+    # Q = -w^2 with pi < w < 2 pi: the Jacobi field sin(w t) vanishes at pi/w < 1, so
+    # the cost is unbounded below; det X1 changes sign on the interval holding t = 1/2
+    with pytest.raises(ConjugatePointError) as raised:
+        solve(_scalar_identity_transport(-omega**2), grid_size)
+    lo, hi = raised.value.interval
+    assert lo <= 0.5 <= hi and hi - lo == pytest.approx(1.0 / grid_size)
