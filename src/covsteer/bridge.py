@@ -26,12 +26,13 @@ is B R^-1 B', both the control weight and the diffusion.
 
 Phi(t, 0) and the controllability of (A, B) depend on the system alone, not
 on eps, so :func:`epsilon_sweep` propagates once and solves every eps on the
-same transitions. The Y pass integrates the same flow on the same grid as
-Phi, so it samples no coefficient: it multiplies Y(0) through the RK4 step
-matrices E_k that :func:`covsteer.hamiltonian.propagate` built, and the list
-of them is dropped as soon as the pass returns. The Y pass is linear too, so
-one pass serves every eps of a sweep: with k values of eps its state is the
-2n x 2nk matrix
+same transitions; the full Phi stack is released once each eps has its
+roots and its plus-root escape scan. The Y pass integrates the same flow on
+the same grid as Phi, so it samples no coefficient: it multiplies Y(0)
+through the RK4 step matrices E_k that :func:`covsteer.hamiltonian.propagate`
+built, which are released as soon as the pass returns. The Y pass is linear
+too, so one pass serves every eps of a sweep: with k values of eps its state
+is the 2n x 2nk matrix
 
     Y(0) = [[I,          I,           I,          I,           ...],
             [Pi0(eps_1), -H0(eps_1),  Pi0(eps_2), -H0(eps_2),  ...]],
@@ -48,6 +49,7 @@ changes sign. The same gate stands in for a definiteness check of
 Sigma(t) = X2 Sigma0 X1': Sigma(0) = Sigma0 is positive definite, and an
 eigenvalue of Sigma(t) can change sign only where det Sigma(t) =
 det X2 det Sigma0 det X1 vanishes. So Sigma(t) is never inverted or tested.
+X1 is the minus root's X, so the gate's det X1 is that root's escape scan.
 Every per-node inverse the solver needs follows from one batched inverse
 each of X1 and X2: Pi and H above, and the sum-law target
 eps Sigma^-1 = eps X1^-T Sigma0^-1 X2^-1.
@@ -75,7 +77,7 @@ from .hamiltonian import (
     propagate,
     symplectic_residual,
 )
-from .integrate import positive_int, rk4_grid, stage_times, steps_for_span, thin_nodes
+from .integrate import is_real, positive_int, rk4_grid, stage_times, steps_for_span
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
@@ -185,6 +187,8 @@ class SteeringProblem:
         s0, s1 = symmetrize(s0), symmetrize(s1)
         for name, s in (("sigma0", s0), ("sigma1", s1)):
             _spd_eigh(s, name=name)
+        if not is_real(self.epsilon):
+            raise DomainError(f"epsilon must be a real number, not a bool, got {self.epsilon!r}")
         eps = float(self.epsilon)
         if not 0.0 <= eps < np.inf:
             raise DomainError(f"epsilon must be finite and nonnegative, got {eps}")
@@ -319,61 +323,46 @@ def solve(problem: SteeringProblem, grid_size: int = 1000) -> BridgeSolution:
     DefinitenessError comes from it: its definiteness follows from the
     conjugate-point gate (see the module docstring).
     """
-    transitions, steps = _transitions(problem.sys, grid_size)
-    return _solve_each([problem], transitions, steps, grid_size)[0]
-
-
-def _transitions(
-    sys: TimeVaryingLinearSystem, grid_size: int
-) -> tuple[tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
-    """Controllability check, (times, Phi(times, 0)) at about 100 grid nodes, and the E_k.
-
-    The nodes are thin_nodes(grid_size, 100), so the last is Phi(1, 0).
-    The step matrices are those of the grid_size-step pass that built Phi,
-    for the Y pass to multiply (:func:`_solve_each` empties their list).
-    None of them depends on eps. Raises DomainError unless grid_size
-    is a positive integer.
-    """
-    positive_int(grid_size, "grid_size")
-    require_controllable(sys, grid_size)
-    times, phi, steps = propagate(sys, 0.0, 1.0, grid_size)
-    keep = thin_nodes(grid_size, 100)
-    return (times[keep], phi[keep]), steps  # copies, so the full stack is freed on return
+    return _solve_each([problem], grid_size)[1][0]
 
 
 def _solve_each(
-    problems: Sequence[SteeringProblem],
-    transitions: tuple[np.ndarray, np.ndarray],
-    steps: list[np.ndarray],
-    grid_size: int,
-) -> list[BridgeSolution]:
-    """The eps-dependent part of :func:`solve` for problems that differ only in eps.
+    problems: Sequence[SteeringProblem], grid_size: int
+) -> tuple[np.ndarray, list[BridgeSolution]]:
+    """Phi(1, 0) and the solutions of :func:`solve` for problems that differ only in eps.
 
-    One Y pass serves every problem: problem i's Y(0) = [[I, I], [Pi0, -H0]]
-    fills columns [2n i, 2n (i + 1)) of one 2n x 2nk state. The pass
-    multiplies the step matrices of the Phi pass, steps, and then empties
-    that list, so no caller holds an E_k past it. The solutions, and the error
-    raised, are those a loop of :func:`solve` calls would give: the roots and
-    then the flows are taken in eps order, and when eps_j's fail,
-    eps_1 .. eps_{j-1} are gated in order before eps_j's error is raised.
+    The eps-free work runs once: the grid and controllability checks and the
+    propagation of Phi. Each eps then takes its roots and its plus-root escape
+    scan from the full Phi stack, which is released before the Y pass. One Y
+    pass serves every problem: problem i's Y(0) = [[I, I], [Pi0, -H0]] fills
+    columns [2n i, 2n (i + 1)) of one 2n x 2nk state, and the pass multiplies
+    the step matrices E_k of the Phi pass, which are released as soon as it
+    returns. The solutions, and the error raised, are those a loop of
+    :func:`solve` calls would give: the roots and then the flows are taken in
+    eps order, and when eps_j's fail, eps_1 .. eps_{j-1} are gated in order
+    before eps_j's error is raised.
     """
+    positive_int(grid_size, "grid_size")
     sys = problems[0].sys
-    n = sys.dim_state
-    phi1 = transitions[1][-1]
+    require_controllable(sys, grid_size)
+    grid, phi, (e_k,) = propagate(sys, 0.0, 1.0, grid_size)
+    phi1 = phi[-1].copy()  # a view would keep the whole stack alive
 
     def start(problem):
         roots = coupling_roots(problem.sigma0, problem.sigma1, phi1, problem.epsilon)
-        return (problem, roots, *_initial_values(problem, roots))
+        plus = spurious_root_escape(problem, (grid, phi), roots.z_plus)
+        return (problem, plus, *_initial_values(problem, roots))
 
     starts, error = _until_error(start, problems)
-    grid = np.linspace(0.0, 1.0, grid_size + 1)
+    del phi  # the Y pass and the diagnostics read no node of Phi but the last
     flows = []
     if starts:
+        n = sys.dim_state
         eye = np.eye(n)
         y0 = np.block([[eye, eye] * len(starts),
                        [m for _, _, pi0, h0 in starts for m in (pi0, -h0)]])
-        y_t = rk4_grid(steps, y0, grid)
-        steps.clear()  # no E_k outlives the pass
+        y_t = rk4_grid([e_k], y0, grid)
+        del e_k  # no E_k outlives the pass
         flows, read_error = _until_error(
             lambda i: _read_flows(y_t[:, :, 2 * n * i:2 * n * (i + 1)], problems[i], grid),
             range(len(starts)),
@@ -382,11 +371,11 @@ def _solve_each(
         error = read_error or error
     # sampled after the reads, whose peak memory they would raise
     b_t, r_t = sys.B(grid), sys.R(grid)
-    solutions = [_gated_solution(problem, roots, pi0, *flow, transitions, grid, b_t, r_t)
-                 for (problem, roots, pi0, _), flow in zip(starts, flows)]
+    solutions = [_gated_solution(problem, pi0, *flow, plus, phi1, grid, b_t, r_t)
+                 for (problem, plus, pi0, _), flow in zip(starts, flows)]
     if error is not None:
         raise error
-    return solutions
+    return phi1, solutions
 
 
 def _until_error(fn, items) -> tuple[list, CovsteerError | None]:
@@ -402,11 +391,12 @@ def _until_error(fn, items) -> tuple[list, CovsteerError | None]:
 
 def _read_flows(
     y_t: np.ndarray, problem: SteeringProblem, grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
-    """(Pi, H, Sigma) on the grid from Y(t) = [[X1, X2], [Y1, Y2]] of one eps, and the sum law.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None, EscapeReport]:
+    """(Pi, H, Sigma) from Y(t) = [[X1, X2], [Y1, Y2]] of one eps, the sum law and escape_minus.
 
     The sum law is the largest :func:`_sum_law_residual` over the nodes, None
-    at eps = 0. Pi = sym(Y1 X1^-1), H = -sym(Y2 X2^-1) and the target
+    at eps = 0, and escape_minus is the gate's det X1 as an :class:`EscapeReport`.
+    Pi = sym(Y1 X1^-1), H = -sym(Y2 X2^-1) and the target
     eps Sigma^-1 = eps sym(X1^-T Sigma0^-1 X2^-1) come from one batched
     inverse each of X1 and X2, and Sigma = sym(X2 Sigma0 X1'). Each inverse
     is dropped once its last product is taken, so no more than four
@@ -431,7 +421,9 @@ def _read_flows(
         h_t = symmetrize(prod)
         del prod
         np.negative(h_t, out=h_t)
-        _require_no_conjugate_point(x1, x2, grid)
+        dets = np.linalg.det(x1), np.linalg.det(x2)
+        _require_no_conjugate_point(*dets, grid)
+        escape_minus = _escape_report(grid, dets[0])
         if eps > 0:
             target = symmetrize(sigma_inv)
             del sigma_inv
@@ -439,7 +431,7 @@ def _read_flows(
             sum_law = float(np.max(_sum_law_residual(pi_t, h_t, target)))
             del target
         sigma_t = symmetrize(x2 @ problem.sigma0 @ np.swapaxes(x1, -1, -2))
-    return pi_t, h_t, sigma_t, sum_law
+    return pi_t, h_t, sigma_t, sum_law, escape_minus
 
 
 def _inverse_on_grid(x: np.ndarray, name: str, grid: np.ndarray) -> np.ndarray:
@@ -452,14 +444,15 @@ def _inverse_on_grid(x: np.ndarray, name: str, grid: np.ndarray) -> np.ndarray:
             f"{name}(t) is singular on the grid, at t = {grid[k]:.6g}") from exc
 
 
-def _require_no_conjugate_point(x1: np.ndarray, x2: np.ndarray, grid: np.ndarray) -> None:
+def _require_no_conjugate_point(det1: np.ndarray, det2: np.ndarray, grid: np.ndarray) -> None:
     """Raise ConjugatePointError at the first grid interval where det X1 or det X2 flips sign.
 
-    Past a zero of det X the flow has reached a conjugate point, where Pi or
-    H escapes and the expected cost is unbounded below. Only a strict sign
-    change counts; a NaN determinant is left to the finiteness gate.
+    det1 and det2 are their values at the nodes. Past a zero of det X the flow
+    has reached a conjugate point, where Pi or H escapes and the expected cost
+    is unbounded below. Only a strict sign change counts; a NaN determinant is
+    left to the finiteness gate.
     """
-    signs = np.sign([np.linalg.det(x1), np.linalg.det(x2)])
+    signs = np.sign([det1, det2])
     flips = signs[:, :-1] * signs[:, 1:] < 0
     hits = np.flatnonzero(flips.any(axis=0))
     if len(hits):
@@ -474,23 +467,24 @@ def _require_no_conjugate_point(x1: np.ndarray, x2: np.ndarray, grid: np.ndarray
 
 def _gated_solution(
     problem: SteeringProblem,
-    roots: CouplingRoots,
     pi0: np.ndarray,
     pi_t: np.ndarray,
     h_t: np.ndarray,
     sigma_t: np.ndarray,
     sum_law: float | None,
-    transitions: tuple[np.ndarray, np.ndarray],
+    escape_minus: EscapeReport,
+    escape_plus: EscapeReport,
+    phi1: np.ndarray,
     grid: np.ndarray,
     b_t: np.ndarray,
     r_t: np.ndarray,
 ) -> BridgeSolution:
     """Gains, residuals and diagnostics of one eps's flows, and the solution's gates.
 
-    sum_law is the reading :func:`_read_flows` took, None at eps = 0.
+    sum_law and escape_minus are what :func:`_read_flows` read, sum_law None
+    at eps = 0; escape_plus is the plus root's scan and phi1 is Phi(1, 0).
     """
     eps = problem.epsilon
-    phi1 = transitions[1][-1]
     finite = all(np.isfinite(arr).all() for arr in (pi_t, h_t, sigma_t))
     gains = solve_r(r_t, np.swapaxes(b_t, -1, -2) @ pi_t, grid)
 
@@ -504,8 +498,8 @@ def _gated_solution(
     diagnostics = {
         "symplectic_residual": symplectic_residual(phi1),
         "pi0_min_eigenvalue": float(np.linalg.eigvalsh(pi0).min()),
-        "escape_minus": spurious_root_escape(problem, transitions, roots.z_minus),
-        "escape_plus": spurious_root_escape(problem, transitions, roots.z_plus),
+        "escape_minus": escape_minus,
+        "escape_plus": escape_plus,
     }
     if eps > 0:
         # a non-finite trajectory fails the gate below, and its reading is NaN
@@ -556,7 +550,8 @@ class EscapeReport:
 
     A determinant sign change on (0, 1) witnesses an interior singularity of
     the linearized flow, i.e. finite escape of the corresponding Riccati
-    solution. Expected for the plus root and absent for the minus root.
+    solution. Expected for the plus root and absent for the minus root, whose
+    X is the X1 of the solver's Y pass.
     """
 
     times: np.ndarray
@@ -574,18 +569,17 @@ def spurious_root_escape(
     times, phi = transitions
     if len(times) == 0:
         raise DomainError("escape scan needs at least one node")
-    s0_inv = _inv_spd(problem.sigma0)
-    y0 = 0.5 * problem.epsilon * s0_inv + root
+    y0 = 0.5 * problem.epsilon * _inv_spd(problem.sigma0) + root
     phi11, phi12, _, _ = blocks(phi)
-    dets = np.linalg.det(phi11 + phi12 @ y0)
-    interior = dets[(times > 0.0) & (times < 1.0 + 1e-12)]
-    sign_change = bool(np.any(interior[:-1] * interior[1:] < 0)) if len(interior) > 1 else False
-    return EscapeReport(
-        times=times,
-        determinants=dets,
-        min_abs_determinant=float(np.abs(dets).min()),
-        sign_change=sign_change,
-    )
+    return _escape_report(times, np.linalg.det(phi11 + phi12 @ y0))
+
+
+def _escape_report(times: np.ndarray, dets: np.ndarray) -> EscapeReport:
+    """The report of dets = det X(times); a sign change counts at times in (0, 1] only."""
+    signs = np.sign(dets[(times > 0.0) & (times < 1.0 + 1e-12)])  # dets' products could underflow
+    return EscapeReport(times=times, determinants=dets,
+                        min_abs_determinant=float(np.abs(dets).min()),
+                        sign_change=bool(np.any(signs[:-1] * signs[1:] < 0)))
 
 
 def corollary_q_zero(
@@ -657,10 +651,8 @@ def epsilon_sweep(
     if any(b > a for a, b in zip(eps_arr, eps_arr[1:])):
         raise DomainError("eps_list must be sorted descending")
 
-    transitions, steps = _transitions(problem.sys, grid_size)
-    pi0_limit = initial_conditions(replace(problem, epsilon=0.0), transitions[1][-1])[0]
-    solutions = _solve_each([replace(problem, epsilon=eps) for eps in eps_arr],
-                            transitions, steps, grid_size)
+    phi1, solutions = _solve_each([replace(problem, epsilon=eps) for eps in eps_arr], grid_size)
+    pi0_limit = initial_conditions(replace(problem, epsilon=0.0), phi1)[0]
     rows = []
     for eps, sol in zip(eps_arr, solutions):
         pi0 = sol.pi[0].copy()

@@ -40,7 +40,7 @@ from .bridge import (
 from .errors import ConfigError, CovsteerError, DomainError
 from .hamiltonian import propagate, symplectic_residual
 from .integrate import grid_indices, thin_nodes
-from .monte_carlo import check_seed, check_tube, simulate, tolerance_tube
+from .monte_carlo import check_seed, check_tube, default_checkpoint_nodes, simulate, tolerance_tube
 from .systems import (
     constant_coefficient,
     make_system,
@@ -61,7 +61,7 @@ class MonteCarloConfig:
     n_paths: int = 5000
     n_steps: int = 1000
     seed: int | None = None
-    checkpoints: list[float] | None = None  # None: thin_nodes(n_steps, 10) as times
+    checkpoints: list[float] | None = None  # None: default_checkpoint_nodes as times
     tube_level: float = 3.0
     tube_resolution: int = 64
 
@@ -118,7 +118,7 @@ class RunConfig:
         if mc.n_steps < 1:
             raise ConfigError("monte_carlo.n_steps must be positive")
         if mc.checkpoints is None:  # the nodes simulate() records by default, as times
-            mc.checkpoints = [k / mc.n_steps for k in thin_nodes(mc.n_steps, 10).tolist()]
+            mc.checkpoints = (default_checkpoint_nodes(mc.n_steps) / mc.n_steps).tolist()
         try:
             grid_indices(mc.checkpoints, np.linspace(0.0, 1.0, mc.n_steps + 1))
         except DomainError as exc:

@@ -80,7 +80,9 @@ def propagate(
     RK4 steps, the (len(times), 2n, 2n) stack of Phi(times[k], s), so phi[-1]
     is Phi(t, s), and a list holding one page, the (len(times) - 1, 2n, 2n)
     stack of the steps' matrices E_k that built it. Any other pass of the flow
-    on the same grid is rk4_grid(steps, y0, times).
+    on the same grid is rk4_grid(steps, y0, times). The caller owns the page:
+    :func:`covsteer.bridge.solve` multiplies its Y pass through it and then
+    releases it.
     """
     s, t = _check_time(s), _check_time(t)
     if s > t:
@@ -120,7 +122,12 @@ def symplectic_residual(phi: np.ndarray) -> float:
 def _checked_inverse(
     mat: np.ndarray, name: str, error: type[CovsteerError] = SingularMatrixError
 ) -> np.ndarray:
-    """mat^-1, or raise error when the condition number is non-finite or above COND_LIMIT."""
+    """mat^-1, or raise error when mat is not finite or its condition number exceeds COND_LIMIT.
+
+    Finiteness is checked first, because ``np.linalg.cond`` itself fails on a NaN matrix.
+    """
+    if not np.isfinite(mat).all():
+        raise error(f"{name} has non-finite entries, so it cannot be inverted")
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise error(f"{name} is too ill-conditioned to invert (condition number {cond:.3e})")

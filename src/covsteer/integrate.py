@@ -28,6 +28,7 @@ Hamiltonian transition's E_k.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -83,6 +84,11 @@ def rk4_step(e: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
 def is_int(value) -> bool:
     """True for an int or a numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a real number (an int, a float or a numpy one); a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def positive_int(value, name: str) -> int:

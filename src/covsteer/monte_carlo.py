@@ -30,14 +30,13 @@ and cost depend on (seed, i, n_steps) only, not on n_paths.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bridge import BridgeSolution, SteeringProblem, noise_channel, sqrt_spd
 from .errors import DomainError, UnsupportedDimensionError
-from .integrate import grid_indices, is_int, positive_int, thin_nodes
+from .integrate import grid_indices, is_int, is_real, positive_int, thin_nodes
 
 _PERTURBATION_STREAM = 0xC0575EE2  # fixed substream key for gain perturbations
 _BLOCK_PATHS = 4096  # paths per Philox stream
@@ -87,6 +86,15 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def default_checkpoint_nodes(n_steps: int) -> np.ndarray:
+    """The nodes of an n_steps grid that :func:`simulate` records when given no checkpoints.
+
+    Every max(1, n_steps // 10)-th node and the last, so t = 0, 0.1, ..., 1
+    when n_steps is a multiple of 10.
+    """
+    return thin_nodes(n_steps, 10)
+
+
 def _simulate_gain(
     problem: SteeringProblem,
     gain_t: np.ndarray,
@@ -119,7 +127,7 @@ def _simulate_gain(
     steps[:, :n, w:] = np.eye(n) + dt * (a_seq - b_seq @ k_seq)
     steps[:, n:, w:] = trapezoid * (q_seq + np.swapaxes(k_seq, -1, -2) @ r_seq @ k_seq)
 
-    cp_idx = (thin_nodes(n_steps, 10) if checkpoints is None
+    cp_idx = (default_checkpoint_nodes(n_steps) if checkpoints is None
               else grid_indices(checkpoints, t_grid))
     cp_lookup = {int(k): i for i, k in enumerate(cp_idx)}
     root0 = sqrt_spd(problem.sigma0)
@@ -176,9 +184,8 @@ def simulate(
     trapezoidal rule. Path i draws from column i mod 4096 of the Philox
     stream keyed by (seed, i // 4096): x(0) first, then one draw per step
     when eps > 0. Its states and cost depend on (seed, i, n_steps) only.
-    Checkpoints are strictly increasing grid nodes, by default every
-    max(1, n_steps // 10)-th and t = 1 (t = 0, 0.1, ..., 1 when n_steps is a
-    multiple of 10).
+    Checkpoints are strictly increasing grid nodes, by default those of
+    :func:`default_checkpoint_nodes`.
     """
     return _simulate_gain(
         problem, solution.grid, solution.k, n_paths, n_steps, seed, checkpoints
@@ -194,12 +201,18 @@ def empirical_covariance(result: SimulationResult, t: float) -> np.ndarray:
 
 
 def check_tube(level: float, resolution: int) -> None:
-    """Raise DomainError unless level is finite and positive and resolution is at least 3.
+    """Raise DomainError unless level is a finite positive real and resolution an integer >= 3.
 
-    The messages name the arguments as the config fields tube_level and tube_resolution.
+    A bool is neither (see :func:`covsteer.integrate.is_real` and
+    :func:`covsteer.integrate.is_int`). The messages name the arguments as the
+    config fields tube_level and tube_resolution.
     """
+    if not is_real(level):
+        raise DomainError(f"tube_level must be a real number, not a bool, got {level!r}")
     if not 0.0 < level < np.inf:
         raise DomainError(f"tube_level must be finite and positive, got {level}")
+    if not is_int(resolution):
+        raise DomainError(f"tube_resolution must be an integer, got {resolution!r}")
     if resolution < 3:
         raise DomainError(f"tube_resolution must be at least 3, got {resolution}")
 
@@ -254,9 +267,7 @@ def cost_gap(
     K(t) at every grid time. A perturbation_scale that is not a finite real
     number (a bool is not one) raises DomainError.
     """
-    if not (isinstance(perturbation_scale, numbers.Real)
-            and not isinstance(perturbation_scale, bool)
-            and math.isfinite(perturbation_scale)):
+    if not (is_real(perturbation_scale) and math.isfinite(perturbation_scale)):
         raise DomainError("perturbation_scale must be finite and a real number, not a bool, "
                           f"got {perturbation_scale!r}")
     sys = problem.sys

@@ -341,6 +341,14 @@ def test_steering_problem_rejects_non_finite_epsilon(eps):
         SteeringProblem(scalar_system(), [[1.0]], [[1.0]], eps)
 
 
+@pytest.mark.parametrize("eps", ["1", True, None], ids=["str", "bool", "none"])
+def test_steering_problem_rejects_an_epsilon_that_is_not_a_real_number(eps):
+    # "1" and True once ran as eps = 1.0
+    with pytest.raises(DomainError, match="epsilon must be a real number"):
+        SteeringProblem(scalar_system(), [[1.0]], [[1.0]], eps)
+    assert SteeringProblem(scalar_system(), [[1.0]], [[1.0]], np.float64(0.5)).epsilon == 0.5
+
+
 @pytest.mark.parametrize("which", ["sigma0", "sigma1"])
 def test_steering_problem_rejects_non_finite_covariance(which):
     sigmas = {"sigma0": [[1.0]], "sigma1": [[1.0]], which: [[np.nan]]}
@@ -457,7 +465,8 @@ def test_solve_records_escape_scans_of_both_roots():
         diagnostics = solve(problem, grid_size).diagnostics
         assert diagnostics["escape_plus"].sign_change
         assert not diagnostics["escape_minus"].sign_change
-        assert len(diagnostics["escape_plus"].times) == 101
+        for key in ("escape_plus", "escape_minus"):
+            assert len(diagnostics[key].times) == grid_size + 1
 
 
 @pytest.mark.parametrize("eps", [1e-14, 2.2e-311])
@@ -525,6 +534,44 @@ def test_rk4_grid_on_the_phi_step_matrices_gives_the_bytes_of_a_matmul_loop(make
             np.testing.assert_array_equal(phi, loop, strict=True)
 
 
+@pytest.mark.parametrize("make_problem", [inertial_problem, six_state_tv_problem],
+                         ids=["inertial-q1", "tv-n6"])
+def test_the_escape_scans_are_those_of_the_full_phi_stack(make_problem):
+    # escape_minus is the gate's det X1, escape_plus a scan of every node of Phi
+    problem = make_problem()
+    diagnostics = solve(problem, 2000).diagnostics
+    times, phi, _ = propagate(problem.sys, 0.0, 1.0, 2000)
+    roots = coupling_roots(problem.sigma0, problem.sigma1, phi[-1], problem.epsilon)
+    minus = spurious_root_escape(problem, (times, phi), roots.z_minus)
+    got = diagnostics["escape_minus"]
+    np.testing.assert_array_equal(got.times, times, strict=True)
+    # two roundings of one determinant: 1e-12 of the scan's largest |det| at every node
+    # (readings 6.0e-15 and 7.5e-15); relative to each node's own det, the miss grows as
+    # det X1 falls, to 1.5e-10 where it reaches 9e-7 on tv-n6
+    miss = np.abs(got.determinants - minus.determinants)
+    assert miss.max() <= 1e-12 * np.abs(minus.determinants).max()
+    assert (miss <= 1e-9 * np.abs(minus.determinants)).all()
+    assert got.sign_change is minus.sign_change is False
+    plus = spurious_root_escape(problem, (times, phi), roots.z_plus)
+    got = diagnostics["escape_plus"]
+    for field in ("times", "determinants"):
+        assert getattr(got, field).tobytes() == getattr(plus, field).tobytes()
+    assert (got.min_abs_determinant, got.sign_change) == (plus.min_abs_determinant,
+                                                          plus.sign_change)
+
+
+def test_a_q_that_is_not_finite_between_the_checked_samples_raises_conditioning_error():
+    # NaN only near t = 0.55 passes make_system's samples at 0, 0.1, ..., 1; Phi12(1, 0)
+    # is then NaN, on which np.linalg.cond raised a raw LinAlgError
+    def q(t):
+        return np.full((2, 2), np.nan) if abs(t - 0.55) < 0.01 else np.eye(2)
+
+    sys = make_system([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], q, [[1.0]])
+    problem = SteeringProblem(sys, 2 * np.eye(2), 0.25 * np.eye(2), 1.0)
+    with pytest.raises(ConditioningError, match="Phi12 has non-finite entries"):
+        solve(problem, 1000)
+
+
 def test_solve_and_sweep_run_no_batched_eigh(monkeypatch):
     problems = [inertial_problem(), six_state_tv_problem()]  # built before eigh is watched
     shapes = []
@@ -540,21 +587,6 @@ def test_solve_and_sweep_run_no_batched_eigh(monkeypatch):
         epsilon_sweep(problem, [1.0, 0.5, 0.0], 500)
     assert shapes  # the boundary covariances' roots still use it, one matrix at a time
     assert all(d <= 1 for shape in shapes for d in shape[:-2]), shapes
-
-
-@pytest.mark.parametrize("grid_size", [150, 1001])
-@pytest.mark.parametrize("q_scale", [1.0, 0.0], ids=["q1", "q0"])
-def test_transitions_keep_the_first_and_last_nodes(q_scale, grid_size):
-    sys = inertial_system(q_scale)
-    times, phi, _ = propagate(sys, 0.0, 1.0, grid_size)
-    (kept_times, kept), _ = bridge._transitions(sys, grid_size)
-    # every max(1, grid_size // 100)-th node, and the last node
-    step = max(1, grid_size // 100)
-    expected = list(range(0, grid_size, step)) + [grid_size]
-    np.testing.assert_array_equal(kept_times, times[expected])
-    assert kept_times[0] == 0.0 and kept_times[-1] == 1.0
-    np.testing.assert_array_equal(kept[0], np.eye(4))
-    assert kept[-1].tobytes() == phi[-1].tobytes()
 
 
 # ---------------------------------------------------------------------------

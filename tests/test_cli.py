@@ -68,6 +68,19 @@ def test_ill_conditioned_phi12_exits_2(tmp_path, capsys):
     assert "Phi12 is too ill-conditioned" in capsys.readouterr().err
 
 
+def test_a_phi_that_overflows_exits_2(tmp_path, capsys):
+    # Q = 1e300 I overflows Phi; np.linalg.cond on the non-finite Phi12 raised a raw
+    # LinAlgError, a traceback and exit 1
+    raw = json.loads(json.dumps(PRESETS["inertial-q1"]))
+    raw["system"]["Q"] = [[1e300, 0.0], [0.0, 1e300]]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow itself is not checked
+        code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("solver error: Phi12 has non-finite entries")
+
+
 def test_conjugate_point_exits_2(tmp_path, capsys):
     # Q = -16 puts a zero of det X(t) inside the horizon (Phi12(t, 0) = -sin(4t) / 4)
     raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))

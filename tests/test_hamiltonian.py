@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -267,8 +268,7 @@ def test_the_y_pass_on_phi_step_matrices_gives_the_bytes_of_a_pass_from_fresh_sa
 
     def outputs():
         sols = [solve(problem, N_TV)]
-        sols += covsteer.bridge._solve_each(sweep, *covsteer.bridge._transitions(problem.sys, N_TV),
-                                            N_TV)
+        sols += covsteer.bridge._solve_each(sweep, N_TV)[1]
         rows = epsilon_sweep(problem, [p.epsilon for p in sweep], N_TV)
         return ([arr.tobytes() for sol in sols for arr in (sol.pi, sol.h, sol.sigma, sol.k)]
                 + [(row.pi0.tobytes(), row.gap) for row in rows])
@@ -279,25 +279,36 @@ def test_the_y_pass_on_phi_step_matrices_gives_the_bytes_of_a_pass_from_fresh_sa
 
 
 def test_no_step_matrix_outlives_the_y_pass(monkeypatch):
-    # the diagnostics hold the peak memory of a solve; Phi's E_k must be gone by then
-    lists, lengths = [], []
-    propagate_, read_flows = covsteer.bridge.propagate, covsteer.bridge._read_flows
+    # the reads and the diagnostics hold the peak memory of a solve: Phi's E_k must be
+    # gone by then, and the full Phi stack already by the Y pass
+    refs, seen = [], []
+    propagate_ = covsteer.bridge.propagate
 
     def kept(*args):
-        out = propagate_(*args)
-        lists.append(out[2])
-        return out
+        times, phi, steps = propagate_(*args)
+        refs.append((weakref.ref(phi), weakref.ref(steps[0])))
+        return times, phi, steps
 
-    def recorded(*args):
-        lengths.append([len(steps) for steps in lists])
-        return read_flows(*args)
+    def watched(name, fn):
+        def call(*args):  # which of each propagation's Phi and E_k are alive
+            seen.append((name, [(phi() is not None, e_k() is not None) for phi, e_k in refs]))
+            return fn(*args)
+        return call
 
     monkeypatch.setattr(covsteer.bridge, "propagate", kept)
-    monkeypatch.setattr(covsteer.bridge, "_read_flows", recorded)
+    for name in ("rk4_grid", "_read_flows"):
+        monkeypatch.setattr(covsteer.bridge, name, watched(name, getattr(covsteer.bridge, name)))
     problem = SteeringProblem(PARITY_SYSTEMS["tv"](), np.eye(3), 0.5 * np.eye(3))
     solve(problem, N_TV)
     epsilon_sweep(problem, [1.0, 0.0], N_TV)
-    assert lengths == [[0], [0, 0], [0, 0]]
+    dead = (False, False)
+    assert seen == [
+        ("rk4_grid", [(False, True)]),  # the pass multiplies E_k, so it is alive there
+        ("_read_flows", [dead]),
+        ("rk4_grid", [dead, (False, True)]),
+        ("_read_flows", [dead, dead]),
+        ("_read_flows", [dead, dead]),
+    ]
 
 
 @pytest.mark.parametrize("page", [1, 3, 256])

@@ -360,8 +360,10 @@ def test_simulate_and_cost_gap_reject_a_count_that_is_not_a_positive_integer(
         cost_gap(problem, sol, 0.1, counts["n_paths"], counts["n_steps"], seed=1)
 
 
+# a float resolution raised a raw TypeError from np.linspace, and level True ran as 1
 @pytest.mark.parametrize("level, resolution",
-                         [(0.0, 16), (-1.0, 16), (np.inf, 16), (np.nan, 16), (3.0, 2)])
+                         [(0.0, 16), (-1.0, 16), (np.inf, 16), (np.nan, 16), (3.0, 2),
+                          (3.0, 4.0), (3.0, True), (True, 16)])
 def test_tube_rejects_a_bad_level_or_resolution(level, resolution):
     with pytest.raises(DomainError):
         tolerance_tube(_flat_solution(np.eye(2)), level, resolution)
