@@ -50,9 +50,10 @@ Sigma(t) = X2 Sigma0 X1': Sigma(0) = Sigma0 is positive definite, and an
 eigenvalue of Sigma(t) can change sign only where det Sigma(t) =
 det X2 det Sigma0 det X1 vanishes. So Sigma(t) is never inverted or tested.
 X1 is the minus root's X, so the gate's det X1 is that root's escape scan.
-Every per-node inverse the solver needs follows from one batched inverse
-each of X1 and X2: Pi and H above, and the sum-law target
-eps Sigma^-1 = eps X1^-T Sigma0^-1 X2^-1.
+Pi and H take one batched inverse each of X1 and X2, the only per-node
+inverses the solver forms. Pi + H - eps Sigma^-1 is not read: with this
+Sigma it measures only the discrete flow's departure from symplecticity,
+which :func:`covsteer.hamiltonian.symplectic_residual` reads on Phi(1, 0).
 """
 
 from __future__ import annotations
@@ -187,14 +188,19 @@ class SteeringProblem:
         s0, s1 = symmetrize(s0), symmetrize(s1)
         for name, s in (("sigma0", s0), ("sigma1", s1)):
             _spd_eigh(s, name=name)
-        if not is_real(self.epsilon):
-            raise DomainError(f"epsilon must be a real number, not a bool, got {self.epsilon!r}")
-        eps = float(self.epsilon)
-        if not 0.0 <= eps < np.inf:
-            raise DomainError(f"epsilon must be finite and nonnegative, got {eps}")
         object.__setattr__(self, "sigma0", s0)
         object.__setattr__(self, "sigma1", s1)
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", _checked_epsilon(self.epsilon))
+
+
+def _checked_epsilon(value) -> float:
+    """value as a float; DomainError unless it is a finite, nonnegative real number."""
+    if not is_real(value):
+        raise DomainError(f"epsilon must be a real number, not a bool, got {value!r}")
+    eps = float(value)
+    if not 0.0 <= eps < np.inf:
+        raise DomainError(f"epsilon must be finite and nonnegative, got {eps}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -224,10 +230,10 @@ def coupling_roots(
 
     evaluated on phi = Phi(1, 0), one 2n x 2n array. For eps != 1 the
     boundary covariances enter through the scaled conditions eps * Sigma^-1,
-    which folds into the eps^2 I / 4 term above.
+    which folds into the eps^2 I / 4 term above. eps must be a finite,
+    nonnegative real number, as in :class:`SteeringProblem`.
     """
-    if epsilon < 0:
-        raise DomainError("epsilon must be nonnegative")
+    epsilon = _checked_epsilon(epsilon)
     sigma0 = symmetrize(np.asarray(sigma0, dtype=float))
     sigma1 = symmetrize(np.asarray(sigma1, dtype=float))
     phi11, phi12, _, _ = blocks(phi)
@@ -295,7 +301,8 @@ class BridgeSolution:
     Arrays are indexed by grid point: pi, h, sigma are (N+1, n, n) and the
     feedback gain k = R^-1 B' Pi is (N+1, m, n). boundary_residuals holds the
     relative Frobenius mismatch of sigma at t = 0 (zero by construction) and
-    t = 1. diagnostics carries solver-side residuals for reporting.
+    t = 1. diagnostics holds, at every eps, symplectic_residual (of Phi(1, 0))
+    and the escape scans escape_minus and escape_plus, as EscapeReports.
     """
 
     grid: np.ndarray
@@ -313,12 +320,13 @@ def solve(problem: SteeringProblem, grid_size: int = 1000) -> BridgeSolution:
 
     Propagates Phi(t, 0), forms the closed-form (Pi0, H0), reads Pi, H and
     Sigma off one linear pass from Y(0) = [[I, I], [Pi0, -H0]] (see the module
-    docstring), and records boundary and sum-law residuals and the escape
-    scans of both roots. Raises SingularMatrixError if X1 or X2 is singular on
-    the grid, ConjugatePointError if det X1 or det X2 changes sign between two
-    grid nodes, and BoundaryResidualError (solution attached) if the terminal
-    covariance misses sigma1 by more than RESIDUAL_TOL in relative Frobenius
-    norm, or if Pi, H or Sigma is not finite on the grid. Raises DomainError
+    docstring), and records the boundary residuals, the symplectic residual of
+    Phi(1, 0) and the escape scans of both roots. Raises SingularMatrixError
+    if X1 or X2 is singular on the grid, ConjugatePointError if det X1 or
+    det X2 changes sign between two grid nodes, and BoundaryResidualError
+    (solution attached) if the terminal covariance misses sigma1 by more than
+    RESIDUAL_TOL in relative Frobenius norm, or if Pi, H or Sigma is not
+    finite on the grid. Raises DomainError
     unless grid_size is a positive integer. Sigma(t) is not inverted, so no
     DefinitenessError comes from it: its definiteness follows from the
     conjugate-point gate (see the module docstring).
@@ -371,8 +379,8 @@ def _solve_each(
         error = read_error or error
     # sampled after the reads, whose peak memory they would raise
     b_t, r_t = sys.B(grid), sys.R(grid)
-    solutions = [_gated_solution(problem, pi0, *flow, plus, phi1, grid, b_t, r_t)
-                 for (problem, plus, pi0, _), flow in zip(starts, flows)]
+    solutions = [_gated_solution(problem, *flow, plus, phi1, grid, b_t, r_t)
+                 for (problem, plus, _, _), flow in zip(starts, flows)]
     if error is not None:
         raise error
     return phi1, solutions
@@ -391,47 +399,25 @@ def _until_error(fn, items) -> tuple[list, CovsteerError | None]:
 
 def _read_flows(
     y_t: np.ndarray, problem: SteeringProblem, grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None, EscapeReport]:
-    """(Pi, H, Sigma) from Y(t) = [[X1, X2], [Y1, Y2]] of one eps, the sum law and escape_minus.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, EscapeReport]:
+    """(Pi, H, Sigma) from Y(t) = [[X1, X2], [Y1, Y2]] of one eps, and escape_minus.
 
-    The sum law is the largest :func:`_sum_law_residual` over the nodes, None
-    at eps = 0, and escape_minus is the gate's det X1 as an :class:`EscapeReport`.
-    Pi = sym(Y1 X1^-1), H = -sym(Y2 X2^-1) and the target
-    eps Sigma^-1 = eps sym(X1^-T Sigma0^-1 X2^-1) come from one batched
-    inverse each of X1 and X2, and Sigma = sym(X2 Sigma0 X1'). Each inverse
-    is dropped once its last product is taken, so no more than four
-    (nodes, n, n) stacks are alive at once besides Y. Raises
-    SingularMatrixError if X1 or X2 is singular at a node, and
-    ConjugatePointError if det X1 or det X2 changes sign between two nodes.
+    Pi = sym(Y1 X1^-1) and H = -sym(Y2 X2^-1) come from one batched inverse
+    each of X1 and X2, Sigma = sym(X2 Sigma0 X1'), and escape_minus is the
+    gate's det X1 as an :class:`EscapeReport`. Raises SingularMatrixError if
+    X1 or X2 is singular at a node, and ConjugatePointError if det X1 or
+    det X2 changes sign between two nodes.
     """
     x1, x2, y1, y2 = blocks(y_t)
-    eps = problem.epsilon
-    sum_law = None
     # a non-finite Y fails the finiteness gate, so its arithmetic need not warn
     with np.errstate(invalid="ignore", over="ignore"):
-        inv = _inverse_on_grid(x1, "X1", grid)
-        if eps > 0:
-            sigma_inv = np.swapaxes(inv, -1, -2) @ _inv_spd(problem.sigma0)
-        pi_t = symmetrize(y1 @ inv)
-        inv = _inverse_on_grid(x2, "X2", grid)
-        if eps > 0:
-            sigma_inv = sigma_inv @ inv  # X1^-T Sigma0^-1 X2^-1
-        prod = y2 @ inv
-        del inv
-        h_t = symmetrize(prod)
-        del prod
+        pi_t = symmetrize(y1 @ _inverse_on_grid(x1, "X1", grid))
+        h_t = symmetrize(y2 @ _inverse_on_grid(x2, "X2", grid))
         np.negative(h_t, out=h_t)
         dets = np.linalg.det(x1), np.linalg.det(x2)
         _require_no_conjugate_point(*dets, grid)
-        escape_minus = _escape_report(grid, dets[0])
-        if eps > 0:
-            target = symmetrize(sigma_inv)
-            del sigma_inv
-            target *= eps
-            sum_law = float(np.max(_sum_law_residual(pi_t, h_t, target)))
-            del target
         sigma_t = symmetrize(x2 @ problem.sigma0 @ np.swapaxes(x1, -1, -2))
-    return pi_t, h_t, sigma_t, sum_law, escape_minus
+    return pi_t, h_t, sigma_t, _escape_report(grid, dets[0])
 
 
 def _inverse_on_grid(x: np.ndarray, name: str, grid: np.ndarray) -> np.ndarray:
@@ -467,11 +453,9 @@ def _require_no_conjugate_point(det1: np.ndarray, det2: np.ndarray, grid: np.nda
 
 def _gated_solution(
     problem: SteeringProblem,
-    pi0: np.ndarray,
     pi_t: np.ndarray,
     h_t: np.ndarray,
     sigma_t: np.ndarray,
-    sum_law: float | None,
     escape_minus: EscapeReport,
     escape_plus: EscapeReport,
     phi1: np.ndarray,
@@ -481,10 +465,9 @@ def _gated_solution(
 ) -> BridgeSolution:
     """Gains, residuals and diagnostics of one eps's flows, and the solution's gates.
 
-    sum_law and escape_minus are what :func:`_read_flows` read, sum_law None
-    at eps = 0; escape_plus is the plus root's scan and phi1 is Phi(1, 0).
+    escape_minus is what :func:`_read_flows` read, escape_plus is the plus
+    root's scan and phi1 is Phi(1, 0).
     """
-    eps = problem.epsilon
     finite = all(np.isfinite(arr).all() for arr in (pi_t, h_t, sigma_t))
     gains = solve_r(r_t, np.swapaxes(b_t, -1, -2) @ pi_t, grid)
 
@@ -497,16 +480,9 @@ def _gated_solution(
 
     diagnostics = {
         "symplectic_residual": symplectic_residual(phi1),
-        "pi0_min_eigenvalue": float(np.linalg.eigvalsh(pi0).min()),
         "escape_minus": escape_minus,
         "escape_plus": escape_plus,
     }
-    if eps > 0:
-        # a non-finite trajectory fails the gate below, and its reading is NaN
-        diagnostics["sum_law_residual"] = sum_law if finite else np.nan
-        diagnostics["terminal_sum_residual"] = float(
-            _sum_law_residual(pi_t[-1], h_t[-1], eps * _inv_spd(problem.sigma1))
-        )
 
     solution = BridgeSolution(
         grid=grid,
@@ -515,7 +491,7 @@ def _gated_solution(
         k=gains,
         sigma=sigma_t,
         boundary_residuals=(res0, res1),
-        epsilon=eps,
+        epsilon=problem.epsilon,
         diagnostics=diagnostics,
     )
     if not (res1 <= RESIDUAL_TOL):
@@ -528,20 +504,6 @@ def _gated_solution(
             "Pi, H or Sigma has non-finite entries on the grid", solution=solution
         )
     return solution
-
-
-def _sum_law_residual(pi: np.ndarray, h: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """||Pi + H - target||_F / max(||target||_F, ||Pi||_F) per matrix; NaN stays NaN.
-
-    target is eps * Sigma^-1, which Pi + H meets exactly on the symplectic
-    flow: the reading is how far the discrete flow departs from it. Flooring
-    the scale at ||Pi|| keeps it meaningful as eps -> 0, where target vanishes.
-    """
-    scale = np.maximum(np.linalg.norm(target, axis=(-2, -1)), np.linalg.norm(pi, axis=(-2, -1)))
-    miss = pi + h
-    miss -= target
-    np.square(miss, out=miss)  # in place, so Pi + H - target is the only stack formed
-    return np.sqrt(miss.sum(axis=(-2, -1))) / scale
 
 
 @dataclass(frozen=True)
@@ -639,24 +601,22 @@ def epsilon_sweep(
     check and the Hamiltonian transition matrix do not depend on eps, so one
     propagation serves every solve of the sweep, and one Y pass integrates
     every eps's Y(0) side by side (see the module docstring). The error raised
-    is the one the first failing standalone solve would raise. eps_list must
-    be sorted descending and nonnegative; the gap column is expected to
-    decrease monotonically and scale O(eps).
+    is the one the first failing standalone solve would raise. Each eps must
+    be one :class:`SteeringProblem` accepts, and eps_list must be sorted
+    descending; the gap column is expected to decrease monotonically and
+    scale O(eps).
     """
-    eps_arr = [float(e) for e in eps_list]
-    if len(eps_arr) == 0:
+    problems = [replace(problem, epsilon=eps) for eps in eps_list]
+    if len(problems) == 0:
         raise DomainError("eps_list must not be empty")
-    if any(e < 0 for e in eps_arr):
-        raise DomainError("eps values must be nonnegative")
-    if any(b > a for a, b in zip(eps_arr, eps_arr[1:])):
+    if any(b.epsilon > a.epsilon for a, b in zip(problems, problems[1:])):
         raise DomainError("eps_list must be sorted descending")
 
-    phi1, solutions = _solve_each([replace(problem, epsilon=eps) for eps in eps_arr], grid_size)
+    phi1, solutions = _solve_each(problems, grid_size)
     pi0_limit = initial_conditions(replace(problem, epsilon=0.0), phi1)[0]
     rows = []
-    for eps, sol in zip(eps_arr, solutions):
+    for sol in solutions:
         pi0 = sol.pi[0].copy()
-        rows.append(
-            SweepRow(eps, pi0, float(np.linalg.norm(pi0 - pi0_limit)), sol.boundary_residuals)
-        )
+        gap = float(np.linalg.norm(pi0 - pi0_limit))
+        rows.append(SweepRow(sol.epsilon, pi0, gap, sol.boundary_residuals))
     return rows

@@ -378,11 +378,6 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> dict:
         f"boundary residual t=0: {solution.boundary_residuals[0]:.17g}",
         f"boundary residual t=1: {solution.boundary_residuals[1]:.17g}",
         f"symplectic residual of Phi(1,0): {solution.diagnostics['symplectic_residual']:.17g}",
-    ]
-    if "sum_law_residual" in solution.diagnostics:
-        lines.append(f"sum-law residual (max over grid): "
-                     f"{solution.diagnostics['sum_law_residual']:.17g}")
-    lines += [
         f"branch: minus root selected; Pi(0) eigenvalues "
         f"{np.array2string(np.linalg.eigvalsh(solution.pi[0]), precision=6)}",
         f"escape scan (minus root): sign change={escape_minus.sign_change}, "

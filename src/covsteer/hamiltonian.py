@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CovsteerError, DomainError, SingularMatrixError
+from .errors import ConditioningError, CovsteerError, DomainError, SingularMatrixError
 from .integrate import rk4_grid, step_pages, steps_for_span
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
@@ -82,7 +82,9 @@ def propagate(
     stack of the steps' matrices E_k that built it. Any other pass of the flow
     on the same grid is rk4_grid(steps, y0, times). The caller owns the page:
     :func:`covsteer.bridge.solve` multiplies its Y pass through it and then
-    releases it.
+    releases it. Raises ConditioningError, naming the first node where Phi is
+    not finite, if Phi(t, s) is not: the flow overflowed or a coefficient is
+    not finite between the nodes that make_system checks.
     """
     s, t = _check_time(s), _check_time(t)
     if s > t:
@@ -92,12 +94,20 @@ def propagate(
     # and the process's peak resident memory stays lower
     e = np.empty((len(times) - 1, 2 * sys.dim_state, 2 * sys.dim_state))
     k = 0
-    for page in step_pages(lambda ts: hamiltonian_stack(sys, ts), times):
-        e[k:k + len(page)] = page
-        k += len(page)
-    del page  # a page of E_k held through the pass below would raise its peak memory
-    steps = [e]
-    return times, rk4_grid(steps, np.eye(2 * sys.dim_state), times), steps
+    # an overflow is reported once, below, and not as numpy warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for page in step_pages(lambda ts: hamiltonian_stack(sys, ts), times):
+            e[k:k + len(page)] = page
+            k += len(page)
+        del page  # a page of E_k held through the pass below would raise its peak memory
+        steps = [e]
+        phi = rk4_grid(steps, np.eye(2 * sys.dim_state), times)
+    if not np.isfinite(phi[-1]).all():  # a non-finite entry stays non-finite to the end
+        first = np.flatnonzero(~np.isfinite(phi).all(axis=(-2, -1)))[0]
+        raise ConditioningError(
+            f"Phi(t, {s:.6g}) has non-finite entries from t = {times[first]:.6g} on: "
+            "the Hamiltonian flow overflows or a coefficient is not finite")
+    return times, phi, steps
 
 
 def symplectic_residual(phi: np.ndarray) -> float:

@@ -226,7 +226,7 @@ def test_solve_scalar_against_reference_integration():
 def test_solve_inertial_benchmark():
     sol = solve(inertial_problem(), 2000)
     assert sol.boundary_residuals[1] < 1e-6
-    assert sol.diagnostics["sum_law_residual"] < 1e-6
+    assert sol.diagnostics["symplectic_residual"] < 1e-9
     for arr in (sol.pi, sol.h, sol.sigma):
         assert np.abs(arr - np.transpose(arr, (0, 2, 1))).max() < 1e-12
 
@@ -234,7 +234,6 @@ def test_solve_inertial_benchmark():
 def test_solve_zero_noise_inertial():
     sol = solve(inertial_problem(eps=0.0), 2000)
     assert sol.boundary_residuals[1] < 1e-6
-    assert "sum_law_residual" not in sol.diagnostics
 
 
 def test_solve_negative_state_penalty():
@@ -370,7 +369,9 @@ def test_solve_nan_residual_fails_the_gate(monkeypatch, make_problem, fill):
     )
     with pytest.raises(BoundaryResidualError) as err:
         solve(make_problem(), 100)
-    assert np.isnan(err.value.solution.diagnostics["sum_law_residual"])
+    solution = err.value.solution
+    assert np.isnan(solution.sigma).all()
+    assert np.isnan(solution.boundary_residuals[1])
 
 
 def test_solve_non_finite_h_fails_the_gate(monkeypatch):
@@ -470,11 +471,12 @@ def test_solve_records_escape_scans_of_both_roots():
 
 
 @pytest.mark.parametrize("eps", [1e-14, 2.2e-311])
-def test_sum_law_residuals_stay_finite_at_tiny_eps(eps):
-    # eps * Sigma^-1 vanishes here, so the readings are scaled by ||Pi|| instead
-    diagnostics = solve(inertial_problem(eps=eps), 500).diagnostics
-    for key in ("sum_law_residual", "terminal_sum_residual"):
-        assert 0.0 <= diagnostics[key] <= 1e-8
+def test_a_tiny_eps_passes_the_gate_at_the_zero_noise_pi0(eps):
+    # eps * Sigma0^-1 is negligible or subnormal here; solve returns only past its gates
+    sol = solve(inertial_problem(eps=eps), 500)
+    assert sol.boundary_residuals[1] <= bridge.RESIDUAL_TOL
+    limit = solve(inertial_problem(eps=0.0), 500)
+    assert np.abs(sol.pi[0] - limit.pi[0]).max() <= 1e-8
 
 
 def six_state_tv_problem(seed=7):
@@ -492,28 +494,17 @@ def six_state_tv_problem(seed=7):
 
 @pytest.mark.parametrize("make_problem", [inertial_problem, six_state_tv_problem],
                          ids=["inertial-q1", "tv-n6"])
-def test_the_sum_law_target_is_eps_times_the_inverse_of_sigma_at_every_node(
-    monkeypatch, make_problem
-):
-    # the solver forms eps Sigma^-1 from X1^-1 and X2^-1; the oracle inverts Sigma(t)
-    problem = make_problem()
-    targets = []
-    reading = bridge._sum_law_residual
-
-    def recorded(pi, h, target):
-        targets.append(np.array(target))
-        return reading(pi, h, target)
-
-    monkeypatch.setattr(bridge, "_sum_law_residual", recorded)
-    sol = solve(problem, 2000)
-    stack = targets[0]  # then the terminal reading, on Sigma1^-1
-    assert stack.shape == sol.sigma.shape
-    for target, sigma in zip(stack, sol.sigma):
-        oracle = scipy.linalg.inv(sigma)
-        assert (np.linalg.norm(target / problem.epsilon - oracle)
-                <= 1e-10 * np.linalg.norm(oracle))
-        # the solver does not test Sigma for definiteness; its gate must imply it
+def test_sigma_is_positive_definite_at_every_node(make_problem):
+    # the solver does not test Sigma for definiteness; its conjugate-point gate must imply it
+    sol = solve(make_problem(), 2000)
+    for sigma in sol.sigma:
         assert scipy.linalg.eigvalsh(sigma)[0] > 0.0
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.0])
+def test_a_solve_reports_the_symplectic_residual_and_both_escape_scans(eps):
+    diagnostics = solve(inertial_problem(eps=eps), 500).diagnostics
+    assert set(diagnostics) == {"symplectic_residual", "escape_minus", "escape_plus"}
 
 
 @pytest.mark.parametrize("make_problem", [inertial_problem, six_state_tv_problem],
@@ -561,14 +552,14 @@ def test_the_escape_scans_are_those_of_the_full_phi_stack(make_problem):
 
 
 def test_a_q_that_is_not_finite_between_the_checked_samples_raises_conditioning_error():
-    # NaN only near t = 0.55 passes make_system's samples at 0, 0.1, ..., 1; Phi12(1, 0)
-    # is then NaN, on which np.linalg.cond raised a raw LinAlgError
+    # NaN only near t = 0.55 passes make_system's samples at 0, 0.1, ..., 1; Phi is
+    # then NaN from there on, and propagate names the first such node
     def q(t):
         return np.full((2, 2), np.nan) if abs(t - 0.55) < 0.01 else np.eye(2)
 
     sys = make_system([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], q, [[1.0]])
     problem = SteeringProblem(sys, 2 * np.eye(2), 0.25 * np.eye(2), 1.0)
-    with pytest.raises(ConditioningError, match="Phi12 has non-finite entries"):
+    with pytest.raises(ConditioningError, match=r"Phi\(t, 0\) has non-finite entries from t = "):
         solve(problem, 1000)
 
 
@@ -689,6 +680,28 @@ def test_epsilon_sweep_rejects_unsorted():
         epsilon_sweep(inertial_problem(), [])
     with pytest.raises(DomainError, match="nonnegative"):
         epsilon_sweep(inertial_problem(), [1.0, -0.1])
+
+
+@pytest.mark.parametrize("bad", ["1", True, None, np.nan], ids=["str", "bool", "none", "nan"])
+def test_epsilon_sweep_takes_only_what_a_steering_problem_takes(bad):
+    # "1" and True once ran as eps = 1.0 through float()
+    with pytest.raises(DomainError, match="epsilon"):
+        epsilon_sweep(inertial_problem(), [bad], 200)
+
+
+@pytest.mark.parametrize("bad", [True, np.nan, np.inf, "1"], ids=["bool", "nan", "inf", "str"])
+def test_coupling_roots_take_only_what_a_steering_problem_takes(bad):
+    with pytest.raises(DomainError, match="epsilon"):
+        coupling_roots([[1.0]], [[1.0]], scalar_phi(), bad)
+
+
+def test_a_numpy_float_eps_is_a_real_number():
+    eps = np.float64(0.5)
+    roots = coupling_roots([[1.0]], [[1.0]], scalar_phi(), eps)
+    np.testing.assert_array_equal(
+        roots.z_minus, coupling_roots([[1.0]], [[1.0]], scalar_phi(), 0.5).z_minus)
+    (row,) = epsilon_sweep(inertial_problem(), [eps], 200)
+    assert type(row.epsilon) is float and row.epsilon == 0.5
 
 
 def test_epsilon_sweep_rows_match_standalone_solves():

@@ -69,16 +69,17 @@ def test_ill_conditioned_phi12_exits_2(tmp_path, capsys):
 
 
 def test_a_phi_that_overflows_exits_2(tmp_path, capsys):
-    # Q = 1e300 I overflows Phi; np.linalg.cond on the non-finite Phi12 raised a raw
-    # LinAlgError, a traceback and exit 1
+    # Q = 1e300 I overflows Phi in its first step
     raw = json.loads(json.dumps(PRESETS["inertial-q1"]))
     raw["system"]["Q"] = [[1e300, 0.0], [0.0, 1e300]]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow itself is not checked
-        code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    # the suite turns warnings into errors, so an overflow warning on the way fails here
+    code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("solver error: Phi12 has non-finite entries")
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: Phi(t, 0) has non-finite entries from t = ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_conjugate_point_exits_2(tmp_path, capsys):
@@ -153,6 +154,19 @@ def test_run_solve_writes_expected_files(tmp_path):
     report = (tmp_path / "report.txt").read_text()
     assert "boundary residual t=1" in report
     assert "sign change=True" in report  # plus-root escape diagnostic
+
+
+def test_the_solve_report_has_one_line_per_reading(tmp_path):
+    assert main(["solve", "--preset", "inertial-q1", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    prefixes = ["covsteer ", "config hash: ", "epsilon: ", "boundary residual t=0: ",
+                "boundary residual t=1: ", "symplectic residual of Phi(1,0): ",
+                "branch: minus root selected; Pi(0) eigenvalues ",
+                "escape scan (minus root): sign change=",
+                "escape scan (plus root):  sign change="]
+    assert len(lines) == len(prefixes)
+    for line, prefix in zip(lines, prefixes):
+        assert line.startswith(prefix)
 
 
 def test_run_solve_sigma_endpoints(tmp_path):
