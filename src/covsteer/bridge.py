@@ -21,8 +21,9 @@ The noise enters through the control channel scaled by the input weight,
     dx = (A x + B u) dt + sqrt(eps) B R^-1/2 dw,
 
 which is the model the coupling roots assume; R = I gives sqrt(eps) B dw.
-:func:`noise_channel` is B R^-1/2, and :func:`covsteer.systems.input_quad`
-is B R^-1 B', both the control weight and the diffusion.
+:func:`covsteer.systems.noise_channel` is B R^-1/2, and
+:func:`covsteer.systems.input_quad` is B R^-1 B', both the control weight and
+the diffusion. The controllability Gramian integrates the same channel.
 
 Phi(t, 0) and the controllability of (A, B) depend on the system alone, not
 on eps, so :func:`epsilon_sweep` propagates once and solves every eps on the
@@ -83,9 +84,8 @@ from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
     _spd_eigh,
-    _vectorized,
+    _sqrt_spd_pair,
     input_quad,
-    make_system,
     reachability_gramian,
     require_controllable,
     solve_r,
@@ -102,23 +102,10 @@ def sqrt_spd(s: np.ndarray) -> np.ndarray:
     return root
 
 
-def _sqrt_spd_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S^1/2, S^-1/2) from one eigendecomposition, of a matrix or of each matrix in a stack."""
-    w, v = _spd_eigh(s)
-    sw = np.sqrt(w)[..., None, :]
-    vt = np.swapaxes(v, -1, -2)
-    return symmetrize((v * sw) @ vt), symmetrize((v / sw) @ vt)
-
-
 def _inv_spd(s: np.ndarray) -> np.ndarray:
     """S^-1 of an SPD matrix, or of each matrix in a stack."""
     w, v = _spd_eigh(s)
     return symmetrize((v / w[..., None, :]) @ np.swapaxes(v, -1, -2))
-
-
-def noise_channel(b: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """B R^-1/2, through which sqrt(eps) dw enters the state; B and R may be stacks."""
-    return b @ _sqrt_spd_pair(r)[1]
 
 
 def _refined_root_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -553,7 +540,7 @@ def corollary_q_zero(
     With Q = 0 the Hamiltonian blocks collapse to Phi11 = Psi(1, 0) and
     Phi12 = -M(1, 0) Psi(1, 0)^-T, so Pi0 follows from the drift transition
     matrix and the reachability Gramian alone (general R folds into the
-    Gramian through the scaled channel B R^-1/2). Must agree with
+    Gramian, which integrates the channel B R^-1/2). Must agree with
     :func:`initial_conditions` on the same problem. Q is checked at every
     stage time of the two passes.
     """
@@ -562,9 +549,8 @@ def corollary_q_zero(
     if np.abs(sys.Q(stage_times(grid))).max() > 1e-12:
         raise DomainError("corollary_q_zero requires Q = 0")
 
-    scaled = make_system(sys.A, _vectorized(lambda t: noise_channel(sys.B(t), sys.R(t))))
-    psi = state_transition(scaled, 1.0, 0.0, steps_per_unit)
-    gram = reachability_gramian(scaled, 1.0, 0.0, steps_per_unit)
+    psi = state_transition(sys, 1.0, 0.0, steps_per_unit)
+    gram = reachability_gramian(sys, 1.0, 0.0, steps_per_unit)
     gram_inv = _inv_spd(gram)
 
     eps = problem.epsilon

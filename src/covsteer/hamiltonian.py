@@ -18,9 +18,12 @@ blocks written into one preallocated stack.
 It is the sampler :func:`covsteer.integrate.step_pages` calls a page at a
 time, so :func:`propagate` samples the coefficients once at each of the
 2N + 1 stage times of its N-step grid, and :func:`hamiltonian_matrix` is the
-one-time case. :func:`propagate` also returns the RK4 step matrices E_k it
-multiplied, so another pass of the same flow on the same grid is a product
-through them and samples nothing.
+one-time case. When A, B, Q and R are all constant, M is assembled once and
+returned broadcast along time, so :func:`propagate` samples each coefficient
+once in all and builds one step matrix per distinct step size.
+:func:`propagate` also returns the RK4 step matrices E_k it multiplied, so
+another pass of the same flow on the same grid is a product through them and
+samples nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConditioningError, CovsteerError, DomainError, SingularMatrixError
-from .integrate import rk4_grid, step_pages, steps_for_span
+from .integrate import once, rk4_grid, step_pages, steps_for_span
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
@@ -47,23 +50,30 @@ def blocks(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
 
 def hamiltonian_matrix(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
-    """Assemble M(t); the (1, 2) block uses R(t)^-1 (identity R gives -BB')."""
-    return hamiltonian_stack(sys, [t])[0]
+    """Assemble M(t) as a new array; the (1, 2) block uses R(t)^-1 (identity R gives -BB')."""
+    return hamiltonian_stack(sys, [t])[0].copy()  # a constant system's stack is read-only
 
 
 def hamiltonian_stack(sys: TimeVaryingLinearSystem, ts) -> np.ndarray:
     """M(t) for each time in ts, shape (len(ts), 2n, 2n).
 
     Calls A, B, Q and R once on the array ts and writes the four blocks of
-    each M into one stack; raises SingularMatrixError on a singular R.
+    each M into one stack; raises SingularMatrixError on a singular R. When
+    A, B, Q and R all come back constant (see
+    :func:`covsteer.integrate.is_constant`), so does B R^-1 B', and M is
+    assembled once and returned broadcast along time, read-only.
     """
     ts = _check_time(ts)
-    n = sys.dim_state
-    a = sys.A(ts)
-    m = np.empty((len(ts), 2 * n, 2 * n))
+    return once(_assemble, sys.A(ts), input_quad(sys, ts), sys.Q(ts))
+
+
+def _assemble(a: np.ndarray, quad: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The stack of M from stacks of A, B R^-1 B' and Q, written block by block."""
+    n = a.shape[-1]
+    m = np.empty((len(a), 2 * n, 2 * n))
     m[:, :n, :n] = a
-    np.negative(input_quad(sys, ts), out=m[:, :n, n:])
-    np.negative(sys.Q(ts), out=m[:, n:, :n])
+    np.negative(quad, out=m[:, :n, n:])
+    np.negative(q, out=m[:, n:, :n])
     np.negative(np.swapaxes(a, -1, -2), out=m[:, n:, n:])
     return m
 

@@ -23,6 +23,14 @@ the number of :func:`rk4_step` calls is the number of steps. Fed a
 step matrices; two passes of one flow on one grid can instead share a list
 of the pages, which is how the pass yielding Pi, H and Sigma reuses the
 Hamiltonian transition's E_k.
+
+A constant coefficient returns, at an array of times, one matrix repeated
+with zero stride along time (:func:`is_constant`), and :func:`once` carries
+that stack through arithmetic done matrix by matrix. When G comes back so,
+E_k depends on the step size alone: :func:`step_pages` samples G once for
+the whole pass and builds one E per distinct step size. ``np.linspace(0, 1,
+2001)`` has about ten of them, so a 2000-step pass builds about ten E in
+place of 2000, each to the byte the E_k a per-step build gives.
 """
 
 from __future__ import annotations
@@ -144,6 +152,29 @@ def stage_times(grid: np.ndarray) -> np.ndarray:
     return times
 
 
+def is_constant(stack: np.ndarray) -> bool:
+    """True for a stack that repeats one matrix with zero stride along time.
+
+    A constant coefficient returns such a stack at an array of times.
+    """
+    return stack.ndim == 3 and stack.strides[0] == 0
+
+
+def once(fn: Callable[..., np.ndarray], *stacks: np.ndarray) -> np.ndarray:
+    """fn(*stacks), computed once on the first matrices when every stack is constant.
+
+    fn must work matrix by matrix along the first axis. When every stack is
+    constant (see :func:`is_constant`), fn takes their first matrices, as
+    stacks of one, and its one result is broadcast along time with zero
+    stride, read-only; each matrix has the bytes fn would give it in the
+    full stack. Any other stacks, and single matrices, go to fn whole.
+    """
+    if not all(is_constant(s) for s in stacks):
+        return fn(*stacks)
+    out = fn(*(s[:1] for s in stacks))
+    return np.broadcast_to(out, stacks[0].shape[:1] + out.shape[1:])
+
+
 def step_pages(sample: Callable[[np.ndarray], np.ndarray],
                grid: np.ndarray) -> Iterator[np.ndarray]:
     """The RK4 step matrices of y' = G(t) y along a uniform grid, one page at a time.
@@ -153,6 +184,12 @@ def step_pages(sample: Callable[[np.ndarray], np.ndarray],
     times in the order of the pass, a node shared by two pages being sampled
     once, and yields the page's E_k from :func:`step_matrices` with the step
     sizes of ``np.diff(grid)`` (negative on a backward grid).
+
+    A first page that comes back constant (see :func:`is_constant`) is the
+    only sample of the pass: E_k then depends on the step size alone, so
+    :func:`step_matrices` builds one E per distinct size of ``np.diff(grid)``
+    and each page is gathered from those few. Every E_k is built by the
+    same operations on the same G and h, so it keeps its bytes.
     """
     n = len(grid) - 1
     g = None
@@ -160,6 +197,11 @@ def step_pages(sample: Callable[[np.ndarray], np.ndarray],
         stop = min(start + STAGE_PAGE, n)
         times = stage_times(grid[start:stop + 1])
         g = sample(times) if g is None else np.concatenate((g[-1:], sample(times[1:])))
+        if is_constant(g):  # only a first page can be: a later one is concatenated
+            sizes, which = np.unique(np.diff(grid), return_inverse=True)
+            e = step_matrices(np.broadcast_to(g[0], (2 * len(sizes) + 1,) + g.shape[1:]), sizes)
+            yield from (e[which[k:k + STAGE_PAGE]] for k in range(0, n, STAGE_PAGE))
+            return
         yield step_matrices(g, np.diff(grid[start:stop + 1]))
 
 

@@ -6,7 +6,7 @@ Validates a solved bridge by integrating the controlled SDE
 
 which is the noise model of :mod:`covsteer.bridge`, over many paths,
 estimating empirical covariances at checkpoints and the expected quadratic
-cost. The noise enters through :func:`covsteer.bridge.noise_channel`.
+cost. The noise enters through :func:`covsteer.systems.noise_channel`.
 
 Paths are stepped one 4096-path block at a time, paths in the last axis. One
 step matrix per grid step is built before the loop,
@@ -34,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import BridgeSolution, SteeringProblem, noise_channel, sqrt_spd
+from .bridge import BridgeSolution, SteeringProblem, sqrt_spd
 from .errors import DomainError, UnsupportedDimensionError
 from .integrate import grid_indices, is_int, is_real, positive_int, thin_nodes
+from .systems import noise_channel
 
 _PERTURBATION_STREAM = 0xC0575EE2  # fixed substream key for gain perturbations
 _BLOCK_PATHS = 4096  # paths per Philox stream

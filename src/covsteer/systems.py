@@ -7,7 +7,11 @@ Coefficients may be constant matrices, closed-form callables,
 piecewise-constant tables or linearly interpolated sample grids. Every map
 of a built system also takes a 1-d array of times, so the drift transition
 and the Gramian's sweep hand A, or -A', to :func:`covsteer.integrate.step_pages`
-as its sampler and A is evaluated once per stage time of each pass.
+as its sampler and A is evaluated once per stage time of each pass. A
+constant map returns one matrix repeated with zero stride along time, and
+keeps it through symmetrization, -A', B R^-1 B' and B R^-1/2, so a pass
+over a constant A samples it once. The controllability Gramian integrates
+the channel B R^-1/2 that the solver uses, not B.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ControllabilityError, DefinitenessError, DomainError, SingularMatrixError
-from .integrate import rk4_grid, simpson_uniform, step_pages, steps_for_span
+from .integrate import is_constant, once, rk4_grid, simpson_uniform, step_pages, steps_for_span
 
 MatrixMap = Callable[[float], np.ndarray]  # built maps also take a 1-d array of times
 
@@ -59,6 +63,14 @@ def _spd_eigh(s, tol: float = PD_TOL, name: str = "matrix") -> tuple[np.ndarray,
             min_eigenvalue=lam,
         )
     return w, v
+
+
+def _sqrt_spd_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S^1/2, S^-1/2) from one eigendecomposition, of a matrix or of each matrix in a stack."""
+    w, v = _spd_eigh(s)
+    sw = np.sqrt(w)[..., None, :]
+    vt = np.swapaxes(v, -1, -2)
+    return symmetrize((v * sw) @ vt), symmetrize((v / sw) @ vt)
 
 
 def _in_range(t, lo: float, hi: float, what: str):
@@ -159,11 +171,15 @@ def as_coefficient(spec) -> MatrixMap:
 
 
 def _symmetric_coefficient(spec) -> MatrixMap:
-    """Coefficient whose every value, or stack, is symmetrized; a constant is symmetrized once."""
+    """Coefficient whose every value, or stack, is symmetrized; a constant is symmetrized once.
+
+    A constant stack of a callable keeps its zero stride: its one matrix is
+    symmetrized and broadcast along time (see :func:`covsteer.integrate.once`).
+    """
     coef = as_coefficient(spec)
     if not callable(spec):
         return constant_coefficient(symmetrize(coef(0.0)))
-    return _vectorized(lambda t: symmetrize(np.asarray(coef(t), dtype=float)))
+    return _vectorized(lambda t: once(symmetrize, np.asarray(coef(t), dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -211,11 +227,11 @@ def make_system(A, B, Q=None, R=None) -> TimeVaryingLinearSystem:
 def input_quad(sys: TimeVaryingLinearSystem, t) -> np.ndarray:
     """B(t) R(t)^-1 B(t)': the control weight of both Riccati flows and the noise diffusion.
 
-    At a 1-d array of times it is a stack (see :func:`solve_r`). Raises
-    SingularMatrixError naming the time of the most nearly singular R.
+    At a 1-d array of times it is a stack (see :func:`solve_r`); a constant B
+    and R give it once, broadcast along time. Raises SingularMatrixError
+    naming the time of the most nearly singular R.
     """
-    b = sys.B(t)
-    return b @ solve_r(sys.R(t), np.swapaxes(b, -1, -2), t)
+    return once(lambda b, r: b @ solve_r(r, np.swapaxes(b, -1, -2), t), sys.B(t), sys.R(t))
 
 
 def solve_r(r, rhs, t) -> np.ndarray:
@@ -228,12 +244,22 @@ def solve_r(r, rhs, t) -> np.ndarray:
     """
     r = np.asarray(r)
     try:
-        if r.ndim == 3 and r.strides[0] == 0:
+        if is_constant(r):
             return np.linalg.inv(r[0]) @ rhs
         return np.linalg.solve(r, rhs)
     except np.linalg.LinAlgError as exc:
         worst = np.reshape(t, -1)[np.argmin(np.abs(np.linalg.det(r)))]
         raise SingularMatrixError(f"R({worst}) is singular") from exc
+
+
+def noise_channel(b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """B R^-1/2: the channel of the control and of the noise sqrt(eps) dw; B and R may be stacks.
+
+    A constant R stack is factored once, as in :func:`solve_r`, and a
+    constant B with it gives one product, broadcast along time.
+    """
+    inv_root = once(lambda r: _sqrt_spd_pair(r)[1], np.asarray(r))
+    return once(np.matmul, b, inv_root)
 
 
 def state_transition(
@@ -259,20 +285,24 @@ def reachability_gramian(
     s: float,
     steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
 ) -> np.ndarray:
-    """Gramian of the input channel over (s, t) by composite Simpson quadrature.
+    """Gramian of the solver's input channel over (s, t) by composite Simpson quadrature.
 
-    Integrand is Psi(t, tau) B(tau) B(tau)' Psi(t, tau)'; the family
-    Psi(t, tau)' is produced by one backward sweep of
-    d/dtau Psi(t, tau)' = -A(tau)' Psi(t, tau)' from Psi(t, t)' = I.
+    The channel is G = B R^-1/2 (:func:`noise_channel`), so the Gramian
+    depends on B R^-1 B' alone and not on the units of B and R. Integrand is
+    Psi(t, tau) G(tau) G(tau)' Psi(t, tau)'; the family Psi(t, tau)' is
+    produced by one backward sweep of d/dtau Psi(t, tau)' = -A(tau)' Psi(t, tau)'
+    from Psi(t, t)' = I. A constant A keeps its zero stride through the
+    transpose, so the sweep samples it once (see
+    :func:`covsteer.integrate.step_pages`).
     """
     t, s = _check_time(t), _check_time(s)
     if s >= t:
         raise DomainError("reachability_gramian requires s < t")
     n_int = steps_for_span(steps_per_unit, s, t)
     taus = np.linspace(t, s, n_int + 1)
-    minus_a_t = step_pages(lambda ts: -np.swapaxes(sys.A(ts), -1, -2), taus)
+    minus_a_t = step_pages(lambda ts: once(lambda a: -np.swapaxes(a, -1, -2), sys.A(ts)), taus)
     gt = rk4_grid(minus_a_t, np.eye(sys.dim_state), taus)
-    gb = np.swapaxes(gt, -1, -2) @ sys.B(taus)
+    gb = np.swapaxes(gt, -1, -2) @ noise_channel(sys.B(taus), sys.R(taus))
     # reverse so the Simpson weights run from s to t
     gram = simpson_uniform((gb @ np.swapaxes(gb, -1, -2))[::-1], (t - s) / n_int)
     return symmetrize(gram)

@@ -220,15 +220,15 @@ def test_solve_samples_each_coefficient_once_per_stage_time_per_pass(monkeypatch
     stages = np.linspace(0.0, 1.0, 2 * N_TV + 1)
     node = (np.arange(2 * N_TV + 1) % 2 == 0).astype(int)
     # passes: Gramian (A), Phi (A, B, Q, R); the Y pass multiplies Phi's step
-    # matrices and samples nothing. Node-only: Gramian B, gains B and R. Per
-    # stage time, whatever the page size:
-    expected = {"A": 2 + 0 * node, "B": 1 + 2 * node, "Q": 1 + 0 * node, "R": 1 + node}
+    # matrices and samples nothing. Node-only: Gramian B and R (its channel is
+    # B R^-1/2), gains B and R. Per stage time, whatever the page size:
+    expected = {"A": 2 + 0 * node, "B": 1 + 2 * node, "Q": 1 + 0 * node, "R": 1 + 2 * node}
     for name, c in zip("ABQR", maps):
         times = np.array(c.times)
         j = np.rint(times * 2 * N_TV).astype(int)
         assert np.abs(times - stages[j]).max() <= 2 * np.spacing(1.0), name
         np.testing.assert_array_equal(np.bincount(j, minlength=2 * N_TV + 1), expected[name])
-    assert [len(c.times) for c in maps] == [1202, 1203, 601, 902]
+    assert [len(c.times) for c in maps] == [1202, 1203, 601, 1203]
 
 
 def test_epsilon_sweep_rows_match_standalone_solves_bit_for_bit_on_the_tv_system():
@@ -448,3 +448,110 @@ def test_drift_sweeps_match_the_per_call_oracle(monkeypatch, name):
             assert _rel(staged, oracle) <= 1e-12
         else:
             np.testing.assert_array_equal(staged, oracle)
+
+
+# ---------------------------------------------------------------------------
+# a constant system samples once per pass and builds one E per step size
+
+RNG3 = np.random.default_rng(31)
+G3 = RNG3.normal(0.0, 0.5, (3, 3))
+# A, B, Q, R, Sigma0, Sigma1 of the inertial-q1 preset and of an n = 3, m = 2 system. Its
+# R is not I, but its inverse is exact, so the one inverse that solve_r takes of a
+# constant R gives the bytes of the batched solve of a materialized one; for a general
+# R they differ in the last bits (see tests/test_linear_systems.py)
+CONSTANT_CASES = {
+    "inertial-q1": ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], np.eye(2), [[1.0]],
+                    2.0 * np.eye(2), 0.25 * np.eye(2)),
+    "n3-r-not-i": (RNG3.normal(0.0, 0.5, (3, 3)), RNG3.normal(0.0, 1.0, (3, 2)), G3 @ G3.T,
+                   [[4.0, 0.0], [0.0, 0.5]], np.eye(3), 0.5 * np.eye(3)),
+}
+
+
+def constant_and_per_time(name):
+    """The case's system from constant matrices, and from the same matrices as plain
+    callables, which make_system samples one time at a time into a materialized stack."""
+    mats = [np.array(m, dtype=float) for m in CONSTANT_CASES[name][:4]]
+    plain = [lambda t, m=m: m for m in mats]
+    return make_system(*mats), make_system(*plain)
+
+
+def _constant_case_bytes(sys, name, grid):
+    sigma0, sigma1 = CONSTANT_CASES[name][4:]
+    _, phi, (e_k,) = propagate(sys, 0.0, 1.0, grid)
+    sol = solve(SteeringProblem(sys, sigma0, sigma1), grid)
+    arrays = (phi, e_k, reachability_gramian(sys, 1.0, 0.0, grid),
+              state_transition(sys, 1.0, 0.0, grid), sol.pi, sol.h, sol.sigma, sol.k,
+              sol.diagnostics["escape_minus"].determinants,
+              sol.diagnostics["escape_plus"].determinants)
+    return [np.ascontiguousarray(arr).tobytes() for arr in arrays]
+
+
+@pytest.mark.parametrize("page", [1, 7, 10_000])
+@pytest.mark.parametrize("grid", [2000, 999])
+@pytest.mark.parametrize("name", sorted(CONSTANT_CASES))
+def test_a_constant_system_gives_the_bytes_of_its_per_time_samples(monkeypatch, name, grid, page):
+    monkeypatch.setattr(covsteer.integrate, "STAGE_PAGE", page)
+    constant, per_time = constant_and_per_time(name)
+    ts = stage_times(np.linspace(0.0, 1.0, 5))
+    assert all(covsteer.integrate.is_constant(f(ts)) for f in (constant.A, constant.B,
+                                                               constant.Q, constant.R))
+    assert not covsteer.integrate.is_constant(per_time.A(ts))
+    assert _constant_case_bytes(constant, name, grid) == _constant_case_bytes(per_time, name, grid)
+
+
+class CountedConstant:
+    """A constant coefficient, vectorized and zero-stride, that counts its calls."""
+
+    vectorized = True
+
+    def __init__(self, value):
+        self.f, self.calls = covsteer.systems.constant_coefficient(value), 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.f(t)
+
+
+def test_a_constant_system_samples_each_coefficient_once_per_pass():
+    a, b, q, r = CONSTANT_CASES["inertial-q1"][:4]
+    maps = [CountedConstant(m) for m in (a, b, q, r)]
+    sys = make_system(*maps)
+    grid = 2000  # 8 pages of STAGE_PAGE = 256 steps
+
+    def calls(run):
+        for c in maps:
+            c.calls = 0
+        run()
+        return [c.calls for c in maps]
+
+    assert calls(lambda: propagate(sys, 0.0, 1.0, grid)) == [1, 1, 1, 1]
+    # the sweep samples A once; B and R are sampled once more, at the nodes, for the channel
+    assert calls(lambda: reachability_gramian(sys, 1.0, 0.0, grid)) == [1, 1, 0, 1]
+    assert calls(lambda: state_transition(sys, 1.0, 0.0, grid)) == [1, 0, 0, 0]
+
+
+def test_step_pages_build_one_step_matrix_per_distinct_step_size(monkeypatch):
+    built = []
+    step_matrices_ = covsteer.integrate.step_matrices
+
+    def recorded(g, h):
+        built.append(len(h))
+        return step_matrices_(g, h)
+
+    monkeypatch.setattr(covsteer.integrate, "step_matrices", recorded)
+    grid = np.linspace(0.0, 1.0, 2001)
+    g = np.array([[0.0, 1.0], [-2.0, -0.3]])
+    pages = list(step_pages(lambda ts: np.broadcast_to(g, ts.shape + g.shape), grid))
+    assert built == [len(np.unique(np.diff(grid)))] and built[0] < 20
+    assert [len(p) for p in pages] == [256] * 7 + [208]
+    fresh = list(step_pages(lambda ts: np.repeat(g[None], len(ts), axis=0), grid))
+    assert np.concatenate(pages).tobytes() == np.concatenate(fresh).tobytes()
+
+
+def test_hamiltonian_matrix_of_a_constant_system_is_a_new_writable_array():
+    sys = double_integrator_q1()
+    assert covsteer.integrate.is_constant(hamiltonian_stack(sys, [0.2, 0.4]))
+    m = hamiltonian_matrix(sys, 0.3)
+    assert m.flags.writeable and m.flags.owndata and m.shape == (4, 4)
+    m[:] = 0.0
+    assert hamiltonian_matrix(sys, 0.3)[0, 1] == 1.0

@@ -17,7 +17,7 @@ from covsteer import (
     state_transition,
 )
 from covsteer.integrate import simpson_uniform, stage_times
-from covsteer.systems import constant_coefficient, input_quad, solve_r
+from covsteer.systems import constant_coefficient, input_quad, noise_channel, solve_r
 
 
 def double_integrator(q=None):
@@ -306,6 +306,16 @@ def test_only_a_stack_of_one_repeated_matrix_is_factored_once(monkeypatch):
     assert calls == [("solve", (9, 2, 2))]
     assert np.abs(once - batched).max() <= 1e-15 * np.abs(batched).max()
 
+    spy("eigh")  # so is B R^-1/2's root of R, and it keeps the bytes of a per-node root
+    b = np.swapaxes(rhs, -1, -2)
+    calls.clear()
+    once = noise_channel(b, repeated)
+    assert calls == [("eigh", (1, 2, 2))]
+    calls.clear()
+    batched = noise_channel(b, stacked)
+    assert calls == [("eigh", (9, 2, 2))]
+    assert once.tobytes() == batched.tobytes()
+
 
 @pytest.mark.parametrize("r_map, when", [
     (constant_coefficient([[0.0]]), "0.0"),
@@ -318,3 +328,31 @@ def test_a_singular_r_raises_naming_its_time(r_map, when):
                                   constant_coefficient([[0.0]]), r_map)
     with pytest.raises(SingularMatrixError, match=rf"R\({when}\) is singular"):
         input_quad(sys, np.linspace(0.0, 1.0, 5))
+
+
+def test_the_controllability_gate_does_not_depend_on_the_units_of_b_and_r():
+    # B -> 1e-5 B and R -> 1e-10 R leave B R^-1 B' and the law unchanged; the Gramian
+    # of B alone would fall to 6.6e-12, below CONTROLLABILITY_TOL
+    sigma0, sigma1 = 2.0 * np.eye(2), 0.25 * np.eye(2)
+    b = np.array([[0.0], [1.0]])
+    pi0 = {}
+    for scale in (1.0, 1e-5):
+        sys = make_system([[0.0, 1.0], [0.0, 0.0]], scale * b, np.eye(2), [[scale**2]])
+        assert check_controllability(sys, [(0.0, 1.0)]).passed
+        pi0[scale] = solve(SteeringProblem(sys, sigma0, sigma1), 2000).pi[0]
+    assert np.abs(pi0[1e-5] - pi0[1.0]).max() <= 1e-12 * np.abs(pi0[1.0]).max()
+
+
+def test_a_constant_coefficient_q_or_r_keeps_its_zero_stride():
+    a, b, q, r = [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[2.0, 0.5], [0.5, 1.0]], [[4.0]]
+    raw = make_system(a, b, q, r)
+    marked = make_system(a, b, constant_coefficient(q), constant_coefficient(r))
+    ts = np.linspace(0.0, 1.0, 5)
+    for name in "QR":
+        got, want = getattr(marked, name)(ts), getattr(raw, name)(ts)
+        assert got.strides[0] == 0 and got.tobytes() == want.tobytes(), name
+    sols = [solve(SteeringProblem(sys, 2.0 * np.eye(2), 0.25 * np.eye(2)), 500)
+            for sys in (raw, marked)]
+    raw_bytes, marked_bytes = [[arr.tobytes() for arr in (s.pi, s.h, s.sigma, s.k)]
+                               for s in sols]
+    assert marked_bytes == raw_bytes
