@@ -17,7 +17,7 @@ of an array of times and samples them a page of :data:`STAGE_PAGE` steps at a
 time, so G is sampled once per stage time, in few calls; from each page of
 samples :func:`step_matrices` builds every E_k of the page with stacked
 arithmetic. :func:`rk4_grid` multiplies a state through any iterable of such
-pages with one :func:`rk4_step`, a single ``np.dot(E_k, y)``, per step, so
+pages with one :func:`rk4_step`, a single ``E_k.dot(y)``, per step, so
 the number of :func:`rk4_step` calls is the number of steps. Fed a
 :func:`step_pages` generator, a pass holds at most one page of samples and
 step matrices; two passes of one flow on one grid can instead share a list
@@ -82,11 +82,13 @@ def step_matrices(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 def rk4_step(e: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One RK4 step: out = e @ y for the step's matrix e from :func:`step_matrices`.
 
-    y is a vector or a matrix, so ``np.dot`` is ``np.matmul`` here, down to
-    the same BLAS call and so the same bytes, without the generalized-ufunc
-    dispatch, which is about 40% of a small step's time.
+    y is a vector or a matrix, so the ``e.dot`` method is ``np.matmul`` here,
+    down to the same BLAS call and so the same bytes. It goes straight to
+    that C routine: ``np.matmul`` adds the generalized-ufunc dispatch and
+    ``np.dot`` a Python-level ``__array_function__`` dispatcher, each a
+    sizeable part of a small step's time.
     """
-    return np.dot(e, y, out=out)
+    return e.dot(y, out)
 
 
 def is_int(value) -> bool:
@@ -213,7 +215,7 @@ def rk4_grid(steps: Iterable[np.ndarray], y0: np.ndarray, grid: np.ndarray) -> n
     :func:`rk4_step`, E_k @ y written into its node, so the calls count the
     steps. A pass reads one page at a time, so a :func:`step_pages` generator
     holds one page of samples and E_k at once. y0 is a vector or a matrix,
-    else DomainError (``np.dot`` would contract other axes of a stack than
+    else DomainError (``dot`` would contract other axes of a stack than
     ``@`` does). Result has shape (len(grid),) + y0.shape with result[0] == y0.
     """
     y = np.asarray(y0, dtype=float)

@@ -96,6 +96,27 @@ def default_checkpoint_nodes(n_steps: int) -> np.ndarray:
     return thin_nodes(n_steps, 10)
 
 
+def _check_gain(gain_t: np.ndarray, gain_seq: np.ndarray, m: int, n: int) -> None:
+    """Raise DomainError unless (gain_t, gain_seq) is a finite m x n gain on [0, 1].
+
+    gain_t must be 1-d, strictly increasing and run from 0 to 1 within 1e-12,
+    and gain_seq must hold one finite m x n gain per time of gain_t. A gain of
+    another shape would broadcast through the step matrices, and one on a
+    shorter span would be held at its end values, each into a wrong cost.
+    """
+    if not (gain_t.ndim == 1 and len(gain_t) >= 2 and (np.diff(gain_t) > 0).all()):
+        raise DomainError("the gain's times must be a strictly increasing 1-d array "
+                          f"of at least two, got shape {gain_t.shape}")
+    if not (abs(gain_t[0]) <= 1e-12 and abs(gain_t[-1] - 1.0) <= 1e-12):
+        raise DomainError(f"the gain's times must run from 0 to 1, got [{gain_t[0]:g}, "
+                          f"{gain_t[-1]:g}]")
+    if gain_seq.shape != (len(gain_t), m, n):
+        raise DomainError(f"the gain must have shape {(len(gain_t), m, n)} for this "
+                          f"problem, got {gain_seq.shape}")
+    if not np.isfinite(gain_seq).all():
+        raise DomainError("the gain has non-finite entries")
+
+
 def _simulate_gain(
     problem: SteeringProblem,
     gain_t: np.ndarray,
@@ -105,13 +126,18 @@ def _simulate_gain(
     seed: int,
     checkpoints,
 ) -> SimulationResult:
-    """Core ensemble run under an explicit gain trajectory (see the module docstring)."""
+    """Core ensemble run under an explicit gain trajectory (see the module docstring).
+
+    Raises DomainError unless the gain belongs to the problem (see :func:`_check_gain`).
+    """
     if positive_int(n_paths, "n_paths") < 2:
         raise DomainError("n_paths must be at least 2")
     positive_int(n_steps, "n_steps")
     seed = check_seed(seed)
     sys = problem.sys
     n, m = sys.dim_state, sys.dim_input
+    gain_t, gain_seq = np.asarray(gain_t, dtype=float), np.asarray(gain_seq, dtype=float)
+    _check_gain(gain_t, gain_seq, m, n)
     eps = problem.epsilon
     dt = 1.0 / n_steps
     t_grid = np.linspace(0.0, 1.0, n_steps + 1)
@@ -186,7 +212,8 @@ def simulate(
     stream keyed by (seed, i // 4096): x(0) first, then one draw per step
     when eps > 0. Its states and cost depend on (seed, i, n_steps) only.
     Checkpoints are strictly increasing grid nodes, by default those of
-    :func:`default_checkpoint_nodes`.
+    :func:`default_checkpoint_nodes`. A solution whose gain is not a finite
+    (len(grid), m, n) stack on a grid from 0 to 1 raises DomainError.
     """
     return _simulate_gain(
         problem, solution.grid, solution.k, n_paths, n_steps, seed, checkpoints
@@ -266,7 +293,8 @@ def cost_gap(
     The perturbation is a fixed unit-Frobenius random gain offset drawn from
     a dedicated substream of seed, scaled by perturbation_scale and added to
     K(t) at every grid time. A perturbation_scale that is not a finite real
-    number (a bool is not one) raises DomainError.
+    number (a bool is not one), or a solution :func:`simulate` would refuse,
+    raises DomainError.
     """
     if not (is_real(perturbation_scale) and math.isfinite(perturbation_scale)):
         raise DomainError("perturbation_scale must be finite and a real number, not a bool, "

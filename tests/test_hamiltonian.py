@@ -27,7 +27,7 @@ from covsteer import (
     symplectic_residual,
 )
 from covsteer.hamiltonian import hamiltonian_stack
-from covsteer.integrate import rk4_grid, stage_times, step_matrices, step_pages
+from covsteer.integrate import rk4_grid, rk4_step, stage_times, step_matrices, step_pages
 
 
 def scalar_system(q=0.0, r=1.0):
@@ -377,11 +377,41 @@ def test_step_matrices_give_the_bytes_of_the_expression(n, steps, direction):
 
 @pytest.mark.parametrize("shape", [(), (2, 3, 3), (1, 3, 3, 1)], ids=["scalar", "stack", "4-d"])
 def test_rk4_grid_takes_only_a_vector_or_a_matrix_state(shape):
-    # np.dot contracts a stack along other axes than @ does, so a stack is refused
+    # the dot method contracts a stack along other axes than @ does, so a stack is refused
     grid = np.linspace(0.0, 1.0, 5)
     pages = step_pages(lambda ts: np.zeros((len(ts), 3, 3)), grid)
     with pytest.raises(DomainError, match=re.escape(f"a vector or a matrix, got shape {shape}")):
         rk4_grid(pages, np.ones(shape), grid)
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (12,), (2, 2), (4, 4), (12, 12), (12, 24)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_rk4_step_writes_the_bytes_of_a_matmul_into_out_and_returns_it(shape):
+    rng = np.random.default_rng(sum(shape))
+    e = rng.normal(size=(shape[0], shape[0]))
+    y = rng.normal(size=shape)
+    nodes = np.full((3,) + shape, np.nan)
+    out = nodes[1]  # a node of a pass's output, as in rk4_grid
+    assert rk4_step(e, y, out) is out
+    assert out.tobytes() == np.matmul(e, y).tobytes()
+    assert np.isnan(nodes[[0, 2]]).all()
+
+
+def test_a_solve_and_a_sweep_do_not_step_through_the_np_dot_dispatcher(monkeypatch):
+    # np.dot's Python-level __array_function__ dispatcher once ran on every RK4 step
+    calls = []
+    dot = np.dot
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", counted)
+    problem = SteeringProblem(double_integrator_q1(), 2.0 * np.eye(2), 0.25 * np.eye(2))
+    solve(problem, 2000)
+    assert len(calls) < 2000
+    epsilon_sweep(problem, [2.0, 1.0, 0.5, 0.1, 0.0], 2000)
+    assert len(calls) < 2000
 
 
 def per_call_rk4(f, y0, grid):

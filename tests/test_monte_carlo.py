@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -358,6 +359,50 @@ def test_simulate_and_cost_gap_reject_a_count_that_is_not_a_positive_integer(
         simulate(problem, sol, counts["n_paths"], counts["n_steps"], seed=1)
     with pytest.raises(DomainError, match=f"{arg} must be a positive integer"):
         cost_gap(problem, sol, 0.1, counts["n_paths"], counts["n_steps"], seed=1)
+
+
+def test_simulate_and_cost_gap_reject_the_gain_of_another_problem(inertial_solution):
+    # a 1-state gain broadcast through A - B K on the 2-state problem and returned a cost
+    problem, _ = inertial_solution
+    foreign = solve(scalar_problem(), 200)
+    with pytest.raises(DomainError, match=r"\(201, 1, 2\) for this problem, got \(201, 1, 1\)"):
+        simulate(problem, foreign, 10, 10, seed=1)
+    with pytest.raises(DomainError, match="for this problem"):
+        cost_gap(problem, foreign, 0.1, 10, 10, seed=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulate_and_cost_gap_reject_a_gain_that_is_not_finite(inertial_solution, bad):
+    # a NaN gain gave a NaN cost
+    problem, sol = inertial_solution
+    k = sol.k.copy()
+    k[7, 0, 1] = bad
+    broken = dataclasses.replace(sol, k=k)
+    with pytest.raises(DomainError, match="non-finite"):
+        simulate(problem, broken, 10, 10, seed=1)
+    with pytest.raises(DomainError, match="non-finite"):
+        cost_gap(problem, broken, 0.1, 10, 10, seed=1)
+
+
+@pytest.mark.parametrize(
+    "grid, match",
+    [(lambda g: 0.5 * g, "run from 0 to 1"),
+     (lambda g: 0.5 + 0.5 * g, "run from 0 to 1"),
+     (lambda g: g + 1e-9, "run from 0 to 1"),
+     (lambda g: g[::-1].copy(), "strictly increasing"),
+     (lambda g: np.where(np.arange(len(g)) == 3, g[2], g), "strictly increasing"),
+     (lambda g: g[:, None], "strictly increasing")],
+    ids=["first-half", "second-half", "shifted", "reversed", "repeated", "2-d"],
+)
+def test_simulate_and_cost_gap_reject_a_gain_off_the_unit_interval(inertial_solution, grid,
+                                                                  match):
+    # a gain on [0, 0.5] was held at its last value over [0.5, 1] and returned a cost
+    problem, sol = inertial_solution
+    broken = dataclasses.replace(sol, grid=grid(sol.grid))
+    with pytest.raises(DomainError, match=match):
+        simulate(problem, broken, 10, 10, seed=1)
+    with pytest.raises(DomainError, match=match):
+        cost_gap(problem, broken, 0.1, 10, 10, seed=1)
 
 
 # a float resolution raised a raw TypeError from np.linspace, and level True ran as 1

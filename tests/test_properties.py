@@ -9,7 +9,11 @@ map X(1) is checked against the Gaussian Wasserstein-2 map built from scipy's
 matrix exponential alone. At zero noise and Q != 0 each path is checked
 against scipy's solve_bvp on the deterministic LQ two-point problem, and a
 scalar problem with a closed form checks Pi(0) below the conjugate-point
-threshold and the gate above it.
+threshold and the gate above it. At every eps the law's coupling of x(0) and
+x(1) is checked against the Gaussian entropic optimal-transport coupling for
+the LQ cost, built from scipy's matrix exponential alone. A strict xfail pins
+the first order of the step on a piecewise-constant Q against DOP853
+restarted at the breaks.
 """
 
 import numpy as np
@@ -24,7 +28,9 @@ from covsteer import (
     CovsteerError,
     SteeringProblem,
     blocks,
+    initial_conditions,
     make_system,
+    piecewise_constant_coefficient,
     propagate,
     riccati_rhs_h,
     solve,
@@ -213,6 +219,56 @@ def test_zero_noise_paths_are_the_lq_two_point_extremals(preset):
         assert np.abs(lam0 - sol.pi[0] @ x0).max() <= 1e-9 * np.abs(lam0).max()
         path = run.sol(sol.grid)
         assert _rel(np.einsum("tij,jt->it", sol.pi, path[:n]), path[n:]) <= 1e-9
+
+
+@pytest.mark.parametrize("eps", [2.0, 1.0, 0.1, 0.01, 0.0])
+@pytest.mark.parametrize("preset", ["inertial-q1", "inertial-qneg5", "inertial-q0",
+                                    "inertial-r4"])
+def test_the_endpoint_coupling_is_the_gaussian_entropic_ot_coupling(preset, eps):
+    # the extremal from x to y costs c(x, y) = lam(0)'x - lam(1)'y with lam(0) =
+    # Phi12^-1 (y - Phi11 x), whose cross term is -2 x'T y for T = -Phi12^-1. So the
+    # law's coupling is entropic OT of |T'x - y|^2 between N(0, T'Sigma0 T) and
+    # N(0, Sigma1) at sigma^2 = eps (eps = 0: the OT map), whose cross-covariance has
+    # the closed form C below; the law's Cov(x(0), x(1)) is Sigma0 X1(1)'
+    problem = cli.build_problem(cli.RunConfig.from_dict(dict(cli.PRESETS[preset], epsilon=eps)))
+    sys, n = problem.sys, problem.sys.dim_state
+    a, b, q, r = sys.A(0.0), sys.B(0.0), sys.Q(0.0), sys.R(0.0)  # constant on the presets
+    phi11, phi12, _, _ = blocks(expm(np.block([[a, -b @ np.linalg.solve(r, b.T)],
+                                               [-q, -a.T]])))
+    t = -np.linalg.inv(phi12)
+    a_half, a_inv_half = _root_pair(t.T @ problem.sigma0 @ t)
+    eye = np.eye(n)
+    core = _root_pair(4.0 * a_half @ problem.sigma1 @ a_half + eps**2 * eye)[0]
+    coupling = 0.5 * a_half @ (core - eps * eye) @ a_inv_half
+
+    x1 = phi11 + phi12 @ solve(problem, 2000).pi[0]
+    got = t.T @ problem.sigma0 @ x1.T
+    assert np.linalg.norm(got - coupling) <= 1e-9 * np.linalg.norm(coupling)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP direction 2: a step ending on a break of a "
+                   "piecewise coefficient samples the next piece, so the step is first order")
+def test_pi0_converges_at_fourth_order_under_a_piecewise_q():
+    # Q breaks at 0.25, 0.5 and 0.75, all on the grids' nodes; Pi(0) missed the oracle
+    # by 9.9e-5, 4.9e-5, 2.5e-5 and 1.2e-5 at grids 500 to 4000, a ratio of 2.00
+    a = np.array([[0.0, 1.0], [-1.0, -0.2]])
+    b = np.array([[0.0], [1.0]])
+    breaks = [0.0, 0.25, 0.5, 0.75, 1.0]
+    q = np.array([np.diag(d) for d in ([1.0, 0.5], [4.0, 0.1], [0.2, 2.0], [3.0, 1.0])])
+    problem = SteeringProblem(make_system(a, b, piecewise_constant_coefficient(breaks, q)),
+                              2.0 * np.eye(2), 0.25 * np.eye(2), 1.0)
+    phi = np.eye(4)
+    for lo, hi, q_piece in zip(breaks, breaks[1:], q):  # DOP853 restarted at each break
+        m = np.block([[a, -b @ b.T], [-q_piece, -a.T]])
+        run = solve_ivp(lambda t, y, m: (m @ y.reshape(4, 4)).ravel(), (lo, hi), phi.ravel(),
+                        method="DOP853", rtol=1e-13, atol=1e-13, args=(m,))
+        assert run.success, run.message
+        phi = run.y[:, -1].reshape(4, 4)
+    pi0 = initial_conditions(problem, phi)[0]
+    err = [np.linalg.norm(solve(problem, grid).pi[0] - pi0) / np.linalg.norm(pi0)
+           for grid in (500, 1000)]
+    assert err[0] / err[1] >= 12.0
 
 
 def _scalar_identity_transport(q):
