@@ -340,7 +340,7 @@ def _solve_each(
     positive_int(grid_size, "grid_size")
     sys = problems[0].sys
     require_controllable(sys, grid_size)
-    grid, phi, (e_k,) = propagate(sys, 0.0, 1.0, grid_size)
+    grid, phi, e_k = propagate(sys, 0.0, 1.0, grid_size)
     phi1 = phi[-1].copy()  # a view would keep the whole stack alive
 
     def start(problem):
@@ -356,7 +356,7 @@ def _solve_each(
         eye = np.eye(n)
         y0 = np.block([[eye, eye] * len(starts),
                        [m for _, _, pi0, h0 in starts for m in (pi0, -h0)]])
-        y_t = rk4_grid([e_k], y0, grid)
+        y_t = rk4_grid(e_k, y0, grid)
         del e_k  # no E_k outlives the pass
         flows, read_error = _until_error(
             lambda i: _read_flows(y_t[:, :, 2 * n * i:2 * n * (i + 1)], problems[i], grid),

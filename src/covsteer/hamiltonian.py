@@ -15,15 +15,15 @@ M is assembled in one place, :func:`hamiltonian_stack`, at an array of times:
 one A, B, Q and R call for the whole array, B R^-1 B' from
 :func:`covsteer.systems.solve_r` (a constant R is factored once), and the four
 blocks written into one preallocated stack.
-It is the sampler :func:`covsteer.integrate.step_pages` calls a page at a
+It is the sampler :func:`covsteer.integrate.step_stack` calls a page at a
 time, so :func:`propagate` samples the coefficients once at each of the
 2N + 1 stage times of its N-step grid, and :func:`hamiltonian_matrix` is the
 one-time case. When A, B, Q and R are all constant, M is assembled once and
 returned broadcast along time, so :func:`propagate` samples each coefficient
 once in all and builds one step matrix per distinct step size.
-:func:`propagate` also returns the RK4 step matrices E_k it multiplied, so
-another pass of the same flow on the same grid is a product through them and
-samples nothing.
+:func:`propagate` also returns the (N, 2n, 2n) stack of the RK4 step matrices
+E_k it multiplied, so another pass of the same flow on the same grid is a
+product through them and samples nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConditioningError, CovsteerError, DomainError, SingularMatrixError
-from .integrate import once, rk4_grid, step_pages, steps_for_span
+from .integrate import once, rk4_grid, step_stack, steps_for_span
 from .systems import (
     DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
@@ -83,14 +83,14 @@ def propagate(
     s: float,
     t: float,
     steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phi(., s) at every node of a uniform grid over [s, t], from Phi(s, s) = I.
 
-    Returns (times, phi, steps): the grid of steps_for_span(steps_per_unit, s, t)
+    Returns (times, phi, e): the grid of steps_for_span(steps_per_unit, s, t)
     RK4 steps, the (len(times), 2n, 2n) stack of Phi(times[k], s), so phi[-1]
-    is Phi(t, s), and a list holding one page, the (len(times) - 1, 2n, 2n)
-    stack of the steps' matrices E_k that built it. Any other pass of the flow
-    on the same grid is rk4_grid(steps, y0, times). The caller owns the page:
+    is Phi(t, s), and the (len(times) - 1, 2n, 2n) stack of the steps'
+    matrices E_k that built it. Any other pass of the flow on the same grid
+    is rk4_grid(e, y0, times). The caller owns e:
     :func:`covsteer.bridge.solve` multiplies its Y pass through it and then
     releases it. Raises ConditioningError, naming the first node where Phi is
     not finite, if Phi(t, s) is not: the flow overflowed or a coefficient is
@@ -100,24 +100,16 @@ def propagate(
     if s > t:
         raise DomainError("propagate requires s <= t")
     times = np.linspace(s, t, steps_for_span(steps_per_unit, s, t) + 1)
-    # one block, not a list of pages: freed whole, it leaves no holes in the heap,
-    # and the process's peak resident memory stays lower
-    e = np.empty((len(times) - 1, 2 * sys.dim_state, 2 * sys.dim_state))
-    k = 0
     # an overflow is reported once, below, and not as numpy warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        for page in step_pages(lambda ts: hamiltonian_stack(sys, ts), times):
-            e[k:k + len(page)] = page
-            k += len(page)
-        del page  # a page of E_k held through the pass below would raise its peak memory
-        steps = [e]
-        phi = rk4_grid(steps, np.eye(2 * sys.dim_state), times)
+        e = step_stack(lambda ts: hamiltonian_stack(sys, ts), times)
+        phi = rk4_grid(e, np.eye(2 * sys.dim_state), times)
     if not np.isfinite(phi[-1]).all():  # a non-finite entry stays non-finite to the end
         first = np.flatnonzero(~np.isfinite(phi).all(axis=(-2, -1)))[0]
         raise ConditioningError(
             f"Phi(t, {s:.6g}) has non-finite entries from t = {times[first]:.6g} on: "
             "the Hamiltonian flow overflows or a coefficient is not finite")
-    return times, phi, steps
+    return times, phi, e
 
 
 def symplectic_residual(phi: np.ndarray) -> float:

@@ -12,22 +12,21 @@ does not depend on which nodes were asked for.
 Because the flow is linear, one RK4 step is a matrix: y_{k+1} = E_k y_k, where
 E_k depends only on G at the step's start, midpoint and end. An RK4 pass over
 an N-step grid therefore evaluates G only at the 2N + 1 nodes and midpoints
-of the grid, its :func:`stage_times`. :func:`step_pages` takes G as a sampler
+of the grid, its :func:`stage_times`. :func:`step_stack` takes G as a sampler
 of an array of times and samples them a page of :data:`STAGE_PAGE` steps at a
 time, so G is sampled once per stage time, in few calls; from each page of
 samples :func:`step_matrices` builds every E_k of the page with stacked
-arithmetic. :func:`rk4_grid` multiplies a state through any iterable of such
-pages with one :func:`rk4_step`, a single ``E_k.dot(y)``, per step, so
-the number of :func:`rk4_step` calls is the number of steps. Fed a
-:func:`step_pages` generator, a pass holds at most one page of samples and
-step matrices; two passes of one flow on one grid can instead share a list
-of the pages, which is how the pass yielding Pi, H and Sigma reuses the
-Hamiltonian transition's E_k.
+arithmetic, into one (N, d, d) stack of the whole grid. :func:`rk4_grid`
+multiplies a state through such a stack with one :func:`rk4_step`, a single
+``E_k.dot(y)``, per step, so the number of :func:`rk4_step` calls is the
+number of steps. Two passes of one flow on one grid can share the stack,
+which is how the pass yielding Pi, H and Sigma reuses the Hamiltonian
+transition's E_k.
 
 A constant coefficient returns, at an array of times, one matrix repeated
 with zero stride along time (:func:`is_constant`), and :func:`once` carries
 that stack through arithmetic done matrix by matrix. When G comes back so,
-E_k depends on the step size alone: :func:`step_pages` samples G once for
+E_k depends on the step size alone: :func:`step_stack` samples G once for
 the whole pass and builds one E per distinct step size. ``np.linspace(0, 1,
 2001)`` has about ten of them, so a 2000-step pass builds about ten E in
 place of 2000, each to the byte the E_k a per-step build gives.
@@ -37,13 +36,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 
-STAGE_PAGE = 256  # steps whose stage samples and step matrices step_pages builds at once
+STAGE_PAGE = 256  # steps whose stage samples and step matrices step_stack builds at once
 
 
 def step_matrices(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -177,58 +176,53 @@ def once(fn: Callable[..., np.ndarray], *stacks: np.ndarray) -> np.ndarray:
     return np.broadcast_to(out, stacks[0].shape[:1] + out.shape[1:])
 
 
-def step_pages(sample: Callable[[np.ndarray], np.ndarray],
-               grid: np.ndarray) -> Iterator[np.ndarray]:
-    """The RK4 step matrices of y' = G(t) y along a uniform grid, one page at a time.
+def step_stack(sample: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:
+    """The RK4 step matrices E_k of y' = G(t) y along a uniform grid, as one (N, d, d) stack.
 
-    A generator: for each page of at most STAGE_PAGE steps it calls
-    sample(ts), which returns the stack of G(ts[i]), once on the page's stage
-    times in the order of the pass, a node shared by two pages being sampled
-    once, and yields the page's E_k from :func:`step_matrices` with the step
-    sizes of ``np.diff(grid)`` (negative on a backward grid).
+    For each page of at most STAGE_PAGE steps it calls sample(ts), which
+    returns the stack of G(ts[i]), once on the page's stage times in the order
+    of the pass, a node shared by two pages being sampled once, and writes the
+    page's E_k from :func:`step_matrices`, with the step sizes of
+    ``np.diff(grid)`` (negative on a backward grid), into the stack.
 
     A first page that comes back constant (see :func:`is_constant`) is the
     only sample of the pass: E_k then depends on the step size alone, so
     :func:`step_matrices` builds one E per distinct size of ``np.diff(grid)``
-    and each page is gathered from those few. Every E_k is built by the
-    same operations on the same G and h, so it keeps its bytes.
+    and the stack is gathered from those few. Every E_k is built by the same
+    operations on the same G and h, so it keeps its bytes.
     """
     n = len(grid) - 1
-    g = None
+    g = sample(stage_times(grid[:min(STAGE_PAGE, n) + 1]))
+    if is_constant(g):
+        sizes, which = np.unique(np.diff(grid), return_inverse=True)
+        distinct = step_matrices(np.broadcast_to(g[0], (2 * len(sizes) + 1,) + g.shape[1:]), sizes)
+        return distinct[which]
+    e = np.empty((n,) + g.shape[1:])
     for start in range(0, n, STAGE_PAGE):
         stop = min(start + STAGE_PAGE, n)
-        times = stage_times(grid[start:stop + 1])
-        g = sample(times) if g is None else np.concatenate((g[-1:], sample(times[1:])))
-        if is_constant(g):  # only a first page can be: a later one is concatenated
-            sizes, which = np.unique(np.diff(grid), return_inverse=True)
-            e = step_matrices(np.broadcast_to(g[0], (2 * len(sizes) + 1,) + g.shape[1:]), sizes)
-            yield from (e[which[k:k + STAGE_PAGE]] for k in range(0, n, STAGE_PAGE))
-            return
-        yield step_matrices(g, np.diff(grid[start:stop + 1]))
+        if start:  # the node this page shares with the last one is sampled once
+            g = np.concatenate((g[-1:], sample(stage_times(grid[start:stop + 1])[1:])))
+        e[start:stop] = step_matrices(g, np.diff(grid[start:stop + 1]))
+    return e
 
 
-def rk4_grid(steps: Iterable[np.ndarray], y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def rk4_grid(e: np.ndarray, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Integrate y' = G(t) y along a grid, returning the state at every node.
 
-    steps is an iterable of pages of step matrices covering the grid's steps
-    in order, as :func:`step_pages` yields them; each step is one call of
-    :func:`rk4_step`, E_k @ y written into its node, so the calls count the
-    steps. A pass reads one page at a time, so a :func:`step_pages` generator
-    holds one page of samples and E_k at once. y0 is a vector or a matrix,
-    else DomainError (``dot`` would contract other axes of a stack than
-    ``@`` does). Result has shape (len(grid),) + y0.shape with result[0] == y0.
+    e is the (N, d, d) stack of the grid's step matrices in order, as
+    :func:`step_stack` builds it; each step is one call of :func:`rk4_step`,
+    E_k @ y written into its node, so the calls count the steps. y0 is a
+    vector or a matrix, else DomainError (``dot`` would contract other axes
+    of a stack than ``@`` does). Result has shape (len(grid),) + y0.shape
+    with result[0] == y0.
     """
     y = np.asarray(y0, dtype=float)
     if not 1 <= y.ndim <= 2:
         raise DomainError(f"the state must be a vector or a matrix, got shape {y.shape}")
     out = np.empty((len(grid),) + y.shape)
     out[0] = y
-    k = 0
-    for page in steps:
-        for e, slot in zip(page, out[k + 1:k + 1 + len(page)]):
-            y = rk4_step(e, y, slot)
-        k += len(page)
-        del page, e  # held, they would keep this page's E_k while the next one is built
+    for e_k, slot in zip(e, out[1:]):
+        y = rk4_step(e_k, y, slot)
     return out
 
 

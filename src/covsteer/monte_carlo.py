@@ -117,6 +117,13 @@ def _check_gain(gain_t: np.ndarray, gain_seq: np.ndarray, m: int, n: int) -> Non
         raise DomainError("the gain has non-finite entries")
 
 
+def _check_epsilon(problem: SteeringProblem, solution: BridgeSolution) -> None:
+    """DomainError unless solution was solved at problem's eps: another eps's gain misses Sigma1."""
+    if solution.epsilon != problem.epsilon:
+        raise DomainError(f"the solution was solved at epsilon = {solution.epsilon}, "
+                          f"but the problem's epsilon is {problem.epsilon}")
+
+
 def _simulate_gain(
     problem: SteeringProblem,
     gain_t: np.ndarray,
@@ -212,9 +219,11 @@ def simulate(
     stream keyed by (seed, i // 4096): x(0) first, then one draw per step
     when eps > 0. Its states and cost depend on (seed, i, n_steps) only.
     Checkpoints are strictly increasing grid nodes, by default those of
-    :func:`default_checkpoint_nodes`. A solution whose gain is not a finite
-    (len(grid), m, n) stack on a grid from 0 to 1 raises DomainError.
+    :func:`default_checkpoint_nodes`. A solution solved at another eps than
+    the problem's, or whose gain is not a finite (len(grid), m, n) stack on a
+    grid from 0 to 1, raises DomainError.
     """
+    _check_epsilon(problem, solution)
     return _simulate_gain(
         problem, solution.grid, solution.k, n_paths, n_steps, seed, checkpoints
     )
@@ -299,6 +308,7 @@ def cost_gap(
     if not (is_real(perturbation_scale) and math.isfinite(perturbation_scale)):
         raise DomainError("perturbation_scale must be finite and a real number, not a bool, "
                           f"got {perturbation_scale!r}")
+    _check_epsilon(problem, solution)
     sys = problem.sys
     checkpoints = [0.0, 1.0]
     base = _simulate_gain(

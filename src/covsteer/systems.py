@@ -6,7 +6,7 @@ Q(t) (symmetric n x n, any sign) and input weight R(t) (SPD m x m).
 Coefficients may be constant matrices, closed-form callables,
 piecewise-constant tables or linearly interpolated sample grids. Every map
 of a built system also takes a 1-d array of times, so the drift transition
-and the Gramian's sweep hand A, or -A', to :func:`covsteer.integrate.step_pages`
+and the Gramian's sweep hand A, or -A', to :func:`covsteer.integrate.step_stack`
 as its sampler and A is evaluated once per stage time of each pass. A
 constant map returns one matrix repeated with zero stride along time, and
 keeps it through symmetrization, -A', B R^-1 B' and B R^-1/2, so a pass
@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ControllabilityError, DefinitenessError, DomainError, SingularMatrixError
-from .integrate import is_constant, once, rk4_grid, simpson_uniform, step_pages, steps_for_span
+from .integrate import is_constant, once, rk4_grid, simpson_uniform, step_stack, steps_for_span
 
 MatrixMap = Callable[[float], np.ndarray]  # built maps also take a 1-d array of times
 
@@ -276,7 +276,7 @@ def state_transition(
     if t == s:
         return np.eye(sys.dim_state)
     grid = np.linspace(s, t, steps + 1)
-    return rk4_grid(step_pages(sys.A, grid), np.eye(sys.dim_state), grid)[-1]
+    return rk4_grid(step_stack(sys.A, grid), np.eye(sys.dim_state), grid)[-1]
 
 
 def reachability_gramian(
@@ -293,15 +293,16 @@ def reachability_gramian(
     produced by one backward sweep of d/dtau Psi(t, tau)' = -A(tau)' Psi(t, tau)'
     from Psi(t, t)' = I. A constant A keeps its zero stride through the
     transpose, so the sweep samples it once (see
-    :func:`covsteer.integrate.step_pages`).
+    :func:`covsteer.integrate.step_stack`).
     """
     t, s = _check_time(t), _check_time(s)
     if s >= t:
         raise DomainError("reachability_gramian requires s < t")
     n_int = steps_for_span(steps_per_unit, s, t)
     taus = np.linspace(t, s, n_int + 1)
-    minus_a_t = step_pages(lambda ts: once(lambda a: -np.swapaxes(a, -1, -2), sys.A(ts)), taus)
+    minus_a_t = step_stack(lambda ts: once(lambda a: -np.swapaxes(a, -1, -2), sys.A(ts)), taus)
     gt = rk4_grid(minus_a_t, np.eye(sys.dim_state), taus)
+    del minus_a_t  # the E_k held through the quadrature below would raise its peak memory
     gb = np.swapaxes(gt, -1, -2) @ noise_channel(sys.B(taus), sys.R(taus))
     # reverse so the Simpson weights run from s to t
     gram = simpson_uniform((gb @ np.swapaxes(gb, -1, -2))[::-1], (t - s) / n_int)

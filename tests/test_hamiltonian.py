@@ -27,7 +27,7 @@ from covsteer import (
     symplectic_residual,
 )
 from covsteer.hamiltonian import hamiltonian_stack
-from covsteer.integrate import rk4_grid, rk4_step, stage_times, step_matrices, step_pages
+from covsteer.integrate import rk4_grid, rk4_step, stage_times, step_matrices, step_stack
 
 
 def scalar_system(q=0.0, r=1.0):
@@ -158,7 +158,7 @@ def test_blocks_are_views_of_a_matrix_or_of_each_matrix_in_a_stack():
 # ---------------------------------------------------------------------------
 # coefficients sampled once per RK4 stage time
 
-N_TV = 300  # 300 steps: two pages at STAGE_PAGE = 256, the second of 44 steps
+N_TV = 300  # 300 steps: step_stack samples two pages at STAGE_PAGE = 256, the second of 44 steps
 GRID_TV = np.linspace(0.0, 1.0, N_TV + 1)
 
 
@@ -263,8 +263,7 @@ def test_the_y_pass_on_phi_step_matrices_gives_the_bytes_of_a_pass_from_fresh_sa
              for eps in (2.0, 0.5, 0.0)]
 
     def fresh_y_pass(steps, y0, grid):  # ignores Phi's step matrices: samples M anew
-        pages = step_pages(lambda ts: hamiltonian_stack(problem.sys, ts), grid)
-        return rk4_grid(pages, y0, grid)
+        return rk4_grid(step_stack(lambda ts: hamiltonian_stack(problem.sys, ts), grid), y0, grid)
 
     def outputs():
         sols = [solve(problem, N_TV)]
@@ -285,9 +284,9 @@ def test_no_step_matrix_outlives_the_y_pass(monkeypatch):
     propagate_ = covsteer.bridge.propagate
 
     def kept(*args):
-        times, phi, steps = propagate_(*args)
-        refs.append((weakref.ref(phi), weakref.ref(steps[0])))
-        return times, phi, steps
+        times, phi, e_k = propagate_(*args)
+        refs.append((weakref.ref(phi), weakref.ref(e_k)))
+        return times, phi, e_k
 
     def watched(name, fn):
         def call(*args):  # which of each propagation's Phi and E_k are alive
@@ -322,7 +321,7 @@ def test_rk4_grid_on_a_constant_scalar_follows_the_stability_polynomial(monkeypa
         sampled.append(ts)
         return np.full((len(ts), 1, 1), lam)
 
-    ys = rk4_grid(step_pages(sample, grid), np.ones(1), grid)
+    ys = rk4_grid(step_stack(sample, grid), np.ones(1), grid)
     z = lam * (grid[1] - grid[0])  # every step of these grids is exactly +-1/8
     r = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
     np.testing.assert_allclose(ys[:, 0], r ** np.arange(len(grid)), rtol=1e-14, atol=0.0)
@@ -337,19 +336,26 @@ def test_rk4_grid_working_memory_is_bounded_by_the_page_not_the_grid():
     def sample(ts):
         return g[0] + ts[:, None, None] * g[1]
 
-    def extra_peak(n):  # bytes held at the peak beyond the grid and the returned states
-        grid, y0 = np.linspace(0.0, 1.0, n + 1), np.eye(12)
+    def extra_peak(run):  # run's result, and the bytes it held at its peak beyond that result
         tracemalloc.start()
         try:
-            out = rk4_grid(step_pages(sample, grid), y0, grid)
-            return tracemalloc.get_traced_memory()[1] - out.nbytes
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1] - result.nbytes
         finally:
             tracemalloc.stop()
 
-    extra_peak(2000)  # warm-up: first-call allocations are not the pass's
-    small, large = extra_peak(2000), extra_peak(20_000)
-    # one 12 x 12 step matrix per step held past its page would add 20 MB at N = 20 000
-    assert abs(large - small) <= 16 * 1024
+    def extra_peaks(n):  # of step_stack and of rk4_grid on an n-step grid
+        grid, y0 = np.linspace(0.0, 1.0, n + 1), np.eye(12)
+        e, stack_peak = extra_peak(lambda: step_stack(sample, grid))
+        _, pass_peak = extra_peak(lambda: rk4_grid(e, y0, grid))
+        return np.array([stack_peak, pass_peak])
+
+    extra_peaks(2000)  # warm-up: first-call allocations are not the pass's
+    small, large = extra_peaks(2000), extra_peaks(20_000)
+    # step_stack holds a page of samples and step matrices besides the stack, and
+    # rk4_grid nothing that grows with the grid: a copy of the 20 000 step matrices
+    # (12 x 12) or of the states would add 23 MB at N = 20 000
+    assert np.abs(large - small).max() <= 16 * 1024
 
 
 def expression_step_matrices(g, h):
@@ -379,9 +385,9 @@ def test_step_matrices_give_the_bytes_of_the_expression(n, steps, direction):
 def test_rk4_grid_takes_only_a_vector_or_a_matrix_state(shape):
     # the dot method contracts a stack along other axes than @ does, so a stack is refused
     grid = np.linspace(0.0, 1.0, 5)
-    pages = step_pages(lambda ts: np.zeros((len(ts), 3, 3)), grid)
+    e = step_stack(lambda ts: np.zeros((len(ts), 3, 3)), grid)
     with pytest.raises(DomainError, match=re.escape(f"a vector or a matrix, got shape {shape}")):
-        rk4_grid(pages, np.ones(shape), grid)
+        rk4_grid(e, np.ones(shape), grid)
 
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (12,), (2, 2), (4, 4), (12, 12), (12, 24)],
@@ -442,7 +448,7 @@ def test_rk4_grid_matches_the_per_call_oracle_on_a_non_commuting_flow(monkeypatc
         return g[0] + t * g[1] + np.sin(3.0 * t) * g[2]
 
     oracle = per_call_rk4(lambda t, y: g_at(t) @ y, y0, grid)
-    assert _rel(rk4_grid(step_pages(g_at, grid), y0, grid), oracle) <= 1e-13
+    assert _rel(rk4_grid(step_stack(g_at, grid), y0, grid), oracle) <= 1e-13
 
 
 @pytest.mark.parametrize("name", sorted(PARITY_SYSTEMS))
@@ -507,7 +513,7 @@ def constant_and_per_time(name):
 
 def _constant_case_bytes(sys, name, grid):
     sigma0, sigma1 = CONSTANT_CASES[name][4:]
-    _, phi, (e_k,) = propagate(sys, 0.0, 1.0, grid)
+    _, phi, e_k = propagate(sys, 0.0, 1.0, grid)
     sol = solve(SteeringProblem(sys, sigma0, sigma1), grid)
     arrays = (phi, e_k, reachability_gramian(sys, 1.0, 0.0, grid),
               state_transition(sys, 1.0, 0.0, grid), sol.pi, sol.h, sol.sigma, sol.k,
@@ -560,7 +566,7 @@ def test_a_constant_system_samples_each_coefficient_once_per_pass():
     assert calls(lambda: state_transition(sys, 1.0, 0.0, grid)) == [1, 0, 0, 0]
 
 
-def test_step_pages_build_one_step_matrix_per_distinct_step_size(monkeypatch):
+def test_step_stack_builds_one_step_matrix_per_distinct_step_size(monkeypatch):
     built = []
     step_matrices_ = covsteer.integrate.step_matrices
 
@@ -571,11 +577,33 @@ def test_step_pages_build_one_step_matrix_per_distinct_step_size(monkeypatch):
     monkeypatch.setattr(covsteer.integrate, "step_matrices", recorded)
     grid = np.linspace(0.0, 1.0, 2001)
     g = np.array([[0.0, 1.0], [-2.0, -0.3]])
-    pages = list(step_pages(lambda ts: np.broadcast_to(g, ts.shape + g.shape), grid))
+    e = step_stack(lambda ts: np.broadcast_to(g, ts.shape + g.shape), grid)
     assert built == [len(np.unique(np.diff(grid)))] and built[0] < 20
-    assert [len(p) for p in pages] == [256] * 7 + [208]
-    fresh = list(step_pages(lambda ts: np.repeat(g[None], len(ts), axis=0), grid))
-    assert np.concatenate(pages).tobytes() == np.concatenate(fresh).tobytes()
+    assert e.shape == (2000, 2, 2)
+    fresh = step_stack(lambda ts: np.repeat(g[None], len(ts), axis=0), grid)
+    assert e.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("page", [1, 7, 256, 10_000])
+@pytest.mark.parametrize("grid", [np.linspace(0.0, 1.3, 601), np.linspace(1.3, 0.2, 534)],
+                         ids=["forward", "backward"])
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "materialized"])
+def test_step_stack_gives_the_bytes_of_one_step_matrices_call_on_the_whole_grid(
+    monkeypatch, page, grid, constant
+):
+    monkeypatch.setattr(covsteer.integrate, "STAGE_PAGE", page)
+    g = np.random.default_rng(17).normal(0.0, 1.0, (3, 3, 3))
+
+    def sample(ts):
+        if constant:
+            return np.broadcast_to(g[0], ts.shape + g.shape[1:])
+        t = ts[:, None, None]
+        return g[0] + t * g[1] + np.sin(3.0 * t) * g[2]
+
+    e = step_stack(sample, grid)
+    assert e.shape == (len(grid) - 1, 3, 3) and e.dtype == np.float64
+    assert e.flags.c_contiguous
+    assert e.tobytes() == step_matrices(sample(stage_times(grid)), np.diff(grid)).tobytes()
 
 
 def test_hamiltonian_matrix_of_a_constant_system_is_a_new_writable_array():

@@ -371,6 +371,17 @@ def test_simulate_and_cost_gap_reject_the_gain_of_another_problem(inertial_solut
         cost_gap(problem, foreign, 0.1, 10, 10, seed=1)
 
 
+def test_simulate_and_cost_gap_reject_a_solution_solved_at_another_epsilon(inertial_solution):
+    # the eps = 1 gain ran without noise and returned a cost whose Sigma(1) missed Sigma1
+    problem, sol = inertial_solution
+    noiseless = dataclasses.replace(problem, epsilon=0.0)
+    match = r"solved at epsilon = 1\.0, but the problem's epsilon is 0\.0"
+    with pytest.raises(DomainError, match=match):
+        simulate(noiseless, sol, 10, 10, seed=1)
+    with pytest.raises(DomainError, match=match):
+        cost_gap(noiseless, sol, 0.1, 10, 10, seed=1)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_simulate_and_cost_gap_reject_a_gain_that_is_not_finite(inertial_solution, bad):
     # a NaN gain gave a NaN cost

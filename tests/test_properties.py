@@ -22,12 +22,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_bvp, solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 from covsteer import (
     ConjugatePointError,
     CovsteerError,
     SteeringProblem,
     blocks,
+    epsilon_sweep,
     initial_conditions,
     make_system,
     piecewise_constant_coefficient,
@@ -244,6 +246,53 @@ def test_the_endpoint_coupling_is_the_gaussian_entropic_ot_coupling(preset, eps)
     x1 = phi11 + phi12 @ solve(problem, 2000).pi[0]
     got = t.T @ problem.sigma0 @ x1.T
     assert np.linalg.norm(got - coupling) <= 1e-9 * np.linalg.norm(coupling)
+
+
+@pytest.mark.parametrize("preset", ["inertial-q1", "inertial-q10", "inertial-qneg5",
+                                    "inertial-q0", "inertial-r4"])
+def test_the_zero_noise_map_is_the_optimal_assignment_of_its_own_samples(preset):
+    # at eps = 0 the law moves x to X1(1) x; among all pairings of 300 samples x_i with
+    # their images y_j, the LQ cost c(x, y) = lam(0)'x - lam(1)'y must be least for
+    # the law's own, and a rotated map that also pushes Sigma0 to Sigma1 must cost more
+    problem = cli.build_problem(cli.RunConfig.from_dict(dict(cli.PRESETS[preset], epsilon=0.0)))
+    sys, n = problem.sys, problem.sys.dim_state
+    a, b, q, r = sys.A(0.0), sys.B(0.0), sys.Q(0.0), sys.R(0.0)  # constant on the presets
+    phi11, phi12, phi21, phi22 = blocks(expm(np.block([[a, -b @ np.linalg.solve(r, b.T)],
+                                                       [-q, -a.T]])))
+    phi12_inv = np.linalg.inv(phi12)
+
+    def cost(x, y):  # c(x_i, y_j) for every i and j
+        lam0 = (y[None, :, :] - (x @ phi11.T)[:, None, :]) @ phi12_inv.T
+        lam1 = (x @ phi21.T)[:, None, :] + lam0 @ phi22.T
+        return np.einsum("ijk,ik->ij", lam0, x) - np.einsum("ijk,jk->ij", lam1, y)
+
+    x1 = phi11 + phi12 @ solve(problem, 2000).pi[0]
+    x = np.random.default_rng(23).multivariate_normal(np.zeros(n), problem.sigma0, 300)
+    c = cost(x, x @ x1.T)
+    rows, cols = linear_sum_assignment(c)
+    np.testing.assert_array_equal(cols[np.argsort(rows)], np.arange(300))
+
+    s1_half, s1_inv_half = _root_pair(problem.sigma1)
+    turn = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    rotated = s1_half @ turn @ s1_inv_half @ x1
+    assert _rel(rotated @ problem.sigma0 @ rotated.T, problem.sigma1) <= 1e-9
+    assert np.trace(cost(x, x @ rotated.T)) > np.trace(c)
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_the_sweep_gap_is_linear_in_eps_near_zero(preset):
+    # gap(eps) = s0 eps + s1 eps^2 + O(eps^3), so the differences of s(eps) = gap / eps
+    # halve with eps; a gap of another order, or none, breaks the ratio
+    cfg = cli.RunConfig.from_dict(cli.PRESETS[preset])
+    eps_list = [0.04, 0.02, 0.01, 0.005]
+    rows = epsilon_sweep(cli.build_problem(cfg), eps_list, cfg.grid_size)
+    slope = np.array([row.gap / row.epsilon for row in rows])
+    ratios = np.diff(slope)[:-1] / np.diff(slope)[1:]
+    assert ((1.9 <= ratios) & (ratios <= 2.1)).all(), ratios
+    if preset == "scalar-trivial":
+        eps = np.array(eps_list)
+        closed_form = eps / 2.0 + 1.0 - np.sqrt(1.0 + eps**2 / 4.0)
+        np.testing.assert_allclose([row.gap for row in rows], closed_form, rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
