@@ -3,8 +3,8 @@
 Configuration is a single JSON document (matrices as row-major nested
 arrays); a handful of presets are shipped embedded. All numeric output is
 CSV (UTF-8, '.' decimal, 17 significant digits) plus plain-text reports,
-intended for external plotting. Exit codes: 0 ok, 1 config error, 2 solver
-error, 3 verify failure.
+intended for external plotting. Exit codes: 0 ok, 1 config or usage error,
+2 solver error, 3 verify failure.
 
 CSV emission formats each shared cell once. A file's lines come in blocks
 (a grid node, path, checkpoint or epsilon) whose key cell and row templates
@@ -440,8 +440,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> dict:
     return {"rows": rows}
 
 
-def run_verify(tol_scale: float = 1.0, seed: int = VERIFY_SEED,
-               debug_plus_branch: bool = False, stream=None) -> int:
+def run_verify(tol_scale: float = 1.0, seed: int = VERIFY_SEED, stream=None) -> int:
     """Batch property checks over the shipped presets; returns the exit code.
 
     Raises ConfigError unless tol_scale is finite and positive and seed is a
@@ -465,65 +464,41 @@ def run_verify(tol_scale: float = 1.0, seed: int = VERIFY_SEED,
     checks.append(("lemma1-identity", worst < tol, f"max residual {worst:.3e} (tol {tol:.1e})"))
 
     # one propagation per preset serves all of its checks, at 11 of its nodes
-    runs = {}
     for name in ("scalar-trivial", "inertial-q1", "inertial-q10", "inertial-qneg5", "inertial-q0"):
         cfg = RunConfig.from_dict(json.loads(json.dumps(PRESETS[name])))
         problem = cfg.problem()
         keep = thin_nodes(cfg.grid_size, 10)
-        # one expression, so the full stack is not kept into the next iteration
-        runs[name] = (cfg, problem, tuple(
-            a[keep] for a in propagate(problem.sys, 0.0, 1.0, cfg.grid_size)[:2]))
+        nodes = tuple(a[keep] for a in propagate(problem.sys, 0.0, 1.0, cfg.grid_size)[:2])
+        phi1 = nodes[1][-1]
+        if name != "inertial-q0":
+            res = symplectic_residual(nodes[1])
+            tol = 1e-9 * tol_scale
+            checks.append((f"symplectic-residual:{name}", res < tol,
+                           f"max residual {res:.3e} (tol {tol:.1e})"))
+            roots = coupling_roots(problem.sigma0, problem.sigma1, phi1, problem.epsilon)
+            for label, root, escapes in (("escape-plus-root", roots.z_plus, True),
+                                         ("no-escape-minus-root", roots.z_minus, False)):
+                scan = spurious_root_escape(problem, nodes, root)
+                checks.append((f"{label}:{name}", scan.sign_change == escapes,
+                               f"sign change={scan.sign_change}, "
+                               f"min |det X|={scan.min_abs_determinant:.3e}"))
+        if name in ("scalar-trivial", "inertial-q0"):
+            pi0_ham, _ = initial_conditions(problem, phi1)
+            pi0_gram, _ = corollary_q_zero(problem, cfg.grid_size)
+            gap = float(np.abs(pi0_ham - pi0_gram).max())
+            tol = 1e-8 * tol_scale
+            checks.append((f"gramian-route-equivalence:{name}", gap < tol,
+                           f"gap {gap:.3e} (tol {tol:.1e})"))
 
-    for name in ("scalar-trivial", "inertial-q1", "inertial-q10", "inertial-qneg5"):
-        _, problem, nodes = runs[name]
-        res = symplectic_residual(nodes[1])
-        tol = 1e-9 * tol_scale
-        checks.append(
-            (f"symplectic-residual:{name}", res < tol, f"max residual {res:.3e} (tol {tol:.1e})")
-        )
-        roots = coupling_roots(problem.sigma0, problem.sigma1, nodes[1][-1], problem.epsilon)
-        plus = spurious_root_escape(problem, nodes, roots.z_plus)
-        minus = spurious_root_escape(problem, nodes, roots.z_minus)
-        checks.append(
-            (f"escape-plus-root:{name}", plus.sign_change,
-             f"sign change={plus.sign_change}, min |det X|={plus.min_abs_determinant:.3e}")
-        )
-        checks.append(
-            (f"no-escape-minus-root:{name}", not minus.sign_change,
-             f"sign change={minus.sign_change}, min |det X|={minus.min_abs_determinant:.3e}")
-        )
-
-    for name in ("scalar-trivial", "inertial-q0"):
-        cfg, problem, nodes = runs[name]
-        pi0_ham, _ = initial_conditions(problem, nodes[1][-1])
-        pi0_gram, _ = corollary_q_zero(problem, cfg.grid_size)
-        gap = float(np.abs(pi0_ham - pi0_gram).max())
-        tol = 1e-8 * tol_scale
-        checks.append(
-            (f"gramian-route-equivalence:{name}", gap < tol, f"gap {gap:.3e} (tol {tol:.1e})")
-        )
-
-    failed = False
     for name, ok, detail in checks:
-        tag = "PASS" if ok else "FAIL"
-        print(f"{tag} {name}: {detail}", file=stream)
-        if not ok:
-            failed = True
-    if debug_plus_branch:
-        _, problem, nodes = runs["scalar-trivial"]
-        roots = coupling_roots(problem.sigma0, problem.sigma1, nodes[1][-1], problem.epsilon)
-        plus = spurious_root_escape(problem, nodes, roots.z_plus)
-        print(
-            f"EXPECTED-FAIL forced-plus-branch: determinant sign change "
-            f"{plus.sign_change} (interior singularity of the linearized flow)",
-            file=stream,
-        )
-    return 3 if failed else 0
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=stream)
+    return 0 if all(ok for _, ok, _ in checks) else 3
 
 
-def _random_spd(rng: np.random.Generator, dim: int, cond_max: float = 1e4) -> np.ndarray:
+def _random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random SPD matrix of condition number at most 1e4."""
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    spread = rng.uniform(1.0, cond_max)
+    spread = rng.uniform(1.0, 1e4)
     eigs = np.exp(rng.uniform(0.0, np.log(spread), dim))
     return (q * eigs) @ q.T
 
@@ -544,27 +519,29 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", "run the built-in property suites"),
     ):
         p = sub.add_parser(name, help=help_text)
-        if name != "verify":
-            p.add_argument("--config", help="path to a JSON run configuration")
-            p.add_argument("--preset", help=f"named preset ({', '.join(sorted(PRESETS))})")
-            p.add_argument("--out", default="out", help="output directory (default: ./out)")
-            p.add_argument("--seed", type=int, help="override monte_carlo.seed")
-            p.add_argument("--steps", type=int, help="override monte_carlo.n_steps")
-            p.add_argument("--paths", type=int, help="override monte_carlo.n_paths")
-        else:
+        if name == "verify":
             p.add_argument("--seed", type=int, default=VERIFY_SEED)
             p.add_argument("--tol-scale", type=float, default=1.0,
                            help="multiply every verify tolerance by this factor")
-            p.add_argument("--debug-plus-branch", action="store_true",
-                           help="also show the escape diagnostic on the spurious root")
+            continue
+        p.add_argument("--config", help="path to a JSON run configuration")
+        p.add_argument("--preset", help=f"named preset ({', '.join(sorted(PRESETS))})")
+        p.add_argument("--out", default="out", help="output directory (default: ./out)")
+        if name == "simulate":
+            p.add_argument("--seed", type=int, help="override monte_carlo.seed")
+            p.add_argument("--steps", type=int, help="override monte_carlo.n_steps")
+            p.add_argument("--paths", type=int, help="override monte_carlo.n_paths")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help (code 0) or a usage error
+        return 1 if exc.code else 0
     try:
         if args.command == "verify":
-            return run_verify(args.tol_scale, args.seed, args.debug_plus_branch)
+            return run_verify(args.tol_scale, args.seed)
         cfg = load_config(args)
         out_dir = Path(args.out)
         if args.command == "solve":

@@ -119,13 +119,17 @@ def steps_for_span(steps_per_unit: int, a: float, b: float) -> int:
 def grid_indices(checkpoints, grid: np.ndarray) -> np.ndarray:
     """Index of each checkpoint among the nodes of a uniform grid.
 
-    Raises DomainError unless the checkpoints are nonempty, each lies within
-    1e-9 of a step of a node, and their nodes are strictly increasing.
+    Raises DomainError unless the checkpoints are a nonempty list, tuple or
+    1-d array of real numbers (see :func:`is_real`), each lies within 1e-9 of
+    a step of a node, and their nodes are strictly increasing.
     """
+    values = checkpoints.tolist() if isinstance(checkpoints, np.ndarray) else checkpoints
+    if not (isinstance(values, (list, tuple)) and all(is_real(c) for c in values)):
+        raise DomainError(f"checkpoints must be a 1-d sequence of real numbers, got {checkpoints!r}")
     n = len(grid) - 1
     h = (grid[-1] - grid[0]) / n
     idx = []
-    for c in checkpoints:
+    for c in values:
         c = float(c)
         k = min(max(round((c - grid[0]) / h), 0), n) if h > 0 and math.isfinite(c) else 0
         if not abs(c - grid[k]) <= 1e-9 * h:

@@ -190,8 +190,8 @@ class TimeVaryingLinearSystem:
     dim_input: int
     A: MatrixMap
     B: MatrixMap
-    Q: MatrixMap = field(repr=False, default=None)
-    R: MatrixMap = field(repr=False, default=None)
+    Q: MatrixMap = field(repr=False)
+    R: MatrixMap = field(repr=False)
 
 
 def make_system(A, B, Q=None, R=None) -> TimeVaryingLinearSystem:

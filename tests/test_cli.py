@@ -340,7 +340,8 @@ def test_an_unusable_out_path_exits_1_before_solving(monkeypatch, tmp_path, caps
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory")
     out = blocker / "sub" if below else blocker
-    argv = [command, "--preset", "scalar-trivial", "--seed", "1", "--out", str(out)]
+    seed = ["--seed", "1"] if command == "simulate" else []
+    argv = [command, "--preset", "scalar-trivial", *seed, "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot create output directory '{out}': ")
@@ -365,6 +366,38 @@ def test_inertial_r4_preset_solves_and_simulates(tmp_path):
     result = simulate(problem, solution, 20000, 1000, seed=20260826)
     gap = np.linalg.norm(result.empirical_cov[-1] - problem.sigma1)
     assert gap / np.linalg.norm(problem.sigma1) < 0.05
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--bogus"],
+    ["verify", "--seed", "abc"],
+    [],
+    ["solve", "--preset", "scalar-trivial", "--seed", "1"],
+    ["solve", "--preset", "inertial-q1", "--paths", "1"],
+    ["sweep", "--preset", "scalar-trivial", "--steps", "0"],
+    ["verify", "--debug-plus-branch"],
+], ids=["unknown-flag", "bad-value", "no-command", "solve-seed", "solve-paths", "sweep-steps",
+        "verify-debug-plus-branch"])
+def test_a_usage_error_exits_1_after_the_usage_message(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: covsteer")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, options", [
+    ("solve", ["--config", "--preset", "--out"]),
+    ("simulate", ["--config", "--preset", "--out", "--seed", "--steps", "--paths"]),
+    ("sweep", ["--config", "--preset", "--out"]),
+    ("verify", ["--seed", "--tol-scale"]),
+])
+def test_each_command_takes_only_the_options_it_reads(capsys, command, options):
+    assert main([command, "--help"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  --")]
+    assert listed == options
 
 
 def test_main_solve_preset(tmp_path):
@@ -535,18 +568,24 @@ def test_verify_overtight_tolerance_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_debug_branch_line(monkeypatch, capsys):
-    # one propagation per preset serves every check, the debug line included
-    calls = []
-    original = cli.propagate
+def test_verify_prints_its_15_checks_from_one_propagation_per_preset(monkeypatch, capsys):
+    calls = {"propagate": 0, "build_problem": 0}
+    for name in calls:
+        original = getattr(cli, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "propagate", counted)
-    assert run_verify(debug_plus_branch=True) == 0
-    assert len(calls) == 5
-    out = capsys.readouterr().out
-    assert "EXPECTED-FAIL forced-plus-branch" in out
-    assert sum(line.startswith("PASS ") for line in out.splitlines()) == 15
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["verify"]) == 0
+    assert calls == {"propagate": 5, "build_problem": 5}
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("PASS ") for line in lines)
+    names = sorted(line.split()[1].rstrip(":") for line in lines)
+    presets = ["scalar-trivial", "inertial-q1", "inertial-q10", "inertial-qneg5"]
+    assert names == sorted(
+        ["lemma1-identity"]
+        + [f"{check}:{name}" for name in presets
+           for check in ("symplectic-residual", "escape-plus-root", "no-escape-minus-root")]
+        + ["gramian-route-equivalence:scalar-trivial", "gramian-route-equivalence:inertial-q0"])

@@ -330,6 +330,13 @@ def test_a_singular_r_raises_naming_its_time(r_map, when):
         input_quad(sys, np.linspace(0.0, 1.0, 5))
 
 
+def test_a_system_is_built_with_its_q_and_r():
+    # without them it used to fail only later, at the first sys.Q(t)
+    one = constant_coefficient([[1.0]])
+    with pytest.raises(TypeError, match="'Q' and 'R'"):
+        TimeVaryingLinearSystem(1, 1, one, one)
+
+
 def test_the_controllability_gate_does_not_depend_on_the_units_of_b_and_r():
     # B -> 1e-5 B and R -> 1e-10 R leave B R^-1 B' and the law unchanged; the Gramian
     # of B alone would fall to 6.6e-12, below CONTROLLABILITY_TOL

@@ -234,6 +234,15 @@ def test_simulate_rejects_checkpoints_that_are_not_strictly_increasing(inertial_
         simulate(problem, sol, 10, 10, seed=0, checkpoints=checkpoints)
 
 
+@pytest.mark.parametrize("checkpoints", [0.5, "ab", [[0.5]], ["0.5"], [True], np.array(0.5),
+                                         np.ones((1, 1)), [0.5, None]])
+def test_simulate_rejects_checkpoints_that_are_not_a_sequence_of_real_numbers(inertial_solution,
+                                                                             checkpoints):
+    problem, sol = inertial_solution
+    with pytest.raises(DomainError, match="checkpoints must be a 1-d sequence of real numbers"):
+        simulate(problem, sol, 10, 10, seed=0, checkpoints=checkpoints)
+
+
 @pytest.mark.parametrize(
     "n_steps, expected",
     [(4, [0.0, 0.25, 0.5, 0.75, 1.0]),
