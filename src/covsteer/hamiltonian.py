@@ -41,6 +41,9 @@ from .systems import (
 )
 
 COND_LIMIT = 1e12  # largest condition number of Phi11 or Phi12 that is inverted
+# largest max |entry| of Phi(t, s) that propagate returns: a product of two entries
+# then stays within 1e300, so the sums of them in symplectic_residual do not overflow
+PHI_LIMIT = 1e150
 
 
 def blocks(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -94,7 +97,9 @@ def propagate(
     :func:`covsteer.bridge.solve` multiplies its Y pass through it and then
     releases it. Raises ConditioningError, naming the first node where Phi is
     not finite, if Phi(t, s) is not: the flow overflowed or a coefficient is
-    not finite between the nodes that make_system checks.
+    not finite between the nodes that make_system checks. Raises
+    ConditioningError, naming max |Phi(t, s)| and the grid, if that maximum
+    exceeds PHI_LIMIT, past which products of Phi's entries can overflow.
     """
     s, t = _check_time(s), _check_time(t)
     if s > t:
@@ -109,6 +114,11 @@ def propagate(
         raise ConditioningError(
             f"Phi(t, {s:.6g}) has non-finite entries from t = {times[first]:.6g} on: "
             "the Hamiltonian flow overflows or a coefficient is not finite")
+    peak = np.abs(phi[-1]).max()
+    if peak > PHI_LIMIT:
+        raise ConditioningError(
+            f"max |Phi({t:.6g}, {s:.6g})| = {peak:.3e} on a grid of {len(times) - 1} steps "
+            f"exceeds {PHI_LIMIT:.0e}: products of its entries can overflow")
     return times, phi, e
 
 

@@ -20,11 +20,16 @@ stacked state [dw; x; W x]: each step draws dw in place, and one product with
 S_k gives both x_{k+1} and trap_k W_k x_k, whose inner product with x_k is the
 step's cost. At eps = 0 the dw rows and G_k are left out.
 
-Randomness is counter-based. Paths come in blocks of 4096, and block b draws
-from the Philox stream keyed by (seed, b): first x(0) as an (n, 4096) array,
-then, when eps > 0, an (m, 4096) array per step, always at full width. Path i
-is column i mod 4096 of the stream keyed by (seed, i // 4096), so its states
-and cost depend on (seed, i, n_steps) only, not on n_paths.
+Paths come in blocks of 4096, and block b draws from an SFC64 generator
+seeded by the b-th child of SeedSequence(seed), that is
+SeedSequence(seed, spawn_key=(b,)): first x(0) as an (n, 4096) array, then,
+when eps > 0, an (m, 4096) array per step, always at full width. Path i is
+column i mod 4096 of block i // 4096's stream, so its states and cost depend
+on (seed, i, n_steps) only, not on n_paths. The spawn key, unlike list
+entropy such as [seed, b], keeps (seed, b) pairs apart: SeedSequence splits a
+list into 32-bit words and zero-pads them, so [5, 7] and [7 * 2**32 + 5, 0]
+would seed one stream. Before this rule, block b drew from the Philox stream
+keyed by (seed, b), so a given seed now draws other paths than it did then.
 """
 
 from __future__ import annotations
@@ -39,8 +44,9 @@ from .errors import DomainError, UnsupportedDimensionError
 from .integrate import grid_indices, is_int, is_real, positive_int, thin_nodes
 from .systems import noise_channel
 
-_PERTURBATION_STREAM = 0xC0575EE2  # fixed substream key for gain perturbations
-_BLOCK_PATHS = 4096  # paths per Philox stream
+# spawn key of cost_gap's perturbation; no block reaches it below 1.3e13 paths
+_PERTURBATION_STREAM = 0xC0575EE2
+_BLOCK_PATHS = 4096  # paths per stream: block b draws from the b-th child of SeedSequence(seed)
 
 
 @dataclass(frozen=True)
@@ -76,15 +82,19 @@ def check_seed(seed) -> int:
     """seed as an int; DomainError unless it is an integer in [0, 2**63).
 
     An integer is what :func:`covsteer.integrate.is_int` accepts: an int or a
-    numpy integer, not a bool, a float or a string. In that range each seed
-    keys its own streams: 2**63 and -2**63 would key the same Philox stream,
-    and 2**64 and up key none.
+    numpy integer, not a bool, a float or a string. The range is that of a
+    non-negative int64, so every accepted seed is also a numpy integer seed.
     """
     if not is_int(seed):
         raise DomainError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**63:
         raise DomainError(f"seed must be in [0, 2**63), got {seed}")
     return int(seed)
+
+
+def _stream(seed: int, key: int) -> np.random.Generator:
+    """Generator over SFC64 seeded by SeedSequence(seed, spawn_key=(key,)), the key-th child."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(key,))))
 
 
 def default_checkpoint_nodes(n_steps: int) -> np.ndarray:
@@ -169,7 +179,7 @@ def _simulate_gain(
     costs = np.zeros(n_paths)
     z, z_next = np.empty((2, w + 2 * n, _BLOCK_PATHS))
     for lo in range(0, n_paths, _BLOCK_PATHS):
-        gen = np.random.Generator(np.random.Philox(key=[seed, lo // _BLOCK_PATHS]))
+        gen = _stream(seed, lo // _BLOCK_PATHS)
         cols = min(_BLOCK_PATHS, n_paths - lo)
         block_states, block_costs = states[lo:lo + cols], costs[lo:lo + cols]
         # every draw is at full width, so a path's draws do not depend on n_paths
@@ -215,9 +225,11 @@ def simulate(
 
     Gains between solver grid points are linearly interpolated; the running
     cost u'Ru + x'Qx = x'(Q + K'RK)x is accumulated per path by the
-    trapezoidal rule. Path i draws from column i mod 4096 of the Philox
-    stream keyed by (seed, i // 4096): x(0) first, then one draw per step
-    when eps > 0. Its states and cost depend on (seed, i, n_steps) only.
+    trapezoidal rule. Path i draws from column i mod 4096 of an SFC64
+    stream seeded by SeedSequence(seed, spawn_key=(i // 4096,)): x(0) first,
+    then one draw per step when eps > 0. Its states and cost depend on
+    (seed, i, n_steps) only. Before this rule the blocks drew from Philox
+    streams keyed by (seed, i // 4096), so a given seed now draws other paths.
     Checkpoints are strictly increasing grid nodes, by default those of
     :func:`default_checkpoint_nodes`. A solution solved at another eps than
     the problem's, or whose gain is not a finite (len(grid), m, n) stack on a
@@ -299,11 +311,15 @@ def cost_gap(
 ) -> CostGapReport:
     """Estimate perturbed-minus-optimal expected cost with common random numbers.
 
-    The perturbation is a fixed unit-Frobenius random gain offset drawn from
-    a dedicated substream of seed, scaled by perturbation_scale and added to
-    K(t) at every grid time. A perturbation_scale that is not a finite real
-    number (a bool is not one), or a solution :func:`simulate` would refuse,
-    raises DomainError.
+    Both runs draw the paths of :func:`simulate` at seed, with checkpoints
+    0 and 1. The perturbation delta is one standard normal (m, n) draw from
+    an SFC64 stream seeded by SeedSequence(seed, spawn_key=(0xC0575EE2,)),
+    divided by its Frobenius norm, scaled by perturbation_scale and added to
+    K(t) at every grid time; before this rule it came from the Philox stream
+    keyed by (seed, 0xC0575EE2), so a given seed now draws another delta and
+    other paths. A perturbation_scale that is not a finite real number (a
+    bool is not one), or a solution :func:`simulate` would refuse, raises
+    DomainError.
     """
     if not (is_real(perturbation_scale) and math.isfinite(perturbation_scale)):
         raise DomainError("perturbation_scale must be finite and a real number, not a bool, "
@@ -314,7 +330,7 @@ def cost_gap(
     base = _simulate_gain(
         problem, solution.grid, solution.k, n_paths, n_steps, seed, checkpoints
     )
-    gen = np.random.Generator(np.random.Philox(key=[base.seed, _PERTURBATION_STREAM]))
+    gen = _stream(base.seed, _PERTURBATION_STREAM)
     delta = gen.standard_normal((sys.dim_input, sys.dim_state))
     delta /= np.linalg.norm(delta)
     k_pert = solution.k + perturbation_scale * delta

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -561,6 +563,18 @@ def test_a_q_that_is_not_finite_between_the_checked_samples_raises_conditioning_
     problem = SteeringProblem(sys, 2 * np.eye(2), 0.25 * np.eye(2), 1.0)
     with pytest.raises(ConditioningError, match=r"Phi\(t, 0\) has non-finite entries from t = "):
         solve(problem, 1000)
+
+
+def test_a_huge_but_finite_phi_raises_conditioning_error_and_no_warning():
+    # Phi(1, 0) is finite, but its products overflowed in symplectic_residual: a raw
+    # RuntimeWarning, or with warnings off BoundaryResidualError("... residual inf")
+    sys = make_system([[0.0]], [[20.0]], [[734.0]], [[1.0]])
+    problem = SteeringProblem(sys, [[1.0]], [[1.0]], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError, match=r"max \|Phi\(1, 0\)\| = 1\.609e\+222 on a "
+                           r"grid of 200 steps exceeds 1e\+150"):
+            solve(problem, 200)
 
 
 def test_solve_and_sweep_run_no_batched_eigh(monkeypatch):

@@ -76,7 +76,7 @@ def _naive_paths(problem, gain_seq, n_paths, n_steps, seed, block):
     costs = np.zeros(n_paths)
     for i in range(n_paths):
         b, col = divmod(i, block)
-        gen = np.random.Generator(np.random.Philox(key=[seed, b]))
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed).spawn(b + 1)[b]))
         x = root0 @ gen.standard_normal((n, block))[:, col]
         for k in range(n_steps + 1):
             t = k * dt
@@ -110,6 +110,18 @@ def test_stream_contract_matches_naive_per_path_loop(monkeypatch, n_paths, eps):
     assert np.abs(result.costs - costs).max() <= 1e-12 * np.abs(costs).max()
 
 
+def test_a_seed_and_block_pair_keeps_its_own_stream(monkeypatch, inertial_solution):
+    # as list entropy, [5, 7] and [7 * 2**32 + 5, 0] seed one stream (SeedSequence
+    # splits each int into 32-bit words and zero-pads them); as a spawn key, block 7
+    # of seed 5 and block 0 of seed 7 * 2**32 + 5 are different children
+    monkeypatch.setattr(monte_carlo, "_BLOCK_PATHS", 1)
+    problem, sol = inertial_solution
+    block7 = simulate(problem, sol, 8, 20, seed=5)
+    block0 = simulate(problem, sol, 2, 20, seed=7 * 2**32 + 5)
+    assert (block7.states[7] != block0.states[0]).all()
+    assert block7.costs[7] != block0.costs[0]
+
+
 def test_interp_matrices_matches_the_per_entry_interp_loop():
     rng = np.random.default_rng(5)
     src_t = np.linspace(0.0, 1.0, 2001)
@@ -131,25 +143,25 @@ def test_golden_stream_inertial_q1():
     sol = solve(problem, cfg.grid_size)
     result = simulate(problem, sol, 3, 4, seed=1, checkpoints=np.linspace(0.0, 1.0, 5))
     states = [
-        [[1.442905095109758, 1.296624971873409],
-         [1.7670613380781102, -1.2730828165553365],
-         [1.448790633939276, -2.2592570621439854],
-         [0.8839763684032796, -2.378417789749241],
-         [0.2893719209659694, -1.0698805525037234]],
-        [[1.074396696190205, -1.9478046067528507],
-         [0.5874455445019923, -1.9823455796037226],
-         [0.09185914960106162, -2.0501524627042738],
-         [-0.4206789660750068, -0.21636610663222933],
-         [-0.47477049273306415, 0.07486605481923136]],
-        [[-0.34766729619337616, -1.284029851049072],
-         [-0.6686747589556441, -0.1333739236343257],
-         [-0.7020182398642255, 0.6578363163116079],
-         [-0.5375591607863235, 0.22240693914194487],
-         [-0.48195742600083724, 0.8028120572380839]],
+        [[1.4473477345225918, 0.8889256648796283],
+         [1.6695791507424989, -1.7042863155837662],
+         [1.2435075718465574, -1.7781480713982283],
+         [0.7989705539970002, -2.3453242203183358],
+         [0.2126394989174163, -1.1156686218720326]],
+        [[-1.2639155830414126, 0.5765722609198175],
+         [-1.1197725178114581, 1.0144232468383683],
+         [-0.8661667061018661, 0.7738569928893804],
+         [-0.672702457879521, 1.9867764205841323],
+         [-0.17600835273348792, 0.24578805636245882]],
+        [[-1.4774152366743738, 1.4691446250852958],
+         [-1.11012908040305, 1.8562137296579817],
+         [-0.6460756479885545, 1.5992598824295516],
+         [-0.24626067738116664, 2.2512405963927753],
+         [0.3165494717170272, 1.014577328854604]],
     ]
     np.testing.assert_allclose(result.states, states, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(
-        result.costs, [45.045033959702884, 14.591083976444796, 22.506992224636672], rtol=1e-12
+        result.costs, [36.63491473101689, 11.989209593615257, 13.206013834116977], rtol=1e-12
     )
 
 
@@ -327,7 +339,7 @@ def test_tube_matches_per_node_roots(inertial_solution):
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2**70])
 def test_simulate_and_cost_gap_reject_a_seed_outside_the_stream_keys(inertial_solution, seed):
-    # seeds 2**63 and -2**63 would key the same Philox stream; 2**70 keys none
+    # the seed range is that of a non-negative int64
     problem, sol = inertial_solution
     with pytest.raises(DomainError, match="seed"):
         simulate(problem, sol, 10, 10, seed=seed)
@@ -456,6 +468,29 @@ def test_cost_gap_zero_perturbation(inertial_solution):
     report = cost_gap(problem, sol, 0.0, 200, 200, seed=8)
     assert report.gap == 0.0
     assert report.gap_stderr == 0.0
+
+
+def test_cost_gap_is_the_paired_difference_under_the_documented_perturbation(
+        inertial_solution):
+    # delta is rebuilt from its documented stream; the perturbed run must then be
+    # _simulate_gain under K + scale delta, and the gap the mean of the paired differences
+    problem, sol = inertial_solution
+    scale, n_paths, n_steps, seed = 0.3, 300, 100, 11
+    report = cost_gap(problem, sol, scale, n_paths, n_steps, seed)
+    key = np.random.SeedSequence(seed, spawn_key=(0xC0575EE2,))
+    delta = np.random.Generator(np.random.SFC64(key)).standard_normal((1, 2))
+    delta /= np.linalg.norm(delta)
+    base = simulate(problem, sol, n_paths, n_steps, seed, checkpoints=[0.0, 1.0])
+    pert = monte_carlo._simulate_gain(problem, sol.grid, sol.k + scale * delta, n_paths,
+                                      n_steps, seed, [0.0, 1.0])
+    assert report.cost_optimal == base.cost_estimate
+    assert report.cost_perturbed == pert.cost_estimate
+    diffs = pert.costs - base.costs
+    assert report.gap == diffs.mean()
+    assert report.gap_stderr == diffs.std(ddof=1) / np.sqrt(n_paths)
+    s1_norm = np.linalg.norm(problem.sigma1)
+    assert report.terminal_cov_residual_perturbed == np.linalg.norm(
+        pert.empirical_cov[-1] - problem.sigma1) / s1_norm
 
 
 def test_cost_gap_perturbed_run_reported(inertial_solution):

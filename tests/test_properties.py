@@ -11,9 +11,10 @@ against scipy's solve_bvp on the deterministic LQ two-point problem, and a
 scalar problem with a closed form checks Pi(0) below the conjugate-point
 threshold and the gate above it. At every eps the law's coupling of x(0) and
 x(1) is checked against the Gaussian entropic optimal-transport coupling for
-the LQ cost, built from scipy's matrix exponential alone. A strict xfail pins
-the first order of the step on a piecewise-constant Q against DOP853
-restarted at the breaks.
+the LQ cost, built from scipy alone: its matrix exponential on the constant
+presets, and DOP853 on one problem with smooth time-varying A, B and Q. A
+strict xfail pins the first order of the step on a piecewise-constant Q
+against DOP853 restarted at the breaks.
 """
 
 import numpy as np
@@ -223,20 +224,52 @@ def test_zero_noise_paths_are_the_lq_two_point_extremals(preset):
         assert _rel(np.einsum("tij,jt->it", sol.pi, path[:n]), path[n:]) <= 1e-9
 
 
+def _tv_coupling_problem(eps):
+    """A problem with smooth callable A, B and Q, and its Phi(1, 0) from DOP853 on M(t) alone."""
+    def a_of(t):
+        return np.array([[0.0, 1.0], [-1.0 - 0.5 * np.sin(2.0 * np.pi * t), -0.2 - 0.3 * t]])
+
+    def b_of(t):
+        return np.array([[0.1 * np.cos(np.pi * t)], [1.0 + 0.5 * t]])
+
+    def q_of(t):
+        return np.array([[1.0 + 0.5 * np.cos(3.0 * t), 0.2 * t], [0.2 * t, 0.5 + t * t]])
+
+    r = np.array([[1.5]])
+
+    def m_of(t):
+        a, b = a_of(t), b_of(t)
+        return np.block([[a, -b @ np.linalg.solve(r, b.T)], [-q_of(t), -a.T]])
+
+    run = solve_ivp(lambda t, y: (m_of(t) @ y.reshape(4, 4)).ravel(), (0.0, 1.0),
+                    np.eye(4).ravel(), method="DOP853", rtol=1e-13, atol=1e-13)
+    assert run.success, run.message
+    problem = SteeringProblem(make_system(a_of, b_of, q_of, r), 2.0 * np.eye(2),
+                              0.25 * np.eye(2), eps)
+    return problem, run.y[:, -1].reshape(4, 4)
+
+
 @pytest.mark.parametrize("eps", [2.0, 1.0, 0.1, 0.01, 0.0])
-@pytest.mark.parametrize("preset", ["inertial-q1", "inertial-qneg5", "inertial-q0",
-                                    "inertial-r4"])
-def test_the_endpoint_coupling_is_the_gaussian_entropic_ot_coupling(preset, eps):
+@pytest.mark.parametrize("case", ["inertial-q1", "inertial-qneg5", "inertial-q0",
+                                  "inertial-r4", "time-varying"])
+def test_the_endpoint_coupling_is_the_gaussian_entropic_ot_coupling(case, eps):
     # the extremal from x to y costs c(x, y) = lam(0)'x - lam(1)'y with lam(0) =
     # Phi12^-1 (y - Phi11 x), whose cross term is -2 x'T y for T = -Phi12^-1. So the
     # law's coupling is entropic OT of |T'x - y|^2 between N(0, T'Sigma0 T) and
     # N(0, Sigma1) at sigma^2 = eps (eps = 0: the OT map), whose cross-covariance has
-    # the closed form C below; the law's Cov(x(0), x(1)) is Sigma0 X1(1)'
-    problem = cli.build_problem(cli.RunConfig.from_dict(dict(cli.PRESETS[preset], epsilon=eps)))
-    sys, n = problem.sys, problem.sys.dim_state
-    a, b, q, r = sys.A(0.0), sys.B(0.0), sys.Q(0.0), sys.R(0.0)  # constant on the presets
-    phi11, phi12, _, _ = blocks(expm(np.block([[a, -b @ np.linalg.solve(r, b.T)],
-                                               [-q, -a.T]])))
+    # the closed form C below; the law's Cov(x(0), x(1)) is Sigma0 X1(1)'. Phi(1, 0)
+    # comes from scipy alone: expm on the constant presets, DOP853 on the time-varying
+    # case, which read at most 3.5e-14 against the 1e-9 bound (grid 2000)
+    if case == "time-varying":
+        problem, phi = _tv_coupling_problem(eps)
+    else:
+        problem = cli.build_problem(cli.RunConfig.from_dict(dict(cli.PRESETS[case],
+                                                                 epsilon=eps)))
+        sys = problem.sys
+        a, b, q, r = sys.A(0.0), sys.B(0.0), sys.Q(0.0), sys.R(0.0)  # constant on the presets
+        phi = expm(np.block([[a, -b @ np.linalg.solve(r, b.T)], [-q, -a.T]]))
+    n = problem.sys.dim_state
+    phi11, phi12, _, _ = blocks(phi)
     t = -np.linalg.inv(phi12)
     a_half, a_inv_half = _root_pair(t.T @ problem.sigma0 @ t)
     eye = np.eye(n)
