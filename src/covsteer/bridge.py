@@ -59,6 +59,7 @@ which :func:`covsteer.hamiltonian.symplectic_residual` reads on Phi(1, 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -311,9 +312,9 @@ def solve(problem: SteeringProblem, grid_size: int = 1000) -> BridgeSolution:
     Phi(1, 0) and the escape scans of both roots. Raises SingularMatrixError
     if X1 or X2 is singular on the grid, ConjugatePointError if det X1 or
     det X2 changes sign between two grid nodes, and BoundaryResidualError
-    (solution attached) if the terminal covariance misses sigma1 by more than
-    RESIDUAL_TOL in relative Frobenius norm, or if Pi, H or Sigma is not
-    finite on the grid. Raises DomainError
+    (solution attached, its message naming max |Sigma(1)|) if the terminal
+    covariance misses sigma1 by more than RESIDUAL_TOL in relative Frobenius
+    norm, or if Pi, H or Sigma is not finite on the grid. Raises DomainError
     unless grid_size is a positive integer. Sigma(t) is not inverted, so no
     DefinitenessError comes from it: its definiteness follows from the
     conjugate-point gate (see the module docstring).
@@ -438,6 +439,24 @@ def _require_no_conjugate_point(det1: np.ndarray, det2: np.ndarray, grid: np.nda
         )
 
 
+def _scaled_norm(a: np.ndarray) -> tuple[float, float]:
+    """(||a / s||_F, s), s the power of two in (max |a| / 2, max |a|]; 1 at max |a| 0 or inf."""
+    peak = float(np.abs(a).max())
+    s = math.ldexp(1.0, math.frexp(peak)[1] - 1) if 0.0 < peak < math.inf else 1.0
+    return float(np.linalg.norm(a / s)), s
+
+
+def _relative_miss(x: np.ndarray, target: np.ndarray) -> float:
+    """||x - target||_F / ||target||_F from the two norms of :func:`_scaled_norm`.
+
+    The scales are powers of two, so the quotient reads as the unscaled one does
+    wherever that one neither overflows nor underflows, while an x past about
+    1e154, whose squares overflow, gives a finite miss and no RuntimeWarning.
+    """
+    (miss, s_miss), (ref, s_ref) = _scaled_norm(x - target), _scaled_norm(target)
+    return miss / ref * (s_miss / s_ref)
+
+
 def _gated_solution(
     problem: SteeringProblem,
     pi_t: np.ndarray,
@@ -458,12 +477,8 @@ def _gated_solution(
     finite = all(np.isfinite(arr).all() for arr in (pi_t, h_t, sigma_t))
     gains = solve_r(r_t, np.swapaxes(b_t, -1, -2) @ pi_t, grid)
 
-    res0 = float(
-        np.linalg.norm(sigma_t[0] - problem.sigma0) / np.linalg.norm(problem.sigma0)
-    )
-    res1 = float(
-        np.linalg.norm(sigma_t[-1] - problem.sigma1) / np.linalg.norm(problem.sigma1)
-    )
+    res0 = _relative_miss(sigma_t[0], problem.sigma0)
+    res1 = _relative_miss(sigma_t[-1], problem.sigma1)
 
     diagnostics = {
         "symplectic_residual": symplectic_residual(phi1),
@@ -483,7 +498,8 @@ def _gated_solution(
     )
     if not (res1 <= RESIDUAL_TOL):
         raise BoundaryResidualError(
-            f"terminal covariance residual {res1:.3e} exceeds {RESIDUAL_TOL:.3e}",
+            f"terminal covariance residual {res1:.3e} exceeds {RESIDUAL_TOL:.3e}; "
+            f"max |Sigma(1)| = {np.abs(sigma_t[-1]).max():.3e}",
             solution=solution,
         )
     if not finite:

@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -316,18 +316,21 @@ def _block_rows(keys: list[str], templates: list[str], values) -> Iterator[str]:
     """Data lines: per block b and template r, keys[b], then template r filled from values[b, r].
 
     values has shape (len(keys), len(templates), slots per template). Each
-    chunk of at most CHUNK_ROWS lines is one template string filled by one %.
+    chunk of at most CHUNK_ROWS lines is one template string filled by one %;
+    the chunks are made lazily, and chain walks each chunk's lines in C.
     """
     values = np.asarray(values, dtype=float)
     tails = [f",{row}\r\n" for row in templates]
     per = min(len(tails), CHUNK_ROWS)  # a block longer than a chunk is split
     step = max(1, CHUNK_ROWS // len(tails))
-    for b in range(0, len(keys), step):
-        for r in range(0, len(tails), per):
-            parts = [""] + tails[r:r + per]  # key.join(parts) is the block's text
-            text = "".join([key.join(parts) for key in keys[b:b + step]])
-            cells = tuple(values[b:b + step, r:r + per].ravel().tolist())
-            yield from (text % cells).splitlines(True)
+
+    def chunk(b: int, r: int) -> list[str]:
+        parts = [""] + tails[r:r + per]  # key.join(parts) is the block's text
+        text = "".join([key.join(parts) for key in keys[b:b + step]])
+        return (text % tuple(values[b:b + step, r:r + per].ravel().tolist())).splitlines(True)
+
+    return chain.from_iterable(chunk(b, r) for b in range(0, len(keys), step)
+                               for r in range(0, len(tails), per))
 
 
 def _table_rows(keys: list[str], table: np.ndarray) -> Iterator[str]:

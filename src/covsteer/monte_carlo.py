@@ -8,7 +8,7 @@ which is the noise model of :mod:`covsteer.bridge`, over many paths,
 estimating empirical covariances at checkpoints and the expected quadratic
 cost. The noise enters through :func:`covsteer.systems.noise_channel`.
 
-Paths are stepped one 4096-path block at a time, paths in the last axis. One
+Paths are stepped one 5000-path block at a time, paths in the last axis. One
 step matrix per grid step is built before the loop,
 
     S_k = [[G_k, F_k], [0, trap_k W_k]],
@@ -20,16 +20,19 @@ stacked state [dw; x; W x]: each step draws dw in place, and one product with
 S_k gives both x_{k+1} and trap_k W_k x_k, whose inner product with x_k is the
 step's cost. At eps = 0 the dw rows and G_k are left out.
 
-Paths come in blocks of 4096, and block b draws from an SFC64 generator
+Paths come in blocks of 5000, and block b draws from an SFC64 generator
 seeded by the b-th child of SeedSequence(seed), that is
-SeedSequence(seed, spawn_key=(b,)): first x(0) as an (n, 4096) array, then,
-when eps > 0, an (m, 4096) array per step, always at full width. Path i is
-column i mod 4096 of block i // 4096's stream, so its states and cost depend
-on (seed, i, n_steps) only, not on n_paths. The spawn key, unlike list
+SeedSequence(seed, spawn_key=(b,)): first x(0) as an (n, 5000) array, then,
+when eps > 0, an (m, 5000) array per step, always at full width. Path i is
+column i mod 5000 of block i // 5000's stream, so its states and cost depend
+on (seed, i, n_steps) only, not on n_paths. The width is the CLI's default
+path count, so a default run is one block and draws only the normals it
+keeps, and 20000 paths are four whole blocks. The spawn key, unlike list
 entropy such as [seed, b], keeps (seed, b) pairs apart: SeedSequence splits a
 list into 32-bit words and zero-pads them, so [5, 7] and [7 * 2**32 + 5, 0]
-would seed one stream. Before this rule, block b drew from the Philox stream
-keyed by (seed, b), so a given seed now draws other paths than it did then.
+would seed one stream. Blocks were 4096 paths wide in the previous version,
+and before that block b drew from the Philox stream keyed by (seed, b); a
+given seed now draws other paths than under either.
 """
 
 from __future__ import annotations
@@ -44,9 +47,11 @@ from .errors import DomainError, UnsupportedDimensionError
 from .integrate import grid_indices, is_int, is_real, positive_int, thin_nodes
 from .systems import noise_channel
 
-# spawn key of cost_gap's perturbation; no block reaches it below 1.3e13 paths
+# spawn key of cost_gap's perturbation; no block reaches it below 1.6e13 paths
 _PERTURBATION_STREAM = 0xC0575EE2
-_BLOCK_PATHS = 4096  # paths per stream: block b draws from the b-th child of SeedSequence(seed)
+# paths per stream, and the default n_paths: block b draws from the b-th child
+# of SeedSequence(seed); it was 4096 in the previous version
+_BLOCK_PATHS = 5000
 
 
 @dataclass(frozen=True)
@@ -225,11 +230,12 @@ def simulate(
 
     Gains between solver grid points are linearly interpolated; the running
     cost u'Ru + x'Qx = x'(Q + K'RK)x is accumulated per path by the
-    trapezoidal rule. Path i draws from column i mod 4096 of an SFC64
-    stream seeded by SeedSequence(seed, spawn_key=(i // 4096,)): x(0) first,
+    trapezoidal rule. Path i draws from column i mod 5000 of an SFC64
+    stream seeded by SeedSequence(seed, spawn_key=(i // 5000,)): x(0) first,
     then one draw per step when eps > 0. Its states and cost depend on
-    (seed, i, n_steps) only. Before this rule the blocks drew from Philox
-    streams keyed by (seed, i // 4096), so a given seed now draws other paths.
+    (seed, i, n_steps) only. The blocks were 4096 paths wide in the previous
+    version, and Philox streams before that, so a given seed now draws other
+    paths.
     Checkpoints are strictly increasing grid nodes, by default those of
     :func:`default_checkpoint_nodes`. A solution solved at another eps than
     the problem's, or whose gain is not a finite (len(grid), m, n) stack on a

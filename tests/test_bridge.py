@@ -577,6 +577,35 @@ def test_a_huge_but_finite_phi_raises_conditioning_error_and_no_warning():
             solve(problem, 200)
 
 
+@pytest.mark.parametrize("a, b, q, peak", [(0.0, 20.0, 300.0, r"6\.830e\+279"),
+                                           (200.0, 1.0, 0.0, r"2\.218e\+155")],
+                         ids=["max-phi-2.6e147", "max-phi-3.5e86"])
+def test_a_huge_terminal_covariance_raises_residual_error_and_no_warning(a, b, q, peak):
+    # max |Phi(1, 0)| is below PHI_LIMIT, but Sigma(1) passes 1e154: the squares in
+    # the residual's norm overflowed, a raw RuntimeWarning, or "residual inf"
+    sys = make_system([[a]], [[b]], [[q]], [[1.0]])
+    problem = SteeringProblem(sys, [[1.0]], [[1.0]], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BoundaryResidualError, match=r"terminal covariance residual "
+                           rf"{peak} exceeds 1\.000e-04; max \|Sigma\(1\)\| = {peak}") as err:
+            solve(problem, 200)
+    assert np.isfinite(err.value.solution.boundary_residuals[1])
+
+
+def test_relative_miss_reads_as_the_unscaled_norms_below_overflow():
+    # the scales are powers of two, so the boundary residuals keep their bits
+    # wherever no square overflows or underflows
+    rng = np.random.default_rng(8)
+    for scale in [1e-100, 1e-9, 1e-3, 1.0, 7.0, 1e4, 1e150]:
+        for n in (1, 2, 6):
+            x, target, noise = scale * rng.standard_normal((3, n, n))
+            for near in (x, target + 1e-9 * noise):  # a far and a near miss
+                exact = float(np.linalg.norm(near - target) / np.linalg.norm(target))
+                assert bridge._relative_miss(near, target) == exact
+    assert bridge._relative_miss(np.eye(2), np.eye(2)) == 0.0
+
+
 def test_solve_and_sweep_run_no_batched_eigh(monkeypatch):
     problems = [inertial_problem(), six_state_tv_problem()]  # built before eigh is watched
     shapes = []

@@ -45,12 +45,34 @@ def test_deterministic_reruns(inertial_solution):
 
 
 def test_paths_independent_of_path_count_and_block(inertial_solution):
-    # 5000 paths span two simulation blocks; each path's draws are keyed by its index
+    # 7000 paths span two simulation blocks, the second cut; each path's draws
+    # are keyed by its index
     problem, sol = inertial_solution
+    assert monte_carlo._BLOCK_PATHS < 7000 < 2 * monte_carlo._BLOCK_PATHS
     few = simulate(problem, sol, 500, 200, seed=5)
-    many = simulate(problem, sol, 5000, 200, seed=5)
+    many = simulate(problem, sol, 7000, 200, seed=5)
     assert many.states[:500].tobytes() == few.states.tobytes()
     assert many.costs[:500].tobytes() == few.costs.tobytes()
+
+
+@pytest.mark.parametrize("n_paths, keys", [(5000, [0]), (5001, [0, 1]), (20000, [0, 1, 2, 3])])
+def test_each_block_of_5000_paths_opens_one_stream(monkeypatch, inertial_solution, n_paths, keys):
+    opened = []
+    stream = monte_carlo._stream
+
+    def recorded(seed, key):
+        opened.append(key)
+        return stream(seed, key)
+
+    monkeypatch.setattr(monte_carlo, "_stream", recorded)
+    problem, sol = inertial_solution
+    simulate(problem, sol, n_paths, 2, seed=5)
+    assert opened == keys
+
+
+def test_the_default_path_count_is_whole_blocks():
+    # the default run draws no normal it does not keep, whichever number moves
+    assert cli.MonteCarloConfig().n_paths % monte_carlo._BLOCK_PATHS == 0
 
 
 def _tv_problem(eps=0.7):
@@ -143,32 +165,32 @@ def test_golden_stream_inertial_q1():
     sol = solve(problem, cfg.grid_size)
     result = simulate(problem, sol, 3, 4, seed=1, checkpoints=np.linspace(0.0, 1.0, 5))
     states = [
-        [[1.4473477345225918, 0.8889256648796283],
-         [1.6695791507424989, -1.7042863155837662],
-         [1.2435075718465574, -1.7781480713982283],
-         [0.7989705539970002, -2.3453242203183358],
-         [0.2126394989174163, -1.1156686218720326]],
-        [[-1.2639155830414126, 0.5765722609198175],
-         [-1.1197725178114581, 1.0144232468383683],
-         [-0.8661667061018661, 0.7738569928893804],
-         [-0.672702457879521, 1.9867764205841323],
-         [-0.17600835273348792, 0.24578805636245882]],
-        [[-1.4774152366743738, 1.4691446250852958],
-         [-1.11012908040305, 1.8562137296579817],
-         [-0.6460756479885545, 1.5992598824295516],
-         [-0.24626067738116664, 2.2512405963927753],
-         [0.3165494717170272, 1.014577328854604]],
+        [[1.4473477345225918, 1.2956994285739023],
+         [1.7712725916660674, -0.7694597653753128],
+         [1.5789076503222392, -2.4856116249875613],
+         [0.9575047440753489, -2.5120630152203205],
+         [0.3294889902702688, -0.8419074683900336]],
+        [[-1.2639155830414126, -0.8376302390492391],
+         [-1.4733231428037223, 1.610698371410624],
+         [-1.0706485499510663, 2.297371918875635],
+         [-0.4963055702321575, 2.059668686113965],
+         [0.01861160129633377, 0.6319211817781643]],
+        [[-1.4774152366743738, 1.9666290042086656],
+         [-0.9857579856222074, 1.2641602130437333],
+         [-0.6697179323612741, 0.8881479573222136],
+         [-0.4476809430307207, 1.7582146102107217],
+         [-0.008127290478040283, 1.3339400038547633]],
     ]
     np.testing.assert_allclose(result.states, states, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(
-        result.costs, [36.63491473101689, 11.989209593615257, 13.206013834116977], rtol=1e-12
+        result.costs, [47.400840848380966, 21.468891774603176, 19.20797121885881], rtol=1e-12
     )
 
 
 def test_simulate_holds_one_block_of_stepping_state():
     # tracemalloc peak of simulate above its own states array (3 520 000 B here). The
     # earlier loop, which stepped all paths at once in (n, n_paths) arrays, peaked
-    # 993 244 B above it; stepping one 4096-path block at a time peaks 679 404 B above.
+    # 993 244 B above it; stepping one 5000-path block at a time peaks 752 076 B above.
     # The bound sits below that plus one (2, 20000) float array (320 000 B), so a
     # per-step full-width temporary or stepping buffers over all blocks fail it.
     cfg = cli.RunConfig.from_dict(dict(cli.PRESETS["inertial-q1"]))
