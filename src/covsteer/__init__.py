@@ -16,8 +16,6 @@ from .bridge import (
     epsilon_sweep,
     initial_conditions,
     lemma1_residual,
-    riccati_rhs_h,
-    riccati_rhs_pi,
     solve,
     spurious_root_escape,
     sqrt_spd,
@@ -36,7 +34,6 @@ from .errors import (
 )
 from .hamiltonian import (
     blocks,
-    hamiltonian_matrix,
     propagate,
     ratio_T,
     symplectic_residual,

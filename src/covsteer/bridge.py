@@ -86,7 +86,6 @@ from .systems import (
     TimeVaryingLinearSystem,
     _spd_eigh,
     _sqrt_spd_pair,
-    input_quad,
     reachability_gramian,
     require_controllable,
     solve_r,
@@ -181,14 +180,29 @@ class SteeringProblem:
         object.__setattr__(self, "epsilon", _checked_epsilon(self.epsilon))
 
 
-def _checked_epsilon(value) -> float:
-    """value as a float; DomainError unless it is a finite, nonnegative real number."""
+def _checked_epsilon(value, where: str = "") -> float:
+    """value as a float; DomainError unless it is a finite, nonnegative real number.
+
+    where leads the error's message, as "eps_list[1]: " does for a sweep's entry.
+    """
     if not is_real(value):
-        raise DomainError(f"epsilon must be a real number, not a bool, got {value!r}")
+        raise DomainError(f"{where}epsilon must be a real number, not a bool, got {value!r}")
     eps = float(value)
     if not 0.0 <= eps < np.inf:
-        raise DomainError(f"epsilon must be finite and nonnegative, got {eps}")
+        raise DomainError(f"{where}epsilon must be finite and nonnegative, got {eps}")
     return eps
+
+
+def _checked_eps_list(eps_list) -> list[float]:
+    """The entries of eps_list as floats, each an eps :class:`SteeringProblem` accepts.
+
+    Raises DomainError on an entry that is not, its message led by
+    "eps_list[i]: ", and unless the entries are sorted descending.
+    """
+    values = [_checked_epsilon(eps, f"eps_list[{i}]: ") for i, eps in enumerate(eps_list)]
+    if any(b > a for a, b in zip(values, values[1:])):
+        raise DomainError("eps_list must be sorted descending")
+    return values
 
 
 @dataclass(frozen=True)
@@ -265,21 +279,6 @@ def _initial_values(
     pi0 = symmetrize(roots.z_minus + 0.5 * problem.epsilon * s0_inv)
     h0 = symmetrize(problem.epsilon * s0_inv - pi0)
     return pi0, h0
-
-
-def _riccati(a: np.ndarray, quad: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """-(A'P + P A - P quad P + Q), symmetrized; quad is B R^-1 B'."""
-    return symmetrize(-(a.T @ p + p @ a - p @ quad @ p + q))
-
-
-def riccati_rhs_pi(sys: TimeVaryingLinearSystem, t: float, pi: np.ndarray) -> np.ndarray:
-    """dPi/dt = -(A'Pi + Pi A - Pi B R^-1 B' Pi + Q)."""
-    return _riccati(sys.A(t), input_quad(sys, t), sys.Q(t), pi)
-
-
-def riccati_rhs_h(sys: TimeVaryingLinearSystem, t: float, h: np.ndarray) -> np.ndarray:
-    """dH/dt = -(A'H + H A + H B R^-1 B' H - Q), i.e. -H obeys Pi's equation."""
-    return -_riccati(sys.A(t), input_quad(sys, t), sys.Q(t), -h)
 
 
 @dataclass(frozen=True)
@@ -536,7 +535,10 @@ def spurious_root_escape(
         raise DomainError("escape scan needs at least one node")
     y0 = 0.5 * problem.epsilon * _inv_spd(problem.sigma0) + root
     phi11, phi12, _, _ = blocks(phi)
-    return _escape_report(times, np.linalg.det(phi11 + phi12 @ y0))
+    # det X can overflow below PHI_LIMIT; an infinite det keeps its sign, and
+    # min |det X| includes X(0) = I
+    with np.errstate(over="ignore"):
+        return _escape_report(times, np.linalg.det(phi11 + phi12 @ y0))
 
 
 def _escape_report(times: np.ndarray, dets: np.ndarray) -> EscapeReport:
@@ -603,16 +605,14 @@ def epsilon_sweep(
     check and the Hamiltonian transition matrix do not depend on eps, so one
     propagation serves every solve of the sweep, and one Y pass integrates
     every eps's Y(0) side by side (see the module docstring). The error raised
-    is the one the first failing standalone solve would raise. Each eps must
-    be one :class:`SteeringProblem` accepts, and eps_list must be sorted
-    descending; the gap column is expected to decrease monotonically and
-    scale O(eps).
+    is the one the first failing standalone solve would raise. eps_list must
+    be nonempty and pass :func:`_checked_eps_list`, the check the CLI applies
+    to its config's eps_list; the gap column is expected to decrease
+    monotonically and scale O(eps).
     """
-    problems = [replace(problem, epsilon=eps) for eps in eps_list]
+    problems = [replace(problem, epsilon=eps) for eps in _checked_eps_list(eps_list)]
     if len(problems) == 0:
         raise DomainError("eps_list must not be empty")
-    if any(b.epsilon > a.epsilon for a, b in zip(problems, problems[1:])):
-        raise DomainError("eps_list must be sorted descending")
 
     phi1, solutions = _solve_each(problems, grid_size)
     pi0_limit = initial_conditions(replace(problem, epsilon=0.0), phi1)[0]

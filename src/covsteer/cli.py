@@ -4,7 +4,7 @@ Configuration is a single JSON document (matrices as row-major nested
 arrays); a handful of presets are shipped embedded. All numeric output is
 CSV (UTF-8, '.' decimal, 17 significant digits) plus plain-text reports,
 intended for external plotting. Exit codes: 0 ok, 1 config or usage error,
-2 solver error, 3 verify failure.
+2 solver error, 3 verify failure, 4 out of memory.
 
 CSV emission formats each shared cell once. A file's lines come in blocks
 (a grid node, path, checkpoint or epsilon) whose key cell and row templates
@@ -29,6 +29,8 @@ import numpy as np
 from . import __version__
 from .bridge import (
     SteeringProblem,
+    _checked_eps_list,
+    _checked_epsilon,
     corollary_q_zero,
     coupling_roots,
     epsilon_sweep,
@@ -39,8 +41,15 @@ from .bridge import (
 )
 from .errors import ConfigError, CovsteerError, DomainError
 from .hamiltonian import propagate, symplectic_residual
-from .integrate import grid_indices, thin_nodes
-from .monte_carlo import check_seed, check_tube, default_checkpoint_nodes, simulate, tolerance_tube
+from .integrate import grid_indices, positive_int, thin_nodes
+from .monte_carlo import (
+    check_counts,
+    check_seed,
+    check_tube,
+    default_checkpoint_nodes,
+    simulate,
+    tolerance_tube,
+)
 from .systems import (
     constant_coefficient,
     make_system,
@@ -85,18 +94,7 @@ class RunConfig:
         mc_raw = raw.get("monte_carlo", {})
         _check_fields(MonteCarloConfig, mc_raw, "monte_carlo must be an object", "monte_carlo.")
         cfg = cls(**{**raw, "monte_carlo": MonteCarloConfig(**mc_raw)})
-        mc = cfg.monte_carlo
-        for key in ("n_paths", "n_steps", "tube_resolution"):
-            _integer(getattr(mc, key), f"monte_carlo.{key}")
-        if mc.seed is not None:
-            _integer(mc.seed, "monte_carlo.seed")
-        _number(mc.tube_level, "monte_carlo.tube_level")
-        if mc.checkpoints is not None:
-            _numbers(mc.checkpoints, "monte_carlo.checkpoints")
         cfg.name = str(cfg.name)
-        cfg.epsilon = _number(cfg.epsilon, "epsilon")
-        cfg.grid_size = _integer(cfg.grid_size, "grid_size")
-        cfg.eps_list = _numbers(cfg.eps_list, "eps_list")
         cfg.validate()
         return cfg
 
@@ -104,31 +102,29 @@ class RunConfig:
         return asdict(self)
 
     def validate(self) -> None:
-        if self.grid_size < 1:
-            raise ConfigError("grid_size must be positive")
-        if not 0.0 <= self.epsilon < np.inf:
-            raise ConfigError("epsilon must be finite and nonnegative")
-        if not all(0.0 <= e < np.inf for e in self.eps_list):
-            raise ConfigError("eps_list entries must be finite and nonnegative")
-        if any(b > a for a, b in zip(self.eps_list, self.eps_list[1:])):
-            raise ConfigError("eps_list must be sorted descending")
+        """Check each field by the library's own rule for it, then build the problem.
+
+        A rule's DomainError becomes a ConfigError naming the field's config
+        path (see :func:`_checked`); a problem the library refuses is an
+        "invalid problem definition". epsilon, eps_list and checkpoints are
+        stored as floats, so the config hash reads a JSON 1 as 1.0, and absent
+        checkpoints become the nodes simulate() records by default, as times.
+        """
+        self.epsilon = _checked(_checked_epsilon, self.epsilon)
+        _checked(positive_int, self.grid_size, "grid_size")
+        if not isinstance(self.eps_list, list):
+            raise ConfigError("eps_list must be a list of numbers")
+        self.eps_list = _checked(_checked_eps_list, self.eps_list)
         mc = self.monte_carlo
-        if mc.n_paths < 2:
-            raise ConfigError("monte_carlo.n_paths must be at least 2")
-        if mc.n_steps < 1:
-            raise ConfigError("monte_carlo.n_steps must be positive")
-        if mc.checkpoints is None:  # the nodes simulate() records by default, as times
+        _checked(check_counts, mc.n_paths, mc.n_steps, section="monte_carlo.")
+        if mc.checkpoints is None:
             mc.checkpoints = (default_checkpoint_nodes(mc.n_steps) / mc.n_steps).tolist()
-        try:
-            grid_indices(mc.checkpoints, np.linspace(0.0, 1.0, mc.n_steps + 1))
-        except DomainError as exc:
-            raise ConfigError(f"monte_carlo.checkpoints: {exc}") from exc
-        try:
-            check_tube(mc.tube_level, mc.tube_resolution)
-            if mc.seed is not None:
-                check_seed(mc.seed)
-        except DomainError as exc:  # the message starts with the field's name
-            raise ConfigError(f"monte_carlo.{exc}") from exc
+        _checked(grid_indices, mc.checkpoints, np.linspace(0.0, 1.0, mc.n_steps + 1),
+                 section="monte_carlo.")
+        mc.checkpoints = [float(c) for c in mc.checkpoints]
+        _checked(check_tube, mc.tube_level, mc.tube_resolution, section="monte_carlo.")
+        if mc.seed is not None:
+            _checked(check_seed, mc.seed, section="monte_carlo.")
         try:
             self.problem()
         except ConfigError:
@@ -157,22 +153,16 @@ def _check_fields(cls, raw, not_object: str, prefix: str) -> None:
             raise ConfigError(f"unknown config field '{prefix}{key}'")
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    return value
+def _checked(check, *args, section: str = ""):
+    """check(*args), its DomainError raised again as a ConfigError naming the config path.
 
-
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
-    return float(value)
-
-
-def _numbers(values, path: str) -> list[float]:
-    if not isinstance(values, list):
-        raise ConfigError(f"{path} must be a list of numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(values)]
+    The library's messages start with the field's name, so section (the path
+    of the object holding the field, such as "monte_carlo.") completes it.
+    """
+    try:
+        return check(*args)
+    except DomainError as exc:
+        raise ConfigError(f"{section}{exc}") from exc
 
 
 def _coefficient(spec, path: str):
@@ -452,10 +442,7 @@ def run_verify(tol_scale: float = 1.0, seed: int = VERIFY_SEED, stream=None) -> 
     stream = stream or sys.stdout
     if not 0.0 < tol_scale < np.inf:
         raise ConfigError(f"--tol-scale must be finite and positive, got {tol_scale}")
-    try:
-        check_seed(seed)
-    except DomainError as exc:  # the message starts with "seed"
-        raise ConfigError(f"--{exc}") from exc
+    _checked(check_seed, seed, section="--")
     checks: list[tuple[str, bool, str]] = []
 
     rng = np.random.default_rng(seed)
@@ -560,6 +547,9 @@ def main(argv: list[str] | None = None) -> int:
     except CovsteerError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy names the size it could not allocate
+        print(f"memory error: {exc}", file=sys.stderr)
+        return 4
 
 
 def console_main() -> None:

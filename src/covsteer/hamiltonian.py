@@ -14,13 +14,13 @@ of the blocks on controllable systems.
 M is assembled in one place, :func:`hamiltonian_stack`, at an array of times:
 one A, B, Q and R call for the whole array, B R^-1 B' from
 :func:`covsteer.systems.solve_r` (a constant R is factored once), and the four
-blocks written into one preallocated stack.
-It is the sampler :func:`covsteer.integrate.step_stack` calls a page at a
-time, so :func:`propagate` samples the coefficients once at each of the
-2N + 1 stage times of its N-step grid, and :func:`hamiltonian_matrix` is the
-one-time case. When A, B, Q and R are all constant, M is assembled once and
-returned broadcast along time, so :func:`propagate` samples each coefficient
-once in all and builds one step matrix per distinct step size.
+blocks written into one preallocated stack; M at one time t is
+``hamiltonian_stack(sys, [t])[0]``. It is the sampler
+:func:`covsteer.integrate.step_stack` calls a page at a time, so
+:func:`propagate` samples the coefficients once at each of the 2N + 1 stage
+times of its N-step grid. When A, B, Q and R are all constant, M is assembled
+once and returned broadcast along time, so :func:`propagate` samples each
+coefficient once in all and builds one step matrix per distinct step size.
 :func:`propagate` also returns the (N, 2n, 2n) stack of the RK4 step matrices
 E_k it multiplied, so another pass of the same flow on the same grid is a
 product through them and samples nothing.
@@ -50,11 +50,6 @@ def blocks(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     """Views (Phi11, Phi12, Phi21, Phi22) of a 2n x 2n matrix or of each matrix in a stack."""
     n = phi.shape[-1] // 2
     return phi[..., :n, :n], phi[..., :n, n:], phi[..., n:, :n], phi[..., n:, n:]
-
-
-def hamiltonian_matrix(sys: TimeVaryingLinearSystem, t: float) -> np.ndarray:
-    """Assemble M(t) as a new array; the (1, 2) block uses R(t)^-1 (identity R gives -BB')."""
-    return hamiltonian_stack(sys, [t])[0].copy()  # a constant system's stack is read-only
 
 
 def hamiltonian_stack(sys: TimeVaryingLinearSystem, ts) -> np.ndarray:

@@ -133,8 +133,8 @@ def grid_indices(checkpoints, grid: np.ndarray) -> np.ndarray:
         c = float(c)
         k = min(max(round((c - grid[0]) / h), 0), n) if h > 0 and math.isfinite(c) else 0
         if not abs(c - grid[k]) <= 1e-9 * h:
-            raise DomainError(f"checkpoint {c} is not a node of the {n}-step grid "
-                              f"on [{grid[0]:g}, {grid[-1]:g}]")
+            raise DomainError(f"checkpoints must be nodes of the {n}-step grid "
+                              f"on [{grid[0]:g}, {grid[-1]:g}], got {c}")
         idx.append(k)
     if len(idx) == 0 or any(j <= i for i, j in zip(idx, idx[1:])):
         raise DomainError("checkpoints must be nonempty and strictly increasing")

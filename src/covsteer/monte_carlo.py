@@ -97,6 +97,17 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def check_counts(n_paths, n_steps) -> None:
+    """Raise DomainError unless n_paths is an integer >= 2 and n_steps a positive integer.
+
+    An integer is what :func:`covsteer.integrate.is_int` accepts. The messages
+    name the arguments as the config fields n_paths and n_steps.
+    """
+    if positive_int(n_paths, "n_paths") < 2:
+        raise DomainError("n_paths must be at least 2")
+    positive_int(n_steps, "n_steps")
+
+
 def _stream(seed: int, key: int) -> np.random.Generator:
     """Generator over SFC64 seeded by SeedSequence(seed, spawn_key=(key,)), the key-th child."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(key,))))
@@ -150,11 +161,11 @@ def _simulate_gain(
 ) -> SimulationResult:
     """Core ensemble run under an explicit gain trajectory (see the module docstring).
 
-    Raises DomainError unless the gain belongs to the problem (see :func:`_check_gain`).
+    Raises DomainError unless the counts pass :func:`check_counts`, the check
+    the CLI applies to its config's n_paths and n_steps, the seed passes
+    :func:`check_seed` and the gain belongs to the problem (see :func:`_check_gain`).
     """
-    if positive_int(n_paths, "n_paths") < 2:
-        raise DomainError("n_paths must be at least 2")
-    positive_int(n_steps, "n_steps")
+    check_counts(n_paths, n_steps)
     seed = check_seed(seed)
     sys = problem.sys
     n, m = sys.dim_state, sys.dim_input

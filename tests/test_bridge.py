@@ -28,8 +28,6 @@ from covsteer import (
     piecewise_constant_coefficient,
     propagate,
     reachability_gramian,
-    riccati_rhs_h,
-    riccati_rhs_pi,
     sampled_coefficient,
     solve,
     spurious_root_escape,
@@ -40,6 +38,7 @@ from covsteer import bridge
 from covsteer.bridge import _sqrt_spd_pair
 from covsteer.integrate import rk4_grid
 from covsteer.systems import require_controllable
+from riccati_oracle import riccati_rhs_h, riccati_rhs_pi
 
 GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))  # scalar trivial-case Pi(0), ~0.381966
 
@@ -577,14 +576,18 @@ def test_a_huge_but_finite_phi_raises_conditioning_error_and_no_warning():
             solve(problem, 200)
 
 
-@pytest.mark.parametrize("a, b, q, peak", [(0.0, 20.0, 300.0, r"6\.830e\+279"),
-                                           (200.0, 1.0, 0.0, r"2\.218e\+155")],
-                         ids=["max-phi-2.6e147", "max-phi-3.5e86"])
-def test_a_huge_terminal_covariance_raises_residual_error_and_no_warning(a, b, q, peak):
+@pytest.mark.parametrize("n, a, b, q, peak", [(1, 0.0, 20.0, 300.0, r"6\.830e\+279"),
+                                              (1, 200.0, 1.0, 0.0, r"2\.218e\+155"),
+                                              (3, 0.0, 20.0, 160.0, r"6\.303e\+202"),
+                                              (4, 0.0, 20.0, 100.0, r"4\.429e\+155")],
+                         ids=["max-phi-2.6e147", "max-phi-3.5e86", "n3-max-phi-8.5e108",
+                              "n4-max-phi-3.5e86"])
+def test_a_huge_terminal_covariance_raises_residual_error_and_no_warning(n, a, b, q, peak):
     # max |Phi(1, 0)| is below PHI_LIMIT, but Sigma(1) passes 1e154: the squares in
-    # the residual's norm overflowed, a raw RuntimeWarning, or "residual inf"
-    sys = make_system([[a]], [[b]], [[q]], [[1.0]])
-    problem = SteeringProblem(sys, [[1.0]], [[1.0]], 1.0)
+    # the residual's norm overflowed, a raw RuntimeWarning, or "residual inf"; at
+    # n = 3 and 4 so did det X in the plus root's escape scan
+    eye = np.eye(n)
+    problem = SteeringProblem(make_system(a * eye, b * eye, q * eye, eye), eye, eye, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BoundaryResidualError, match=r"terminal covariance residual "

@@ -236,45 +236,80 @@ def test_main_exit_codes(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("overrides", [
-    {"monte_carlo": {"n_paths": "10"}},
-    {"epsilon": "abc"},
-    {"grid_size": "x"},
-    {"epsilon": float("nan")},
-    {"epsilon": float("inf")},
-    {"eps_list": [0.1, 1.0]},
-    {"eps_list": [1.0, -0.1]},
-    {"sigma0": [["a"]]},
-    {"system": {"A": {"kind": "sampled", "times": [0.0, 0.5],
-                      "values": [[[0.0]], [[0.0]]]}, "B": [[1.0]]}},
-    {"system": {"A": [[float("nan")]], "B": [[1.0]]}},
-    {"monte_carlo": {"checkpoints": [0.0, float("nan")]}},
-    {"monte_carlo": {"checkpoints": [0.0, float("inf")]}},
-    {"monte_carlo": {"tube_level": 0.0}},
-    {"monte_carlo": {"tube_resolution": 2}},
-    {"monte_carlo": {"tube_level": float("inf")}},
-    {"monte_carlo": {"seed": 2**70}},
-    {"monte_carlo": [1]},
-    {"monte_carlo": {"n_steps": 0}},
-    {"eps_list": 1.0},
-    {"grid_size": 0},
-    {"system": {"A": [[0.0]]}},
-    {"system": {"A": 1.0, "B": [[1.0]]}},
-    {"system": {"A": [0.0], "B": [[1.0]]}},
-    {"system": {"A": {"kind": "spline"}, "B": [[1.0]]}},
-    {"system": {"A": {"kind": "piecewise", "breaks": [0.0, 1.0]}, "B": [[1.0]]}},
-    {"system": {"A": {"kind": "piecewise", "breaks": [0.0, 0.6, 0.4, 1.0],
-                      "values": [[[0.0]]] * 3}, "B": [[1.0]]}},
-    {"system": {"A": {"kind": "sampled", "times": [0.0, 0.7, 0.3, 1.0],
-                      "values": [[[0.0]]] * 4}, "B": [[1.0]]}},
+@pytest.mark.parametrize("overrides, path", [
+    ({"monte_carlo": {"n_paths": "10"}}, "monte_carlo.n_paths"),
+    ({"monte_carlo": {"n_paths": 1}}, "monte_carlo.n_paths"),
+    ({"epsilon": "abc"}, "epsilon"),
+    ({"grid_size": "x"}, "grid_size"),
+    ({"grid_size": 2.0}, "grid_size"),
+    ({"epsilon": float("nan")}, "epsilon"),
+    ({"epsilon": float("inf")}, "epsilon"),
+    ({"eps_list": [0.1, 1.0]}, "eps_list"),
+    ({"eps_list": [1.0, -0.1]}, "eps_list[1]"),
+    ({"eps_list": ["x"]}, "eps_list[0]"),
+    ({"sigma0": [["a"]]}, "sigma0"),
+    ({"system": {"A": {"kind": "sampled", "times": [0.0, 0.5],
+                       "values": [[[0.0]], [[0.0]]]}, "B": [[1.0]]}}, "system.A"),
+    # make_system, not the config layer, finds a non-finite constant coefficient
+    ({"system": {"A": [[float("nan")]], "B": [[1.0]]}}, "invalid problem definition: A(0)"),
+    ({"monte_carlo": {"checkpoints": [0.0, float("nan")]}}, "monte_carlo.checkpoints"),
+    ({"monte_carlo": {"checkpoints": [0.0, float("inf")]}}, "monte_carlo.checkpoints"),
+    ({"monte_carlo": {"checkpoints": "0.5"}}, "monte_carlo.checkpoints"),
+    ({"monte_carlo": {"tube_level": 0.0}}, "monte_carlo.tube_level"),
+    ({"monte_carlo": {"tube_resolution": 2}}, "monte_carlo.tube_resolution"),
+    ({"monte_carlo": {"tube_level": float("inf")}}, "monte_carlo.tube_level"),
+    ({"monte_carlo": {"seed": 2**70}}, "monte_carlo.seed"),
+    ({"monte_carlo": {"seed": True}}, "monte_carlo.seed"),
+    ({"monte_carlo": [1]}, "monte_carlo"),
+    ({"monte_carlo": {"n_steps": 0}}, "monte_carlo.n_steps"),
+    ({"eps_list": 1.0}, "eps_list"),
+    ({"grid_size": 0}, "grid_size"),
+    ({"system": {"A": [[0.0]]}}, "system"),
+    ({"system": {"A": 1.0, "B": [[1.0]]}}, "system.A"),
+    ({"system": {"A": [0.0], "B": [[1.0]]}}, "system.A"),
+    ({"system": {"A": {"kind": "spline"}, "B": [[1.0]]}}, "system.A"),
+    ({"system": {"A": {"kind": "piecewise", "breaks": [0.0, 1.0]}, "B": [[1.0]]}}, "system.A"),
+    ({"system": {"A": {"kind": "piecewise", "breaks": [0.0, 0.6, 0.4, 1.0],
+                       "values": [[[0.0]]] * 3}, "B": [[1.0]]}}, "system.A"),
+    ({"system": {"A": {"kind": "sampled", "times": [0.0, 0.7, 0.3, 1.0],
+                       "values": [[[0.0]]] * 4}, "B": [[1.0]]}}, "system.A"),
 ])
-def test_main_malformed_config_exits_1(tmp_path, overrides):
+def test_main_malformed_config_exits_1(tmp_path, capsys, overrides, path):
     raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
     raw.update(overrides)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))  # NaN and Infinity are written as JSON literals
     assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}")
+    assert err[len(f"config error: {path}")] in " :"  # the whole path, not a prefix of it
     assert not (tmp_path / "o").exists()
+
+
+def test_json_integers_hash_as_their_float_twins():
+    ints = {"epsilon": 1, "eps_list": [1, 0], "monte_carlo": {"n_steps": 10, "checkpoints": [0, 1]}}
+    floats = {"epsilon": 1.0, "eps_list": [1.0, 0.0],
+              "monte_carlo": {"n_steps": 10, "checkpoints": [0.0, 1.0]}}
+    cfg_int, cfg_float = (preset_config("scalar-trivial", **json.loads(json.dumps(o)))
+                          for o in (ints, floats))
+    assert json.dumps(cfg_int.to_dict()) == json.dumps(cfg_float.to_dict())
+    assert cli._config_hash(cfg_int) == cli._config_hash(cfg_float)
+
+
+@pytest.mark.parametrize("overrides", [{"grid_size": 10**15}, {"monte_carlo": {"n_steps": 10**15}}],
+                         ids=["grid_size", "n_steps"])
+def test_a_size_the_machine_cannot_allocate_exits_4_without_a_traceback(tmp_path, capsys,
+                                                                         overrides):
+    # 10**15 + 1 float64 nodes are 7.1 PiB, past any address space: the allocation
+    # fails at once (grid_size in solve, n_steps already in config validation)
+    raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
+    raw.update(overrides)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("memory error: Unable to allocate ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -321,10 +356,10 @@ def test_repeated_checkpoints_exit_1_before_solving(tmp_path, capsys):
     raw["monte_carlo"] = {"n_steps": 10, "seed": 1, "checkpoints": [0.0, 0.5, 0.5, 1.0]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
-    with pytest.raises(ConfigError, match="monte_carlo.checkpoints: .*strictly increasing"):
+    with pytest.raises(ConfigError, match="monte_carlo.checkpoints must .*strictly increasing"):
         RunConfig.from_dict(raw)
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("config error: monte_carlo.checkpoints: ")
+    assert capsys.readouterr().err.startswith("config error: monte_carlo.checkpoints must ")
     assert not (tmp_path / "o").exists()
 
 

