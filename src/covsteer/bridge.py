@@ -186,7 +186,7 @@ def _checked_epsilon(value, where: str = "") -> float:
     where leads the error's message, as "eps_list[1]: " does for a sweep's entry.
     """
     if not is_real(value):
-        raise DomainError(f"{where}epsilon must be a real number, not a bool, got {value!r}")
+        raise DomainError(f"{where}epsilon must be a real number, got {value!r}")
     eps = float(value)
     if not 0.0 <= eps < np.inf:
         raise DomainError(f"{where}epsilon must be finite and nonnegative, got {eps}")

@@ -46,7 +46,6 @@ from .monte_carlo import (
     check_counts,
     check_seed,
     check_tube,
-    default_checkpoint_nodes,
     simulate,
     tolerance_tube,
 )
@@ -70,7 +69,7 @@ class MonteCarloConfig:
     n_paths: int = 5000
     n_steps: int = 1000
     seed: int | None = None
-    checkpoints: list[float] | None = None  # None: default_checkpoint_nodes as times
+    checkpoints: list[float] | None = None  # None: grid_indices(None, n_steps) as times
     tube_level: float = 3.0
     tube_resolution: int = 64
 
@@ -109,6 +108,8 @@ class RunConfig:
         "invalid problem definition". epsilon, eps_list and checkpoints are
         stored as floats, so the config hash reads a JSON 1 as 1.0, and absent
         checkpoints become the nodes simulate() records by default, as times.
+        Nothing here is the size of n_steps: :func:`grid_indices` finds the
+        checkpoints' nodes without building the grid.
         """
         self.epsilon = _checked(_checked_epsilon, self.epsilon)
         _checked(positive_int, self.grid_size, "grid_size")
@@ -117,11 +118,9 @@ class RunConfig:
         self.eps_list = _checked(_checked_eps_list, self.eps_list)
         mc = self.monte_carlo
         _checked(check_counts, mc.n_paths, mc.n_steps, section="monte_carlo.")
-        if mc.checkpoints is None:
-            mc.checkpoints = (default_checkpoint_nodes(mc.n_steps) / mc.n_steps).tolist()
-        _checked(grid_indices, mc.checkpoints, np.linspace(0.0, 1.0, mc.n_steps + 1),
-                 section="monte_carlo.")
-        mc.checkpoints = [float(c) for c in mc.checkpoints]
+        nodes = _checked(grid_indices, mc.checkpoints, mc.n_steps, section="monte_carlo.")
+        mc.checkpoints = ((nodes / mc.n_steps).tolist() if mc.checkpoints is None
+                          else [float(c) for c in mc.checkpoints])
         _checked(check_tube, mc.tube_level, mc.tube_resolution, section="monte_carlo.")
         if mc.seed is not None:
             _checked(check_seed, mc.seed, section="monte_carlo.")
@@ -213,21 +212,20 @@ def build_problem(cfg: RunConfig) -> SteeringProblem:
     )
 
 
-def _inertial(q_scale: float, **overrides) -> dict:
-    base = {
+def _inertial(name: str, q_scale: float, r: float = 1.0) -> dict:
+    return {
+        "name": name,
         "system": {
             "A": [[0.0, 1.0], [0.0, 0.0]],
             "B": [[0.0], [1.0]],
             "Q": [[q_scale, 0.0], [0.0, q_scale]],
-            "R": [[1.0]],
+            "R": [[r]],
         },
         "sigma0": [[2.0, 0.0], [0.0, 2.0]],
         "sigma1": [[0.25, 0.0], [0.0, 0.25]],
         "epsilon": 1.0,
         "grid_size": 2000,
     }
-    base.update(overrides)
-    return base
 
 
 PRESETS: dict[str, dict] = {
@@ -240,13 +238,12 @@ PRESETS: dict[str, dict] = {
         "grid_size": 1000,
         "eps_list": [1.0, 0.1, 0.01, 0.0],
     },
-    "inertial-q1": dict(_inertial(1.0), name="inertial-q1"),
-    "inertial-q10": dict(_inertial(10.0), name="inertial-q10"),
-    "inertial-qneg5": dict(_inertial(-5.0), name="inertial-qneg5"),
-    "inertial-q0": dict(_inertial(0.0), name="inertial-q0"),
-    "inertial-r4": dict(_inertial(1.0), name="inertial-r4"),
+    "inertial-q1": _inertial("inertial-q1", 1.0),
+    "inertial-q10": _inertial("inertial-q10", 10.0),
+    "inertial-qneg5": _inertial("inertial-qneg5", -5.0),
+    "inertial-q0": _inertial("inertial-q0", 0.0),
+    "inertial-r4": _inertial("inertial-r4", 1.0, r=4.0),
 }
-PRESETS["inertial-r4"]["system"]["R"] = [[4.0]]
 
 
 def load_config(args) -> RunConfig:

@@ -4,10 +4,11 @@
 y' = G(t) y (transitions, the Gramian's sweep and the pass yielding Pi, H and
 Sigma), and works on a vector or matrix state on a uniform ``np.linspace``
 grid. A caller that wants the state at chosen times integrates the whole grid
-and picks out nodes: :func:`grid_indices` maps checkpoints to nodes and
-rejects any that is not one, and :func:`thin_nodes` is the one rule for
-keeping about ``count`` evenly spaced nodes. The state at a node therefore
-does not depend on which nodes were asked for.
+and picks out nodes, so the state at a node does not depend on which nodes
+were asked for. :func:`thin_nodes` is the one rule for keeping about
+``count`` evenly spaced nodes. :func:`grid_indices` is the one checkpoint
+rule of the Monte Carlo's n-step grid on [0, 1]: it finds each checkpoint's
+node k from n alone, node k being the time k/n, without building the grid.
 
 Because the flow is linear, one RK4 step is a matrix: y_{k+1} = E_k y_k, where
 E_k depends only on G at the step's start, midpoint and end. An RK4 pass over
@@ -116,25 +117,29 @@ def steps_for_span(steps_per_unit: int, a: float, b: float) -> int:
     return max(1, math.ceil(steps_per_unit * abs(b - a) - 1e-12))
 
 
-def grid_indices(checkpoints, grid: np.ndarray) -> np.ndarray:
-    """Index of each checkpoint among the nodes of a uniform grid.
+def grid_indices(checkpoints, n: int) -> np.ndarray:
+    """Node of each checkpoint on the n-step grid on [0, 1], node k being the time k/n.
 
-    Raises DomainError unless the checkpoints are a nonempty list, tuple or
-    1-d array of real numbers (see :func:`is_real`), each lies within 1e-9 of
-    a step of a node, and their nodes are strictly increasing.
+    No checkpoints (None) give the default nodes, ``thin_nodes(n, 10)``: t = 0,
+    0.1, ..., 1 when n is a multiple of 10. Otherwise raises DomainError
+    unless the checkpoints are a nonempty list, tuple or 1-d array of real
+    numbers (see :func:`is_real`), each c lies within max(1e-9 / n,
+    ulp(k / n)) of its node k = round(c n), and their nodes are strictly
+    increasing. The ulp floor matters from n = 10**7 on, where 1e-9 of a
+    step falls below an ulp: a node formed as k * (1 / n), as np.linspace
+    forms it, can lie an ulp from k / n.
     """
+    if checkpoints is None:
+        return thin_nodes(n, 10)
     values = checkpoints.tolist() if isinstance(checkpoints, np.ndarray) else checkpoints
     if not (isinstance(values, (list, tuple)) and all(is_real(c) for c in values)):
         raise DomainError(f"checkpoints must be a 1-d sequence of real numbers, got {checkpoints!r}")
-    n = len(grid) - 1
-    h = (grid[-1] - grid[0]) / n
     idx = []
     for c in values:
         c = float(c)
-        k = min(max(round((c - grid[0]) / h), 0), n) if h > 0 and math.isfinite(c) else 0
-        if not abs(c - grid[k]) <= 1e-9 * h:
-            raise DomainError(f"checkpoints must be nodes of the {n}-step grid "
-                              f"on [{grid[0]:g}, {grid[-1]:g}], got {c}")
+        k = round(min(max(c, 0.0), 1.0) * n) if math.isfinite(c) else 0
+        if not abs(c - k / n) <= max(1e-9 / n, math.ulp(k / n)):
+            raise DomainError(f"checkpoints must be nodes of the {n}-step grid on [0, 1], got {c}")
         idx.append(k)
     if len(idx) == 0 or any(j <= i for i, j in zip(idx, idx[1:])):
         raise DomainError("checkpoints must be nonempty and strictly increasing")

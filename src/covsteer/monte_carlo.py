@@ -44,7 +44,7 @@ import numpy as np
 
 from .bridge import BridgeSolution, SteeringProblem, sqrt_spd
 from .errors import DomainError, UnsupportedDimensionError
-from .integrate import grid_indices, is_int, is_real, positive_int, thin_nodes
+from .integrate import grid_indices, is_int, is_real, positive_int
 from .systems import noise_channel
 
 # spawn key of cost_gap's perturbation; no block reaches it below 1.6e13 paths
@@ -113,15 +113,6 @@ def _stream(seed: int, key: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(key,))))
 
 
-def default_checkpoint_nodes(n_steps: int) -> np.ndarray:
-    """The nodes of an n_steps grid that :func:`simulate` records when given no checkpoints.
-
-    Every max(1, n_steps // 10)-th node and the last, so t = 0, 0.1, ..., 1
-    when n_steps is a multiple of 10.
-    """
-    return thin_nodes(n_steps, 10)
-
-
 def _check_gain(gain_t: np.ndarray, gain_seq: np.ndarray, m: int, n: int) -> None:
     """Raise DomainError unless (gain_t, gain_seq) is a finite m x n gain on [0, 1].
 
@@ -163,7 +154,8 @@ def _simulate_gain(
 
     Raises DomainError unless the counts pass :func:`check_counts`, the check
     the CLI applies to its config's n_paths and n_steps, the seed passes
-    :func:`check_seed` and the gain belongs to the problem (see :func:`_check_gain`).
+    :func:`check_seed`, the gain belongs to the problem (see :func:`_check_gain`)
+    and the checkpoints pass :func:`covsteer.integrate.grid_indices`.
     """
     check_counts(n_paths, n_steps)
     seed = check_seed(seed)
@@ -171,6 +163,7 @@ def _simulate_gain(
     n, m = sys.dim_state, sys.dim_input
     gain_t, gain_seq = np.asarray(gain_t, dtype=float), np.asarray(gain_seq, dtype=float)
     _check_gain(gain_t, gain_seq, m, n)
+    cp_idx = grid_indices(checkpoints, n_steps)
     eps = problem.epsilon
     dt = 1.0 / n_steps
     t_grid = np.linspace(0.0, 1.0, n_steps + 1)
@@ -187,8 +180,6 @@ def _simulate_gain(
     steps[:, :n, w:] = np.eye(n) + dt * (a_seq - b_seq @ k_seq)
     steps[:, n:, w:] = trapezoid * (q_seq + np.swapaxes(k_seq, -1, -2) @ r_seq @ k_seq)
 
-    cp_idx = (default_checkpoint_nodes(n_steps) if checkpoints is None
-              else grid_indices(checkpoints, t_grid))
     cp_lookup = {int(k): i for i, k in enumerate(cp_idx)}
     root0 = sqrt_spd(problem.sigma0)
     states = np.empty((n_paths, len(cp_idx), n))
@@ -247,10 +238,12 @@ def simulate(
     (seed, i, n_steps) only. The blocks were 4096 paths wide in the previous
     version, and Philox streams before that, so a given seed now draws other
     paths.
-    Checkpoints are strictly increasing grid nodes, by default those of
-    :func:`default_checkpoint_nodes`. A solution solved at another eps than
-    the problem's, or whose gain is not a finite (len(grid), m, n) stack on a
-    grid from 0 to 1, raises DomainError.
+    Checkpoints are strictly increasing nodes of the n_steps grid on [0, 1],
+    by default every max(1, n_steps // 10)-th node and the last (see
+    :func:`covsteer.integrate.grid_indices`, which finds them without
+    building the grid). A solution solved at another eps than the problem's,
+    or whose gain is not a finite (len(grid), m, n) stack on a grid from 0
+    to 1, raises DomainError.
     """
     _check_epsilon(problem, solution)
     return _simulate_gain(
@@ -274,7 +267,7 @@ def check_tube(level: float, resolution: int) -> None:
     config fields tube_level and tube_resolution.
     """
     if not is_real(level):
-        raise DomainError(f"tube_level must be a real number, not a bool, got {level!r}")
+        raise DomainError(f"tube_level must be a real number, got {level!r}")
     if not 0.0 < level < np.inf:
         raise DomainError(f"tube_level must be finite and positive, got {level}")
     if not is_int(resolution):
@@ -339,7 +332,7 @@ def cost_gap(
     DomainError.
     """
     if not (is_real(perturbation_scale) and math.isfinite(perturbation_scale)):
-        raise DomainError("perturbation_scale must be finite and a real number, not a bool, "
+        raise DomainError("perturbation_scale must be finite and a real number, "
                           f"got {perturbation_scale!r}")
     _check_epsilon(problem, solution)
     sys = problem.sys

@@ -95,10 +95,15 @@ def _vectorized(f: MatrixMap) -> MatrixMap:
 
 
 def constant_coefficient(value) -> MatrixMap:
-    """The matrix itself at a time, and a read-only broadcast stack at an array of times."""
+    """The matrix itself at a time, and a read-only broadcast stack at an array of times.
+
+    Raises DomainError unless value is a 2-d matrix of finite values.
+    """
     mat = np.array(value, dtype=float)
     if mat.ndim != 2:
         raise DomainError("constant coefficient must be a 2-d matrix")
+    if not np.isfinite(mat).all():
+        raise DomainError("constant coefficient values must be finite")
 
     def f(t):
         return mat if np.ndim(t) == 0 else np.broadcast_to(mat, np.shape(t) + mat.shape)

@@ -250,8 +250,7 @@ def test_main_exit_codes(tmp_path):
     ({"sigma0": [["a"]]}, "sigma0"),
     ({"system": {"A": {"kind": "sampled", "times": [0.0, 0.5],
                        "values": [[[0.0]], [[0.0]]]}, "B": [[1.0]]}}, "system.A"),
-    # make_system, not the config layer, finds a non-finite constant coefficient
-    ({"system": {"A": [[float("nan")]], "B": [[1.0]]}}, "invalid problem definition: A(0)"),
+    ({"system": {"A": [[float("nan")]], "B": [[1.0]]}}, "system.A"),
     ({"monte_carlo": {"checkpoints": [0.0, float("nan")]}}, "monte_carlo.checkpoints"),
     ({"monte_carlo": {"checkpoints": [0.0, float("inf")]}}, "monte_carlo.checkpoints"),
     ({"monte_carlo": {"checkpoints": "0.5"}}, "monte_carlo.checkpoints"),
@@ -283,6 +282,7 @@ def test_main_malformed_config_exits_1(tmp_path, capsys, overrides, path):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}")
     assert err[len(f"config error: {path}")] in " :"  # the whole path, not a prefix of it
+    assert "bool" not in err  # "abc" once read "must be a real number, not a bool"
     assert not (tmp_path / "o").exists()
 
 
@@ -296,20 +296,42 @@ def test_json_integers_hash_as_their_float_twins():
     assert cli._config_hash(cfg_int) == cli._config_hash(cfg_float)
 
 
-@pytest.mark.parametrize("overrides", [{"grid_size": 10**15}, {"monte_carlo": {"n_steps": 10**15}}],
-                         ids=["grid_size", "n_steps"])
+@pytest.mark.parametrize("overrides, command", [
+    ({"grid_size": 10**15}, ["solve"]),
+    ({"monte_carlo": {"n_steps": 10**15}}, ["simulate", "--seed", "1"]),
+], ids=["grid_size", "n_steps"])
 def test_a_size_the_machine_cannot_allocate_exits_4_without_a_traceback(tmp_path, capsys,
-                                                                         overrides):
+                                                                         overrides, command):
     # 10**15 + 1 float64 nodes are 7.1 PiB, past any address space: the allocation
-    # fails at once (grid_size in solve, n_steps already in config validation)
+    # fails at once (grid_size in solve, n_steps in simulate's step grid)
     raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
     raw.update(overrides)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
-    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+    assert main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("memory error: Unable to allocate ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    if "monte_carlo" in overrides:  # validating the config builds no step grid
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
+
+
+@pytest.mark.parametrize("checkpoints", [None, [i / 10 for i in range(11)]],
+                         ids=["default", "tenths"])
+@pytest.mark.parametrize("n_steps", [10**7, 2 * 10**7, 10**15])
+def test_a_config_of_any_step_count_validates_without_building_its_grid(n_steps, checkpoints):
+    # the n_steps + 1 grid nodes were built to check the checkpoints against, and
+    # from 10**7 steps on the grid's 0.8 lay an ulp off k / n, so the tenths were refused
+    raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
+    raw["monte_carlo"] = {"n_steps": n_steps, "checkpoints": checkpoints}
+    tracemalloc.start()
+    try:
+        cfg = RunConfig.from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.monte_carlo.checkpoints == [i / 10 for i in range(11)]
+    assert peak < 64 << 10
 
 
 @pytest.mark.parametrize("field, value", [

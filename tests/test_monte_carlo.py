@@ -19,6 +19,7 @@ from covsteer import (
 )
 from covsteer import cli, monte_carlo
 from covsteer.bridge import BridgeSolution
+from covsteer.integrate import grid_indices, thin_nodes
 
 
 def scalar_problem(eps=1.0):
@@ -291,6 +292,39 @@ def test_simulate_default_checkpoints_are_grid_nodes(inertial_solution, n_steps,
     np.testing.assert_allclose(result.grid, expected, rtol=0, atol=1e-15)
     explicit = simulate(problem, sol, 3, n_steps, seed=1, checkpoints=expected)
     assert result.states.tobytes() == explicit.states.tobytes()
+
+
+GRID_COUNTS = [1, 3, 10, 999, 10**7, 10**15]
+
+
+@pytest.mark.parametrize("n", GRID_COUNTS)
+def test_grid_indices_finds_each_node_from_the_step_count(n):
+    # node k is the time k / n, as a float and as its decimal repr (what a config
+    # file holds); past 10**7 steps 1e-9 of a step is below an ulp of k / n
+    ks = sorted({0, 1, n // 3, n // 2, 8 * n // 10, n - 1, n} | set(range(0, n + 1, -(-n // 100))))
+    times = [k / n for k in ks]
+    assert grid_indices(times, n).tolist() == ks
+    assert grid_indices([float(repr(t)) for t in times], n).tolist() == ks
+    assert grid_indices(np.array(times), n).tolist() == ks
+    # np.linspace forms node k as k * (1 / n), which can lie an ulp from k / n;
+    # simulate's result.grid holds such nodes
+    linspace_nodes = [k * (1.0 / n) for k in ks]
+    if n < 1000:
+        assert linspace_nodes == np.linspace(0.0, 1.0, n + 1)[ks].tolist()
+    assert grid_indices(linspace_nodes, n).tolist() == ks
+    assert grid_indices(None, n).tolist() == thin_nodes(n, 10).tolist()
+
+
+@pytest.mark.parametrize("n", GRID_COUNTS)
+def test_grid_indices_refuses_what_is_not_a_node(n):
+    off_grid = [(n // 2 + 0.5) / n, np.nan, np.inf, -np.inf, -1.0 / n, 1.0 + 1.0 / n, 1e308,
+                -1e308]
+    for c in off_grid:
+        with pytest.raises(DomainError, match=f"nodes of the {n}-step grid on \\[0, 1\\], got "):
+            grid_indices([0.0, c], n)
+    for checkpoints in ([], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0, 1.0]):
+        with pytest.raises(DomainError, match="nonempty and strictly increasing"):
+            grid_indices(checkpoints, n)
 
 
 def test_empirical_covariance_hand_cases():
