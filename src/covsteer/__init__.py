@@ -47,9 +47,7 @@ from .monte_carlo import (
     tolerance_tube,
 )
 from .systems import (
-    ControllabilityReport,
     TimeVaryingLinearSystem,
-    check_controllability,
     make_system,
     piecewise_constant_coefficient,
     reachability_gramian,

@@ -80,9 +80,8 @@ from .hamiltonian import (
     propagate,
     symplectic_residual,
 )
-from .integrate import is_real, positive_int, rk4_grid, stage_times, steps_for_span
+from .integrate import horizon_grid, is_real, rk4_grid, stage_times
 from .systems import (
-    DEFAULT_STEPS_PER_UNIT,
     TimeVaryingLinearSystem,
     _spd_eigh,
     _sqrt_spd_pair,
@@ -326,21 +325,21 @@ def _solve_each(
 ) -> tuple[np.ndarray, list[BridgeSolution]]:
     """Phi(1, 0) and the solutions of :func:`solve` for problems that differ only in eps.
 
-    The eps-free work runs once: the grid and controllability checks and the
-    propagation of Phi. Each eps then takes its roots and its plus-root escape
-    scan from the full Phi stack, which is released before the Y pass. One Y
-    pass serves every problem: problem i's Y(0) = [[I, I], [Pi0, -H0]] fills
-    columns [2n i, 2n (i + 1)) of one 2n x 2nk state, and the pass multiplies
+    The eps-free work runs once: the controllability check, which refuses a
+    grid_size that is not a positive integer first, and the propagation of
+    Phi. Each eps then takes its roots and its plus-root escape scan from the
+    full Phi stack, which is released before the Y pass. One Y pass serves
+    every problem: problem i's Y(0) = [[I, I], [Pi0, -H0]] fills columns
+    [2n i, 2n (i + 1)) of one 2n x 2nk state, and the pass multiplies
     the step matrices E_k of the Phi pass, which are released as soon as it
     returns. The solutions, and the error raised, are those a loop of
     :func:`solve` calls would give: the roots and then the flows are taken in
     eps order, and when eps_j's fail, eps_1 .. eps_{j-1} are gated in order
     before eps_j's error is raised.
     """
-    positive_int(grid_size, "grid_size")
     sys = problems[0].sys
     require_controllable(sys, grid_size)
-    grid, phi, e_k = propagate(sys, 0.0, 1.0, grid_size)
+    grid, phi, e_k = propagate(sys, grid_size)
     phi1 = phi[-1].copy()  # a view would keep the whole stack alive
 
     def start(problem):
@@ -356,7 +355,7 @@ def _solve_each(
         eye = np.eye(n)
         y0 = np.block([[eye, eye] * len(starts),
                        [m for _, _, pi0, h0 in starts for m in (pi0, -h0)]])
-        y_t = rk4_grid(e_k, y0, grid)
+        y_t = rk4_grid(e_k, y0)
         del e_k  # no E_k outlives the pass
         flows, read_error = _until_error(
             lambda i: _read_flows(y_t[:, :, 2 * n * i:2 * n * (i + 1)], problems[i], grid),
@@ -549,26 +548,23 @@ def _escape_report(times: np.ndarray, dets: np.ndarray) -> EscapeReport:
                         sign_change=bool(np.any(signs[:-1] * signs[1:] < 0)))
 
 
-def corollary_q_zero(
-    problem: SteeringProblem,
-    steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
-) -> tuple[np.ndarray, np.ndarray]:
+def corollary_q_zero(problem: SteeringProblem, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Gramian-route initial values for zero state penalty.
 
     With Q = 0 the Hamiltonian blocks collapse to Phi11 = Psi(1, 0) and
     Phi12 = -M(1, 0) Psi(1, 0)^-T, so Pi0 follows from the drift transition
     matrix and the reachability Gramian alone (general R folds into the
     Gramian, which integrates the channel B R^-1/2). Must agree with
-    :func:`initial_conditions` on the same problem. Q is checked at every
-    stage time of the two passes.
+    :func:`initial_conditions` on the same problem. Both passes run on the
+    horizon's grid of grid_size steps, and Q is checked at each of its stage
+    times. Raises DomainError unless grid_size is a positive integer.
     """
     sys = problem.sys
-    grid = np.linspace(0.0, 1.0, steps_for_span(steps_per_unit, 0.0, 1.0) + 1)
-    if np.abs(sys.Q(stage_times(grid))).max() > 1e-12:
+    if np.abs(sys.Q(stage_times(horizon_grid(grid_size)))).max() > 1e-12:
         raise DomainError("corollary_q_zero requires Q = 0")
 
-    psi = state_transition(sys, 1.0, 0.0, steps_per_unit)
-    gram = reachability_gramian(sys, 1.0, 0.0, steps_per_unit)
+    psi = state_transition(sys, grid_size)
+    gram = reachability_gramian(sys, grid_size)
     gram_inv = _inv_spd(gram)
 
     eps = problem.epsilon

@@ -346,9 +346,20 @@ def _upper_triangle(stack: np.ndarray) -> np.ndarray:
 # commands
 
 def run_solve(cfg: RunConfig, out_dir: Path) -> dict:
+    problem, solution = _solved(cfg, out_dir)
+    _write_solution(cfg, out_dir, problem, solution)
+    return {"solution": solution, "problem": problem}
+
+
+def _solved(cfg: RunConfig, out_dir: Path):
+    """The config's problem and its solution; out_dir is made before the solve."""
     problem = cfg.problem()
     _make_out_dir(out_dir)
-    solution = solve(problem, cfg.grid_size)
+    return problem, solve(problem, cfg.grid_size)
+
+
+def _write_solution(cfg: RunConfig, out_dir: Path, problem, solution) -> list[str]:
+    """Write gains.csv, pi.csv, h.csv, sigma.csv and report.txt; return the t column's cells."""
     n, m = problem.sys.dim_state, problem.sys.dim_input
 
     t = _cells(solution.grid)  # the key column of all four files, and of tube.csv
@@ -376,19 +387,24 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> dict:
         f"min |det X|={escape_plus.min_abs_determinant:.17g}",
     ]
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return {"solution": solution, "problem": problem, "grid_cells": t}
+    return t
 
 
 def run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
+    """Solve, simulate and take the tube, and only then write every file.
+
+    So a run that fails, out of memory included, writes nothing to out_dir.
+    """
     if cfg.monte_carlo.seed is None:
         raise ConfigError("monte_carlo.seed is required for simulation")
-    ctx = run_solve(cfg, out_dir)
-    problem, solution = ctx["problem"], ctx["solution"]
+    problem, solution = _solved(cfg, out_dir)
     mc = cfg.monte_carlo
     result = simulate(
         problem, solution, mc.n_paths, mc.n_steps, mc.seed, checkpoints=mc.checkpoints
     )
     n = problem.sys.dim_state
+    tube = tolerance_tube(solution, mc.tube_level, mc.tube_resolution) if n == 2 else None
+    grid_cells = _write_solution(cfg, out_dir, problem, solution)
 
     t = _cells(result.grid)
     _write_csv(
@@ -400,19 +416,18 @@ def run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     )
     _write_csv(out_dir / "empirical_cov.csv", ["t"] + _upper_triangle_header("cov", n),
                _table_rows(t, _upper_triangle(result.empirical_cov)), cfg)
-    if n == 2:
-        tube = tolerance_tube(solution, mc.tube_level, mc.tube_resolution)
+    if tube is not None:
         level = _cells([mc.tube_level])[0]
         points = [f"{i},%.17g,%.17g,{level}" for i in _cells(np.arange(mc.tube_resolution))]
         _write_csv(out_dir / "tube.csv", ["t", "point_index", "z_1", "z_2", "level"],
-                   _block_rows(ctx["grid_cells"], points, tube), cfg)
+                   _block_rows(grid_cells, points, tube), cfg)
     (out_dir / "cost.txt").write_text(
         f"cost estimate: {result.cost_estimate:.17g}\n"
         f"standard error: {result.cost_stderr:.17g}\n"
         f"paths: {result.n_paths}  steps: {mc.n_steps}  seed: {mc.seed}\n",
         encoding="utf-8",
     )
-    return {"result": result, **ctx}
+    return {"result": result, "solution": solution, "problem": problem}
 
 
 def run_sweep(cfg: RunConfig, out_dir: Path) -> dict:
@@ -455,7 +470,7 @@ def run_verify(tol_scale: float = 1.0, seed: int = VERIFY_SEED, stream=None) -> 
         cfg = RunConfig.from_dict(json.loads(json.dumps(PRESETS[name])))
         problem = cfg.problem()
         keep = thin_nodes(cfg.grid_size, 10)
-        nodes = tuple(a[keep] for a in propagate(problem.sys, 0.0, 1.0, cfg.grid_size)[:2])
+        nodes = tuple(a[keep] for a in propagate(problem.sys, cfg.grid_size)[:2])
         phi1 = nodes[1][-1]
         if name != "inertial-q0":
             res = symplectic_residual(nodes[1])

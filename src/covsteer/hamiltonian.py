@@ -21,27 +21,23 @@ blocks written into one preallocated stack; M at one time t is
 times of its N-step grid. When A, B, Q and R are all constant, M is assembled
 once and returned broadcast along time, so :func:`propagate` samples each
 coefficient once in all and builds one step matrix per distinct step size.
-:func:`propagate` also returns the (N, 2n, 2n) stack of the RK4 step matrices
-E_k it multiplied, so another pass of the same flow on the same grid is a
-product through them and samples nothing.
+Like every pass, :func:`propagate` runs over the one horizon [0, 1], on the
+grid_size steps of :func:`covsteer.integrate.horizon_grid`. It also returns
+the (N, 2n, 2n) stack of the RK4 step matrices E_k it multiplied, so another
+pass of the same flow on the same grid is a product through them and samples
+nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConditioningError, CovsteerError, DomainError, SingularMatrixError
-from .integrate import once, rk4_grid, step_stack, steps_for_span
-from .systems import (
-    DEFAULT_STEPS_PER_UNIT,
-    TimeVaryingLinearSystem,
-    _check_time,
-    input_quad,
-    symmetrize,
-)
+from .errors import ConditioningError, CovsteerError, SingularMatrixError
+from .integrate import horizon_grid, once, rk4_grid, step_stack
+from .systems import TimeVaryingLinearSystem, _check_time, input_quad, symmetrize
 
 COND_LIMIT = 1e12  # largest condition number of Phi11 or Phi12 that is inverted
-# largest max |entry| of Phi(t, s) that propagate returns: a product of two entries
+# largest max |entry| of Phi(1, 0) that propagate returns: a product of two entries
 # then stays within 1e300, so the sums of them in symplectic_residual do not overflow
 PHI_LIMIT = 1e150
 
@@ -77,42 +73,37 @@ def _assemble(a: np.ndarray, quad: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def propagate(
-    sys: TimeVaryingLinearSystem,
-    s: float,
-    t: float,
-    steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
+    sys: TimeVaryingLinearSystem, grid_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phi(., s) at every node of a uniform grid over [s, t], from Phi(s, s) = I.
+    """Phi(., 0) at every node of the horizon's grid of grid_size steps, from Phi(0, 0) = I.
 
-    Returns (times, phi, e): the grid of steps_for_span(steps_per_unit, s, t)
-    RK4 steps, the (len(times), 2n, 2n) stack of Phi(times[k], s), so phi[-1]
-    is Phi(t, s), and the (len(times) - 1, 2n, 2n) stack of the steps'
+    Returns (times, phi, e): :func:`covsteer.integrate.horizon_grid`'s grid,
+    the (len(times), 2n, 2n) stack of Phi(times[k], 0), so phi[-1] is
+    Phi(1, 0), and the (len(times) - 1, 2n, 2n) stack of the steps'
     matrices E_k that built it. Any other pass of the flow on the same grid
-    is rk4_grid(e, y0, times). The caller owns e:
-    :func:`covsteer.bridge.solve` multiplies its Y pass through it and then
-    releases it. Raises ConditioningError, naming the first node where Phi is
-    not finite, if Phi(t, s) is not: the flow overflowed or a coefficient is
-    not finite between the nodes that make_system checks. Raises
-    ConditioningError, naming max |Phi(t, s)| and the grid, if that maximum
-    exceeds PHI_LIMIT, past which products of Phi's entries can overflow.
+    is rk4_grid(e, y0). The caller owns e: :func:`covsteer.bridge.solve`
+    multiplies its Y pass through it and then releases it. Raises
+    DomainError unless grid_size is a positive integer. Raises
+    ConditioningError, naming the first node where Phi is not finite, if
+    Phi(1, 0) is not: the flow overflowed or a coefficient is not finite
+    between the nodes that make_system checks. Raises ConditioningError,
+    naming max |Phi(1, 0)| and the grid, if that maximum exceeds PHI_LIMIT,
+    past which products of Phi's entries can overflow.
     """
-    s, t = _check_time(s), _check_time(t)
-    if s > t:
-        raise DomainError("propagate requires s <= t")
-    times = np.linspace(s, t, steps_for_span(steps_per_unit, s, t) + 1)
+    times = horizon_grid(grid_size)
     # an overflow is reported once, below, and not as numpy warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
         e = step_stack(lambda ts: hamiltonian_stack(sys, ts), times)
-        phi = rk4_grid(e, np.eye(2 * sys.dim_state), times)
+        phi = rk4_grid(e, np.eye(2 * sys.dim_state))
     if not np.isfinite(phi[-1]).all():  # a non-finite entry stays non-finite to the end
         first = np.flatnonzero(~np.isfinite(phi).all(axis=(-2, -1)))[0]
         raise ConditioningError(
-            f"Phi(t, {s:.6g}) has non-finite entries from t = {times[first]:.6g} on: "
+            f"Phi(t, 0) has non-finite entries from t = {times[first]:.6g} on: "
             "the Hamiltonian flow overflows or a coefficient is not finite")
     peak = np.abs(phi[-1]).max()
     if peak > PHI_LIMIT:
         raise ConditioningError(
-            f"max |Phi({t:.6g}, {s:.6g})| = {peak:.3e} on a grid of {len(times) - 1} steps "
+            f"max |Phi(1, 0)| = {peak:.3e} on a grid of {len(e)} steps "
             f"exceeds {PHI_LIMIT:.0e}: products of its entries can overflow")
     return times, phi, e
 

@@ -2,13 +2,15 @@
 
 :func:`rk4_grid` is the only integrator. Every flow of the package is linear,
 y' = G(t) y (transitions, the Gramian's sweep and the pass yielding Pi, H and
-Sigma), and works on a vector or matrix state on a uniform ``np.linspace``
-grid. A caller that wants the state at chosen times integrates the whole grid
-and picks out nodes, so the state at a node does not depend on which nodes
-were asked for. :func:`thin_nodes` is the one rule for keeping about
-``count`` evenly spaced nodes. :func:`grid_indices` is the one checkpoint
-rule of the Monte Carlo's n-step grid on [0, 1]: it finds each checkpoint's
-node k from n alone, node k being the time k/n, without building the grid.
+Sigma), and works on a vector or matrix state on the uniform grid of
+:func:`horizon_grid`, the N steps of the one horizon [0, 1] (the Gramian's
+sweep runs it backward). A caller that wants the state at chosen times
+integrates the whole grid and picks out nodes, so the state at a node does
+not depend on which nodes were asked for. :func:`thin_nodes` is the one
+rule for keeping about ``count`` evenly spaced nodes. :func:`grid_indices`
+is the one checkpoint rule of the Monte Carlo's n-step grid on [0, 1]: it
+finds each checkpoint's node k from n alone, node k being the time k/n,
+without building the grid.
 
 Because the flow is linear, one RK4 step is a matrix: y_{k+1} = E_k y_k, where
 E_k depends only on G at the step's start, midpoint and end. An RK4 pass over
@@ -108,13 +110,12 @@ def positive_int(value, name: str) -> int:
     return int(value)
 
 
-def steps_for_span(steps_per_unit: int, a: float, b: float) -> int:
-    """Step count for [a, b] at a density of steps_per_unit on a unit interval.
+def horizon_grid(grid_size) -> np.ndarray:
+    """The uniform grid of grid_size steps over the horizon [0, 1], grid_size + 1 nodes.
 
-    Raises DomainError unless steps_per_unit is a positive integer.
+    Raises DomainError unless grid_size is a positive integer (see :func:`positive_int`).
     """
-    steps_per_unit = positive_int(steps_per_unit, "steps_per_unit")
-    return max(1, math.ceil(steps_per_unit * abs(b - a) - 1e-12))
+    return np.linspace(0.0, 1.0, positive_int(grid_size, "grid_size") + 1)
 
 
 def grid_indices(checkpoints, n: int) -> np.ndarray:
@@ -215,20 +216,20 @@ def step_stack(sample: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> 
     return e
 
 
-def rk4_grid(e: np.ndarray, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def rk4_grid(e: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Integrate y' = G(t) y along a grid, returning the state at every node.
 
     e is the (N, d, d) stack of the grid's step matrices in order, as
     :func:`step_stack` builds it; each step is one call of :func:`rk4_step`,
     E_k @ y written into its node, so the calls count the steps. y0 is a
     vector or a matrix, else DomainError (``dot`` would contract other axes
-    of a stack than ``@`` does). Result has shape (len(grid),) + y0.shape
-    with result[0] == y0.
+    of a stack than ``@`` does). Result has shape (N + 1,) + y0.shape with
+    result[0] == y0.
     """
     y = np.asarray(y0, dtype=float)
     if not 1 <= y.ndim <= 2:
         raise DomainError(f"the state must be a vector or a matrix, got shape {y.shape}")
-    out = np.empty((len(grid),) + y.shape)
+    out = np.empty((len(e) + 1,) + y.shape)
     out[0] = y
     for e_k, slot in zip(e, out[1:]):
         y = rk4_step(e_k, y, slot)

@@ -1,4 +1,4 @@
-"""Time-varying linear system coefficients, transition matrices and Gramians.
+"""Time-varying linear system coefficients, the drift transition and the Gramian.
 
 A system is a quadruple of matrix-valued coefficient maps on [0, 1]:
 state drift A(t) (n x n), input/noise channel B(t) (n x m), state penalty
@@ -12,6 +12,10 @@ constant map returns one matrix repeated with zero stride along time, and
 keeps it through symmetrization, -A', B R^-1 B' and B R^-1/2, so a pass
 over a constant A samples it once. The controllability Gramian integrates
 the channel B R^-1/2 that the solver uses, not B.
+
+The horizon is the one interval [0, 1]: the drift transition is Psi(1, 0),
+the Gramian is taken over (0, 1), and both run on the grid_size steps of
+:func:`covsteer.integrate.horizon_grid`, as the solver's own passes do.
 """
 
 from __future__ import annotations
@@ -22,11 +26,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ControllabilityError, DefinitenessError, DomainError, SingularMatrixError
-from .integrate import is_constant, once, rk4_grid, simpson_uniform, step_stack, steps_for_span
+from .integrate import horizon_grid, is_constant, once, rk4_grid, simpson_uniform, step_stack
 
 MatrixMap = Callable[[float], np.ndarray]  # built maps also take a 1-d array of times
 
-DEFAULT_STEPS_PER_UNIT = 1000
 PD_TOL = 1e-12  # an SPD matrix needs min eigenvalue > PD_TOL * max(1, max eigenvalue)
 CONTROLLABILITY_TOL = 1e-9  # (A, B) is controllable if the Gramian's min eigenvalue exceeds it
 
@@ -267,100 +270,40 @@ def noise_channel(b: np.ndarray, r: np.ndarray) -> np.ndarray:
     return once(np.matmul, b, inv_root)
 
 
-def state_transition(
-    sys: TimeVaryingLinearSystem,
-    t: float,
-    s: float,
-    steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
-) -> np.ndarray:
-    """Transition matrix of the drift: dPsi/dt = A(t) Psi, Psi(s, s) = I."""
-    t, s = _check_time(t), _check_time(s)
-    if s > t:
-        raise DomainError("state_transition requires s <= t")
-    steps = steps_for_span(steps_per_unit, s, t)
-    if t == s:
-        return np.eye(sys.dim_state)
-    grid = np.linspace(s, t, steps + 1)
-    return rk4_grid(step_stack(sys.A, grid), np.eye(sys.dim_state), grid)[-1]
+def state_transition(sys: TimeVaryingLinearSystem, grid_size: int) -> np.ndarray:
+    """Psi(1, 0), the drift's transition over the horizon: dPsi/dt = A(t) Psi, Psi(0, 0) = I.
+
+    One RK4 pass over :func:`covsteer.integrate.horizon_grid`'s grid_size steps.
+    """
+    grid = horizon_grid(grid_size)
+    return rk4_grid(step_stack(sys.A, grid), np.eye(sys.dim_state))[-1]
 
 
-def reachability_gramian(
-    sys: TimeVaryingLinearSystem,
-    t: float,
-    s: float,
-    steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
-) -> np.ndarray:
-    """Gramian of the solver's input channel over (s, t) by composite Simpson quadrature.
+def reachability_gramian(sys: TimeVaryingLinearSystem, grid_size: int) -> np.ndarray:
+    """Gramian of the solver's input channel over (0, 1) by composite Simpson quadrature.
 
     The channel is G = B R^-1/2 (:func:`noise_channel`), so the Gramian
     depends on B R^-1 B' alone and not on the units of B and R. Integrand is
-    Psi(t, tau) G(tau) G(tau)' Psi(t, tau)'; the family Psi(t, tau)' is
-    produced by one backward sweep of d/dtau Psi(t, tau)' = -A(tau)' Psi(t, tau)'
-    from Psi(t, t)' = I. A constant A keeps its zero stride through the
-    transpose, so the sweep samples it once (see
-    :func:`covsteer.integrate.step_stack`).
+    Psi(1, tau) G(tau) G(tau)' Psi(1, tau)' on grid_size steps; the family
+    Psi(1, tau)' is produced by one backward sweep of d/dtau Psi(1, tau)' =
+    -A(tau)' Psi(1, tau)' from Psi(1, 1)' = I. A constant A keeps its zero
+    stride through the transpose, so the sweep samples it once (see
+    :func:`covsteer.integrate.step_stack`). Raises DomainError unless
+    grid_size is a positive integer.
     """
-    t, s = _check_time(t), _check_time(s)
-    if s >= t:
-        raise DomainError("reachability_gramian requires s < t")
-    n_int = steps_for_span(steps_per_unit, s, t)
-    taus = np.linspace(t, s, n_int + 1)
+    taus = 1.0 - horizon_grid(grid_size)  # the bytes of np.linspace(1, 0, grid_size + 1)
     minus_a_t = step_stack(lambda ts: once(lambda a: -np.swapaxes(a, -1, -2), sys.A(ts)), taus)
-    gt = rk4_grid(minus_a_t, np.eye(sys.dim_state), taus)
+    gt = rk4_grid(minus_a_t, np.eye(sys.dim_state))
     del minus_a_t  # the E_k held through the quadrature below would raise its peak memory
     gb = np.swapaxes(gt, -1, -2) @ noise_channel(sys.B(taus), sys.R(taus))
-    # reverse so the Simpson weights run from s to t
-    gram = simpson_uniform((gb @ np.swapaxes(gb, -1, -2))[::-1], (t - s) / n_int)
+    # reverse so the Simpson weights run from 0 to 1
+    gram = simpson_uniform((gb @ np.swapaxes(gb, -1, -2))[::-1], 1.0 / grid_size)
     return symmetrize(gram)
 
 
-@dataclass(frozen=True)
-class ControllabilityEntry:
-    s: float
-    t: float
-    min_eigenvalue: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class ControllabilityReport:
-    entries: tuple[ControllabilityEntry, ...]
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def __str__(self) -> str:
-        lines = []
-        for e in self.entries:
-            tag = "PASS" if e.ok else "FAIL"
-            lines.append(
-                f"{tag} gramian on ({e.s:g}, {e.t:g}): min eig {e.min_eigenvalue:.6e}"
-            )
-        return "\n".join(lines)
-
-
-def check_controllability(
-    sys: TimeVaryingLinearSystem,
-    grid: Sequence[tuple[float, float]],
-    steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
-) -> ControllabilityReport:
-    """Smallest Gramian eigenvalue on each subinterval; FAIL at or below CONTROLLABILITY_TOL."""
-    if len(grid) == 0:
-        raise DomainError("controllability grid must not be empty")
-    entries = []
-    for s, t in grid:
-        gram = reachability_gramian(sys, t, s, steps_per_unit)
-        lam = float(np.linalg.eigvalsh(gram).min())
-        entries.append(ControllabilityEntry(float(s), float(t), lam, lam > CONTROLLABILITY_TOL))
-    return ControllabilityReport(tuple(entries), CONTROLLABILITY_TOL)
-
-
-def require_controllable(
-    sys: TimeVaryingLinearSystem, steps_per_unit: int = DEFAULT_STEPS_PER_UNIT
-) -> None:
-    """Raise ControllabilityError if the Gramian over (0, 1) is near singular."""
-    report = check_controllability(sys, [(0.0, 1.0)], steps_per_unit)
-    if not report.passed:
-        raise ControllabilityError(str(report))
+def require_controllable(sys: TimeVaryingLinearSystem, grid_size: int) -> None:
+    """Raise ControllabilityError unless the smallest eigenvalue of the Gramian over
+    (0, 1) exceeds CONTROLLABILITY_TOL; a NaN does not."""
+    lam = float(np.linalg.eigvalsh(reachability_gramian(sys, grid_size)).min())
+    if not lam > CONTROLLABILITY_TOL:
+        raise ControllabilityError(f"FAIL gramian on (0, 1): min eig {lam:.6e}")

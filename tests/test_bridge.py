@@ -18,7 +18,6 @@ from covsteer import (
     SingularMatrixError,
     SteeringProblem,
     blocks,
-    check_controllability,
     corollary_q_zero,
     coupling_roots,
     epsilon_sweep,
@@ -111,7 +110,7 @@ def test_lemma1_shape_mismatch():
 # coupling roots and initial conditions
 
 def phi_at_one(sys):
-    return propagate(sys, 0.0, 1.0)[1][-1]
+    return propagate(sys, 1000)[1][-1]
 
 
 def scalar_phi():
@@ -315,24 +314,22 @@ def test_a_grid_size_that_is_not_a_positive_integer_raises_domain_error(run, gri
         run(inertial_problem(), grid_size)
 
 
-STEP_DENSITY_ENTRY_POINTS = {
-    "propagate": lambda p, k: propagate(p.sys, 0.0, 1.0, k),
-    "state_transition": lambda p, k: state_transition(p.sys, 1.0, 0.0, k),
-    "state_transition_over_no_time": lambda p, k: state_transition(p.sys, 0.5, 0.5, k),
-    "reachability_gramian": lambda p, k: reachability_gramian(p.sys, 1.0, 0.0, k),
-    "check_controllability": lambda p, k: check_controllability(p.sys, [(0.0, 1.0)], k),
-    "require_controllable": lambda p, k: require_controllable(p.sys, k),
-    "corollary_q_zero": lambda p, k: corollary_q_zero(p, k),
+PASS_ENTRY_POINTS = {
+    "propagate": lambda p, n: propagate(p.sys, n),
+    "state_transition": lambda p, n: state_transition(p.sys, n),
+    "reachability_gramian": lambda p, n: reachability_gramian(p.sys, n),
+    "require_controllable": lambda p, n: require_controllable(p.sys, n),
+    "corollary_q_zero": lambda p, n: corollary_q_zero(p, n),
 }
 
 
-@pytest.mark.parametrize("entry", sorted(STEP_DENSITY_ENTRY_POINTS))
-@pytest.mark.parametrize("steps", [0, -3, 2.5, True])
-def test_a_step_density_that_is_not_a_positive_integer_raises_domain_error(entry, steps):
-    # Q = 0, so corollary_q_zero reaches its step count; True must not pass as 1
+@pytest.mark.parametrize("entry", sorted(PASS_ENTRY_POINTS))
+@pytest.mark.parametrize("grid_size", [0, -3, 2.5, True])
+def test_a_pass_grid_size_that_is_not_a_positive_integer_raises_domain_error(entry, grid_size):
+    # Q = 0, so corollary_q_zero reaches its grid; True must not pass as 1
     problem = SteeringProblem(inertial_system(q_scale=0.0), 2 * np.eye(2), 0.25 * np.eye(2), 1.0)
-    with pytest.raises(DomainError, match="steps_per_unit must be a positive integer"):
-        STEP_DENSITY_ENTRY_POINTS[entry](problem, steps)
+    with pytest.raises(DomainError, match="grid_size must be a positive integer"):
+        PASS_ENTRY_POINTS[entry](problem, grid_size)
 
 
 @pytest.mark.parametrize("eps", [np.inf, np.nan])
@@ -366,7 +363,7 @@ def six_state_problem():
                          ids=["inertial", "six-state"])
 def test_solve_nan_residual_fails_the_gate(monkeypatch, make_problem, fill):
     monkeypatch.setattr(
-        bridge, "rk4_grid", lambda sample, y0, grid: np.full((len(grid),) + y0.shape, fill)
+        bridge, "rk4_grid", lambda steps, y0: np.full((len(steps) + 1,) + y0.shape, fill)
     )
     with pytest.raises(BoundaryResidualError) as err:
         solve(make_problem(), 100)
@@ -380,8 +377,8 @@ def test_solve_non_finite_h_fails_the_gate(monkeypatch):
     # sigma1, so only the finiteness check can catch this
     integrate = bridge.rk4_grid
 
-    def h_ends_nan(sample, y0, grid):
-        traj = integrate(sample, y0, grid)
+    def h_ends_nan(steps, y0):
+        traj = integrate(steps, y0)
         n = y0.shape[0] // 2
         traj[-1, n:, n:] = np.nan
         return traj
@@ -395,10 +392,10 @@ def test_solve_non_finite_h_fails_the_gate(monkeypatch):
 def test_solve_singular_x_raises_typed(monkeypatch):
     integrate = bridge.rk4_grid
 
-    def x_singular_midway(sample, y0, grid):
-        traj = integrate(sample, y0, grid)
+    def x_singular_midway(steps, y0):
+        traj = integrate(steps, y0)
         n = y0.shape[0] // 2
-        traj[len(grid) // 2, :n, :n] = 0.0
+        traj[len(traj) // 2, :n, :n] = 0.0
         return traj
 
     monkeypatch.setattr(bridge, "rk4_grid", x_singular_midway)
@@ -513,7 +510,7 @@ def test_a_solve_reports_the_symplectic_residual_and_both_escape_scans(eps):
 def test_rk4_grid_on_the_phi_step_matrices_gives_the_bytes_of_a_matmul_loop(make_problem):
     sys = make_problem().sys
     n2 = 2 * sys.dim_state
-    times, phi, e_k = propagate(sys, 0.0, 1.0, 1000)
+    times, phi, e_k = propagate(sys, 1000)
     rng = np.random.default_rng(5)
     # Phi's start, a two-eps Y(0) and a vector
     for y0 in (np.eye(n2), rng.normal(size=(n2, 2 * n2)), rng.normal(size=n2)):
@@ -521,7 +518,7 @@ def test_rk4_grid_on_the_phi_step_matrices_gives_the_bytes_of_a_matmul_loop(make
         loop[0] = y0
         for k, e in enumerate(e_k):
             np.matmul(e, loop[k], out=loop[k + 1])
-        np.testing.assert_array_equal(rk4_grid(e_k, y0, times), loop, strict=True)
+        np.testing.assert_array_equal(rk4_grid(e_k, y0), loop, strict=True)
         if y0.shape == (n2, n2):
             np.testing.assert_array_equal(phi, loop, strict=True)
 
@@ -532,7 +529,7 @@ def test_the_escape_scans_are_those_of_the_full_phi_stack(make_problem):
     # escape_minus is the gate's det X1, escape_plus a scan of every node of Phi
     problem = make_problem()
     diagnostics = solve(problem, 2000).diagnostics
-    times, phi, _ = propagate(problem.sys, 0.0, 1.0, 2000)
+    times, phi, _ = propagate(problem.sys, 2000)
     roots = coupling_roots(problem.sigma0, problem.sigma1, phi[-1], problem.epsilon)
     minus = spurious_root_escape(problem, (times, phi), roots.z_minus)
     got = diagnostics["escape_minus"]
@@ -631,7 +628,7 @@ def test_solve_and_sweep_run_no_batched_eigh(monkeypatch):
 
 def test_escape_scalar_plus_root():
     problem = SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0)
-    transitions = propagate(problem.sys, 0.0, 1.0, 100)[:2]
+    transitions = propagate(problem.sys, 100)[:2]
     roots = coupling_roots(problem.sigma0, problem.sigma1, transitions[1][-1], 1.0)
     report = spurious_root_escape(problem, transitions, roots.z_plus)
     assert report.sign_change
@@ -642,7 +639,7 @@ def test_escape_scalar_plus_root():
 
 def test_escape_scalar_minus_root_clean():
     problem = SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0)
-    transitions = propagate(problem.sys, 0.0, 1.0, 100)[:2]
+    transitions = propagate(problem.sys, 100)[:2]
     roots = coupling_roots(problem.sigma0, problem.sigma1, transitions[1][-1], 1.0)
     report = spurious_root_escape(problem, transitions, roots.z_minus)
     assert not report.sign_change
@@ -651,7 +648,7 @@ def test_escape_scalar_minus_root_clean():
 
 def test_escape_inertial_case():
     problem = inertial_problem()
-    times, phi, _ = propagate(problem.sys, 0.0, 1.0, 1000)
+    times, phi, _ = propagate(problem.sys, 1000)
     nodes = (times[::5], phi[::5])
     roots = coupling_roots(problem.sigma0, problem.sigma1, phi[-1], 1.0)
     assert spurious_root_escape(problem, nodes, roots.z_plus).sign_change
@@ -663,7 +660,7 @@ def test_escape_inertial_case():
 
 def test_corollary_scalar():
     problem = SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0)
-    pi0, _ = corollary_q_zero(problem)
+    pi0, _ = corollary_q_zero(problem, 1000)
     assert pi0[0, 0] == pytest.approx(GOLDEN, abs=1e-12)
 
 
@@ -679,19 +676,19 @@ def test_corollary_matches_hamiltonian_route():
 def test_corollary_isotropic_channels():
     sys = make_system(np.zeros((2, 2)), np.eye(2))
     problem = SteeringProblem(sys, np.eye(2), np.eye(2), 1.0)
-    pi0, _ = corollary_q_zero(problem)
+    pi0, _ = corollary_q_zero(problem, 1000)
     np.testing.assert_allclose(pi0, GOLDEN * np.eye(2), atol=1e-10)
 
 
 def test_corollary_rejects_nonzero_q():
     with pytest.raises(DomainError):
-        corollary_q_zero(inertial_problem())
+        corollary_q_zero(inertial_problem(), 1000)
     # Q = 50 I on [0.02, 0.08) only, between the stage times of a 7-node check
     zero = np.zeros((2, 2))
     q = piecewise_constant_coefficient([0.0, 0.02, 0.08, 1.0], [zero, 50 * np.eye(2), zero])
     sys = make_system([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], q)
     with pytest.raises(DomainError, match="Q = 0"):
-        corollary_q_zero(SteeringProblem(sys, 2 * np.eye(2), 0.25 * np.eye(2), 1.0))
+        corollary_q_zero(SteeringProblem(sys, 2 * np.eye(2), 0.25 * np.eye(2), 1.0), 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -805,9 +802,9 @@ def test_epsilon_sweep_raises_the_error_of_the_first_failing_solve(
 
     integrate, shapes = bridge.rk4_grid, []
 
-    def recorded(sample, y0, grid):
+    def recorded(steps, y0):
         shapes.append(y0.shape)
-        return integrate(sample, y0, grid)
+        return integrate(steps, y0)
 
     monkeypatch.setattr(bridge, "rk4_grid", recorded)
     with pytest.raises(first_error) as swept:

@@ -312,6 +312,8 @@ def test_a_size_the_machine_cannot_allocate_exits_4_without_a_traceback(tmp_path
     err = capsys.readouterr().err
     assert err.startswith("memory error: Unable to allocate ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    # the solve ran, but a run that fails writes nothing, not the solve's files
+    assert list((tmp_path / "o").iterdir()) == []
     if "monte_carlo" in overrides:  # validating the config builds no step grid
         assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
 

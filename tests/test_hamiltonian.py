@@ -26,7 +26,14 @@ from covsteer import (
     symplectic_residual,
 )
 from covsteer.hamiltonian import hamiltonian_stack
-from covsteer.integrate import rk4_grid, rk4_step, stage_times, step_matrices, step_stack
+from covsteer.integrate import (
+    horizon_grid,
+    rk4_grid,
+    rk4_step,
+    stage_times,
+    step_matrices,
+    step_stack,
+)
 from riccati_oracle import hamiltonian_matrix
 
 
@@ -75,15 +82,13 @@ def test_assembly_singular_r():
 
 
 def test_propagate_initial_condition():
-    times, phi, _ = propagate(scalar_system(), 0.0, 0.0)
-    np.testing.assert_array_equal(times, [0.0, 0.0])
-    np.testing.assert_array_equal(phi, [np.eye(2), np.eye(2)])
-    with pytest.raises(DomainError, match="s <= t"):
-        propagate(scalar_system(), 0.8, 0.2)
+    times, phi, _ = propagate(scalar_system(), 1)
+    np.testing.assert_array_equal(times, [0.0, 1.0])
+    np.testing.assert_array_equal(phi[0], np.eye(2))
 
 
 def test_propagate_nilpotent_scalar():
-    phi = propagate(scalar_system(), 0.0, 1.0)[1][-1]
+    phi = propagate(scalar_system(), 1000)[1][-1]
     np.testing.assert_allclose(
         phi, [[1.0, -1.0], [0.0, 1.0]], atol=1e-13
     )
@@ -91,7 +96,7 @@ def test_propagate_nilpotent_scalar():
 
 def test_propagate_constant_hyperbolic():
     # M = [[0,-1],[-1,0]] exponentiates to [[cosh, -sinh], [-sinh, cosh]]
-    times, phi, _ = propagate(scalar_system(q=1.0), 0.0, 1.0)
+    times, phi, _ = propagate(scalar_system(q=1.0), 1000)
     np.testing.assert_array_equal(times, np.linspace(0.0, 1.0, 1001))
     c, s = np.cosh(1.0), np.sinh(1.0)
     np.testing.assert_allclose(phi[-1], [[c, -s], [-s, c]], atol=1e-12)
@@ -106,30 +111,30 @@ def test_symplectic_residual_identity():
 
 
 def test_symplectic_residual_hyperbolic():
-    phi = propagate(scalar_system(q=1.0), 0.0, 1.0)[1]
+    phi = propagate(scalar_system(q=1.0), 1000)[1]
     assert symplectic_residual(phi[-1]) < 1e-12
     assert symplectic_residual(phi) == max(symplectic_residual(m) for m in phi)
 
 
 def test_symplectic_residual_double_integrator():
-    phi = propagate(double_integrator_q1(), 0.0, 1.0, 1000)[1]
+    phi = propagate(double_integrator_q1(), 1000)[1]
     assert symplectic_residual(phi[100::100]) < 1e-9
 
 
 def test_ratio_t_at_equal_times_is_zero():
-    phi = propagate(double_integrator_q1(), 0.0, 0.0)[1][0]
+    phi = propagate(double_integrator_q1(), 1000)[1][0]  # Phi(0, 0) = I
     np.testing.assert_array_equal(ratio_T(phi), np.zeros((2, 2)))
 
 
 def test_ratio_t_scalar_values():
-    phi0 = propagate(scalar_system(), 0.0, 1.0)[1][-1]
+    phi0 = propagate(scalar_system(), 1000)[1][-1]
     np.testing.assert_allclose(ratio_T(phi0), [[-1.0]], atol=1e-12)
-    phi1 = propagate(scalar_system(q=1.0), 0.0, 1.0)[1][-1]
+    phi1 = propagate(scalar_system(q=1.0), 1000)[1][-1]
     np.testing.assert_allclose(ratio_T(phi1), [[-np.tanh(1.0)]], atol=1e-12)
 
 
 def test_ratio_t_negative_definite_and_monotone():
-    phi = propagate(double_integrator_q1(), 0.0, 1.0, 1000)[1]
+    phi = propagate(double_integrator_q1(), 1000)[1]
     prev = None
     for mat in phi[100::100]:
         t_mat = ratio_T(mat)
@@ -142,7 +147,7 @@ def test_ratio_t_negative_definite_and_monotone():
 def test_determinant_is_one():
     # trace M(t) = 0 identically, so the flow preserves volume
     for sys in (scalar_system(q=1.0), double_integrator_q1()):
-        phi = propagate(sys, 0.0, 1.0, 1000)[1]
+        phi = propagate(sys, 1000)[1]
         assert np.abs(np.linalg.det(phi[250::250]) - 1.0).max() < 1e-9
 
 
@@ -262,8 +267,9 @@ def test_the_y_pass_on_phi_step_matrices_gives_the_bytes_of_a_pass_from_fresh_sa
     sweep = [SteeringProblem(problem.sys, problem.sigma0, problem.sigma1, eps)
              for eps in (2.0, 0.5, 0.0)]
 
-    def fresh_y_pass(steps, y0, grid):  # ignores Phi's step matrices: samples M anew
-        return rk4_grid(step_stack(lambda ts: hamiltonian_stack(problem.sys, ts), grid), y0, grid)
+    def fresh_y_pass(steps, y0):  # ignores Phi's step matrices: samples M anew
+        grid = horizon_grid(len(steps))
+        return rk4_grid(step_stack(lambda ts: hamiltonian_stack(problem.sys, ts), grid), y0)
 
     def outputs():
         sols = [solve(problem, N_TV)]
@@ -321,7 +327,7 @@ def test_rk4_grid_on_a_constant_scalar_follows_the_stability_polynomial(monkeypa
         sampled.append(ts)
         return np.full((len(ts), 1, 1), lam)
 
-    ys = rk4_grid(step_stack(sample, grid), np.ones(1), grid)
+    ys = rk4_grid(step_stack(sample, grid), np.ones(1))
     z = lam * (grid[1] - grid[0])  # every step of these grids is exactly +-1/8
     r = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
     np.testing.assert_allclose(ys[:, 0], r ** np.arange(len(grid)), rtol=1e-14, atol=0.0)
@@ -347,7 +353,7 @@ def test_rk4_grid_working_memory_is_bounded_by_the_page_not_the_grid():
     def extra_peaks(n):  # of step_stack and of rk4_grid on an n-step grid
         grid, y0 = np.linspace(0.0, 1.0, n + 1), np.eye(12)
         e, stack_peak = extra_peak(lambda: step_stack(sample, grid))
-        _, pass_peak = extra_peak(lambda: rk4_grid(e, y0, grid))
+        _, pass_peak = extra_peak(lambda: rk4_grid(e, y0))
         return np.array([stack_peak, pass_peak])
 
     extra_peaks(2000)  # warm-up: first-call allocations are not the pass's
@@ -387,7 +393,7 @@ def test_rk4_grid_takes_only_a_vector_or_a_matrix_state(shape):
     grid = np.linspace(0.0, 1.0, 5)
     e = step_stack(lambda ts: np.zeros((len(ts), 3, 3)), grid)
     with pytest.raises(DomainError, match=re.escape(f"a vector or a matrix, got shape {shape}")):
-        rk4_grid(e, np.ones(shape), grid)
+        rk4_grid(e, np.ones(shape))
 
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (12,), (2, 2), (4, 4), (12, 12), (12, 24)],
@@ -448,7 +454,7 @@ def test_rk4_grid_matches_the_per_call_oracle_on_a_non_commuting_flow(monkeypatc
         return g[0] + t * g[1] + np.sin(3.0 * t) * g[2]
 
     oracle = per_call_rk4(lambda t, y: g_at(t) @ y, y0, grid)
-    assert _rel(rk4_grid(step_stack(g_at, grid), y0, grid), oracle) <= 1e-13
+    assert _rel(rk4_grid(step_stack(g_at, grid), y0), oracle) <= 1e-13
 
 
 @pytest.mark.parametrize("name", sorted(PARITY_SYSTEMS))
@@ -456,7 +462,7 @@ def test_propagate_matches_the_per_call_hamiltonian_oracle(name):
     sys = PARITY_SYSTEMS[name]()
     oracle = per_call_rk4(lambda t, y: hamiltonian_matrix(sys, t) @ y, np.eye(2 * sys.dim_state),
                           GRID_TV)
-    times, staged, _ = propagate(sys, 0.0, 1.0, N_TV)
+    times, staged, _ = propagate(sys, N_TV)
     np.testing.assert_array_equal(times, GRID_TV)
     # rk4_grid multiplies by step matrices, the oracle adds up stages: roundoff apart
     assert _rel(staged, oracle) <= 1e-12
@@ -465,16 +471,21 @@ def test_propagate_matches_the_per_call_hamiltonian_oracle(name):
 @pytest.mark.parametrize("name", sorted(PARITY_SYSTEMS))
 def test_drift_sweeps_match_the_per_call_oracle(monkeypatch, name):
     sys = PARITY_SYSTEMS[name]()
-    passes = []
+    grids, passes = [], []
 
-    def recorded(sample, y0, grid):
-        passes.append((y0, grid, rk4_grid(sample, y0, grid)))
-        return passes[-1][2]
+    def recorded_stack(sample, grid):
+        grids.append(grid)
+        return step_stack(sample, grid)
 
+    def recorded(e, y0):
+        passes.append((y0, rk4_grid(e, y0)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(covsteer.systems, "step_stack", recorded_stack)
     monkeypatch.setattr(covsteer.systems, "rk4_grid", recorded)
-    reachability_gramian(sys, 1.0, 0.0, N_TV)
-    state_transition(sys, 1.0, 0.0, N_TV)
-    (y0, back, sweep_t), (psi0, fwd, psi) = passes
+    reachability_gramian(sys, N_TV)
+    state_transition(sys, N_TV)
+    ((y0, sweep_t), (psi0, psi)), (back, fwd) = passes, grids
     assert back[0] == 1.0 and back[-1] == 0.0 and len(back) == N_TV + 1
     # the Gramian integrates the transposed sweep; the oracle, G' = -G A row by row
     oracles = (per_call_rk4(lambda tau, y: -y @ sys.A(tau), y0, back),
@@ -513,10 +524,10 @@ def constant_and_per_time(name):
 
 def _constant_case_bytes(sys, name, grid):
     sigma0, sigma1 = CONSTANT_CASES[name][4:]
-    _, phi, e_k = propagate(sys, 0.0, 1.0, grid)
+    _, phi, e_k = propagate(sys, grid)
     sol = solve(SteeringProblem(sys, sigma0, sigma1), grid)
-    arrays = (phi, e_k, reachability_gramian(sys, 1.0, 0.0, grid),
-              state_transition(sys, 1.0, 0.0, grid), sol.pi, sol.h, sol.sigma, sol.k,
+    arrays = (phi, e_k, reachability_gramian(sys, grid),
+              state_transition(sys, grid), sol.pi, sol.h, sol.sigma, sol.k,
               sol.diagnostics["escape_minus"].determinants,
               sol.diagnostics["escape_plus"].determinants)
     return [np.ascontiguousarray(arr).tobytes() for arr in arrays]
@@ -560,10 +571,10 @@ def test_a_constant_system_samples_each_coefficient_once_per_pass():
         run()
         return [c.calls for c in maps]
 
-    assert calls(lambda: propagate(sys, 0.0, 1.0, grid)) == [1, 1, 1, 1]
+    assert calls(lambda: propagate(sys, grid)) == [1, 1, 1, 1]
     # the sweep samples A once; B and R are sampled once more, at the nodes, for the channel
-    assert calls(lambda: reachability_gramian(sys, 1.0, 0.0, grid)) == [1, 1, 0, 1]
-    assert calls(lambda: state_transition(sys, 1.0, 0.0, grid)) == [1, 0, 0, 0]
+    assert calls(lambda: reachability_gramian(sys, grid)) == [1, 1, 0, 1]
+    assert calls(lambda: state_transition(sys, grid)) == [1, 0, 0, 0]
 
 
 def test_step_stack_builds_one_step_matrix_per_distinct_step_size(monkeypatch):

@@ -3,12 +3,12 @@ import pytest
 
 import covsteer.systems
 from covsteer import (
+    ControllabilityError,
     DefinitenessError,
     DomainError,
     SingularMatrixError,
     SteeringProblem,
     TimeVaryingLinearSystem,
-    check_controllability,
     make_system,
     piecewise_constant_coefficient,
     reachability_gramian,
@@ -17,7 +17,13 @@ from covsteer import (
     state_transition,
 )
 from covsteer.integrate import simpson_uniform, stage_times
-from covsteer.systems import constant_coefficient, input_quad, noise_channel, solve_r
+from covsteer.systems import (
+    constant_coefficient,
+    input_quad,
+    noise_channel,
+    require_controllable,
+    solve_r,
+)
 
 
 def double_integrator(q=None):
@@ -26,104 +32,67 @@ def double_integrator(q=None):
 
 def test_transition_zero_drift_is_identity():
     sys = make_system(np.zeros((3, 3)), np.eye(3))
-    for t, s in [(0.3, 0.1), (1.0, 0.0), (0.5, 0.5)]:
-        np.testing.assert_allclose(state_transition(sys, t, s), np.eye(3), atol=1e-12)
+    for grid_size in (1, 7, 1000):
+        np.testing.assert_allclose(state_transition(sys, grid_size), np.eye(3), atol=1e-12)
 
 
 def test_transition_scalar_exponential():
     sys = make_system([[1.0]], [[1.0]])
-    psi = state_transition(sys, 1.0, 0.0)
+    psi = state_transition(sys, 1000)
     np.testing.assert_allclose(psi, [[np.e]], rtol=1e-12)
 
 
 def test_transition_double_integrator_exact():
     # nilpotent drift: the exponential series terminates, Psi(1,0) = I + A
-    psi = state_transition(double_integrator(), 1.0, 0.0)
+    psi = state_transition(double_integrator(), 1000)
     np.testing.assert_allclose(psi, [[1.0, 1.0], [0.0, 1.0]], atol=1e-13)
-
-
-def test_transition_time_order_and_range_errors():
-    sys = double_integrator()
-    with pytest.raises(DomainError):
-        state_transition(sys, 0.2, 0.5)
-    with pytest.raises(DomainError):
-        state_transition(sys, 1.5, 0.0)
-
-
-def test_transition_cocycle():
-    def a(t):
-        return np.array([[0.0, 1.0], [-1.0, -0.5 - 0.3 * t]])
-
-    sys = make_system(a, [[0.0], [1.0]])
-    full = state_transition(sys, 1.0, 0.0)
-    composed = state_transition(sys, 1.0, 0.4) @ state_transition(sys, 0.4, 0.0)
-    np.testing.assert_allclose(full, composed, atol=1e-10)
 
 
 def test_gramian_constant_scalar():
     sys = make_system([[0.0]], [[1.0]])
-    np.testing.assert_allclose(reachability_gramian(sys, 1.0, 0.0), [[1.0]], rtol=1e-10)
+    np.testing.assert_allclose(reachability_gramian(sys, 1000), [[1.0]], rtol=1e-10)
 
 
 def test_gramian_double_integrator_closed_form():
     # Psi(1,tau) B = [1-tau, 1]', polynomial integrals give the 1/3, 1/2, 1 pattern
-    gram = reachability_gramian(double_integrator(), 1.0, 0.0)
+    gram = reachability_gramian(double_integrator(), 1000)
     np.testing.assert_allclose(gram, [[1 / 3, 1 / 2], [1 / 2, 1.0]], atol=1e-10)
 
 
 def test_gramian_zero_channel_is_zero():
     sys = make_system([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 1)))
-    np.testing.assert_allclose(reachability_gramian(sys, 1.0, 0.0), np.zeros((2, 2)), atol=1e-14)
-
-
-def test_gramian_requires_s_before_t():
-    with pytest.raises(DomainError):
-        reachability_gramian(double_integrator(), 0.5, 0.5)
-
-
-def test_gramian_additivity():
-    def a(t):
-        return np.array([[0.1 * t, 1.0], [-0.4, 0.0]])
-
-    sys = make_system(a, [[0.2], [1.0]])
-    s, r, t = 0.0, 0.35, 1.0
-    direct = reachability_gramian(sys, t, s)
-    psi = state_transition(sys, t, r)
-    pieced = psi @ reachability_gramian(sys, r, s) @ psi.T + reachability_gramian(sys, t, r)
-    np.testing.assert_allclose(direct, pieced, atol=1e-9)
+    np.testing.assert_allclose(reachability_gramian(sys, 1000), np.zeros((2, 2)), atol=1e-14)
 
 
 def test_gramian_symmetric_psd():
-    gram = reachability_gramian(double_integrator(), 0.7, 0.2)
+    def a(t):
+        return np.array([[0.1 * t, 1.0], [-0.4, 0.0]])
+
+    gram = reachability_gramian(make_system(a, [[0.2], [1.0]]), 1000)
     np.testing.assert_allclose(gram, gram.T, atol=0)
     assert np.linalg.eigvalsh(gram).min() > 0
 
 
 def test_controllability_pass_double_integrator():
-    report = check_controllability(double_integrator(), [(0.0, 1.0)])
-    assert report.passed
-    np.testing.assert_allclose(report.entries[0].min_eigenvalue, 0.0657, atol=5e-4)
+    sys = double_integrator()
+    lam = np.linalg.eigvalsh(reachability_gramian(sys, 1000)).min()
+    np.testing.assert_allclose(lam, 0.0657, atol=5e-4)
+    require_controllable(sys, 1000)  # lam is above CONTROLLABILITY_TOL
 
 
 def test_controllability_fail_zero_channel():
     sys = make_system([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 1)))
-    report = check_controllability(sys, [(0.0, 1.0)])
-    assert not report.passed
-    assert report.entries[0].min_eigenvalue == pytest.approx(0.0, abs=1e-14)
-    assert "FAIL" in str(report)
+    with pytest.raises(ControllabilityError) as err:
+        require_controllable(sys, 1000)
+    assert str(err.value) == "FAIL gramian on (0, 1): min eig 0.000000e+00"
 
 
-def test_controllability_subintervals_integrator_chain():
+def test_controllability_integrator_chain():
+    # Psi = I and B = I, so the Gramian over (0, 1) is I
     sys = make_system(np.zeros((2, 2)), np.eye(2))
-    report = check_controllability(sys, [(0.0, 0.1), (0.45, 0.55), (0.9, 1.0)])
-    assert report.passed
-    for entry in report.entries:
-        assert entry.min_eigenvalue == pytest.approx(0.1, rel=1e-9)
-
-
-def test_controllability_empty_grid_error():
-    with pytest.raises(DomainError):
-        check_controllability(double_integrator(), [])
+    lam = np.linalg.eigvalsh(reachability_gramian(sys, 1000)).min()
+    assert lam == pytest.approx(1.0, rel=1e-9)
+    require_controllable(sys, 1000)
 
 
 def test_r_must_be_positive_definite():
@@ -203,7 +172,7 @@ def test_sampled_system_transition_matches_closed_form():
     ts = np.linspace(0.0, 1.0, 201)
     a = sampled_coefficient(ts, [[[t]] for t in ts])
     sys = make_system(a, [[1.0]])
-    np.testing.assert_allclose(state_transition(sys, 1.0, 0.0), [[np.exp(0.5)]], rtol=1e-7)
+    np.testing.assert_allclose(state_transition(sys, 1000), [[np.exp(0.5)]], rtol=1e-7)
 
 
 def test_non_finite_coefficients_rejected():
@@ -238,9 +207,9 @@ def test_gramian_runs_on_the_odd_solve_grid(monkeypatch):
     steps = []
     integrate = covsteer.systems.rk4_grid
 
-    def counted(sample, y0, grid):
-        steps.append(len(grid) - 1)
-        return integrate(sample, y0, grid)
+    def counted(e, y0):
+        steps.append(len(e))
+        return integrate(e, y0)
 
     monkeypatch.setattr(covsteer.systems, "rk4_grid", counted)
     problem = SteeringProblem(double_integrator(np.eye(2)), 2.0 * np.eye(2), 0.25 * np.eye(2))
@@ -345,7 +314,7 @@ def test_the_controllability_gate_does_not_depend_on_the_units_of_b_and_r():
     pi0 = {}
     for scale in (1.0, 1e-5):
         sys = make_system([[0.0, 1.0], [0.0, 0.0]], scale * b, np.eye(2), [[scale**2]])
-        assert check_controllability(sys, [(0.0, 1.0)]).passed
+        require_controllable(sys, 2000)
         pi0[scale] = solve(SteeringProblem(sys, sigma0, sigma1), 2000).pi[0]
     assert np.abs(pi0[1e-5] - pi0[1.0]).max() <= 1e-12 * np.abs(pi0[1.0]).max()
 

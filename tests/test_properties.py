@@ -245,7 +245,7 @@ def test_zero_noise_state_map_is_the_gaussian_w2_map(draw):
 
     problem = SteeringProblem(make_system(a, b, None, r), sigma0, sigma1, 0.0)
     sol = solve(problem, 1000)
-    phi11, phi12, _, _ = blocks(propagate(problem.sys, 0.0, 1.0, 1000)[1][-1])
+    phi11, phi12, _, _ = blocks(propagate(problem.sys, 1000)[1][-1])
     assert _rel(phi11 + phi12 @ sol.pi[0], transport) <= 1e-9
 
 
@@ -258,7 +258,7 @@ def test_zero_noise_paths_are_the_lq_two_point_extremals(preset):
     problem = cli.build_problem(cfg)
     sol = solve(problem, cfg.grid_size)
     sys, n = problem.sys, problem.sys.dim_state
-    phi11, phi12, _, _ = blocks(propagate(sys, 0.0, 1.0, cfg.grid_size)[1][-1])
+    phi11, phi12, _, _ = blocks(propagate(sys, cfg.grid_size)[1][-1])
     transport = phi11 + phi12 @ sol.pi[0]
     assert _rel(transport @ problem.sigma0 @ transport.T, problem.sigma1) <= 1e-9
 
