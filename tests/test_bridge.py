@@ -332,6 +332,19 @@ def test_a_pass_grid_size_that_is_not_a_positive_integer_raises_domain_error(ent
         PASS_ENTRY_POINTS[entry](problem, grid_size)
 
 
+@pytest.mark.parametrize("entry", sorted(PASS_ENTRY_POINTS))
+def test_a_numpy_integer_grid_size_gives_the_bytes_of_the_int(entry):
+    # a grid size read from an array, say, is a numpy integer; the grid is the same
+    problem = SteeringProblem(inertial_system(q_scale=0.0), 2 * np.eye(2), 0.25 * np.eye(2), 1.0)
+
+    def arrays(out):
+        return [np.asarray(a) for a in (out if isinstance(out, tuple) else (out,))]
+
+    for got, want in zip(arrays(PASS_ENTRY_POINTS[entry](problem, np.int64(200))),
+                         arrays(PASS_ENTRY_POINTS[entry](problem, 200)), strict=True):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
 @pytest.mark.parametrize("eps", [np.inf, np.nan])
 def test_steering_problem_rejects_non_finite_epsilon(eps):
     with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import covsteer.systems
 from covsteer import (
@@ -30,6 +31,11 @@ def double_integrator(q=None):
     return make_system([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], q)
 
 
+def damped_drift(t):
+    # a time-varying drift whose values at different times do not commute
+    return np.array([[0.0, 1.0], [-1.0, -0.5 - 0.3 * t]])
+
+
 def test_transition_zero_drift_is_identity():
     sys = make_system(np.zeros((3, 3)), np.eye(3))
     for grid_size in (1, 7, 1000):
@@ -46,6 +52,43 @@ def test_transition_double_integrator_exact():
     # nilpotent drift: the exponential series terminates, Psi(1,0) = I + A
     psi = state_transition(double_integrator(), 1000)
     np.testing.assert_allclose(psi, [[1.0, 1.0], [0.0, 1.0]], atol=1e-13)
+
+
+def test_transition_inverse_is_the_transition_of_the_reversed_drift():
+    # Z(t) = Psi(1 - t, 1) solves Z' = -A(1 - t) Z from I, so Z(1) = Psi(0, 1) = Psi(1, 0)^-1
+    b = [[0.0], [1.0]]
+    forward = state_transition(make_system(damped_drift, b), 1000)
+    backward = state_transition(make_system(lambda t: -damped_drift(1.0 - t), b), 1000)
+    np.testing.assert_allclose(backward @ forward, np.eye(2), atol=1e-11)
+
+
+def test_transition_determinant_is_liouvilles_formula():
+    # det Psi(1, 0) = exp of the integral of trace A over [0, 1] = exp(-0.5 - 0.15)
+    psi = state_transition(make_system(damped_drift, [[0.0], [1.0]]), 1000)
+    assert np.linalg.det(psi) == pytest.approx(np.exp(-0.65), rel=1e-12)
+
+
+def test_a_change_of_state_coordinates_carries_the_transition_and_the_gramian():
+    # x -> T x maps A to T A T^-1 and B to T B, so Psi to T Psi T^-1 and the Gramian to T G T'
+    t_mat = np.array([[1.0, 2.0], [0.0, 3.0]])
+    t_inv = np.linalg.inv(t_mat)
+    b = np.array([[0.2], [1.0]])
+    sys = make_system(damped_drift, b, None, [[0.5]])
+    moved = make_system(lambda t: t_mat @ damped_drift(t) @ t_inv, t_mat @ b, None, [[0.5]])
+    np.testing.assert_allclose(state_transition(moved, 1000),
+                               t_mat @ state_transition(sys, 1000) @ t_inv, atol=1e-12)
+    np.testing.assert_allclose(reachability_gramian(moved, 1000),
+                               t_mat @ reachability_gramian(sys, 1000) @ t_mat.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("run", [state_transition, reachability_gramian],
+                         ids=["transition", "gramian"])
+def test_the_passes_converge_at_fourth_order_in_the_grid_size(run):
+    # RK4 and Simpson are fourth order: doubling the grid size divides the error by about 16
+    sys = make_system(damped_drift, [[0.2], [1.0]])
+    ref = run(sys, 2048)
+    coarse, fine = (np.abs(run(sys, n) - ref).max() for n in (16, 32))
+    assert 14.0 < coarse / fine < 18.0
 
 
 def test_gramian_constant_scalar():
@@ -73,6 +116,23 @@ def test_gramian_symmetric_psd():
     assert np.linalg.eigvalsh(gram).min() > 0
 
 
+def test_gramian_of_a_scalar_drift_closed_form():
+    # Psi(1, tau) = e^(a (1 - tau)), so G = b^2 / r * (e^(2a) - 1) / (2a)
+    a, b, r = -0.7, 2.0, 3.0
+    gram = reachability_gramian(make_system([[a]], [[b]], None, [[r]]), 1000)
+    np.testing.assert_allclose(gram, [[b**2 / r * np.expm1(2 * a) / (2 * a)]], rtol=1e-10)
+
+
+def test_gramian_of_a_constant_drift_solves_its_lyapunov_equation():
+    # d/dtau [e^(A(1-tau)) W e^(A'(1-tau))] = -(A X + X A') with W = B R^-1 B';
+    # integrated over (0, 1): A G + G A' = e^A W e^A' - W
+    a = np.array([[0.0, 1.0], [-2.0, -0.3]])
+    b, r = np.array([[0.0], [1.0]]), np.array([[0.5]])
+    gram = reachability_gramian(make_system(a, b, None, r), 1000)
+    w, psi = b @ np.linalg.inv(r) @ b.T, expm(a)
+    np.testing.assert_allclose(a @ gram + gram @ a.T, psi @ w @ psi.T - w, atol=1e-10)
+
+
 def test_controllability_pass_double_integrator():
     sys = double_integrator()
     lam = np.linalg.eigvalsh(reachability_gramian(sys, 1000)).min()
@@ -93,6 +153,17 @@ def test_controllability_integrator_chain():
     lam = np.linalg.eigvalsh(reachability_gramian(sys, 1000)).min()
     assert lam == pytest.approx(1.0, rel=1e-9)
     require_controllable(sys, 1000)
+
+
+def test_controllability_fails_on_a_nan_gramian():
+    # B is NaN strictly between make_system's samples t = 0 and 0.1, so only the pass sees it
+    def b(t):
+        return np.array([[np.nan if 0.0 < t < 0.1 else 0.0], [1.0]])
+
+    sys = make_system(np.zeros((2, 2)), b)
+    with pytest.raises(ControllabilityError) as err:
+        require_controllable(sys, 1000)
+    assert str(err.value) == "FAIL gramian on (0, 1): min eig nan"
 
 
 def test_r_must_be_positive_definite():
