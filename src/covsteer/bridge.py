@@ -27,11 +27,12 @@ the diffusion. The controllability Gramian integrates the same channel.
 
 Phi(t, 0) and the controllability of (A, B) depend on the system alone, not
 on eps, so :func:`epsilon_sweep` propagates once and solves every eps on the
-same transitions; the full Phi stack is released once each eps has its
-roots and its plus-root escape scan. The Y pass integrates the same flow on
-the same grid as Phi, so it samples no coefficient: it multiplies Y(0)
-through the RK4 step matrices E_k that :func:`covsteer.hamiltonian.propagate`
-built, which are released as soon as the pass returns. The Y pass is linear
+same transitions and one symplectic residual of Phi(1, 0); the Phi stack
+is released as soon as Phi(1, 0) is copied. The Y pass integrates the same
+flow on the same grid as Phi, so it samples no coefficient: it multiplies
+Y(0) through the RK4 step matrices E_k that
+:func:`covsteer.hamiltonian.propagate` built, which are released as soon as
+the pass returns. The Y pass is linear
 too, so one pass serves every eps of a sweep: with k values of eps its state
 is the 2n x 2nk matrix
 
@@ -46,11 +47,15 @@ A zero of det X1 or det X2 inside the horizon is a conjugate point of the
 flow: past it Pi or H escapes and the expected cost is unbounded below, so no
 optimal law exists. An indefinite Q can reach one, and the solver raises
 ConjugatePointError at the first grid interval where either determinant
-changes sign. The same gate stands in for a definiteness check of
-Sigma(t) = X2 Sigma0 X1': Sigma(0) = Sigma0 is positive definite, and an
-eigenvalue of Sigma(t) can change sign only where det Sigma(t) =
-det X2 det Sigma0 det X1 vanishes. So Sigma(t) is never inverted or tested.
+changes sign; a Q that is positive semidefinite at every stage time cannot,
+so there a sign change is rounding and raises ConditioningError. The same
+gate stands in for a definiteness check of Sigma(t) = X2 Sigma0 X1':
+Sigma(0) = Sigma0 is positive definite, and an eigenvalue of Sigma(t) can
+change sign only where det Sigma(t) = det X2 det Sigma0 det X1 vanishes. So
+Sigma(t) is never inverted or tested.
 X1 is the minus root's X, so the gate's det X1 is that root's escape scan.
+The plus root's escape is the problem's, not a solve's: ``covsteer verify``
+scans it with :func:`spurious_root_escape` on propagate's Phi stack.
 Pi and H take one batched inverse each of X1 and X2, the only per-node
 inverses the solver forms. Pi + H - eps Sigma^-1 is not read: with this
 Sigma it measures only the discrete flow's departure from symplecticity,
@@ -80,8 +85,9 @@ from .hamiltonian import (
     propagate,
     symplectic_residual,
 )
-from .integrate import horizon_grid, is_real, rk4_grid, stage_times
+from .integrate import horizon_grid, is_real, once, rk4_grid, stage_times
 from .systems import (
+    PD_TOL,
     TimeVaryingLinearSystem,
     _spd_eigh,
     _sqrt_spd_pair,
@@ -232,7 +238,9 @@ def coupling_roots(
     evaluated on phi = Phi(1, 0), one 2n x 2n array. For eps != 1 the
     boundary covariances enter through the scaled conditions eps * Sigma^-1,
     which folds into the eps^2 I / 4 term above. eps must be a finite,
-    nonnegative real number, as in :class:`SteeringProblem`.
+    nonnegative real number, as in :class:`SteeringProblem`. The core under
+    the square root is refused (ConditioningError) only past a condition
+    number of 1 / PD_TOL.
     """
     epsilon = _checked_epsilon(epsilon)
     sigma0 = symmetrize(np.asarray(sigma0, dtype=float))
@@ -245,7 +253,8 @@ def coupling_roots(
     eye = np.eye(sigma0.shape[0])
     inner = 0.25 * epsilon**2 * eye + symmetrize(s0_half @ mapped @ s0_half)
     try:  # inner is SPD whenever Phi12 is invertible, so a failure here is conditioning
-        core = sqrt_spd(inner)
+        # a relative floor: the core scales like Phi12^-1, tiny on a stiff problem
+        core = _sqrt_spd_pair(inner, floor=0.0)[0]
     except DefinitenessError as exc:
         raise ConditioningError(
             f"the coupling core is too ill-conditioned for its square root "
@@ -287,8 +296,8 @@ class BridgeSolution:
     Arrays are indexed by grid point: pi, h, sigma are (N+1, n, n) and the
     feedback gain k = R^-1 B' Pi is (N+1, m, n). boundary_residuals holds the
     relative Frobenius mismatch of sigma at t = 0 (zero by construction) and
-    t = 1. diagnostics holds, at every eps, symplectic_residual (of Phi(1, 0))
-    and the escape scans escape_minus and escape_plus, as EscapeReports.
+    t = 1. diagnostics holds symplectic_residual (of Phi(1, 0)) and the minus
+    root's escape scan escape_minus, an EscapeReport.
     """
 
     grid: np.ndarray
@@ -307,9 +316,10 @@ def solve(problem: SteeringProblem, grid_size: int = 1000) -> BridgeSolution:
     Propagates Phi(t, 0), forms the closed-form (Pi0, H0), reads Pi, H and
     Sigma off one linear pass from Y(0) = [[I, I], [Pi0, -H0]] (see the module
     docstring), and records the boundary residuals, the symplectic residual of
-    Phi(1, 0) and the escape scans of both roots. Raises SingularMatrixError
+    Phi(1, 0) and the minus root's escape scan. Raises SingularMatrixError
     if X1 or X2 is singular on the grid, ConjugatePointError if det X1 or
-    det X2 changes sign between two grid nodes, and BoundaryResidualError
+    det X2 changes sign between two grid nodes (ConditioningError under a
+    positive semidefinite Q), and BoundaryResidualError
     (solution attached, its message naming max |Sigma(1)|) if the terminal
     covariance misses sigma1 by more than RESIDUAL_TOL in relative Frobenius
     norm, or if Pi, H or Sigma is not finite on the grid. Raises DomainError
@@ -326,9 +336,9 @@ def _solve_each(
     """Phi(1, 0) and the solutions of :func:`solve` for problems that differ only in eps.
 
     The eps-free work runs once: the controllability check, which refuses a
-    grid_size that is not a positive integer first, and the propagation of
-    Phi. Each eps then takes its roots and its plus-root escape scan from the
-    full Phi stack, which is released before the Y pass. One Y pass serves
+    grid_size that is not a positive integer first, the propagation of Phi,
+    whose stack goes once Phi(1, 0) is copied, and Phi(1, 0)'s symplectic
+    residual. Each eps takes its roots from Phi(1, 0). One Y pass serves
     every problem: problem i's Y(0) = [[I, I], [Pi0, -H0]] fills columns
     [2n i, 2n (i + 1)) of one 2n x 2nk state, and the pass multiplies
     the step matrices E_k of the Phi pass, which are released as soon as it
@@ -341,32 +351,33 @@ def _solve_each(
     require_controllable(sys, grid_size)
     grid, phi, e_k = propagate(sys, grid_size)
     phi1 = phi[-1].copy()  # a view would keep the whole stack alive
+    del phi  # no reading takes a node of Phi but the last
+    symplectic = symplectic_residual(phi1)
 
     def start(problem):
         roots = coupling_roots(problem.sigma0, problem.sigma1, phi1, problem.epsilon)
-        plus = spurious_root_escape(problem, (grid, phi), roots.z_plus)
-        return (problem, plus, *_initial_values(problem, roots))
+        return _initial_values(problem, roots)
 
     starts, error = _until_error(start, problems)
-    del phi  # the Y pass and the diagnostics read no node of Phi but the last
     flows = []
     if starts:
         n = sys.dim_state
         eye = np.eye(n)
         y0 = np.block([[eye, eye] * len(starts),
-                       [m for _, _, pi0, h0 in starts for m in (pi0, -h0)]])
+                       [m for pi0, h0 in starts for m in (pi0, -h0)]])
         y_t = rk4_grid(e_k, y0)
         del e_k  # no E_k outlives the pass
         flows, read_error = _until_error(
-            lambda i: _read_flows(y_t[:, :, 2 * n * i:2 * n * (i + 1)], problems[i], grid),
+            lambda i: _read_flows(y_t[:, :, 2 * n * i:2 * n * (i + 1)], problems[i], grid,
+                                  phi1),
             range(len(starts)),
         )
         del y_t  # lowers the peak memory of the diagnostics below
         error = read_error or error
     # sampled after the reads, whose peak memory they would raise
     b_t, r_t = sys.B(grid), sys.R(grid)
-    solutions = [_gated_solution(problem, *flow, plus, phi1, grid, b_t, r_t)
-                 for (problem, plus, _, _), flow in zip(starts, flows)]
+    solutions = [_gated_solution(problem, *flow, symplectic, grid, b_t, r_t)
+                 for problem, flow in zip(problems, flows)]
     if error is not None:
         raise error
     return phi1, solutions
@@ -384,15 +395,15 @@ def _until_error(fn, items) -> tuple[list, CovsteerError | None]:
 
 
 def _read_flows(
-    y_t: np.ndarray, problem: SteeringProblem, grid: np.ndarray
+    y_t: np.ndarray, problem: SteeringProblem, grid: np.ndarray, phi1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, EscapeReport]:
     """(Pi, H, Sigma) from Y(t) = [[X1, X2], [Y1, Y2]] of one eps, and escape_minus.
 
     Pi = sym(Y1 X1^-1) and H = -sym(Y2 X2^-1) come from one batched inverse
     each of X1 and X2, Sigma = sym(X2 Sigma0 X1'), and escape_minus is the
     gate's det X1 as an :class:`EscapeReport`. Raises SingularMatrixError if
-    X1 or X2 is singular at a node, and ConjugatePointError if det X1 or
-    det X2 changes sign between two nodes.
+    X1 or X2 is singular at a node, and, if det X1 or det X2 changes sign
+    between two nodes, the error of :func:`_require_no_conjugate_point`.
     """
     x1, x2, y1, y2 = blocks(y_t)
     # a non-finite Y fails the finiteness gate, so its arithmetic need not warn
@@ -401,7 +412,7 @@ def _read_flows(
         h_t = symmetrize(y2 @ _inverse_on_grid(x2, "X2", grid))
         np.negative(h_t, out=h_t)
         dets = np.linalg.det(x1), np.linalg.det(x2)
-        _require_no_conjugate_point(*dets, grid)
+        _require_no_conjugate_point(*dets, grid, problem.sys, phi1)
         sigma_t = symmetrize(x2 @ problem.sigma0 @ np.swapaxes(x1, -1, -2))
     return pi_t, h_t, sigma_t, _escape_report(grid, dets[0])
 
@@ -416,23 +427,37 @@ def _inverse_on_grid(x: np.ndarray, name: str, grid: np.ndarray) -> np.ndarray:
             f"{name}(t) is singular on the grid, at t = {grid[k]:.6g}") from exc
 
 
-def _require_no_conjugate_point(det1: np.ndarray, det2: np.ndarray, grid: np.ndarray) -> None:
+def _require_no_conjugate_point(
+    det1: np.ndarray,
+    det2: np.ndarray,
+    grid: np.ndarray,
+    sys: TimeVaryingLinearSystem,
+    phi1: np.ndarray,
+) -> None:
     """Raise ConjugatePointError at the first grid interval where det X1 or det X2 flips sign.
 
     det1 and det2 are their values at the nodes. Past a zero of det X the flow
     has reached a conjugate point, where Pi or H escapes and the expected cost
     is unbounded below. Only a strict sign change counts; a NaN determinant is
-    left to the finiteness gate.
+    left to the finiteness gate. A Q that is positive semidefinite at every
+    stage time reaches none, so there the flip is rounding: ConditioningError
+    naming max |phi1|, phi1 being Phi(1, 0).
     """
     signs = np.sign([det1, det2])
     flips = signs[:, :-1] * signs[:, 1:] < 0
     hits = np.flatnonzero(flips.any(axis=0))
     if len(hits):
         k = hits[0]
-        name = "X1" if flips[0, k] else "X2"
+        flip = (f"det {'X1' if flips[0, k] else 'X2'}(t) changes sign between "
+                f"t = {grid[k]:.6g} and t = {grid[k + 1]:.6g}")
+        w = once(np.linalg.eigvalsh, sys.Q(stage_times(grid)))  # on this path alone
+        if (w[..., 0] >= -PD_TOL * np.maximum(1.0, w[..., -1])).all():  # Q >= 0 up to rounding
+            raise ConditioningError(
+                f"{flip}, but Q(t) is positive semidefinite, so the flow has no conjugate "
+                f"point and the sign change is rounding: the flow is too ill-conditioned "
+                f"(max |Phi(1, 0)| = {np.abs(phi1).max():.3e})")
         raise ConjugatePointError(
-            f"the flow reaches a conjugate point: det {name}(t) changes sign between "
-            f"t = {grid[k]:.6g} and t = {grid[k + 1]:.6g}, so no optimal law exists",
+            f"the flow reaches a conjugate point: {flip}, so no optimal law exists",
             interval=(float(grid[k]), float(grid[k + 1])),
         )
 
@@ -461,16 +486,15 @@ def _gated_solution(
     h_t: np.ndarray,
     sigma_t: np.ndarray,
     escape_minus: EscapeReport,
-    escape_plus: EscapeReport,
-    phi1: np.ndarray,
+    symplectic: float,
     grid: np.ndarray,
     b_t: np.ndarray,
     r_t: np.ndarray,
 ) -> BridgeSolution:
     """Gains, residuals and diagnostics of one eps's flows, and the solution's gates.
 
-    escape_minus is what :func:`_read_flows` read, escape_plus is the plus
-    root's scan and phi1 is Phi(1, 0).
+    escape_minus is what :func:`_read_flows` read, and symplectic is the
+    symplectic residual of Phi(1, 0).
     """
     finite = all(np.isfinite(arr).all() for arr in (pi_t, h_t, sigma_t))
     gains = solve_r(r_t, np.swapaxes(b_t, -1, -2) @ pi_t, grid)
@@ -478,11 +502,7 @@ def _gated_solution(
     res0 = _relative_miss(sigma_t[0], problem.sigma0)
     res1 = _relative_miss(sigma_t[-1], problem.sigma1)
 
-    diagnostics = {
-        "symplectic_residual": symplectic_residual(phi1),
-        "escape_minus": escape_minus,
-        "escape_plus": escape_plus,
-    }
+    diagnostics = {"symplectic_residual": symplectic, "escape_minus": escape_minus}
 
     solution = BridgeSolution(
         grid=grid,
@@ -572,7 +592,8 @@ def corollary_q_zero(problem: SteeringProblem, grid_size: int) -> tuple[np.ndarr
     s0_half, s0_inv_half = _sqrt_spd_pair(problem.sigma0)
     mid = symmetrize(psi.T @ gram_inv @ problem.sigma1 @ gram_inv @ psi)
     eye = np.eye(sys.dim_state)
-    core = sqrt_spd(0.25 * eps**2 * eye + symmetrize(s0_half @ mid @ s0_half))
+    inner = 0.25 * eps**2 * eye + symmetrize(s0_half @ mid @ s0_half)
+    core = _sqrt_spd_pair(inner, floor=0.0)[0]  # the relative floor of coupling_roots
     pi0 = symmetrize(
         0.5 * eps * s0_inv
         + psi.T @ gram_inv @ psi

@@ -370,7 +370,6 @@ def _write_solution(cfg: RunConfig, out_dir: Path, problem, solution) -> list[st
     for label, names, table in tables:
         _write_csv(out_dir / f"{label}.csv", ["t"] + names, _table_rows(t, table), cfg)
 
-    escape_plus = solution.diagnostics["escape_plus"]
     escape_minus = solution.diagnostics["escape_minus"]
     lines = [
         f"covsteer {__version__} solve report ({cfg.name})",
@@ -383,8 +382,6 @@ def _write_solution(cfg: RunConfig, out_dir: Path, problem, solution) -> list[st
         f"{np.array2string(np.linalg.eigvalsh(solution.pi[0]), precision=6)}",
         f"escape scan (minus root): sign change={escape_minus.sign_change}, "
         f"min |det X|={escape_minus.min_abs_determinant:.17g}",
-        f"escape scan (plus root):  sign change={escape_plus.sign_change}, "
-        f"min |det X|={escape_plus.min_abs_determinant:.17g}",
     ]
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return t

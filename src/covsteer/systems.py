@@ -25,7 +25,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ControllabilityError, DefinitenessError, DomainError, SingularMatrixError
+from .errors import (
+    ConditioningError,
+    ControllabilityError,
+    DefinitenessError,
+    DomainError,
+    SingularMatrixError,
+)
 from .integrate import horizon_grid, is_constant, once, rk4_grid, simpson_uniform, step_stack
 
 MatrixMap = Callable[[float], np.ndarray]  # built maps also take a 1-d array of times
@@ -46,31 +52,34 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spd_eigh(s, tol: float = PD_TOL, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+def _spd_eigh(
+    s, tol: float = PD_TOL, name: str = "matrix", floor: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a symmetric positive definite matrix or stack.
 
     The input is symmetrized first. Raises DomainError on non-finite entries
     and DefinitenessError when an eigenvalue is at or below
-    tol * max(1, largest eigenvalue) of its matrix.
+    tol * max(floor, largest eigenvalue) of its matrix; floor 0 bounds the
+    condition number alone.
     """
     s = symmetrize(np.asarray(s, dtype=float))
     if not np.isfinite(s).all():
         raise DomainError(f"{name} has non-finite entries")
     w, v = np.linalg.eigh(s)  # eigenvalues ascending
-    bad = w[..., 0] <= tol * np.maximum(1.0, w[..., -1])
+    bad = w[..., 0] <= tol * np.maximum(floor, w[..., -1])
     if np.any(bad):
         lam, top = w[bad][0, [0, -1]].tolist()  # the first matrix that fails
         raise DefinitenessError(
             f"{name} is not positive definite (min eigenvalue {lam:.3e} is not above "
-            f"{tol:g} * max(1, max eigenvalue {top:.3e}))",
+            f"{tol:g} * max({floor:g}, max eigenvalue {top:.3e}))",
             min_eigenvalue=lam,
         )
     return w, v
 
 
-def _sqrt_spd_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sqrt_spd_pair(s: np.ndarray, floor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """(S^1/2, S^-1/2) from one eigendecomposition, of a matrix or of each matrix in a stack."""
-    w, v = _spd_eigh(s)
+    w, v = _spd_eigh(s, floor=floor)
     sw = np.sqrt(w)[..., None, :]
     vt = np.swapaxes(v, -1, -2)
     return symmetrize((v * sw) @ vt), symmetrize((v / sw) @ vt)
@@ -289,21 +298,33 @@ def reachability_gramian(sys: TimeVaryingLinearSystem, grid_size: int) -> np.nda
     -A(tau)' Psi(1, tau)' from Psi(1, 1)' = I. A constant A keeps its zero
     stride through the transpose, so the sweep samples it once (see
     :func:`covsteer.integrate.step_stack`). Raises DomainError unless
-    grid_size is a positive integer.
+    grid_size is a positive integer, and ConditioningError, naming the sweep's
+    first node where the integrand is not finite, if the Gramian is not.
     """
     taus = 1.0 - horizon_grid(grid_size)  # the bytes of np.linspace(1, 0, grid_size + 1)
-    minus_a_t = step_stack(lambda ts: once(lambda a: -np.swapaxes(a, -1, -2), sys.A(ts)), taus)
-    gt = rk4_grid(minus_a_t, np.eye(sys.dim_state))
-    del minus_a_t  # the E_k held through the quadrature below would raise its peak memory
-    gb = np.swapaxes(gt, -1, -2) @ noise_channel(sys.B(taus), sys.R(taus))
-    # reverse so the Simpson weights run from 0 to 1
-    gram = simpson_uniform((gb @ np.swapaxes(gb, -1, -2))[::-1], 1.0 / grid_size)
+    # a non-finite Gramian is reported below, not as numpy warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        minus_a_t = step_stack(lambda ts: once(lambda a: -np.swapaxes(a, -1, -2), sys.A(ts)),
+                               taus)
+        gt = rk4_grid(minus_a_t, np.eye(sys.dim_state))
+        del minus_a_t  # the E_k held through the quadrature below would raise its peak memory
+        gb = np.swapaxes(gt, -1, -2) @ noise_channel(sys.B(taus), sys.R(taus))
+        integrand = gb @ np.swapaxes(gb, -1, -2)
+        # reverse so the Simpson weights run from 0 to 1
+        gram = simpson_uniform(integrand[::-1], 1.0 / grid_size)
+    if not np.isfinite(gram).all():
+        bad = np.flatnonzero(~np.isfinite(integrand).all(axis=(-2, -1)))
+        where = (f"its integrand is not finite at tau = {taus[bad[0]]:.6g}, the first such "
+                 "node of the sweep from 1 down" if len(bad) else "its sum overflows")
+        raise ConditioningError(f"the Gramian over (0, 1) is not finite: {where}; the flow "
+                                "overflows or a coefficient is not finite")
     return symmetrize(gram)
 
 
 def require_controllable(sys: TimeVaryingLinearSystem, grid_size: int) -> None:
     """Raise ControllabilityError unless the smallest eigenvalue of the Gramian over
-    (0, 1) exceeds CONTROLLABILITY_TOL; a NaN does not."""
+    (0, 1) exceeds CONTROLLABILITY_TOL; a Gramian that is not finite raises
+    ConditioningError first."""
     lam = float(np.linalg.eigvalsh(reachability_gramian(sys, grid_size)).min())
     if not lam > CONTROLLABILITY_TOL:
         raise ControllabilityError(f"FAIL gramian on (0, 1): min eig {lam:.6e}")

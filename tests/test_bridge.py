@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,10 +33,11 @@ from covsteer import (
     spurious_root_escape,
     sqrt_spd,
     state_transition,
+    symplectic_residual,
 )
 from covsteer import bridge
 from covsteer.bridge import _sqrt_spd_pair
-from covsteer.integrate import rk4_grid
+from covsteer.integrate import rk4_grid, thin_nodes
 from covsteer.systems import require_controllable
 from riccati_oracle import riccati_rhs_h, riccati_rhs_pi
 
@@ -293,6 +295,30 @@ def test_ill_conditioned_coupling_core_raises_conditioning_error():
         solve(SteeringProblem(sys, np.eye(2), np.eye(2), 1.0), 200)
 
 
+@pytest.mark.parametrize("k", [18.0, 20.0])
+def test_a_stiff_coupling_core_with_condition_number_one_solves(k):
+    # A = 0, B = 1, Q = k^2, eps = 0: the core is sinh(k)^-2 k^2, about 3e-13 at k = 18,
+    # which an absolute floor of PD_TOL refused though its condition number is 1
+    problem = SteeringProblem(scalar_system(q=k * k), [[1.0]], [[1.0]], 0.0)
+    sol = solve(problem, 2000)
+    exact = k * np.tanh(k / 2)
+    assert abs(sol.pi[0, 0, 0] - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("a, b, q", [(0.0, 20.0, 50.0), (20.0, 1.0, 0.0)],
+                         ids=["b20-q50", "a20-q0"])
+def test_a_sign_flip_under_a_semidefinite_q_raises_conditioning_error(a, b, q):
+    # Q >= 0 has no conjugate point; Y = Phi Y(0) loses the decaying branch to rounding
+    # and det X1 flips sign at grid 200, where the exact Pi(0) is finite
+    problem = SteeringProblem(make_system([[a]], [[b]], [[q]]), [[1.0]], [[1.0]], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError, match=r"det X1\(t\) changes sign between .*, but "
+                           r"Q\(t\) is positive semidefinite, .*\(max \|Phi\(1, 0\)\| = ") as err:
+            solve(problem, 200)
+    assert not isinstance(err.value, ConjugatePointError)
+
+
 def test_steering_problem_validation():
     with pytest.raises(DefinitenessError):
         SteeringProblem(scalar_system(), [[0.0]], [[1.0]], 1.0)
@@ -471,14 +497,55 @@ def test_double_integrator_solves_up_to_the_conjugate_point_threshold(ratio, eps
             solve(problem, 2000)
 
 
-def test_solve_records_escape_scans_of_both_roots():
+def plus_root_scan(problem, grid_size):
+    """The plus root's escape scan over every node of propagate's Phi stack."""
+    times, phi, _ = propagate(problem.sys, grid_size)
+    roots = coupling_roots(problem.sigma0, problem.sigma1, phi[-1], problem.epsilon)
+    return spurious_root_escape(problem, (times, phi), roots.z_plus)
+
+
+def test_the_plus_root_escapes_and_a_solve_records_the_minus_scan():
     scalar = SteeringProblem(scalar_system(), [[1.0]], [[1.0]], 1.0)
     for problem, grid_size in ((inertial_problem(), 1000), (scalar, 1000)):
-        diagnostics = solve(problem, grid_size).diagnostics
-        assert diagnostics["escape_plus"].sign_change
-        assert not diagnostics["escape_minus"].sign_change
-        for key in ("escape_plus", "escape_minus"):
-            assert len(diagnostics[key].times) == grid_size + 1
+        plus = plus_root_scan(problem, grid_size)
+        minus = solve(problem, grid_size).diagnostics["escape_minus"]
+        assert plus.sign_change
+        assert not minus.sign_change
+        for scan in (plus, minus):
+            assert len(scan.times) == grid_size + 1
+
+
+def test_solve_and_sweep_never_scan_the_plus_root(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("spurious_root_escape was called")
+
+    monkeypatch.setattr(bridge, "spurious_root_escape", refused)
+    for problem in (inertial_problem(), inertial_problem(eps=0.0), six_state_tv_problem()):
+        solve(problem, 200)
+        epsilon_sweep(problem, [1.0, 0.5, 0.0], 200)
+
+
+def traced_peak_mib(run):
+    """The tracemalloc peak of run(), in MiB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make_problem, bound", [(lambda: inertial_problem(), 0.60),
+                                                 (lambda: six_state_tv_problem(), 4.6)],
+                         ids=["inertial-q1", "tv-n6"])
+def test_the_peak_memory_of_a_solve_holds_no_phi_stack_past_the_copy_of_phi_one(make_problem,
+                                                                               bound):
+    # Phi and E_k are each (2001, 2n, 2n) at grid 2000: 0.24 MiB on n = 2 and 2.2 MiB on
+    # n = 6. Holding Phi through the roots and a plus-root scan peaked at 0.69 and 5.03 MiB;
+    # releasing it once Phi(1, 0) is copied peaks at 0.54 and 4.45 MiB
+    problem = make_problem()
+    solve(problem, 2000)  # warm numpy's and the solver's one-time allocations
+    assert traced_peak_mib(lambda: solve(problem, 2000)) <= bound
 
 
 @pytest.mark.parametrize("eps", [1e-14, 2.2e-311])
@@ -513,9 +580,29 @@ def test_sigma_is_positive_definite_at_every_node(make_problem):
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.0])
-def test_a_solve_reports_the_symplectic_residual_and_both_escape_scans(eps):
-    diagnostics = solve(inertial_problem(eps=eps), 500).diagnostics
-    assert set(diagnostics) == {"symplectic_residual", "escape_minus", "escape_plus"}
+def test_a_solve_reports_the_symplectic_residual_and_the_minus_scan(eps):
+    problem = inertial_problem(eps=eps)
+    diagnostics = solve(problem, 500).diagnostics
+    assert set(diagnostics) == {"symplectic_residual", "escape_minus"}
+    assert diagnostics["symplectic_residual"] == symplectic_residual(
+        propagate(problem.sys, 500)[1][-1])
+    assert plus_root_scan(problem, 500).sign_change
+
+
+def test_every_eps_of_a_sweep_shares_the_symplectic_residual_of_one_solve(monkeypatch):
+    calls = []
+    residual = bridge.symplectic_residual
+
+    def counted(phi):
+        calls.append(phi.shape)
+        return residual(phi)
+
+    problems = [inertial_problem(eps=eps) for eps in (1.0, 0.5, 0.0)]
+    standalone = [solve(p, 200).diagnostics["symplectic_residual"] for p in problems]
+    monkeypatch.setattr(bridge, "symplectic_residual", counted)
+    solutions = bridge._solve_each(problems, 200)[1]
+    assert calls == [(4, 4)]  # once per call, on Phi(1, 0) alone
+    assert [sol.diagnostics["symplectic_residual"] for sol in solutions] == standalone
 
 
 @pytest.mark.parametrize("make_problem", [inertial_problem, six_state_tv_problem],
@@ -539,7 +626,8 @@ def test_rk4_grid_on_the_phi_step_matrices_gives_the_bytes_of_a_matmul_loop(make
 @pytest.mark.parametrize("make_problem", [inertial_problem, six_state_tv_problem],
                          ids=["inertial-q1", "tv-n6"])
 def test_the_escape_scans_are_those_of_the_full_phi_stack(make_problem):
-    # escape_minus is the gate's det X1, escape_plus a scan of every node of Phi
+    # escape_minus is the gate's det X1; the plus root's scan of every node of Phi
+    # holds, node for node, the scan that verify takes at eleven of them
     problem = make_problem()
     diagnostics = solve(problem, 2000).diagnostics
     times, phi, _ = propagate(problem.sys, 2000)
@@ -555,11 +643,11 @@ def test_the_escape_scans_are_those_of_the_full_phi_stack(make_problem):
     assert (miss <= 1e-9 * np.abs(minus.determinants)).all()
     assert got.sign_change is minus.sign_change is False
     plus = spurious_root_escape(problem, (times, phi), roots.z_plus)
-    got = diagnostics["escape_plus"]
+    keep = thin_nodes(2000, 10)
+    got = spurious_root_escape(problem, (times[keep], phi[keep]), roots.z_plus)
     for field in ("times", "determinants"):
-        assert getattr(got, field).tobytes() == getattr(plus, field).tobytes()
-    assert (got.min_abs_determinant, got.sign_change) == (plus.min_abs_determinant,
-                                                          plus.sign_change)
+        assert getattr(got, field).tobytes() == getattr(plus, field)[keep].tobytes()
+    assert got.sign_change is plus.sign_change is True
 
 
 def test_a_q_that_is_not_finite_between_the_checked_samples_raises_conditioning_error():
@@ -594,8 +682,7 @@ def test_a_huge_but_finite_phi_raises_conditioning_error_and_no_warning():
                               "n4-max-phi-3.5e86"])
 def test_a_huge_terminal_covariance_raises_residual_error_and_no_warning(n, a, b, q, peak):
     # max |Phi(1, 0)| is below PHI_LIMIT, but Sigma(1) passes 1e154: the squares in
-    # the residual's norm overflowed, a raw RuntimeWarning, or "residual inf"; at
-    # n = 3 and 4 so did det X in the plus root's escape scan
+    # the residual's norm overflowed, a raw RuntimeWarning, or "residual inf"
     eye = np.eye(n)
     problem = SteeringProblem(make_system(a * eye, b * eye, q * eye, eye), eye, eye, 1.0)
     with warnings.catch_warnings():

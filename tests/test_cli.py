@@ -6,7 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from covsteer import cli, epsilon_sweep, simulate, tolerance_tube
+from covsteer import (
+    cli,
+    coupling_roots,
+    epsilon_sweep,
+    propagate,
+    simulate,
+    spurious_root_escape,
+    tolerance_tube,
+)
 from covsteer.cli import (
     PRESETS,
     RunConfig,
@@ -153,7 +161,13 @@ def test_run_solve_writes_expected_files(tmp_path):
     assert head[1] == "t,k_1_1,k_1_2"
     report = (tmp_path / "report.txt").read_text()
     assert "boundary residual t=1" in report
-    assert "sign change=True" in report  # plus-root escape diagnostic
+    assert "escape scan (minus root): sign change=False" in report
+    assert "plus root" not in report
+    # the plus root's escape is the problem's, read off propagate's Phi stack
+    problem = cfg.problem()
+    times, phi, _ = propagate(problem.sys, cfg.grid_size)
+    roots = coupling_roots(problem.sigma0, problem.sigma1, phi[-1], problem.epsilon)
+    assert spurious_root_escape(problem, (times, phi), roots.z_plus).sign_change
 
 
 def test_the_solve_report_has_one_line_per_reading(tmp_path):
@@ -162,8 +176,7 @@ def test_the_solve_report_has_one_line_per_reading(tmp_path):
     prefixes = ["covsteer ", "config hash: ", "epsilon: ", "boundary residual t=0: ",
                 "boundary residual t=1: ", "symplectic residual of Phi(1,0): ",
                 "branch: minus root selected; Pi(0) eigenvalues ",
-                "escape scan (minus root): sign change=",
-                "escape scan (plus root):  sign change="]
+                "escape scan (minus root): sign change="]
     assert len(lines) == len(prefixes)
     for line, prefix in zip(lines, prefixes):
         assert line.startswith(prefix)

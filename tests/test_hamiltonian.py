@@ -14,6 +14,7 @@ from covsteer import (
     SteeringProblem,
     TimeVaryingLinearSystem,
     blocks,
+    coupling_roots,
     epsilon_sweep,
     make_system,
     piecewise_constant_coefficient,
@@ -22,6 +23,7 @@ from covsteer import (
     reachability_gramian,
     sampled_coefficient,
     solve,
+    spurious_root_escape,
     state_transition,
     symplectic_residual,
 )
@@ -524,12 +526,14 @@ def constant_and_per_time(name):
 
 def _constant_case_bytes(sys, name, grid):
     sigma0, sigma1 = CONSTANT_CASES[name][4:]
-    _, phi, e_k = propagate(sys, grid)
-    sol = solve(SteeringProblem(sys, sigma0, sigma1), grid)
+    problem = SteeringProblem(sys, sigma0, sigma1)
+    times, phi, e_k = propagate(sys, grid)
+    sol = solve(problem, grid)
+    plus = coupling_roots(sigma0, sigma1, phi[-1]).z_plus
     arrays = (phi, e_k, reachability_gramian(sys, grid),
               state_transition(sys, grid), sol.pi, sol.h, sol.sigma, sol.k,
               sol.diagnostics["escape_minus"].determinants,
-              sol.diagnostics["escape_plus"].determinants)
+              spurious_root_escape(problem, (times, phi), plus).determinants)
     return [np.ascontiguousarray(arr).tobytes() for arr in arrays]
 
 

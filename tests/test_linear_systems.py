@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import covsteer.systems
 from covsteer import (
+    ConditioningError,
     ControllabilityError,
     DefinitenessError,
     DomainError,
@@ -161,9 +164,25 @@ def test_controllability_fails_on_a_nan_gramian():
         return np.array([[np.nan if 0.0 < t < 0.1 else 0.0], [1.0]])
 
     sys = make_system(np.zeros((2, 2)), b)
-    with pytest.raises(ControllabilityError) as err:
+    with pytest.raises(ConditioningError) as err:
         require_controllable(sys, 1000)
-    assert str(err.value) == "FAIL gramian on (0, 1): min eig nan"
+    # the sweep runs from tau = 1 down, and its last node in (0, 0.1) is 1 - 0.9
+    assert str(err.value) == ("the Gramian over (0, 1) is not finite: its integrand is not "
+                              "finite at tau = 0.1, the first such node of the sweep from 1 "
+                              "down; the flow overflows or a coefficient is not finite")
+
+
+def test_an_infinite_drift_between_the_checked_samples_raises_conditioning_error_and_no_warning():
+    # A is inf only on (0.55, 0.56), which make_system's samples at 0, 0.1, ..., 1 miss;
+    # the system is controllable, and the Gramian's sweep meets the inf first at 0.555
+    sys = make_system(lambda t: np.array([[np.inf if 0.55 < t < 0.56 else 0.0]]), [[1.0]])
+    problem = SteeringProblem(sys, [[1.0]], [[1.0]], 1.0)
+    for run in (lambda: reachability_gramian(sys, 200), lambda: solve(problem, 200)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError, match=r"its integrand is not finite at "
+                               r"tau = 0\.555, the first such node"):
+                run()
 
 
 def test_r_must_be_positive_definite():

@@ -132,12 +132,12 @@ def _scaled(rng, rows, cols, log10_scale, log10_cond):
 
 
 @st.composite
-def scaled_problems(draw):
+def scaled_problems(draw, semidefinite_q=False):
     """(A, B, Q, R, Sigma0, Sigma1, eps, grid) across units and scales.
 
     A is scaled by 1e-2 to 40, B, R, Sigma0 and Sigma1 by 1e-4 to 1e4 with
     condition numbers up to 1e8, and Q is PSD or indefinite with
-    max |eigenvalue| up to about 3e5, or zero.
+    max |eigenvalue| up to about 3e5, or zero. semidefinite_q keeps Q PSD.
     """
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, n))
@@ -154,7 +154,8 @@ def scaled_problems(draw):
     b = _scaled(rng, n, m, *scale_cond())
     r, sigma0, sigma1 = scaled_spd(m), scaled_spd(n), scaled_spd(n)
     q_peak = draw(st.one_of(st.just(0.0), st.floats(-3.0, 5.5).map(lambda e: 10.0**e)))
-    q_low = draw(st.one_of(st.just(0.0), st.floats(-1.0, 0.0)))  # 0: PSD; below: often indefinite
+    # 0: PSD; below: often indefinite
+    q_low = 0.0 if semidefinite_q else draw(st.one_of(st.just(0.0), st.floats(-1.0, 0.0)))
     w, _ = np.linalg.qr(rng.standard_normal((n, n)))
     q = (w * (q_peak * rng.uniform(q_low, 1.0, n))) @ w.T
     eps = draw(st.sampled_from([0.0, 1e-8, 1e-3, 1.0, 100.0]))
@@ -174,6 +175,19 @@ def test_any_units_and_scales_solve_within_tolerance_or_raise_typed(draw):
         assert np.isfinite(arr).all()
     assert sol.boundary_residuals[1] <= 1e-4
     assert not sol.diagnostics["escape_minus"].sign_change
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(scaled_problems(semidefinite_q=True))
+def test_no_semidefinite_q_reaches_a_conjugate_point(draw):
+    # a Q >= 0 has none, so a sign flip of det X1 or det X2 is rounding: ConditioningError
+    *coefficients, sigma0, sigma1, eps, grid = draw
+    try:
+        solve(SteeringProblem(make_system(*coefficients), sigma0, sigma1, eps), grid)
+    except ConjugatePointError as exc:
+        raise AssertionError(f"Q >= 0 raised {exc!r}") from exc
+    except CovsteerError:
+        pass
 
 
 # (n, m, seed, Q scale, log10 cond Sigma0, log10 cond Sigma1, eps): draws on which
