@@ -56,8 +56,8 @@ Sigma(t) is never inverted or tested.
 X1 is the minus root's X, so the gate's det X1 is that root's escape scan.
 The plus root's escape is the problem's, not a solve's: ``covsteer verify``
 scans it with :func:`spurious_root_escape` on propagate's Phi stack.
-Pi and H take one batched inverse each of X1 and X2, the only per-node
-inverses the solver forms. Pi + H - eps Sigma^-1 is not read: with this
+Pi, H and both determinants come from one LU factorization each of X1 and
+X2 at each node, and no inverse. Pi + H - eps Sigma^-1 is not read: with this
 Sigma it measures only the discrete flow's departure from symplecticity,
 which :func:`covsteer.hamiltonian.symplectic_residual` reads on Phi(1, 0).
 """
@@ -399,32 +399,81 @@ def _read_flows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, EscapeReport]:
     """(Pi, H, Sigma) from Y(t) = [[X1, X2], [Y1, Y2]] of one eps, and escape_minus.
 
-    Pi = sym(Y1 X1^-1) and H = -sym(Y2 X2^-1) come from one batched inverse
-    each of X1 and X2, Sigma = sym(X2 Sigma0 X1'), and escape_minus is the
-    gate's det X1 as an :class:`EscapeReport`. Raises SingularMatrixError if
-    X1 or X2 is singular at a node, and, if det X1 or det X2 changes sign
-    between two nodes, the error of :func:`_require_no_conjugate_point`.
+    Pi = sym(Y1 X1^-1), H = -sym(Y2 X2^-1) and the gate's det X1 and det X2
+    come from :func:`_quotient_on_grid`, Sigma = sym(X2 Sigma0 X1'), and
+    escape_minus is det X1 as an :class:`EscapeReport`. Raises
+    SingularMatrixError if X1 or X2 is singular at a node, and, if det X1 or
+    det X2 changes sign between two nodes, the error of
+    :func:`_require_no_conjugate_point`.
     """
     x1, x2, y1, y2 = blocks(y_t)
+    pi_t, det1 = _quotient_on_grid(x1, y1, "X1", grid)
+    h_t, det2 = _quotient_on_grid(x2, y2, "X2", grid)
+    np.negative(h_t, out=h_t)
+    _require_no_conjugate_point(det1, det2, grid, problem.sys, phi1)
     # a non-finite Y fails the finiteness gate, so its arithmetic need not warn
     with np.errstate(invalid="ignore", over="ignore"):
-        pi_t = symmetrize(y1 @ _inverse_on_grid(x1, "X1", grid))
-        h_t = symmetrize(y2 @ _inverse_on_grid(x2, "X2", grid))
-        np.negative(h_t, out=h_t)
-        dets = np.linalg.det(x1), np.linalg.det(x2)
-        _require_no_conjugate_point(*dets, grid, problem.sys, phi1)
         sigma_t = symmetrize(x2 @ problem.sigma0 @ np.swapaxes(x1, -1, -2))
-    return pi_t, h_t, sigma_t, _escape_report(grid, dets[0])
+    return pi_t, h_t, sigma_t, _escape_report(grid, det1)
 
 
-def _inverse_on_grid(x: np.ndarray, name: str, grid: np.ndarray) -> np.ndarray:
-    """x^-1 at every node; SingularMatrixError naming the node where det x is smallest."""
-    try:
-        return np.linalg.inv(x)
-    except np.linalg.LinAlgError as exc:
-        k = np.argmin(np.abs(np.linalg.det(x)))
+def _quotient_on_grid(
+    x: np.ndarray, y: np.ndarray, name: str, grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sym(y x^-1), det x) at every node of the (N, n, n) stacks x and y.
+
+    LU with partial pivoting of x' at all nodes at once, carrying y' along;
+    det x is the signed product of the pivots. The first node with a zero
+    pivot raises SingularMatrixError; a non-finite node gives NaN or inf, unwarned.
+    """
+    n = x.shape[-1]
+    a = np.transpose(x, (2, 1, 0)).copy()  # a[:, :, j] is x' at node j
+    b = np.transpose(y, (2, 1, 0)).copy()
+    odd = np.zeros(len(grid), dtype=bool)  # an odd number of row swaps at the node
+    tmp = np.empty_like(b[0])  # scratch: each row update's product, so none allocates
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n - 1):
+            _swap_in_pivot_rows(a, b, k, odd, tmp)
+            for i in range(k + 1, n):
+                a[i, k] /= a[k, k]  # the multiplier, kept in the place it eliminates
+                a[i, k + 1:] -= np.multiply(a[i, k], a[k, k + 1:], out=tmp[k + 1:])
+                b[i] -= np.multiply(a[i, k], b[k], out=tmp)
+        for k in reversed(range(n)):
+            for j in range(k + 1, n):
+                b[k] -= np.multiply(a[k, j], b[j], out=tmp)
+            b[k] /= a[k, k]
+        del tmp
+        pivots = np.diagonal(a, axis1=0, axis2=1)  # (N, n)
+        det = np.prod(pivots, axis=-1)
+    np.negative(det, out=det, where=odd)
+    singular = (pivots == 0.0).any(axis=-1)
+    if singular.any():
         raise SingularMatrixError(
-            f"{name}(t) is singular on the grid, at t = {grid[k]:.6g}") from exc
+            f"{name}(t) is singular on the grid, at t = {grid[np.argmax(singular)]:.6g}")
+    del a, pivots
+    # symmetrize's arithmetic, nodes last; each copy is freed before the next is made
+    q = np.swapaxes(b, 0, 1).copy()
+    q += b
+    del b
+    q *= 0.5
+    return np.transpose(q, (2, 0, 1)).copy(), det
+
+
+def _swap_in_pivot_rows(a: np.ndarray, b: np.ndarray, k: int, odd: np.ndarray,
+                        tmp: np.ndarray) -> None:
+    """Swap row k of a and b with the row i >= k of the first largest |a[i, k]|
+    at each node, as LAPACK pivots; odd flips there. tmp is scratch."""
+    rows, best, entry = np.full(len(odd), k), np.abs(a[k, k], out=tmp[0]), tmp[1]
+    for i in range(k + 1, len(a)):
+        rows[np.abs(a[i, k], out=entry) > best] = i
+        np.fmax(best, entry, out=best)
+    nodes = np.flatnonzero(rows != k)
+    rows = rows[nodes]
+    for m in (a[:, k:], b):  # the multipliers left of column k are spent
+        row_k = m[k][:, nodes]
+        m[k][:, nodes] = m[rows, :, nodes].T
+        m[rows, :, nodes] = row_k.T
+    odd[nodes] ^= True
 
 
 def _require_no_conjugate_point(

@@ -176,7 +176,7 @@ def _simulate_gain(
     # S_k = [[G_k, F_k], [0, trap_k W_k]] maps [dw_k; x_k] to [x_{k+1}; trap_k W_k x_k]
     steps = np.zeros((n_steps + 1, 2 * n, w + n))
     if w:
-        steps[:, :n, :w] = np.sqrt(eps * dt) * noise_channel(b_seq, r_seq)
+        steps[:, :n, :w] = np.sqrt(eps * dt) * noise_channel(b_seq, r_seq, t_grid)
     steps[:, :n, w:] = np.eye(n) + dt * (a_seq - b_seq @ k_seq)
     steps[:, n:, w:] = trapezoid * (q_seq + np.swapaxes(k_seq, -1, -2) @ r_seq @ k_seq)
 

@@ -53,14 +53,14 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def _spd_eigh(
-    s, tol: float = PD_TOL, name: str = "matrix", floor: float = 1.0
+    s, tol: float = PD_TOL, name: str = "matrix", floor: float = 1.0, times=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a symmetric positive definite matrix or stack.
 
     The input is symmetrized first. Raises DomainError on non-finite entries
     and DefinitenessError when an eigenvalue is at or below
     tol * max(floor, largest eigenvalue) of its matrix; floor 0 bounds the
-    condition number alone.
+    condition number alone; times names the first failing matrix's time.
     """
     s = symmetrize(np.asarray(s, dtype=float))
     if not np.isfinite(s).all():
@@ -69,17 +69,20 @@ def _spd_eigh(
     bad = w[..., 0] <= tol * np.maximum(floor, w[..., -1])
     if np.any(bad):
         lam, top = w[bad][0, [0, -1]].tolist()  # the first matrix that fails
+        at = "" if times is None else f" at t = {np.reshape(times, -1)[np.argmax(bad)]:.6g}"
         raise DefinitenessError(
-            f"{name} is not positive definite (min eigenvalue {lam:.3e} is not above "
+            f"{name} is not positive definite{at} (min eigenvalue {lam:.3e} is not above "
             f"{tol:g} * max({floor:g}, max eigenvalue {top:.3e}))",
             min_eigenvalue=lam,
         )
     return w, v
 
 
-def _sqrt_spd_pair(s: np.ndarray, floor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def _sqrt_spd_pair(
+    s: np.ndarray, floor: float = 1.0, name: str = "matrix", times=None
+) -> tuple[np.ndarray, np.ndarray]:
     """(S^1/2, S^-1/2) from one eigendecomposition, of a matrix or of each matrix in a stack."""
-    w, v = _spd_eigh(s, floor=floor)
+    w, v = _spd_eigh(s, floor=floor, name=name, times=times)
     sw = np.sqrt(w)[..., None, :]
     vt = np.swapaxes(v, -1, -2)
     return symmetrize((v * sw) @ vt), symmetrize((v / sw) @ vt)
@@ -237,7 +240,7 @@ def make_system(A, B, Q=None, R=None) -> TimeVaryingLinearSystem:
         finite = np.isfinite(vals).all(axis=(-2, -1))
         if not finite.all():
             raise DomainError(f"{name}({ts[~finite][0]:g}) has non-finite entries")
-    _spd_eigh(r, name="R(t)")
+    _spd_eigh(r, name="R(t)", times=ts)
     return TimeVaryingLinearSystem(n, m, a_map, b_map, q_map, r_map)
 
 
@@ -269,13 +272,20 @@ def solve_r(r, rhs, t) -> np.ndarray:
         raise SingularMatrixError(f"R({worst}) is singular") from exc
 
 
-def noise_channel(b: np.ndarray, r: np.ndarray) -> np.ndarray:
+def noise_channel(b: np.ndarray, r: np.ndarray, t) -> np.ndarray:
     """B R^-1/2: the channel of the control and of the noise sqrt(eps) dw; B and R may be stacks.
 
     A constant R stack is factored once, as in :func:`solve_r`, and a
-    constant B with it gives one product, broadcast along time.
+    constant B with it gives one product, broadcast along time. An R that is
+    not finite, or not SPD, raises ConditioningError, or DefinitenessError,
+    naming its first such time in t.
     """
-    inv_root = once(lambda r: _sqrt_spd_pair(r)[1], np.asarray(r))
+    r = np.asarray(r)
+    finite = np.isfinite(r).all(axis=(-2, -1))
+    if not finite.all():
+        raise ConditioningError(
+            f"R(t) has non-finite entries at t = {np.reshape(t, -1)[np.argmin(finite)]:.6g}")
+    inv_root = once(lambda r: _sqrt_spd_pair(r, name="R(t)", times=t)[1], r)
     return once(np.matmul, b, inv_root)
 
 
@@ -308,7 +318,7 @@ def reachability_gramian(sys: TimeVaryingLinearSystem, grid_size: int) -> np.nda
                                taus)
         gt = rk4_grid(minus_a_t, np.eye(sys.dim_state))
         del minus_a_t  # the E_k held through the quadrature below would raise its peak memory
-        gb = np.swapaxes(gt, -1, -2) @ noise_channel(sys.B(taus), sys.R(taus))
+        gb = np.swapaxes(gt, -1, -2) @ noise_channel(sys.B(taus), sys.R(taus), taus)
         integrand = gb @ np.swapaxes(gb, -1, -2)
         # reverse so the Simpson weights run from 0 to 1
         gram = simpson_uniform(integrand[::-1], 1.0 / grid_size)

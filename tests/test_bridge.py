@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -37,6 +38,7 @@ from covsteer import (
 )
 from covsteer import bridge
 from covsteer.bridge import _sqrt_spd_pair
+from covsteer.cli import PRESETS, RunConfig, build_problem
 from covsteer.integrate import rk4_grid, thin_nodes
 from covsteer.systems import require_controllable
 from riccati_oracle import riccati_rhs_h, riccati_rhs_pi
@@ -931,3 +933,169 @@ def _solve_tolerant(problem, grid_size=1000):
         return solve(problem, grid_size)
     except BoundaryResidualError as err:
         return err.solution
+
+
+# ---------------------------------------------------------------------------
+# one factorization per node: Pi, H and det X
+
+def pivoted_stack(rng, d, scale, pairs_only=False):
+    """x and y stacks whose x' = P L U takes known pivot swaps, and their grid.
+
+    With L unit lower triangular and |L| < 1, partial pivoting on x' = P L U swaps
+    exactly the rows that P does. One node takes each transposition (k, i), k < i,
+    once with the entry its step k finds first left as drawn and once made zero, so
+    the swap is forced; more nodes take random permutations and one the identity.
+    """
+    pairs = [(k, i) for k in range(d) for i in range(k + 1, d)]
+    perms, zeros = [], []
+    for k, i in pairs:
+        for zero in (False, True):
+            p = np.arange(d)
+            p[[k, i]] = p[[i, k]]
+            perms.append(p)
+            zeros.append((i, k) if zero else None)
+    perms += [rng.permutation(d) for _ in range(20)] + [np.arange(d)]
+    zeros += [None] * 21
+    xs = []
+    for p, zero in zip(perms, zeros):
+        low = np.tril(rng.uniform(-0.9, 0.9, (d, d)), -1) + np.eye(d)
+        if zero is not None:
+            low[zero] = 0.0  # x'[k, k] is zero when step k reaches it
+        up = np.triu(rng.uniform(-0.5, 0.5, (d, d)), 1)
+        up += np.diag(rng.choice([-1.0, 1.0], d) * rng.uniform(1.0, 2.0, d))
+        xs.append(scale * (low @ up)[np.argsort(p)].T)  # row p[r] of x' is row r of L U
+    x = np.array(xs)
+    y = scale * rng.standard_normal(x.shape)
+    return x, y, np.linspace(0.0, 1.0, len(x))
+
+
+def old_route(x, y):
+    """sym(y x^-1) and det x from LAPACK: the inverse and determinant the solver used to take."""
+    q = y @ np.linalg.inv(x)
+    with np.errstate(over="ignore"):  # a det past the range of a float is +-inf or +-0
+        return 0.5 * (q + np.swapaxes(q, -1, -2)), np.linalg.det(x)
+
+
+def relative(a, b):
+    """max |a - b| over max |b|."""
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_the_pivoted_factorization_matches_inv_and_det(d, scale):
+    x, y, grid = pivoted_stack(np.random.default_rng(d), d, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, det = bridge._quotient_on_grid(x, y, "X", grid)
+    q_ref, det_ref = old_route(x, y)
+    assert max(relative(q[j], q_ref[j]) for j in range(len(x))) <= 1e-12
+    np.testing.assert_array_equal(np.sign(det), np.sign(det_ref))
+    tiny = np.finfo(float).tiny
+    normal = np.isfinite(det_ref) & (np.abs(det_ref) >= tiny)
+    assert np.abs(det[normal] / det_ref[normal] - 1.0).max(initial=0.0) <= 1e-12
+    # past the range of a float, both overflow to +-inf or underflow
+    assert (np.abs(det[~normal & np.isfinite(det_ref)]) < tiny).all()
+    np.testing.assert_array_equal(det[~np.isfinite(det_ref)], det_ref[~np.isfinite(det_ref)])
+
+
+def test_an_exactly_singular_node_raises_naming_the_first():
+    x, y, grid = pivoted_stack(np.random.default_rng(0), 3, 1.0)
+    x[3, 1, 2] = np.nan  # a NaN node is no singular one
+    x[9] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 5.0]]  # a repeated column of x'
+    x[15] = 0.0
+    with pytest.raises(SingularMatrixError, match=rf"X2\(t\) is singular on the grid, at "
+                                                  rf"t = {grid[9]:.6g}$"):
+        bridge._quotient_on_grid(x, y, "X2", grid)
+
+
+@pytest.mark.parametrize("where", [(0, 0), (2, 1), slice(None)], ids=["lead", "entry", "all"])
+def test_a_nan_node_gives_nan_there_alone_and_no_warning(where):
+    x, y, grid = pivoted_stack(np.random.default_rng(4), 4, 1.0)
+    q_clean, det_clean = bridge._quotient_on_grid(x, y, "X1", grid)
+    x[7][where] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, det = bridge._quotient_on_grid(x, y, "X1", grid)
+    assert np.isnan(q[7]).any() and np.isnan(det[7])
+    others = np.arange(len(x)) != 7
+    assert q[others].tobytes() == q_clean[others].tobytes()
+    assert det[others].tobytes() == det_clean[others].tobytes()
+
+
+def test_a_singular_x2_raises_typed(monkeypatch):
+    integrate = bridge.rk4_grid
+
+    def x2_singular_midway(steps, y0):
+        traj = integrate(steps, y0)
+        n = y0.shape[0] // 2
+        traj[len(traj) // 2, :n, n:] = 0.0
+        return traj
+
+    monkeypatch.setattr(bridge, "rk4_grid", x2_singular_midway)
+    with pytest.raises(SingularMatrixError, match=r"X2\(t\) is singular on the grid, at t = 0.5$"):
+        solve(inertial_problem(), 100)
+
+
+def captured_y_pass(monkeypatch):
+    """The list that collects the Y(t) stack of each Y pass bridge runs."""
+    passes, integrate = [], bridge.rk4_grid
+
+    def kept(steps, y0):
+        passes.append(integrate(steps, y0))
+        return passes[-1]
+
+    monkeypatch.setattr(bridge, "rk4_grid", kept)
+    return passes
+
+
+@pytest.mark.parametrize("name", [*PRESETS, "tv-n6"])
+def test_the_flows_match_the_route_of_batched_inverses(monkeypatch, name):
+    if name == "tv-n6":
+        problem, grid_size, eps_list = six_state_tv_problem(), 2000, [0.5, 0.1, 0.0]
+    else:
+        cfg = RunConfig.from_dict(json.loads(json.dumps(PRESETS[name])))
+        problem, grid_size, eps_list = build_problem(cfg), cfg.grid_size, cfg.eps_list
+    passes = captured_y_pass(monkeypatch)
+    sol = solve(problem, grid_size)
+    x1, x2, y1, y2 = blocks(passes[-1])
+    pi, det1 = old_route(x1, y1)
+    h = -old_route(x2, y2)[0]
+    sigma = 0.5 * (x2 @ problem.sigma0 @ np.swapaxes(x1, -1, -2))
+    sigma += np.swapaxes(sigma, -1, -2)
+    b, r = problem.sys.B(sol.grid), problem.sys.R(sol.grid)
+    k = np.linalg.solve(r, np.swapaxes(b, -1, -2) @ pi)
+    for got, want in ((sol.pi, pi), (sol.h, h), (sol.sigma, sigma), (sol.k, k)):
+        assert relative(got, want) <= 1e-12
+    determinants = sol.diagnostics["escape_minus"].determinants
+    assert np.abs(determinants / det1 - 1.0).max() <= 1e-12
+    assert sol.pi[0].tobytes() == pi[0].tobytes()  # X1(0) = I
+    # each sweep row's pi0 is read where every X is I
+    rows = epsilon_sweep(problem, eps_list, grid_size)
+    y0 = passes[-1][0]
+    n = problem.sys.dim_state
+    for i, row in enumerate(rows):
+        pi0 = old_route(np.eye(n), y0[n:, 2 * n * i:2 * n * i + n])[0]
+        assert row.pi0.tobytes() == pi0.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+@pytest.mark.parametrize("case", ["omega-3.2", "omega-4", "omega-7", "ratio-1.001", "ratio-1.02"])
+def test_a_conjugate_point_is_bracketed_where_the_old_determinants_flip(monkeypatch, case,
+                                                                        eps):
+    # the cases of the two conjugate-point tests above that raise
+    kind, value = case.split("-")
+    if kind == "omega":
+        problem, grid_size = conjugate_problem(float(value), eps), 1001
+    else:
+        q_scale = -float(value) * double_integrator_threshold()
+        problem = SteeringProblem(inertial_system(q_scale), 2 * np.eye(2), 0.25 * np.eye(2), eps)
+        grid_size = 2000
+    passes = captured_y_pass(monkeypatch)
+    with pytest.raises(ConjugatePointError) as err:
+        solve(problem, grid_size)
+    x1, x2, _, _ = blocks(passes[-1])
+    signs = np.sign([np.linalg.det(x1), np.linalg.det(x2)])
+    k = np.flatnonzero((signs[:, :-1] * signs[:, 1:] < 0).any(axis=0))[0]
+    grid = np.linspace(0.0, 1.0, grid_size + 1)
+    assert err.value.interval == (grid[k], grid[k + 1])

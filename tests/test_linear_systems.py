@@ -185,6 +185,25 @@ def test_an_infinite_drift_between_the_checked_samples_raises_conditioning_error
                 run()
 
 
+@pytest.mark.parametrize("value, error, message", [
+    (np.nan, ConditioningError, r"R\(t\) has non-finite entries at t = 0\.555$"),
+    (np.inf, ConditioningError, r"R\(t\) has non-finite entries at t = 0\.555$"),
+    (0.0, DefinitenessError, r"R\(t\) is not positive definite at t = 0\.555 \(min eig\w* 0\."),
+    (-1.0, DefinitenessError, r"R\(t\) is not positive definite at t = 0\.555 \(min eig\w* -1\."),
+], ids=["nan", "inf", "zero", "negative"])
+def test_a_bad_r_between_the_checked_samples_is_named_with_its_time(value, error, message):
+    # R goes bad only on (0.55, 0.56), which make_system's samples miss; the Gramian's
+    # channel samples R first, at the node 0.555 of grid 200
+    sys = make_system([[0.0]], [[1.0]], [[1.0]],
+                      lambda t: np.array([[value if 0.55 < t < 0.56 else 1.0]]))
+    problem = SteeringProblem(sys, [[1.0]], [[1.0]], 1.0)
+    for run in (lambda: reachability_gramian(sys, 200), lambda: solve(problem, 200)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                run()
+
+
 def test_r_must_be_positive_definite():
     with pytest.raises(DefinitenessError) as err:
         make_system([[0.0]], [[1.0]], R=[[-1.0]])
@@ -368,10 +387,10 @@ def test_only_a_stack_of_one_repeated_matrix_is_factored_once(monkeypatch):
     spy("eigh")  # so is B R^-1/2's root of R, and it keeps the bytes of a per-node root
     b = np.swapaxes(rhs, -1, -2)
     calls.clear()
-    once = noise_channel(b, repeated)
+    once = noise_channel(b, repeated, ts)
     assert calls == [("eigh", (1, 2, 2))]
     calls.clear()
-    batched = noise_channel(b, stacked)
+    batched = noise_channel(b, stacked, ts)
     assert calls == [("eigh", (9, 2, 2))]
     assert once.tobytes() == batched.tobytes()
 
