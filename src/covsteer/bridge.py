@@ -65,8 +65,8 @@ which :func:`covsteer.hamiltonian.symplectic_residual` reads on Phi(1, 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,27 +162,39 @@ def lemma1_residual(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.abs(left - right).max())
 
 
-@dataclass(frozen=True)
-class SteeringProblem:
-    """System plus SPD boundary covariances and noise intensity eps >= 0."""
-
+class _SteeringProblemFields(NamedTuple):
     sys: TimeVaryingLinearSystem
     sigma0: np.ndarray
     sigma1: np.ndarray
     epsilon: float = 1.0
 
-    def __post_init__(self):
-        n = self.sys.dim_state
-        s0 = np.asarray(self.sigma0, dtype=float)
-        s1 = np.asarray(self.sigma1, dtype=float)
+
+class SteeringProblem(_SteeringProblemFields):
+    """System plus SPD boundary covariances and noise intensity eps >= 0.
+
+    Construction stores sigma0 and sigma1 symmetrized, as floats, and eps as a
+    float. It raises DomainError on a covariance that is not n x n or not
+    finite and on an eps that :func:`_checked_epsilon` refuses, and
+    DefinitenessError on a covariance that is not SPD.
+    problem._replace(epsilon=...) builds its copy through the same checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sys, sigma0, sigma1, epsilon=1.0):
+        n = sys.dim_state
+        s0 = np.asarray(sigma0, dtype=float)
+        s1 = np.asarray(sigma1, dtype=float)
         if s0.shape != (n, n) or s1.shape != (n, n):
             raise DomainError("boundary covariances must be n x n")
         s0, s1 = symmetrize(s0), symmetrize(s1)
         for name, s in (("sigma0", s0), ("sigma1", s1)):
             _spd_eigh(s, name=name)
-        object.__setattr__(self, "sigma0", s0)
-        object.__setattr__(self, "sigma1", s1)
-        object.__setattr__(self, "epsilon", _checked_epsilon(self.epsilon))
+        return super().__new__(cls, sys, s0, s1, _checked_epsilon(epsilon))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _checked_epsilon(value, where: str = "") -> float:
@@ -210,8 +222,7 @@ def _checked_eps_list(eps_list) -> list[float]:
     return values
 
 
-@dataclass(frozen=True)
-class CouplingRoots:
+class CouplingRoots(NamedTuple):
     """Both symmetric roots of the boundary-coupling quadratic.
 
     z_minus is the usable branch; z_plus produces a flow with finite escape
@@ -289,15 +300,15 @@ def _initial_values(
     return pi0, h0
 
 
-@dataclass(frozen=True)
-class BridgeSolution:
+class BridgeSolution(NamedTuple):
     """Solved trajectories on a uniform grid over [0, 1].
 
     Arrays are indexed by grid point: pi, h, sigma are (N+1, n, n) and the
     feedback gain k = R^-1 B' Pi is (N+1, m, n). boundary_residuals holds the
     relative Frobenius mismatch of sigma at t = 0 (zero by construction) and
     t = 1. diagnostics holds symplectic_residual (of Phi(1, 0)) and the minus
-    root's escape scan escape_minus, an EscapeReport.
+    root's escape scan escape_minus, an EscapeReport; built without it, it is
+    an empty read-only mapping.
     """
 
     grid: np.ndarray
@@ -307,7 +318,7 @@ class BridgeSolution:
     sigma: np.ndarray
     boundary_residuals: tuple[float, float]
     epsilon: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: Mapping = MappingProxyType({})
 
 
 def solve(problem: SteeringProblem, grid_size: int = 1000) -> BridgeSolution:
@@ -576,8 +587,7 @@ def _gated_solution(
     return solution
 
 
-@dataclass(frozen=True)
-class EscapeReport:
+class EscapeReport(NamedTuple):
     """Determinant track of X(t) = Phi11(t,0) + Phi12(t,0)(eps/2 Sigma0^-1 + Z).
 
     A determinant sign change on (0, 1) witnesses an interior singularity of
@@ -652,8 +662,14 @@ def corollary_q_zero(problem: SteeringProblem, grid_size: int) -> tuple[np.ndarr
     return pi0, h0
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One eps of :func:`epsilon_sweep`.
+
+    epsilon is the noise intensity, pi0 is Pi(0) at it, gap is the Frobenius
+    norm of pi0 minus the zero-noise Pi(0), and boundary_residuals are the
+    solve's relative Sigma mismatches at t = 0 and t = 1.
+    """
+
     epsilon: float
     pi0: np.ndarray
     gap: float
@@ -676,12 +692,12 @@ def epsilon_sweep(
     to its config's eps_list; the gap column is expected to decrease
     monotonically and scale O(eps).
     """
-    problems = [replace(problem, epsilon=eps) for eps in _checked_eps_list(eps_list)]
+    problems = [problem._replace(epsilon=eps) for eps in _checked_eps_list(eps_list)]
     if len(problems) == 0:
         raise DomainError("eps_list must not be empty")
 
     phi1, solutions = _solve_each(problems, grid_size)
-    pi0_limit = initial_conditions(replace(problem, epsilon=0.0), phi1)[0]
+    pi0_limit = initial_conditions(problem._replace(epsilon=0.0), phi1)[0]
     rows = []
     for sol in solutions:
         pi0 = sol.pi[0].copy()

@@ -38,7 +38,7 @@ given seed now draws other paths than under either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ _PERTURBATION_STREAM = 0xC0575EE2
 _BLOCK_PATHS = 5000
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """Ensemble summary; states are thinned to the checkpoint grid."""
 
     n_paths: int
@@ -294,8 +293,7 @@ def tolerance_tube(
     return circle @ sqrt_spd(solution.sigma)  # each root is symmetric
 
 
-@dataclass(frozen=True)
-class CostGapReport:
+class CostGapReport(NamedTuple):
     """Paired-seed cost comparison between the optimal and a perturbed gain.
 
     The perturbed run does not re-enforce the terminal covariance, so the gap

@@ -20,8 +20,7 @@ the Gramian is taken over (0, 1), and both run on the grid_size steps of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -202,16 +201,15 @@ def _symmetric_coefficient(spec) -> MatrixMap:
     return _vectorized(lambda t: once(symmetrize, np.asarray(coef(t), dtype=float)))
 
 
-@dataclass(frozen=True)
-class TimeVaryingLinearSystem:
+class TimeVaryingLinearSystem(NamedTuple):
     """Immutable bundle of coefficient maps; build via :func:`make_system`."""
 
     dim_state: int
     dim_input: int
     A: MatrixMap
     B: MatrixMap
-    Q: MatrixMap = field(repr=False)
-    R: MatrixMap = field(repr=False)
+    Q: MatrixMap
+    R: MatrixMap
 
 
 def make_system(A, B, Q=None, R=None) -> TimeVaryingLinearSystem:

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -451,7 +450,7 @@ def test_simulate_and_cost_gap_reject_the_gain_of_another_problem(inertial_solut
 def test_simulate_and_cost_gap_reject_a_solution_solved_at_another_epsilon(inertial_solution):
     # the eps = 1 gain ran without noise and returned a cost whose Sigma(1) missed Sigma1
     problem, sol = inertial_solution
-    noiseless = dataclasses.replace(problem, epsilon=0.0)
+    noiseless = problem._replace(epsilon=0.0)
     match = r"solved at epsilon = 1\.0, but the problem's epsilon is 0\.0"
     with pytest.raises(DomainError, match=match):
         simulate(noiseless, sol, 10, 10, seed=1)
@@ -465,7 +464,7 @@ def test_simulate_and_cost_gap_reject_a_gain_that_is_not_finite(inertial_solutio
     problem, sol = inertial_solution
     k = sol.k.copy()
     k[7, 0, 1] = bad
-    broken = dataclasses.replace(sol, k=k)
+    broken = sol._replace(k=k)
     with pytest.raises(DomainError, match="non-finite"):
         simulate(problem, broken, 10, 10, seed=1)
     with pytest.raises(DomainError, match="non-finite"):
@@ -486,7 +485,7 @@ def test_simulate_and_cost_gap_reject_a_gain_off_the_unit_interval(inertial_solu
                                                                   match):
     # a gain on [0, 0.5] was held at its last value over [0.5, 1] and returned a cost
     problem, sol = inertial_solution
-    broken = dataclasses.replace(sol, grid=grid(sol.grid))
+    broken = sol._replace(grid=grid(sol.grid))
     with pytest.raises(DomainError, match=match):
         simulate(problem, broken, 10, 10, seed=1)
     with pytest.raises(DomainError, match=match):
