@@ -23,7 +23,9 @@ The noise enters through the control channel scaled by the input weight,
 which is the model the coupling roots assume; R = I gives sqrt(eps) B dw.
 :func:`covsteer.systems.noise_channel` is B R^-1/2, and
 :func:`covsteer.systems.input_quad` is B R^-1 B', both the control weight and
-the diffusion. The controllability Gramian integrates the same channel.
+the diffusion; :func:`covsteer.systems.gain_factor` is the gains' R^-1 B'. All
+three come from one checked R^-1/2. The controllability Gramian integrates
+the same channel.
 
 Phi(t, 0) and the controllability of (A, B) depend on the system alone, not
 on eps, so :func:`epsilon_sweep` propagates once and solves every eps on the
@@ -91,9 +93,9 @@ from .systems import (
     TimeVaryingLinearSystem,
     _spd_eigh,
     _sqrt_spd_pair,
+    gain_factor,
     reachability_gramian,
     require_controllable,
-    solve_r,
     state_transition,
     symmetrize,
 )
@@ -288,12 +290,6 @@ def initial_conditions(
     this degenerates to H0 = -Pi0 and only Pi0 drives the control.
     """
     roots = coupling_roots(problem.sigma0, problem.sigma1, phi, problem.epsilon)
-    return _initial_values(problem, roots)
-
-
-def _initial_values(
-    problem: SteeringProblem, roots: CouplingRoots
-) -> tuple[np.ndarray, np.ndarray]:
     s0_inv = _inv_spd(problem.sigma0)
     pi0 = symmetrize(roots.z_minus + 0.5 * problem.epsilon * s0_inv)
     h0 = symmetrize(problem.epsilon * s0_inv - pi0)
@@ -365,11 +361,7 @@ def _solve_each(
     del phi  # no reading takes a node of Phi but the last
     symplectic = symplectic_residual(phi1)
 
-    def start(problem):
-        roots = coupling_roots(problem.sigma0, problem.sigma1, phi1, problem.epsilon)
-        return _initial_values(problem, roots)
-
-    starts, error = _until_error(start, problems)
+    starts, error = _until_error(lambda problem: initial_conditions(problem, phi1), problems)
     flows = []
     if starts:
         n = sys.dim_state
@@ -385,9 +377,9 @@ def _solve_each(
         )
         del y_t  # lowers the peak memory of the diagnostics below
         error = read_error or error
-    # sampled after the reads, whose peak memory they would raise
-    b_t, r_t = sys.B(grid), sys.R(grid)
-    solutions = [_gated_solution(problem, *flow, symplectic, grid, b_t, r_t)
+    # sampled after the reads, whose peak memory it would raise
+    r_inv_bt = gain_factor(sys, grid)
+    solutions = [_gated_solution(problem, *flow, symplectic, grid, r_inv_bt)
                  for problem, flow in zip(problems, flows)]
     if error is not None:
         raise error
@@ -548,16 +540,15 @@ def _gated_solution(
     escape_minus: EscapeReport,
     symplectic: float,
     grid: np.ndarray,
-    b_t: np.ndarray,
-    r_t: np.ndarray,
+    r_inv_bt: np.ndarray,
 ) -> BridgeSolution:
     """Gains, residuals and diagnostics of one eps's flows, and the solution's gates.
 
-    escape_minus is what :func:`_read_flows` read, and symplectic is the
-    symplectic residual of Phi(1, 0).
+    escape_minus is what :func:`_read_flows` read, symplectic is the
+    symplectic residual of Phi(1, 0), and r_inv_bt is R^-1 B' on the grid.
     """
     finite = all(np.isfinite(arr).all() for arr in (pi_t, h_t, sigma_t))
-    gains = solve_r(r_t, np.swapaxes(b_t, -1, -2) @ pi_t, grid)
+    gains = r_inv_bt @ pi_t
 
     res0 = _relative_miss(sigma_t[0], problem.sigma0)
     res1 = _relative_miss(sigma_t[-1], problem.sigma1)

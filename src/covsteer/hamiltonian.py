@@ -13,8 +13,8 @@ of the blocks on controllable systems.
 
 M is assembled in one place, :func:`hamiltonian_stack`, at an array of times:
 one A, B, Q and R call for the whole array, B R^-1 B' from
-:func:`covsteer.systems.solve_r` (a constant R is factored once), and the four
-blocks written into one preallocated stack; M at one time t is
+:func:`covsteer.systems.input_quad` (a constant R is factored once), and the
+four blocks written into one preallocated stack; M at one time t is
 ``hamiltonian_stack(sys, [t])[0]``. It is the sampler
 :func:`covsteer.integrate.step_stack` calls a page at a time, so
 :func:`propagate` samples the coefficients once at each of the 2N + 1 stage
@@ -52,8 +52,8 @@ def hamiltonian_stack(sys: TimeVaryingLinearSystem, ts) -> np.ndarray:
     """M(t) for each time in ts, shape (len(ts), 2n, 2n).
 
     Calls A, B, Q and R once on the array ts and writes the four blocks of
-    each M into one stack; raises SingularMatrixError on a singular R. When
-    A, B, Q and R all come back constant (see
+    each M into one stack; a bad R raises as in :func:`covsteer.systems.noise_channel`.
+    When A, B, Q and R all come back constant (see
     :func:`covsteer.integrate.is_constant`), so does B R^-1 B', and M is
     assembled once and returned broadcast along time, read-only.
     """

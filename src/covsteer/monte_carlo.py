@@ -30,9 +30,7 @@ path count, so a default run is one block and draws only the normals it
 keeps, and 20000 paths are four whole blocks. The spawn key, unlike list
 entropy such as [seed, b], keeps (seed, b) pairs apart: SeedSequence splits a
 list into 32-bit words and zero-pads them, so [5, 7] and [7 * 2**32 + 5, 0]
-would seed one stream. Blocks were 4096 paths wide in the previous version,
-and before that block b drew from the Philox stream keyed by (seed, b); a
-given seed now draws other paths than under either.
+would seed one stream.
 """
 
 from __future__ import annotations
@@ -43,14 +41,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .bridge import BridgeSolution, SteeringProblem, sqrt_spd
-from .errors import DomainError, UnsupportedDimensionError
+from .errors import ConditioningError, DomainError, UnsupportedDimensionError
 from .integrate import grid_indices, is_int, is_real, positive_int
 from .systems import noise_channel
 
 # spawn key of cost_gap's perturbation; no block reaches it below 1.6e13 paths
 _PERTURBATION_STREAM = 0xC0575EE2
 # paths per stream, and the default n_paths: block b draws from the b-th child
-# of SeedSequence(seed); it was 4096 in the previous version
+# of SeedSequence(seed)
 _BLOCK_PATHS = 5000
 
 
@@ -154,7 +152,9 @@ def _simulate_gain(
     Raises DomainError unless the counts pass :func:`check_counts`, the check
     the CLI applies to its config's n_paths and n_steps, the seed passes
     :func:`check_seed`, the gain belongs to the problem (see :func:`_check_gain`)
-    and the checkpoints pass :func:`covsteer.integrate.grid_indices`.
+    and the checkpoints pass :func:`covsteer.integrate.grid_indices`. Raises
+    ConditioningError, naming the first step time, if a step matrix is not
+    finite: a coefficient is not finite at a time the solve did not sample.
     """
     check_counts(n_paths, n_steps)
     seed = check_seed(seed)
@@ -176,8 +176,15 @@ def _simulate_gain(
     steps = np.zeros((n_steps + 1, 2 * n, w + n))
     if w:
         steps[:, :n, :w] = np.sqrt(eps * dt) * noise_channel(b_seq, r_seq, t_grid)
-    steps[:, :n, w:] = np.eye(n) + dt * (a_seq - b_seq @ k_seq)
-    steps[:, n:, w:] = trapezoid * (q_seq + np.swapaxes(k_seq, -1, -2) @ r_seq @ k_seq)
+    # a step matrix that is not finite is reported below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps[:, :n, w:] = np.eye(n) + dt * (a_seq - b_seq @ k_seq)
+        steps[:, n:, w:] = trapezoid * (q_seq + np.swapaxes(k_seq, -1, -2) @ r_seq @ k_seq)
+    finite = np.isfinite(steps).all(axis=(-2, -1))
+    if not finite.all():
+        raise ConditioningError(
+            f"the Monte Carlo step matrix is not finite at t = {t_grid[np.argmin(finite)]:.6g}: "
+            "a coefficient is not finite there or the step overflows")
 
     cp_lookup = {int(k): i for i, k in enumerate(cp_idx)}
     root0 = sqrt_spd(problem.sigma0)
@@ -234,15 +241,14 @@ def simulate(
     trapezoidal rule. Path i draws from column i mod 5000 of an SFC64
     stream seeded by SeedSequence(seed, spawn_key=(i // 5000,)): x(0) first,
     then one draw per step when eps > 0. Its states and cost depend on
-    (seed, i, n_steps) only. The blocks were 4096 paths wide in the previous
-    version, and Philox streams before that, so a given seed now draws other
-    paths.
+    (seed, i, n_steps) only.
     Checkpoints are strictly increasing nodes of the n_steps grid on [0, 1],
     by default every max(1, n_steps // 10)-th node and the last (see
     :func:`covsteer.integrate.grid_indices`, which finds them without
     building the grid). A solution solved at another eps than the problem's,
     or whose gain is not a finite (len(grid), m, n) stack on a grid from 0
-    to 1, raises DomainError.
+    to 1, raises DomainError; a coefficient that is not finite at a step
+    time raises ConditioningError.
     """
     _check_epsilon(problem, solution)
     return _simulate_gain(
@@ -323,11 +329,9 @@ def cost_gap(
     0 and 1. The perturbation delta is one standard normal (m, n) draw from
     an SFC64 stream seeded by SeedSequence(seed, spawn_key=(0xC0575EE2,)),
     divided by its Frobenius norm, scaled by perturbation_scale and added to
-    K(t) at every grid time; before this rule it came from the Philox stream
-    keyed by (seed, 0xC0575EE2), so a given seed now draws another delta and
-    other paths. A perturbation_scale that is not a finite real number (a
-    bool is not one), or a solution :func:`simulate` would refuse, raises
-    DomainError.
+    K(t) at every grid time. A perturbation_scale that is not a finite real
+    number (a bool is not one), or a solution :func:`simulate` would refuse,
+    raises DomainError.
     """
     if not (is_real(perturbation_scale) and math.isfinite(perturbation_scale)):
         raise DomainError("perturbation_scale must be finite and a real number, "

@@ -9,9 +9,10 @@ of a built system also takes a 1-d array of times, so the drift transition
 and the Gramian's sweep hand A, or -A', to :func:`covsteer.integrate.step_stack`
 as its sampler and A is evaluated once per stage time of each pass. A
 constant map returns one matrix repeated with zero stride along time, and
-keeps it through symmetrization, -A', B R^-1 B' and B R^-1/2, so a pass
-over a constant A samples it once. The controllability Gramian integrates
-the channel B R^-1/2 that the solver uses, not B.
+keeps it through symmetrization, -A', B R^-1/2, B R^-1 B' and R^-1 B', so a
+pass over a constant A samples it once. All three products of R come from
+the one checked R^-1/2 of :func:`_inv_root_r`. The controllability Gramian
+integrates the channel B R^-1/2 that the solver uses, not B.
 
 The horizon is the one interval [0, 1]: the drift transition is Psi(1, 0),
 the Gramian is taken over (0, 1), and both run on the grid_size steps of
@@ -29,9 +30,8 @@ from .errors import (
     ControllabilityError,
     DefinitenessError,
     DomainError,
-    SingularMatrixError,
 )
-from .integrate import horizon_grid, is_constant, once, rk4_grid, simpson_uniform, step_stack
+from .integrate import horizon_grid, once, rk4_grid, simpson_uniform, step_stack
 
 MatrixMap = Callable[[float], np.ndarray]  # built maps also take a 1-d array of times
 
@@ -66,7 +66,7 @@ def _spd_eigh(
         raise DomainError(f"{name} has non-finite entries")
     w, v = np.linalg.eigh(s)  # eigenvalues ascending
     bad = w[..., 0] <= tol * np.maximum(floor, w[..., -1])
-    if np.any(bad):
+    if bad.any():
         lam, top = w[bad][0, [0, -1]].tolist()  # the first matrix that fails
         at = "" if times is None else f" at t = {np.reshape(times, -1)[np.argmax(bad)]:.6g}"
         raise DefinitenessError(
@@ -77,11 +77,9 @@ def _spd_eigh(
     return w, v
 
 
-def _sqrt_spd_pair(
-    s: np.ndarray, floor: float = 1.0, name: str = "matrix", times=None
-) -> tuple[np.ndarray, np.ndarray]:
+def _sqrt_spd_pair(s: np.ndarray, floor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """(S^1/2, S^-1/2) from one eigendecomposition, of a matrix or of each matrix in a stack."""
-    w, v = _spd_eigh(s, floor=floor, name=name, times=times)
+    w, v = _spd_eigh(s, floor=floor)
     sw = np.sqrt(w)[..., None, :]
     vt = np.swapaxes(v, -1, -2)
     return symmetrize((v * sw) @ vt), symmetrize((v / sw) @ vt)
@@ -242,49 +240,53 @@ def make_system(A, B, Q=None, R=None) -> TimeVaryingLinearSystem:
     return TimeVaryingLinearSystem(n, m, a_map, b_map, q_map, r_map)
 
 
-def input_quad(sys: TimeVaryingLinearSystem, t) -> np.ndarray:
-    """B(t) R(t)^-1 B(t)': the control weight of both Riccati flows and the noise diffusion.
+def _inv_root_r(r: np.ndarray, t) -> np.ndarray:
+    """R^-1/2 of r = R(t), or of each matrix of a stack at a 1-d array t: R's one factorization.
 
-    At a 1-d array of times it is a stack (see :func:`solve_r`); a constant B
-    and R give it once, broadcast along time. Raises SingularMatrixError
-    naming the time of the most nearly singular R.
+    A constant stack is factored once (see :func:`covsteer.integrate.once`).
+    An R that is not finite raises ConditioningError, and one that is not SPD
+    DefinitenessError, naming R(t) and its first such time in t.
     """
-    return once(lambda b, r: b @ solve_r(r, np.swapaxes(b, -1, -2), t), sys.B(t), sys.R(t))
+    def inv_root(r):
+        if not np.isfinite(r).all():
+            finite = np.isfinite(r).all(axis=(-2, -1))
+            raise ConditioningError(
+                f"R(t) has non-finite entries at t = {np.reshape(t, -1)[np.argmin(finite)]:.6g}")
+        w, v = _spd_eigh(r, name="R(t)", times=t)
+        return symmetrize((v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2))
 
-
-def solve_r(r, rhs, t) -> np.ndarray:
-    """R^-1 rhs for r = R(t) and rhs at a time t, or for their stacks at a 1-d array t.
-
-    A stack that repeats one matrix with zero stride along time, as a
-    constant coefficient returns it, is factored once: its one inverse
-    multiplies every right-hand side. Any other stack takes a batched solve.
-    Raises SingularMatrixError naming the time of the most nearly singular R.
-    """
-    r = np.asarray(r)
-    try:
-        if is_constant(r):
-            return np.linalg.inv(r[0]) @ rhs
-        return np.linalg.solve(r, rhs)
-    except np.linalg.LinAlgError as exc:
-        worst = np.reshape(t, -1)[np.argmin(np.abs(np.linalg.det(r)))]
-        raise SingularMatrixError(f"R({worst}) is singular") from exc
+    return once(inv_root, np.asarray(r))
 
 
 def noise_channel(b: np.ndarray, r: np.ndarray, t) -> np.ndarray:
     """B R^-1/2: the channel of the control and of the noise sqrt(eps) dw; B and R may be stacks.
 
-    A constant R stack is factored once, as in :func:`solve_r`, and a
-    constant B with it gives one product, broadcast along time. An R that is
-    not finite, or not SPD, raises ConditioningError, or DefinitenessError,
-    naming its first such time in t.
+    A constant B and R give one product, broadcast along time. R^-1/2 is
+    :func:`_inv_root_r`'s, so an R that is not finite or not SPD raises
+    ConditioningError or DefinitenessError naming its first such time in t.
     """
-    r = np.asarray(r)
-    finite = np.isfinite(r).all(axis=(-2, -1))
-    if not finite.all():
-        raise ConditioningError(
-            f"R(t) has non-finite entries at t = {np.reshape(t, -1)[np.argmin(finite)]:.6g}")
-    inv_root = once(lambda r: _sqrt_spd_pair(r, name="R(t)", times=t)[1], r)
-    return once(np.matmul, b, inv_root)
+    return once(np.matmul, b, _inv_root_r(r, t))
+
+
+def input_quad(sys: TimeVaryingLinearSystem, t) -> np.ndarray:
+    """B(t) R(t)^-1 B(t)' = G G', G = :func:`noise_channel`: the control weight and the diffusion.
+
+    At a 1-d array of times it is a stack; a constant B and R give it once,
+    broadcast along time. G' is copied, because matmul takes a contiguous
+    right operand several times faster than a transposed view.
+    """
+    return once(lambda g: g @ np.swapaxes(g, -1, -2).copy(),
+                noise_channel(sys.B(t), sys.R(t), t))
+
+
+def gain_factor(sys: TimeVaryingLinearSystem, t) -> np.ndarray:
+    """R(t)^-1 B(t)' = (B R^-1)' with R^-1 = (R^-1/2)^2, so that the gain is K = R^-1 B' Pi.
+
+    Stacked as :func:`input_quad`; a transposed view, which matmul takes at
+    full speed as the gain's left operand.
+    """
+    r_inv = once(lambda s: s @ s, _inv_root_r(sys.R(t), t))
+    return np.swapaxes(once(np.matmul, sys.B(t), r_inv), -1, -2)
 
 
 def state_transition(sys: TimeVaryingLinearSystem, grid_size: int) -> np.ndarray:

@@ -100,6 +100,19 @@ def test_conjugate_point_exits_2(tmp_path, capsys):
     assert "conjugate point" in capsys.readouterr().err
 
 
+def test_an_r_that_is_not_positive_definite_between_the_nodes_exits_2(tmp_path, capsys):
+    # R = -1 on [0.3449, 0.3451) holds the stage midpoint 0.345 of grid 100 and no node;
+    # the solve used to take B R^-1 B' there unchecked and exit 0
+    raw = json.loads(json.dumps(PRESETS["inertial-q1"]))
+    raw["system"]["R"] = {"kind": "piecewise", "breaks": [0.0, 0.3449, 0.3451, 1.0],
+                          "values": [[[1.0]], [[-1.0]], [[1.0]]]}
+    raw["grid_size"] = 100
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "R(t) is not positive definite at t = 0.345 " in capsys.readouterr().err
+
+
 def test_piecewise_coefficient_config():
     raw = json.loads(json.dumps(PRESETS["scalar-trivial"]))
     raw["system"]["Q"] = {

@@ -9,8 +9,8 @@ import covsteer.bridge
 import covsteer.integrate
 import covsteer.systems
 from covsteer import (
+    DefinitenessError,
     DomainError,
-    SingularMatrixError,
     SteeringProblem,
     TimeVaryingLinearSystem,
     blocks,
@@ -71,7 +71,7 @@ def test_assembly_general_r():
 
 
 def test_assembly_singular_r():
-    # bypass make_system validation to exercise the runtime singularity check
+    # bypass make_system validation to exercise the runtime definiteness check of R
     sys = TimeVaryingLinearSystem(
         1, 1,
         lambda t: np.zeros((1, 1)),
@@ -79,7 +79,7 @@ def test_assembly_singular_r():
         lambda t: np.zeros((1, 1)),
         lambda t: np.zeros((1, 1)),
     )
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(DefinitenessError, match=r"R\(t\) is not positive definite at t = 0 "):
         hamiltonian_matrix(sys, 0.0)
 
 
@@ -210,7 +210,10 @@ def test_hamiltonian_stack_gives_the_bytes_of_a_block_assembly():
     sys = make_system(*tv_maps())
     ts = stage_times(GRID_TV)
     a, b, r = sys.A(ts), sys.B(ts), sys.R(ts)
-    quad = b @ np.linalg.solve(r, np.swapaxes(b, -1, -2))
+    # B R^-1 B' is G G' of the noise channel G = B R^-1/2
+    g = covsteer.systems.noise_channel(b, r, ts)
+    quad = g @ np.swapaxes(g, -1, -2)
+    assert _rel(quad, b @ np.linalg.solve(r, np.swapaxes(b, -1, -2))) <= 1e-14
     blocked = np.block([[a, -quad], [-sys.Q(ts), -np.swapaxes(a, -1, -2)]])
     assert hamiltonian_stack(sys, ts).tobytes() == blocked.tobytes()
 
@@ -504,10 +507,9 @@ def test_drift_sweeps_match_the_per_call_oracle(monkeypatch, name):
 
 RNG3 = np.random.default_rng(31)
 G3 = RNG3.normal(0.0, 0.5, (3, 3))
-# A, B, Q, R, Sigma0, Sigma1 of the inertial-q1 preset and of an n = 3, m = 2 system. Its
-# R is not I, but its inverse is exact, so the one inverse that solve_r takes of a
-# constant R gives the bytes of the batched solve of a materialized one; for a general
-# R they differ in the last bits (see tests/test_linear_systems.py)
+# A, B, Q, R, Sigma0, Sigma1 of the inertial-q1 preset and of an n = 3, m = 2 system whose
+# R is not I; the one root that noise_channel takes of a constant R gives the bytes of
+# the batched root of a materialized one (see tests/test_linear_systems.py)
 CONSTANT_CASES = {
     "inertial-q1": ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], np.eye(2), [[1.0]],
                     2.0 * np.eye(2), 0.25 * np.eye(2)),

@@ -10,7 +10,6 @@ from covsteer import (
     ControllabilityError,
     DefinitenessError,
     DomainError,
-    SingularMatrixError,
     SteeringProblem,
     TimeVaryingLinearSystem,
     make_system,
@@ -23,10 +22,10 @@ from covsteer import (
 from covsteer.integrate import simpson_uniform, stage_times
 from covsteer.systems import (
     constant_coefficient,
+    gain_factor,
     input_quad,
     noise_channel,
     require_controllable,
-    solve_r,
 )
 
 
@@ -204,6 +203,20 @@ def test_a_bad_r_between_the_checked_samples_is_named_with_its_time(value, error
                 run()
 
 
+def test_an_r_that_is_not_spd_only_at_a_stage_midpoint_is_named_with_its_time():
+    # R = -1 only at t = 0.5025, the midpoint of a step of grid 200: the Gramian's nodes
+    # and make_system's samples miss it, and the Phi pass samples it
+    sys = make_system([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], np.eye(2),
+                      lambda t: np.array([[-1.0 if t == 0.5025 else 1.0]]))
+    problem = SteeringProblem(sys, 2.0 * np.eye(2), 0.25 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reachability_gramian(sys, 200)
+        with pytest.raises(DefinitenessError,
+                           match=r"R\(t\) is not positive definite at t = 0\.5025 "):
+            solve(problem, 200)
+
+
 def test_r_must_be_positive_definite():
     with pytest.raises(DefinitenessError) as err:
         make_system([[0.0]], [[1.0]], R=[[-1.0]])
@@ -375,18 +388,10 @@ def test_only_a_stack_of_one_repeated_matrix_is_factored_once(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recorded)
 
-    spy("inv")
-    spy("solve")
-    once = solve_r(repeated, rhs, ts)
-    assert calls == [("inv", (2, 2))]
-    calls.clear()
-    batched = solve_r(stacked, rhs, ts)
-    assert calls == [("solve", (9, 2, 2))]
-    assert np.abs(once - batched).max() <= 1e-15 * np.abs(batched).max()
-
-    spy("eigh")  # so is B R^-1/2's root of R, and it keeps the bytes of a per-node root
+    for name in ("eigh", "inv", "solve"):
+        spy(name)
+    # B R^-1/2's root of R keeps the bytes of a per-node root
     b = np.swapaxes(rhs, -1, -2)
-    calls.clear()
     once = noise_channel(b, repeated, ts)
     assert calls == [("eigh", (1, 2, 2))]
     calls.clear()
@@ -394,18 +399,27 @@ def test_only_a_stack_of_one_repeated_matrix_is_factored_once(monkeypatch):
     assert calls == [("eigh", (9, 2, 2))]
     assert once.tobytes() == batched.tobytes()
 
+    # B R^-1 B' and R^-1 B' of a constant system take that one root, and no inverse
+    sys = make_system(np.zeros((3, 3)), b[0], None, GENERAL_R)
+    for fn in (input_quad, gain_factor):
+        calls.clear()
+        fn(sys, ts)
+        assert calls == [("eigh", (1, 2, 2))]
+
 
 @pytest.mark.parametrize("r_map, when", [
-    (constant_coefficient([[0.0]]), "0.0"),
-    (lambda t: (np.asarray(t) - 0.5)[..., None, None], "0.5"),
+    (constant_coefficient([[0.0]]), "0"),
+    (lambda t: np.abs(np.asarray(t) - 0.5)[..., None, None], "0.5"),
 ], ids=["constant", "callable"])
 def test_a_singular_r_raises_naming_its_time(r_map, when):
     # built without make_system, whose samples of R would reject it
     sys = TimeVaryingLinearSystem(1, 1, constant_coefficient([[0.0]]),
                                   constant_coefficient([[1.0]]),
                                   constant_coefficient([[0.0]]), r_map)
-    with pytest.raises(SingularMatrixError, match=rf"R\({when}\) is singular"):
-        input_quad(sys, np.linspace(0.0, 1.0, 5))
+    for fn in (input_quad, gain_factor):
+        with pytest.raises(DefinitenessError,
+                           match=rf"R\(t\) is not positive definite at t = {when} "):
+            fn(sys, np.linspace(0.0, 1.0, 5))
 
 
 def test_a_system_is_built_with_its_q_and_r():

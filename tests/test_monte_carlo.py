@@ -1,9 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from covsteer import (
+    ConditioningError,
     DomainError,
     SimulationResult,
     SteeringProblem,
@@ -469,6 +471,23 @@ def test_simulate_and_cost_gap_reject_a_gain_that_is_not_finite(inertial_solutio
         simulate(problem, broken, 10, 10, seed=1)
     with pytest.raises(DomainError, match="non-finite"):
         cost_gap(problem, broken, 0.1, 10, 10, seed=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulate_and_cost_gap_name_a_drift_that_is_not_finite_between_the_solve_times(bad):
+    # A(t) is bad only at t = 1/37, a step time of 37 steps that the solve at grid 200 never
+    # samples; simulate and cost_gap returned NaN states and a NaN cost with no warning
+    sys = make_system(lambda t: np.array([[0.0, bad if t == 1 / 37 else 1.0], [0.0, 0.0]]),
+                      [[0.0], [1.0]], np.eye(2))
+    problem = SteeringProblem(sys, 2 * np.eye(2), 0.25 * np.eye(2))
+    sol = solve(problem, 200)
+    match = r"the Monte Carlo step matrix is not finite at t = 0\.027027: "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError, match=match):
+            simulate(problem, sol, 100, 37, 1)
+        with pytest.raises(ConditioningError, match=match):
+            cost_gap(problem, sol, 0.1, 100, 37, 1)
 
 
 @pytest.mark.parametrize(
