@@ -10,7 +10,9 @@ mass-transport limit). The boundary problem has a closed-form initial value:
 linearizing both flows through the Hamiltonian transition matrix reduces the
 coupling to a quadratic matrix equation whose two symmetric roots are written
 explicitly in terms of the Phi blocks; only the smaller root yields flows
-free of finite escape on [0, 1]. Given (Pi0, H0), one pass of the same linear
+free of finite escape on [0, 1]. :func:`_roots` is that closed form and
+:func:`_start` a root's (Pi0, H0); the Phi route and the Gramian route
+(Q = 0) feed them alike. Given (Pi0, H0), one pass of the same linear
 flow from Y(0) = [[I, I], [Pi0, -H0]] gives Y(t) = [[X1, X2], [Y1, Y2]], and
 Pi = Y1 X1^-1, H = -Y2 X2^-1. The flow conserves X1' Y2 - Y1' X2 =
 -eps Sigma0^-1, so the state covariance eps (Pi + H)^-1 is X2 Sigma0 X1' for
@@ -229,7 +231,7 @@ class CouplingRoots(NamedTuple):
 
     z_minus is the usable branch; z_plus produces a flow with finite escape
     inside (0, 1) and is retained for the escape diagnostic. t_weight is the
-    SPD matrix (Phi12' Sigma1^-1 Phi12)^-1 central to the derivation.
+    SPD matrix mapped = (Phi12' Sigma1^-1 Phi12)^-1 of :func:`_roots`.
     """
 
     z_minus: np.ndarray
@@ -243,30 +245,33 @@ def coupling_roots(
     phi: np.ndarray,
     epsilon: float = 1.0,
 ) -> CouplingRoots:
-    """Closed-form roots of the boundary coupling for noise level eps.
+    """:func:`_roots` at noise level eps, read off phi = Phi(1, 0).
 
-        Z+- = -Phi12^-1 Phi11
-              +- S0^-1/2 (eps^2 I / 4 + S0^1/2 Phi12^-1 S1 Phi12^-T S0^1/2)^1/2 S0^-1/2
-
-    evaluated on phi = Phi(1, 0), one 2n x 2n array. For eps != 1 the
-    boundary covariances enter through the scaled conditions eps * Sigma^-1,
-    which folds into the eps^2 I / 4 term above. eps must be a finite,
-    nonnegative real number, as in :class:`SteeringProblem`. The core under
-    the square root is refused (ConditioningError) only past a condition
-    number of 1 / PD_TOL.
+    base = -Phi12^-1 Phi11 and mapped = Phi12^-1 Sigma1 Phi12^-T. eps must be
+    an eps :class:`SteeringProblem` takes. Phi12 past a condition number of
+    COND_LIMIT raises ConditioningError.
     """
     epsilon = _checked_epsilon(epsilon)
     sigma0 = symmetrize(np.asarray(sigma0, dtype=float))
     sigma1 = symmetrize(np.asarray(sigma1, dtype=float))
     phi11, phi12, _, _ = blocks(phi)
     inv12 = _checked_inverse(phi12, "Phi12", ConditioningError)
-    base = symmetrize(-inv12 @ phi11)
-    mapped = symmetrize(inv12 @ sigma1 @ inv12.T)  # (Phi12' Sigma1^-1 Phi12)^-1
+    return _roots(symmetrize(-inv12 @ phi11), symmetrize(inv12 @ sigma1 @ inv12.T),
+                  sigma0, epsilon)
+
+
+def _roots(base: np.ndarray, mapped: np.ndarray, sigma0: np.ndarray,
+           epsilon: float) -> CouplingRoots:
+    """The coupling's closed form: Z+- = base +- S0^-1/2 C S0^-1/2, t_weight = mapped.
+
+    C = (eps^2 I / 4 + S0^1/2 mapped S0^1/2)^1/2 is the core, and S0 = Sigma0;
+    eps != 1 scales the boundary conditions to eps * Sigma^-1, which folds into
+    eps^2 I / 4. The core is SPD when mapped is, so past a condition number of
+    1 / PD_TOL it raises ConditioningError.
+    """
     s0_half, s0_inv_half = _sqrt_spd_pair(sigma0)
-    eye = np.eye(sigma0.shape[0])
-    inner = 0.25 * epsilon**2 * eye + symmetrize(s0_half @ mapped @ s0_half)
-    try:  # inner is SPD whenever Phi12 is invertible, so a failure here is conditioning
-        # a relative floor: the core scales like Phi12^-1, tiny on a stiff problem
+    inner = 0.25 * epsilon**2 * np.eye(len(sigma0)) + symmetrize(s0_half @ mapped @ s0_half)
+    try:  # a relative floor: the core scales like Phi12^-1, tiny on a stiff problem
         core = _sqrt_spd_pair(inner, floor=0.0)[0]
     except DefinitenessError as exc:
         raise ConditioningError(
@@ -274,26 +279,25 @@ def coupling_roots(
             f"(condition number {np.linalg.cond(inner):.3e})"
         ) from exc
     offset = symmetrize(s0_inv_half @ core @ s0_inv_half)
-    return CouplingRoots(
-        z_minus=symmetrize(base - offset),
-        z_plus=symmetrize(base + offset),
-        t_weight=mapped,
-    )
+    return CouplingRoots(symmetrize(base - offset), symmetrize(base + offset), mapped)
+
+
+def _start(root: np.ndarray, problem: SteeringProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(Pi0, H0) of a coupling root Z: Pi0 = Z + eps/2 Sigma0^-1, H0 = eps Sigma0^-1 - Pi0."""
+    s0_inv = _inv_spd(problem.sigma0)
+    pi0 = symmetrize(root + 0.5 * problem.epsilon * s0_inv)
+    return pi0, symmetrize(problem.epsilon * s0_inv - pi0)
 
 
 def initial_conditions(
     problem: SteeringProblem, phi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Initial values (Pi0, H0) selecting the escape-free branch, from phi = Phi(1, 0).
+    """(Pi0, H0) of :func:`_start` on the escape-free root Z- of phi = Phi(1, 0).
 
-    Pi0 = Z- + eps/2 * Sigma0^-1 and H0 = eps * Sigma0^-1 - Pi0; at eps = 0
-    this degenerates to H0 = -Pi0 and only Pi0 drives the control.
+    At eps = 0, H0 = -Pi0 and only Pi0 drives the control.
     """
     roots = coupling_roots(problem.sigma0, problem.sigma1, phi, problem.epsilon)
-    s0_inv = _inv_spd(problem.sigma0)
-    pi0 = symmetrize(roots.z_minus + 0.5 * problem.epsilon * s0_inv)
-    h0 = symmetrize(problem.epsilon * s0_inv - pi0)
-    return pi0, h0
+    return _start(roots.z_minus, problem)
 
 
 class BridgeSolution(NamedTuple):
@@ -598,16 +602,15 @@ def spurious_root_escape(
     transitions: tuple[np.ndarray, np.ndarray],
     root: np.ndarray,
 ) -> EscapeReport:
-    """Scan det X(t) for one coupling root along transitions = (times, Phi(times, 0))."""
+    """Scan det(Phi11 + Phi12 Pi0), Pi0 :func:`_start`'s of root, along (times, Phi(times, 0))."""
     times, phi = transitions
     if len(times) == 0:
         raise DomainError("escape scan needs at least one node")
-    y0 = 0.5 * problem.epsilon * _inv_spd(problem.sigma0) + root
     phi11, phi12, _, _ = blocks(phi)
     # det X can overflow below PHI_LIMIT; an infinite det keeps its sign, and
     # min |det X| includes X(0) = I
     with np.errstate(over="ignore"):
-        return _escape_report(times, np.linalg.det(phi11 + phi12 @ y0))
+        return _escape_report(times, np.linalg.det(phi11 + phi12 @ _start(root, problem)[0]))
 
 
 def _escape_report(times: np.ndarray, dets: np.ndarray) -> EscapeReport:
@@ -619,15 +622,14 @@ def _escape_report(times: np.ndarray, dets: np.ndarray) -> EscapeReport:
 
 
 def corollary_q_zero(problem: SteeringProblem, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gramian-route initial values for zero state penalty.
+    """(Pi0, H0) of :func:`initial_conditions` for Q = 0, by the Gramian route.
 
-    With Q = 0 the Hamiltonian blocks collapse to Phi11 = Psi(1, 0) and
-    Phi12 = -M(1, 0) Psi(1, 0)^-T, so Pi0 follows from the drift transition
-    matrix and the reachability Gramian alone (general R folds into the
-    Gramian, which integrates the channel B R^-1/2). Must agree with
-    :func:`initial_conditions` on the same problem. Both passes run on the
+    With Q = 0, Phi11 = Psi(1, 0) and Phi12 = -G Psi(1, 0)^-T, G the
+    reachability Gramian (of the channel B R^-1/2), so :func:`_roots` takes
+    base = Psi' G^-1 Psi and mapped = Psi' G^-1 Sigma1 G^-1 Psi. G is inverted
+    by Phi12's rule, so both routes refuse alike. Both passes run on the
     horizon's grid of grid_size steps, and Q is checked at each of its stage
-    times. Raises DomainError unless grid_size is a positive integer.
+    times. Raises DomainError unless Q = 0 and grid_size is a positive integer.
     """
     sys = problem.sys
     if np.abs(sys.Q(stage_times(horizon_grid(grid_size)))).max() > 1e-12:
@@ -635,22 +637,10 @@ def corollary_q_zero(problem: SteeringProblem, grid_size: int) -> tuple[np.ndarr
 
     psi = state_transition(sys, grid_size)
     gram = reachability_gramian(sys, grid_size)
-    gram_inv = _inv_spd(gram)
-
-    eps = problem.epsilon
-    s0_inv = _inv_spd(problem.sigma0)
-    s0_half, s0_inv_half = _sqrt_spd_pair(problem.sigma0)
-    mid = symmetrize(psi.T @ gram_inv @ problem.sigma1 @ gram_inv @ psi)
-    eye = np.eye(sys.dim_state)
-    inner = 0.25 * eps**2 * eye + symmetrize(s0_half @ mid @ s0_half)
-    core = _sqrt_spd_pair(inner, floor=0.0)[0]  # the relative floor of coupling_roots
-    pi0 = symmetrize(
-        0.5 * eps * s0_inv
-        + psi.T @ gram_inv @ psi
-        - s0_inv_half @ core @ s0_inv_half
-    )
-    h0 = symmetrize(eps * s0_inv - pi0)
-    return pi0, h0
+    inv12 = psi.T @ _checked_inverse(gram, "the Gramian", ConditioningError)  # -Phi12^-1
+    roots = _roots(symmetrize(inv12 @ psi), symmetrize(inv12 @ problem.sigma1 @ inv12.T),
+                   problem.sigma0, problem.epsilon)
+    return _start(roots.z_minus, problem)
 
 
 class SweepRow(NamedTuple):

@@ -40,10 +40,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bridge import BridgeSolution, SteeringProblem, sqrt_spd
+from .bridge import BridgeSolution, SteeringProblem, _relative_miss, sqrt_spd
 from .errors import ConditioningError, DomainError, UnsupportedDimensionError
-from .integrate import grid_indices, is_int, is_real, positive_int
-from .systems import noise_channel
+from .integrate import grid_indices, horizon_grid, is_int, is_real, positive_int
+from .systems import noise_channel, symmetrize
 
 # spawn key of cost_gap's perturbation; no block reaches it below 1.6e13 paths
 _PERTURBATION_STREAM = 0xC0575EE2
@@ -152,9 +152,10 @@ def _simulate_gain(
     Raises DomainError unless the counts pass :func:`check_counts`, the check
     the CLI applies to its config's n_paths and n_steps, the seed passes
     :func:`check_seed`, the gain belongs to the problem (see :func:`_check_gain`)
-    and the checkpoints pass :func:`covsteer.integrate.grid_indices`. Raises
-    ConditioningError, naming the first step time, if a step matrix is not
-    finite: a coefficient is not finite at a time the solve did not sample.
+    and the checkpoints pass :func:`covsteer.integrate.grid_indices`. R is
+    checked at every step time, at every eps. Raises ConditioningError,
+    naming the first step time, if a step matrix is not finite: a
+    coefficient is not finite at a time the solve did not sample.
     """
     check_counts(n_paths, n_steps)
     seed = check_seed(seed)
@@ -165,7 +166,7 @@ def _simulate_gain(
     cp_idx = grid_indices(checkpoints, n_steps)
     eps = problem.epsilon
     dt = 1.0 / n_steps
-    t_grid = np.linspace(0.0, 1.0, n_steps + 1)
+    t_grid = horizon_grid(n_steps)
 
     a_seq, b_seq, q_seq, r_seq = sys.A(t_grid), sys.B(t_grid), sys.Q(t_grid), sys.R(t_grid)
     k_seq = _interp_matrices(gain_t, gain_seq, t_grid)
@@ -174,8 +175,9 @@ def _simulate_gain(
     w = m if eps > 0 else 0  # noise rows of the stacked state [dw; x; W x]
     # S_k = [[G_k, F_k], [0, trap_k W_k]] maps [dw_k; x_k] to [x_{k+1}; trap_k W_k x_k]
     steps = np.zeros((n_steps + 1, 2 * n, w + n))
+    channel = noise_channel(b_seq, r_seq, t_grid)  # R's check, for K'RK too
     if w:
-        steps[:, :n, :w] = np.sqrt(eps * dt) * noise_channel(b_seq, r_seq, t_grid)
+        steps[:, :n, :w] = np.sqrt(eps * dt) * channel
     # a step matrix that is not finite is reported below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         steps[:, :n, w:] = np.eye(n) + dt * (a_seq - b_seq @ k_seq)
@@ -213,7 +215,7 @@ def _simulate_gain(
             z, z_next = z_next, z
 
     emp = np.einsum("pci,pcj->cij", states, states) / n_paths
-    emp = 0.5 * (emp + np.transpose(emp, (0, 2, 1)))
+    emp = symmetrize(emp)
     return SimulationResult(
         n_paths=n_paths,
         grid=t_grid[cp_idx],
@@ -350,16 +352,13 @@ def cost_gap(
         problem, solution.grid, k_pert, n_paths, n_steps, seed, checkpoints
     )
     diffs = pert.costs - base.costs
-    s1_norm = np.linalg.norm(problem.sigma1)
     return CostGapReport(
         gap=float(diffs.mean()),
         gap_stderr=float(diffs.std(ddof=1) / np.sqrt(n_paths)),
         cost_optimal=base.cost_estimate,
         cost_perturbed=pert.cost_estimate,
-        terminal_cov_residual_optimal=float(
-            np.linalg.norm(empirical_covariance(base, 1.0) - problem.sigma1) / s1_norm
-        ),
-        terminal_cov_residual_perturbed=float(
-            np.linalg.norm(empirical_covariance(pert, 1.0) - problem.sigma1) / s1_norm
-        ),
+        terminal_cov_residual_optimal=_relative_miss(empirical_covariance(base, 1.0),
+                                                     problem.sigma1),
+        terminal_cov_residual_perturbed=_relative_miss(empirical_covariance(pert, 1.0),
+                                                       problem.sigma1),
     )

@@ -775,6 +775,39 @@ def test_corollary_matches_hamiltonian_route():
     np.testing.assert_allclose(h0_gram, h0_ham, atol=1e-8)
 
 
+def nearly_uncontrollable_problem(c, eps):
+    # the inertial drift with its coupling shrunk to c; Q = 0 and Sigma0 = Sigma1 = I
+    sys = make_system([[0.0, c], [0.0, 0.0]], [[0.0], [1.0]], np.zeros((2, 2)))
+    return SteeringProblem(sys, np.eye(2), np.eye(2), eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_both_routes_refuse_an_ill_conditioned_coupling_core_alike(eps):
+    # the Gramian route kept its own copy of the core and raised DefinitenessError here
+    problem = nearly_uncontrollable_problem(1e-3, eps)
+    match = r"^the coupling core is too ill-conditioned for its square root \(condition number "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError, match=match) as phi_route:
+            initial_conditions(problem, propagate(problem.sys, 200)[1][-1])
+        with pytest.raises(ConditioningError, match=match) as gramian_route:
+            corollary_q_zero(problem, 200)
+    assert str(gramian_route.value) == str(phi_route.value)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_the_gramian_route_inverts_the_gramian_by_the_rule_for_phi12(eps):
+    # cond G = 1.333e12 > COND_LIMIT; an eigh test of G raised "matrix is not positive definite"
+    problem = nearly_uncontrollable_problem(3e-6, eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError, match=r"^Phi12 is too ill-conditioned to invert"):
+            initial_conditions(problem, propagate(problem.sys, 200)[1][-1])
+        with pytest.raises(ConditioningError, match=r"^the Gramian is too ill-conditioned to "
+                           r"invert \(condition number 1\.333e\+12\)"):
+            corollary_q_zero(problem, 200)
+
+
 def test_corollary_isotropic_channels():
     sys = make_system(np.zeros((2, 2)), np.eye(2))
     problem = SteeringProblem(sys, np.eye(2), np.eye(2), 1.0)

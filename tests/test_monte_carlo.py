@@ -6,6 +6,7 @@ import pytest
 
 from covsteer import (
     ConditioningError,
+    DefinitenessError,
     DomainError,
     SimulationResult,
     SteeringProblem,
@@ -487,6 +488,22 @@ def test_simulate_and_cost_gap_name_a_drift_that_is_not_finite_between_the_solve
         with pytest.raises(ConditioningError, match=match):
             simulate(problem, sol, 100, 37, 1)
         with pytest.raises(ConditioningError, match=match):
+            cost_gap(problem, sol, 0.1, 100, 37, 1)
+
+
+def test_simulate_and_cost_gap_check_r_at_eps_zero():
+    # R(t) is -1 only at t = 1/37, a step time of 37 steps that the solve at grid 200 never
+    # samples; at eps = 0 no noise channel factored R, and the cost took K'RK with R = -1
+    sys = make_system([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], np.eye(2),
+                      lambda t: np.array([[-1.0 if t == 1 / 37 else 1.0]]))
+    problem = SteeringProblem(sys, 2 * np.eye(2), 0.25 * np.eye(2), 0.0)
+    sol = solve(problem, 200)
+    match = r"^R\(t\) is not positive definite at t = 0\.027027 "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DefinitenessError, match=match):
+            simulate(problem, sol, 100, 37, 1)
+        with pytest.raises(DefinitenessError, match=match):
             cost_gap(problem, sol, 0.1, 100, 37, 1)
 
 
