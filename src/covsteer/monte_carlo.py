@@ -175,11 +175,11 @@ def _simulate_gain(
     w = m if eps > 0 else 0  # noise rows of the stacked state [dw; x; W x]
     # S_k = [[G_k, F_k], [0, trap_k W_k]] maps [dw_k; x_k] to [x_{k+1}; trap_k W_k x_k]
     steps = np.zeros((n_steps + 1, 2 * n, w + n))
-    channel = noise_channel(b_seq, r_seq, t_grid)  # R's check, for K'RK too
-    if w:
-        steps[:, :n, :w] = np.sqrt(eps * dt) * channel
     # a step matrix that is not finite is reported below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        channel = noise_channel(b_seq, r_seq, t_grid)  # R's check, for K'RK too
+        if w:
+            steps[:, :n, :w] = np.sqrt(eps * dt) * channel
         steps[:, :n, w:] = np.eye(n) + dt * (a_seq - b_seq @ k_seq)
         steps[:, n:, w:] = trapezoid * (q_seq + np.swapaxes(k_seq, -1, -2) @ r_seq @ k_seq)
     finite = np.isfinite(steps).all(axis=(-2, -1))

@@ -253,8 +253,7 @@ def _inv_root_r(r: np.ndarray, t) -> np.ndarray:
             raise ConditioningError(
                 f"R(t) has non-finite entries at t = {np.reshape(t, -1)[np.argmin(finite)]:.6g}")
         w, v = _spd_eigh(r, name="R(t)", times=t)
-        # V' contiguous, as in input_quad
-        return symmetrize((v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2).copy())
+        return symmetrize((v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2))
 
     return once(inv_root, np.asarray(r))
 

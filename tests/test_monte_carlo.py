@@ -491,6 +491,25 @@ def test_simulate_and_cost_gap_name_a_drift_that_is_not_finite_between_the_solve
             cost_gap(problem, sol, 0.1, 100, 37, 1)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulate_and_cost_gap_name_an_input_matrix_that_is_not_finite_between_the_solve_times(
+        eps, bad):
+    # B(t) is bad only at t = 1/37; with R = I, B R^-1/2 takes bad * 0 and raised a numpy
+    # warning before the step matrix check
+    sys = make_system([[0.0, 1.0], [0.0, 0.0]],
+                      lambda t: np.array([[0.0, bad if t == 1 / 37 else 1.0], [1.0, 0.0]]))
+    problem = SteeringProblem(sys, 2 * np.eye(2), 0.25 * np.eye(2), eps)
+    sol = solve(problem, 200)
+    match = r"the Monte Carlo step matrix is not finite at t = 0\.027027: "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError, match=match):
+            simulate(problem, sol, 100, 37, 1)
+        with pytest.raises(ConditioningError, match=match):
+            cost_gap(problem, sol, 0.1, 100, 37, 1)
+
+
 def test_simulate_and_cost_gap_check_r_at_eps_zero():
     # R(t) is -1 only at t = 1/37, a step time of 37 steps that the solve at grid 200 never
     # samples; at eps = 0 no noise channel factored R, and the cost took K'RK with R = -1
