@@ -123,7 +123,7 @@ def _refined_root_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The correction solves the Sylvester equation R*D + D*R = S - R@R in the
     eigenbasis, recovering the digits eigh loses on ill-conditioned input.
     """
-    w, v = _spd_eigh(s, 0.0)
+    w, v = _spd_eigh(s)
     sw = np.sqrt(w)
     root = (v * sw) @ v.T
     resid = v.T @ (s - root @ root) @ v
@@ -179,7 +179,8 @@ class SteeringProblem(_SteeringProblemFields):
     Construction stores sigma0 and sigma1 symmetrized, as floats, and eps as a
     float. It raises DomainError on a covariance that is not n x n or not
     finite and on an eps that :func:`_checked_epsilon` refuses, and
-    DefinitenessError on a covariance that is not SPD.
+    DefinitenessError on a covariance that fails the scale-free SPD rule of
+    :func:`covsteer.systems._spd_eigh`.
     problem._replace(epsilon=...) builds its copy through the same checks.
     """
 
@@ -266,13 +267,13 @@ def _roots(base: np.ndarray, mapped: np.ndarray, sigma0: np.ndarray,
 
     C = (eps^2 I / 4 + S0^1/2 mapped S0^1/2)^1/2 is the core, and S0 = Sigma0;
     eps != 1 scales the boundary conditions to eps * Sigma^-1, which folds into
-    eps^2 I / 4. The core is SPD when mapped is, so past a condition number of
-    1 / PD_TOL it raises ConditioningError.
+    eps^2 I / 4. The core is SPD when mapped is, so where it fails
+    :func:`covsteer.systems._spd_eigh`'s rule it raises ConditioningError.
     """
     s0_half, s0_inv_half = _sqrt_spd_pair(sigma0)
     inner = 0.25 * epsilon**2 * np.eye(len(sigma0)) + symmetrize(s0_half @ mapped @ s0_half)
-    try:  # a relative floor: the core scales like Phi12^-1, tiny on a stiff problem
-        core = _sqrt_spd_pair(inner, floor=0.0)[0]
+    try:
+        core = _sqrt_spd_pair(inner)[0]
     except DefinitenessError as exc:
         raise ConditioningError(
             f"the coupling core is too ill-conditioned for its square root "
@@ -507,7 +508,7 @@ def _require_no_conjugate_point(
         flip = (f"det {'X1' if flips[0, k] else 'X2'}(t) changes sign between "
                 f"t = {grid[k]:.6g} and t = {grid[k + 1]:.6g}")
         w = once(np.linalg.eigvalsh, sys.Q(stage_times(grid)))  # on this path alone
-        if (w[..., 0] >= -PD_TOL * np.maximum(1.0, w[..., -1])).all():  # Q >= 0 up to rounding
+        if (w[..., 0] >= -PD_TOL * np.abs(w).max(axis=-1)).all():  # Q >= 0 up to rounding
             raise ConditioningError(
                 f"{flip}, but Q(t) is positive semidefinite, so the flow has no conjugate "
                 f"point and the sign change is rounding: the flow is too ill-conditioned "
@@ -629,10 +630,11 @@ def corollary_q_zero(problem: SteeringProblem, grid_size: int) -> tuple[np.ndarr
     base = Psi' G^-1 Psi and mapped = Psi' G^-1 Sigma1 G^-1 Psi. G is inverted
     by Phi12's rule, so both routes refuse alike. Both passes run on the
     horizon's grid of grid_size steps, and Q is checked at each of its stage
-    times. Raises DomainError unless Q = 0 and grid_size is a positive integer.
+    times. Raises DomainError unless Q is exactly 0 there and grid_size is a
+    positive integer.
     """
     sys = problem.sys
-    if np.abs(sys.Q(stage_times(horizon_grid(grid_size)))).max() > 1e-12:
+    if (sys.Q(stage_times(horizon_grid(grid_size))) != 0.0).any():
         raise DomainError("corollary_q_zero requires Q = 0")
 
     psi = state_transition(sys, grid_size)

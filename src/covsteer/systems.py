@@ -35,8 +35,7 @@ from .integrate import horizon_grid, once, rk4_grid, simpson_uniform, step_stack
 
 MatrixMap = Callable[[float], np.ndarray]  # built maps also take a 1-d array of times
 
-PD_TOL = 1e-12  # an SPD matrix needs min eigenvalue > PD_TOL * max(1, max eigenvalue)
-CONTROLLABILITY_TOL = 1e-9  # (A, B) is controllable if the Gramian's min eigenvalue exceeds it
+PD_TOL = 1e-12  # SPD: min eigenvalue > max(PD_TOL * max eigenvalue, smallest normal float)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -51,35 +50,32 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spd_eigh(
-    s, tol: float = PD_TOL, name: str = "matrix", floor: float = 1.0, times=None
-) -> tuple[np.ndarray, np.ndarray]:
+def _spd_eigh(s, name: str = "matrix", times=None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a symmetric positive definite matrix or stack.
 
     The input is symmetrized first. Raises DomainError on non-finite entries
-    and DefinitenessError when an eigenvalue is at or below
-    tol * max(floor, largest eigenvalue) of its matrix; floor 0 bounds the
-    condition number alone; times names the first failing matrix's time.
+    and DefinitenessError unless each matrix's smallest eigenvalue is above
+    PD_TOL times its largest and above the smallest normal float; the rule is
+    scale-free. times names the first failing matrix's time.
     """
     s = symmetrize(np.asarray(s, dtype=float))
     if not np.isfinite(s).all():
         raise DomainError(f"{name} has non-finite entries")
     w, v = np.linalg.eigh(s)  # eigenvalues ascending
-    bad = w[..., 0] <= tol * np.maximum(floor, w[..., -1])
+    tiny = np.finfo(float).tiny
+    bad = w[..., 0] <= np.maximum(PD_TOL * w[..., -1], tiny)
     if bad.any():
         lam, top = w[bad][0, [0, -1]].tolist()  # the first matrix that fails
         at = "" if times is None else f" at t = {np.reshape(times, -1)[np.argmax(bad)]:.6g}"
         raise DefinitenessError(
             f"{name} is not positive definite{at} (min eigenvalue {lam:.3e} is not above "
-            f"{tol:g} * max({floor:g}, max eigenvalue {top:.3e}))",
-            min_eigenvalue=lam,
-        )
+            f"max({PD_TOL:g} * max eigenvalue {top:.3e}, {tiny:.3e}))", min_eigenvalue=lam)
     return w, v
 
 
-def _sqrt_spd_pair(s: np.ndarray, floor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def _sqrt_spd_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S^1/2, S^-1/2) from one eigendecomposition, of a matrix or of each matrix in a stack."""
-    w, v = _spd_eigh(s, floor=floor)
+    w, v = _spd_eigh(s)
     sw = np.sqrt(w)[..., None, :]
     vt = np.swapaxes(v, -1, -2)
     return symmetrize((v * sw) @ vt), symmetrize((v / sw) @ vt)
@@ -219,8 +215,7 @@ def make_system(A, B, Q=None, R=None) -> TimeVaryingLinearSystem:
     or a 1-d array of times. Q defaults to zero and R to the identity; both
     are symmetrized, a constant once and a callable on every evaluation. All
     four are sampled at t = 0, 0.1, ..., 1: every sample must be finite and
-    of the right shape, and each R sample's smallest eigenvalue must exceed
-    PD_TOL * max(1, its largest eigenvalue).
+    of the right shape, and each R sample SPD by :func:`_spd_eigh`'s rule.
     """
     a_map, b_map = as_coefficient(A), as_coefficient(B)
     ts = np.linspace(0.0, 1.0, 11)
@@ -332,9 +327,11 @@ def reachability_gramian(sys: TimeVaryingLinearSystem, grid_size: int) -> np.nda
 
 
 def require_controllable(sys: TimeVaryingLinearSystem, grid_size: int) -> None:
-    """Raise ControllabilityError unless the smallest eigenvalue of the Gramian over
-    (0, 1) exceeds CONTROLLABILITY_TOL; a Gramian that is not finite raises
+    """Raise ControllabilityError unless the Gramian over (0, 1) is SPD by
+    :func:`_spd_eigh`'s rule; a Gramian that is not finite raises
     ConditioningError first."""
-    lam = float(np.linalg.eigvalsh(reachability_gramian(sys, grid_size)).min())
-    if not lam > CONTROLLABILITY_TOL:
-        raise ControllabilityError(f"FAIL gramian on (0, 1): min eig {lam:.6e}")
+    gram = reachability_gramian(sys, grid_size)
+    try:
+        _spd_eigh(gram, name="the Gramian over (0, 1)")
+    except DefinitenessError as exc:
+        raise ControllabilityError(f"(A, B) is not controllable: {exc}") from exc

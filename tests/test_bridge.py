@@ -273,9 +273,9 @@ def test_solve_uncontrollable_system_rejected():
 
 
 def test_ill_conditioned_phi12_raises_conditioning_error():
-    # the Gramian's smallest eigenvalue is 1e-8, above CONTROLLABILITY_TOL, but
-    # cond Phi12(1, 0) = 1e14 exceeds COND_LIMIT
-    sys = make_system(np.zeros((2, 2)), np.diag([1e3, 1e-4]))
+    # the Gramian is I, so (A, B) is controllable, but Q = diag(0, 35^2) gives
+    # cond Phi12(1, 0) = 2.27e13, past COND_LIMIT
+    sys = make_system(np.zeros((2, 2)), np.eye(2), np.diag([0.0, 35.0**2]))
     with pytest.raises(ConditioningError, match="Phi12"):
         solve(SteeringProblem(sys, np.eye(2), np.eye(2), 1.0), 200)
 
@@ -283,8 +283,8 @@ def test_ill_conditioned_phi12_raises_conditioning_error():
 def test_definiteness_error_states_the_bound_that_failed():
     # 0.25 is not above PD_TOL * 1e12
     with pytest.raises(DefinitenessError,
-                       match=r"min eigenvalue 2\.500e-01 is not above 1e-12 \* max\(1, max "
-                             r"eigenvalue 1\.000e\+12\)") as err:
+                       match=r"min eigenvalue 2\.500e-01 is not above max\(1e-12 \* max "
+                             r"eigenvalue 1\.000e\+12, 2\.225e-308\)\)") as err:
         sqrt_spd(np.diag([0.25, 1e12]))
     assert err.value.min_eigenvalue == pytest.approx(0.25)
 
@@ -300,7 +300,7 @@ def test_ill_conditioned_coupling_core_raises_conditioning_error():
 @pytest.mark.parametrize("k", [18.0, 20.0])
 def test_a_stiff_coupling_core_with_condition_number_one_solves(k):
     # A = 0, B = 1, Q = k^2, eps = 0: the core is sinh(k)^-2 k^2, about 3e-13 at k = 18,
-    # which an absolute floor of PD_TOL refused though its condition number is 1
+    # and its condition number is 1, so the scale-free rule takes it
     problem = SteeringProblem(scalar_system(q=k * k), [[1.0]], [[1.0]], 0.0)
     sol = solve(problem, 2000)
     exact = k * np.tanh(k / 2)
@@ -823,6 +823,13 @@ def test_corollary_rejects_nonzero_q():
     sys = make_system([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], q)
     with pytest.raises(DomainError, match="Q = 0"):
         corollary_q_zero(SteeringProblem(sys, 2 * np.eye(2), 0.25 * np.eye(2), 1.0), 1000)
+
+
+def test_corollary_rejects_a_small_nonzero_q():
+    # Q = 0 is a structural test, so no scale of Q counts as zero
+    problem = inertial_problem(q_scale=1e-13)
+    with pytest.raises(DomainError, match="requires Q = 0"):
+        corollary_q_zero(problem, 1000)
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,10 @@ def test_constant_coefficients_are_one_matrix_at_every_time():
 
 
 def test_ill_conditioned_phi12_exits_2(tmp_path, capsys):
+    # a controllable system (its Gramian is I) whose Phi12(1, 0) has condition number 2.27e13
     raw = {"name": "ill", "system": {"A": [[0.0, 0.0], [0.0, 0.0]],
-                                     "B": [[1e3, 0.0], [0.0, 1e-4]]},
+                                     "B": [[1.0, 0.0], [0.0, 1.0]],
+                                     "Q": [[0.0, 0.0], [0.0, 1225.0]]},
            "sigma0": [[1.0, 0.0], [0.0, 1.0]], "sigma1": [[1.0, 0.0], [0.0, 1.0]]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))

@@ -139,14 +139,16 @@ def test_controllability_pass_double_integrator():
     sys = double_integrator()
     lam = np.linalg.eigvalsh(reachability_gramian(sys, 1000)).min()
     np.testing.assert_allclose(lam, 0.0657, atol=5e-4)
-    require_controllable(sys, 1000)  # lam is above CONTROLLABILITY_TOL
+    require_controllable(sys, 1000)  # lam is above PD_TOL times the largest eigenvalue
 
 
 def test_controllability_fail_zero_channel():
     sys = make_system([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 1)))
     with pytest.raises(ControllabilityError) as err:
         require_controllable(sys, 1000)
-    assert str(err.value) == "FAIL gramian on (0, 1): min eig 0.000000e+00"
+    assert str(err.value) == ("(A, B) is not controllable: the Gramian over (0, 1) is not "
+                              "positive definite (min eigenvalue 0.000e+00 is not above "
+                              "max(1e-12 * max eigenvalue 0.000e+00, 2.225e-308))")
 
 
 def test_controllability_integrator_chain():
@@ -430,8 +432,8 @@ def test_a_system_is_built_with_its_q_and_r():
 
 
 def test_the_controllability_gate_does_not_depend_on_the_units_of_b_and_r():
-    # B -> 1e-5 B and R -> 1e-10 R leave B R^-1 B' and the law unchanged; the Gramian
-    # of B alone would fall to 6.6e-12, below CONTROLLABILITY_TOL
+    # B -> 1e-5 B and R -> 1e-10 R leave B R^-1 B' and the law unchanged, and with them
+    # the Gramian of the channel B R^-1/2 that the gate reads
     sigma0, sigma1 = 2.0 * np.eye(2), 0.25 * np.eye(2)
     b = np.array([[0.0], [1.0]])
     pi0 = {}
