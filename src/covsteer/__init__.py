@@ -15,7 +15,6 @@ from .bridge import (
     coupling_roots,
     epsilon_sweep,
     initial_conditions,
-    lemma1_residual,
     solve,
     spurious_root_escape,
     sqrt_spd,
@@ -35,7 +34,6 @@ from .errors import (
 from .hamiltonian import (
     blocks,
     propagate,
-    ratio_T,
     symplectic_residual,
 )
 from .monte_carlo import (

@@ -117,55 +117,6 @@ def _inv_spd(s: np.ndarray) -> np.ndarray:
     return symmetrize((v / w[..., None, :]) @ np.swapaxes(v, -1, -2))
 
 
-def _refined_root_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S^1/2, S^-1/2) with one Newton correction on top of the spectral root.
-
-    The correction solves the Sylvester equation R*D + D*R = S - R@R in the
-    eigenbasis, recovering the digits eigh loses on ill-conditioned input.
-    """
-    w, v = _spd_eigh(s)
-    sw = np.sqrt(w)
-    root = (v * sw) @ v.T
-    resid = v.T @ (s - root @ root) @ v
-    root = symmetrize(root + v @ (resid / np.add.outer(sw, sw)) @ v.T)
-    inv_root = symmetrize((v / sw) @ v.T)
-    return root, inv_root
-
-
-def lemma1_residual(x: np.ndarray, y: np.ndarray) -> float:
-    """Max-abs difference between the two equivalent SPD square-root expressions
-
-        Y^1/2 (Y^-1/2 X^-1 Y^-1/2 + 1/4 Y^-1/2 X^-1 Y^-1 X^-1 Y^-1/2)^1/2 Y^1/2
-      = X^-1/2 (I/4 + X^1/2 Y X^1/2)^1/2 X^-1/2
-
-    for SPD X, Y. Zero in exact arithmetic; the return value measures
-    floating-point drift only.
-    """
-    x = symmetrize(np.asarray(x, dtype=float))
-    y = symmetrize(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise DomainError("X and Y must have equal shapes")
-    y_h, y_ih = _refined_root_pair(y)
-    x_h, x_ih = _refined_root_pair(x)
-    # The left inner matrix is C + C^2/4 with C = Y^-1/2 X^-1 Y^-1/2, so its
-    # square root shares C's eigenvectors and follows from the scalar map
-    # sqrt(l + l^2/4). C itself is G'G for G = X^-1/2 Y^-1/2; an SVD of G
-    # delivers C's small eigenvalues to high relative accuracy, where a
-    # direct eigh of the squared-condition-number C would not.
-    g = x_ih @ y_ih
-    _, sv, vt = np.linalg.svd(g)
-    cw = sv[::-1] ** 2
-    cv = vt[::-1].T
-    left = y_h @ ((cv * np.sqrt(cw + 0.25 * cw**2)) @ cv.T) @ y_h
-    # Same treatment on the right with D = X^1/2 Y X^1/2 = G'G, G = Y^1/2 X^1/2.
-    g = y_h @ x_h
-    _, sv, vt = np.linalg.svd(g)
-    dw = sv[::-1] ** 2
-    dv = vt[::-1].T
-    right = x_ih @ ((dv * np.sqrt(0.25 + dw)) @ dv.T) @ x_ih
-    return float(np.abs(left - right).max())
-
-
 class _SteeringProblemFields(NamedTuple):
     sys: TimeVaryingLinearSystem
     sigma0: np.ndarray
@@ -256,7 +207,7 @@ def coupling_roots(
     sigma0 = symmetrize(np.asarray(sigma0, dtype=float))
     sigma1 = symmetrize(np.asarray(sigma1, dtype=float))
     phi11, phi12, _, _ = blocks(phi)
-    inv12 = _checked_inverse(phi12, "Phi12", ConditioningError)
+    inv12 = _checked_inverse(phi12, "Phi12")
     return _roots(symmetrize(-inv12 @ phi11), symmetrize(inv12 @ sigma1 @ inv12.T),
                   sigma0, epsilon)
 
@@ -639,7 +590,7 @@ def corollary_q_zero(problem: SteeringProblem, grid_size: int) -> tuple[np.ndarr
 
     psi = state_transition(sys, grid_size)
     gram = reachability_gramian(sys, grid_size)
-    inv12 = psi.T @ _checked_inverse(gram, "the Gramian", ConditioningError)  # -Phi12^-1
+    inv12 = psi.T @ _checked_inverse(gram, "the Gramian")  # -Phi12^-1
     roots = _roots(symmetrize(inv12 @ psi), symmetrize(inv12 @ problem.sigma1 @ inv12.T),
                    problem.sigma0, problem.epsilon)
     return _start(roots.z_minus, problem)

@@ -7,9 +7,7 @@ The flow dPhi/dt = M(t) Phi with
 
 linearizes both Riccati flows of the steering problem. Its blocks satisfy
 symplectic identities (M J + J M' = 0 with J the canonical skew form), which
-are exposed here as checkable residuals, together with the symmetric ratio
-T(t, s) = Phi11^-1 Phi12 whose negativity/monotonicity underpins invertibility
-of the blocks on controllable systems.
+are exposed here as one checkable residual.
 
 M is assembled in one place, :func:`hamiltonian_stack`, at an array of times:
 one A, B, Q and R call for the whole array, B R^-1 B' from
@@ -32,11 +30,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConditioningError, CovsteerError, SingularMatrixError
+from .errors import ConditioningError
 from .integrate import horizon_grid, once, rk4_grid, step_stack
-from .systems import TimeVaryingLinearSystem, _check_time, input_quad, symmetrize
+from .systems import TimeVaryingLinearSystem, _check_time, input_quad
 
-COND_LIMIT = 1e12  # largest condition number of Phi11 or Phi12 that is inverted
+COND_LIMIT = 1e12  # largest condition number of Phi12 or the Gramian that is inverted
 # largest max |entry| of Phi(1, 0) that propagate returns: a product of two entries
 # then stays within 1e300, so the sums of them in symplectic_residual do not overflow
 PHI_LIMIT = 1e150
@@ -127,26 +125,15 @@ def symplectic_residual(phi: np.ndarray) -> float:
     return max(float(np.abs(r).max()) for r in residuals)
 
 
-def _checked_inverse(
-    mat: np.ndarray, name: str, error: type[CovsteerError] = SingularMatrixError
-) -> np.ndarray:
-    """mat^-1, or raise error when mat is not finite or its condition number exceeds COND_LIMIT.
+def _checked_inverse(mat: np.ndarray, name: str) -> np.ndarray:
+    """mat^-1; ConditioningError when mat is not finite or its condition number exceeds COND_LIMIT.
 
     Finiteness is checked first, because ``np.linalg.cond`` itself fails on a NaN matrix.
     """
     if not np.isfinite(mat).all():
-        raise error(f"{name} has non-finite entries, so it cannot be inverted")
+        raise ConditioningError(f"{name} has non-finite entries, so it cannot be inverted")
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise error(f"{name} is too ill-conditioned to invert (condition number {cond:.3e})")
+        raise ConditioningError(
+            f"{name} is too ill-conditioned to invert (condition number {cond:.3e})")
     return np.linalg.inv(mat)
-
-
-def ratio_T(phi: np.ndarray) -> np.ndarray:
-    """Symmetric ratio T(t, s) = Phi11^-1 Phi12 of one Phi(t, s); zero at t = s.
-
-    Negative definite for t > s on controllable systems, and monotonically
-    nonincreasing in t in the positive-definite order.
-    """
-    p11, p12, _, _ = blocks(phi)
-    return symmetrize(_checked_inverse(p11, "Phi11") @ p12)

@@ -17,10 +17,8 @@ from covsteer import (
     coupling_roots,
     epsilon_sweep,
     initial_conditions,
-    lemma1_residual,
     make_system,
     propagate,
-    ratio_T,
     simulate,
     solve,
     sqrt_spd,
@@ -28,6 +26,7 @@ from covsteer import (
     symplectic_residual,
 )
 from covsteer.bridge import _sqrt_spd_pair
+from paper_identities import lemma1_residual, ratio_T
 
 SIGMA0 = 2.0 * np.eye(2)
 SIGMA1 = 0.25 * np.eye(2)

@@ -24,7 +24,6 @@ from covsteer import (
     coupling_roots,
     epsilon_sweep,
     initial_conditions,
-    lemma1_residual,
     make_system,
     piecewise_constant_coefficient,
     propagate,
@@ -41,6 +40,7 @@ from covsteer.bridge import _sqrt_spd_pair
 from covsteer.cli import PRESETS, RunConfig, build_problem
 from covsteer.integrate import rk4_grid, thin_nodes
 from covsteer.systems import require_controllable
+from paper_identities import lemma1_residual
 from riccati_oracle import riccati_rhs_h, riccati_rhs_pi
 
 GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))  # scalar trivial-case Pi(0), ~0.381966

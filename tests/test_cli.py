@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from covsteer import (
+    bridge,
     cli,
     coupling_roots,
     epsilon_sweep,
+    initial_conditions,
     propagate,
     simulate,
     spurious_root_escape,
@@ -457,7 +459,7 @@ def test_inertial_r4_preset_solves_and_simulates(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--bogus"],
-    ["verify", "--seed", "abc"],
+    ["verify", "--tol-scale", "abc"],
     [],
     ["solve", "--preset", "scalar-trivial", "--seed", "1"],
     ["solve", "--preset", "inertial-q1", "--paths", "1"],
@@ -478,7 +480,7 @@ def test_a_usage_error_exits_1_after_the_usage_message(monkeypatch, tmp_path, ca
     ("solve", ["--config", "--preset", "--out"]),
     ("simulate", ["--config", "--preset", "--out", "--seed", "--steps", "--paths"]),
     ("sweep", ["--config", "--preset", "--out"]),
-    ("verify", ["--seed", "--tol-scale"]),
+    ("verify", ["--tol-scale"]),
 ])
 def test_each_command_takes_only_the_options_it_reads(capsys, command, options):
     assert main([command, "--help"]) == 0
@@ -498,7 +500,7 @@ def test_main_solve_preset(tmp_path):
 def test_verify_passes(capsys):
     assert run_verify() == 0
     out = capsys.readouterr().out
-    assert "PASS lemma1-identity" in out
+    assert "PASS endpoint-coupling" in out
     assert "FAIL" not in out
 
 
@@ -636,10 +638,12 @@ def test_each_simulate_csv_passes_the_writer_once_one_item_per_data_row(monkeypa
     assert len(calls["paths.csv"][0]) == 200 * 11
 
 
-@pytest.mark.parametrize("seed", [-1, 2**70])
-def test_verify_rejects_a_seed_outside_the_stream_keys(capsys, seed):
-    assert main(["verify", "--seed", str(seed)]) == 1
-    assert "config error: --seed must be in [0, 2**63)" in capsys.readouterr().err
+def test_verify_takes_no_seed(capsys):
+    # every verify check is deterministic, so a --seed is a usage error
+    assert main(["verify", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --seed 1" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("tol_scale", ["inf", "nan", "0", "-1"])
@@ -672,7 +676,23 @@ def test_verify_prints_its_15_checks_from_one_propagation_per_preset(monkeypatch
     names = sorted(line.split()[1].rstrip(":") for line in lines)
     presets = ["scalar-trivial", "inertial-q1", "inertial-q10", "inertial-qneg5"]
     assert names == sorted(
-        ["lemma1-identity"]
+        ["endpoint-coupling"]
         + [f"{check}:{name}" for name in presets
            for check in ("symplectic-residual", "escape-plus-root", "no-escape-minus-root")]
         + ["gramian-route-equivalence:scalar-trivial", "gramian-route-equivalence:inertial-q0"])
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.0])
+def test_verify_fails_the_endpoint_coupling_of_the_plus_root(monkeypatch, capsys, eps):
+    # Pi0 taken from the root that escapes, at this eps alone, misses the entropic OT
+    # coupling (by 2.0 or more relative on every preset), so verify must catch it
+    def plus_root_at_eps(problem, phi):
+        if problem.epsilon != eps:
+            return initial_conditions(problem, phi)
+        roots = coupling_roots(problem.sigma0, problem.sigma1, phi, problem.epsilon)
+        return bridge._start(roots.z_plus, problem)
+
+    monkeypatch.setattr(cli, "initial_conditions", plus_root_at_eps)
+    assert main(["verify"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL endpoint-coupling: ") for line in lines)

@@ -19,7 +19,6 @@ from covsteer import (
     make_system,
     piecewise_constant_coefficient,
     propagate,
-    ratio_T,
     reachability_gramian,
     sampled_coefficient,
     solve,
@@ -36,6 +35,7 @@ from covsteer.integrate import (
     step_matrices,
     step_stack,
 )
+from paper_identities import ratio_T
 from riccati_oracle import hamiltonian_matrix
 
 

@@ -5,7 +5,9 @@ must solve and its Pi, H, Sigma and K must transform. A smooth time-varying
 change of coordinates x~ = T(t) x and the reversal s = 1 - t of the horizon
 turn a constant preset into a problem with time-varying A, B and Q whose
 answer is known exactly from the preset's own solve, which makes them sharp
-oracles for the time-varying code path.
+oracles for the time-varying code path. A per-coordinate change of units
+x~ = D x transforms the answer too, within the scope that the condition-number
+rule on Sigma0 and Sigma1 leaves it.
 """
 
 import warnings
@@ -53,6 +55,30 @@ def test_a_change_of_units_solves_and_transforms_the_answer(name, eps, kind):
         sol = solve(scaled, 2000)
         for field, w in weights.items():
             assert _rel(getattr(sol, field) / w, getattr(ref, field)) <= 1e-12, (c, field)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.0])
+def test_per_coordinate_units_solve_until_sigma0_fails_the_condition_number_rule(eps):
+    # x~ = D x with D = diag(1, d) takes A -> D A D^-1, B -> D B, Q -> D^-1 Q D^-1 and
+    # Sigma -> D Sigma D. The SPD rule is relative to each matrix's own spectrum, so it
+    # is not invariant under such a change: D Sigma0 D has condition number d^2 (or
+    # 1/d^2), which reaches 1/PD_TOL at |log10 d| = 6, where it is refused. Within that
+    # scope the answer transforms: D Pi~(0) D is Pi(0) (measured within 2.3e-14)
+    problem = _preset("inertial-q1", eps)
+    a, b, q, r = _coefficients(problem)
+    ref = solve(problem, 2000).pi[0]
+
+    def scaled(d):
+        dd, d_inv = np.diag([1.0, d]), np.diag([1.0, 1.0 / d])
+        return SteeringProblem(make_system(dd @ a @ d_inv, dd @ b, d_inv @ q @ d_inv, r),
+                               dd @ problem.sigma0 @ dd, dd @ problem.sigma1 @ dd, eps), dd
+
+    for d in 10.0 ** np.arange(-5, 6):
+        scaled_problem, dd = scaled(d)
+        assert _rel(dd @ solve(scaled_problem, 2000).pi[0] @ dd, ref) <= 1e-12, d
+    for d in (1e-6, 1e6):
+        with pytest.raises(DefinitenessError, match="sigma0 is not positive definite"):
+            scaled(d)
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.0])
